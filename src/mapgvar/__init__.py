@@ -29,6 +29,7 @@ from .estimators import (
     marginal_q_rows,
     param_dim,
     per_step_gradient,
+    rollout,
     signal_table,
     trajectory_gradient,
 )
@@ -61,7 +62,6 @@ from .policies import (
     policy_from_dict,
     policy_to_dict,
     random_softmax_policy,
-    sample_action,
     save_policy,
     softmax_probs,
     uniform_policy,

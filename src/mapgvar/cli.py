@@ -417,6 +417,30 @@ def cmd_gen(args) -> int:
 # parser / entry point
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _mc_count(text: str) -> int:
+    """argparse type for --mc: 0 skips Monte Carlo; a variance needs >= 2."""
+    value = int(text)
+    if value < 0 or value == 1:
+        raise argparse.ArgumentTypeError(f"must be 0 or >= 2, got {value}")
+    return value
+
+
+_mc_count.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -448,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run identity/bound suites on random games"
     )
-    p_verify.add_argument("--games", type=int, default=50)
-    p_verify.add_argument("--agents", type=int, default=2)
+    p_verify.add_argument("--games", type=_int_at_least(1), default=50)
+    p_verify.add_argument("--agents", type=_int_at_least(1), default=2)
     p_verify.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -461,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="uniform", help="'uniform' or a policy JSON file"
     )
     p_report.add_argument("--agent", type=int, default=0)
-    p_report.add_argument("--t-max", type=int, default=20)
+    p_report.add_argument("--t-max", type=_int_at_least(0), default=20)
     p_report.add_argument(
-        "--mc", type=int, default=0, help="Monte-Carlo trajectories (0 = skip)"
+        "--mc", type=_mc_count, default=0, help="Monte-Carlo trajectories (0 = skip)"
     )
     p_report.set_defaults(func=cmd_report)
 
@@ -477,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "gen", parents=[common], help="generate a random game file"
     )
-    p_gen.add_argument("--agents", type=int, default=2)
-    p_gen.add_argument("--states", type=int, default=2)
-    p_gen.add_argument("--actions", type=int, default=2)
+    p_gen.add_argument("--agents", type=_int_at_least(1), default=2)
+    p_gen.add_argument("--states", type=_int_at_least(1), default=2)
+    p_gen.add_argument("--actions", type=_int_at_least(1), default=2)
     p_gen.set_defaults(func=cmd_gen)
     return parser
 

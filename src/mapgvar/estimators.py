@@ -17,13 +17,14 @@ visited state's block only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .games import DEFAULT_ENUMERATION_CAP, MarkovGame
-from .policies import JointPolicy, joint_action_prob_table
+from .policies import JointPolicy, joint_action_prob_table, x_measure_softmax
 from .values import ValueTables, state_distributions
 
 
@@ -97,13 +98,14 @@ def others_prob_table(game: MarkovGame, policy: JointPolicy, agent: int) -> np.n
     for j in range(game.n_agents):
         if j == agent:
             continue
-        pj = np.stack([policy.probs(j, s) for s in range(game.n_states)])
+        pj = policy.agents[j].all_probs()
         out = (out[:, :, None] * pj[:, None, :]).reshape(game.n_states, -1)
     return out
 
 
 def agent_prob_table(game: MarkovGame, policy: JointPolicy, agent: int) -> np.ndarray:
-    return np.stack([policy.probs(agent, s) for s in range(game.n_states)])
+    """(S, k) table of one agent's action probabilities."""
+    return policy.agents[agent].all_probs()
 
 
 def marginal_q_rows(
@@ -119,31 +121,64 @@ def signal_table(
     kind: EstimatorKind,
     game: MarkovGame,
     policy: JointPolicy,
-    tables: ValueTables,
+    q: np.ndarray,
 ) -> np.ndarray:
-    """Exact per-(state, joint action) scalar signal for the estimator kind."""
+    """Exact per-(state, joint action) scalar signal for the estimator kind.
+
+    ``q`` is an (S, A) action-value table: the solved ``ValueTables.q`` or
+    a learned critic's estimate.
+    """
     _check_agent(game, kind.agent)
     i = kind.agent
     if kind.tag is EstimatorTag.CENTRALIZED_VANILLA:
-        return tables.q.copy()
+        return q.copy()
+    rows = agent_axis_view(game, q, i)  # (S, M, k)
     if kind.tag is EstimatorTag.DECENTRALIZED:
-        qi = marginal_q_rows(game, policy, tables, i)  # (S, k_i)
-        rows = np.broadcast_to(
-            qi[:, None, :],
-            (game.n_states, game.n_joint_actions // game.action_counts[i],
-             game.action_counts[i]),
-        )
+        qi = np.einsum("smk,sm->sk", rows, others_prob_table(game, policy, i))
+        rows = np.broadcast_to(qi[:, None, :], rows.shape)
         return unview_agent_axis(game, np.ascontiguousarray(rows), i)
-    rows = agent_axis_view(game, tables.q, i)  # (S, M, k)
-    pi_i = agent_prob_table(game, policy, i)  # (S, k)
-    if kind.tag is EstimatorTag.COMA:
-        b = np.einsum("smk,sk->sm", rows, pi_i)
-    else:  # OB_X
-        from .policies import x_measure_softmax
-
-        x = np.stack([x_measure_softmax(pi_i[s]) for s in range(game.n_states)])
-        b = np.einsum("smk,sk->sm", rows, x)
+    # COMA and OB_X subtract the Q-row's mean under the policy or the x-measure
+    weights = agent_prob_table(game, policy, i)  # (S, k)
+    if kind.tag is EstimatorTag.OB_X:
+        weights = x_measure_softmax(weights)
+    b = np.einsum("smk,sk->sm", rows, weights)
     return unview_agent_axis(game, rows - b[:, :, None], i)
+
+
+def rollout(
+    game: MarkovGame,
+    pi_tables: Sequence[np.ndarray],
+    m: int,
+    horizon: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]]:
+    """Sample m trajectories side by side, yielding one step at a time.
+
+    ``pi_tables`` holds each agent's (S, k) action probabilities. Each step
+    yields (states, per-agent actions, joint action index, next states), all
+    of length m. The draw order is fixed, so a seeded generator reproduces
+    the batch: one uniform batch for the initial states, then per step one
+    batch per agent in agent order and one for the transition.
+    """
+    counts = game.action_counts
+    cdfs = [np.cumsum(p, axis=1) for p in pi_tables]
+    trans_cdf = np.cumsum(game.transition, axis=2)
+    s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
+    s = s.clip(0, game.n_states - 1)
+    for _ in range(horizon):
+        actions = []
+        a_idx = np.zeros(m, dtype=np.int64)
+        for j in range(game.n_agents):
+            u = rng.random(m)
+            a_j = (u[:, None] > cdfs[j][s]).sum(axis=1).clip(0, counts[j] - 1)
+            actions.append(a_j)
+            a_idx = a_idx * counts[j] + a_j
+        u = rng.random(m)
+        s_next = (u[:, None] > trans_cdf[s, a_idx]).sum(axis=1).clip(
+            0, game.n_states - 1
+        )
+        yield s, tuple(actions), a_idx, s_next
+        s = s_next
 
 
 def per_step_gradient(
@@ -162,7 +197,7 @@ def per_step_gradient(
     i = kind.agent
     _check_agent(game, i)
     a_idx = game.joint_action_index(joint_action)
-    sig = signal_table(kind, game, policy, tables)[s, a_idx]
+    sig = signal_table(kind, game, policy, tables.q)[s, a_idx]
     k = game.action_counts[i]
     probs = policy.probs(i, s)
     block = -probs * sig
@@ -193,7 +228,7 @@ def trajectory_gradient(
     vec = np.zeros(param_dim(game, i))
     if horizon is None:
         horizon = len(trajectory)
-    sig = signal_table(kind, game, policy, tables)
+    sig = signal_table(kind, game, policy, tables.q)
     k = game.action_counts[i]
     scale = 1.0
     for t, (s, joint) in enumerate(trajectory):
@@ -261,7 +296,7 @@ def expected_per_step_gradient(
 ) -> np.ndarray:
     """Exhaustive E_{a~pi}[contribution | s] over the joint action space."""
     probs = joint_action_prob_table(game, policy)[s]
-    sig = signal_table(kind, game, policy, tables)[s]
+    sig = signal_table(kind, game, policy, tables.q)[s]
     i = kind.agent
     k = game.action_counts[i]
     pi_i = policy.probs(i, s)

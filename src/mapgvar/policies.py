@@ -53,15 +53,18 @@ def grad_log_norm_sq(probs, a: int) -> float:
 def x_measure_softmax(probs, tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Score-norm-weighted action measure x(a) = pi(a) ||e_a - pi||^2 / (1 - ||pi||^2).
 
-    The normalizer 1 - ||pi||^2 is the expected squared score norm under pi;
-    it vanishes for deterministic policies, where the measure is undefined.
+    ``probs`` is one distribution of shape (k,) or a stack (..., k) of them;
+    each row is weighted on its own. The normalizer 1 - ||pi||^2 is the
+    expected squared score norm under pi; it vanishes for deterministic
+    policies, where the measure is undefined, and any such row raises.
     """
     probs = np.asarray(probs, dtype=float)
-    norm_sq = float(probs @ probs)
+    # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
+    norm_sq = (probs[..., None, :] @ probs[..., :, None])[..., 0]
     denom = 1.0 - norm_sq
-    if denom <= tol:
+    if np.any(denom <= tol):
         raise DegeneratePolicy(
-            f"1 - ||pi||^2 = {denom!r} <= {tol!r}; x-measure undefined"
+            f"1 - ||pi||^2 = {float(denom.min())!r} <= {tol!r}; x-measure undefined"
         )
     weights = 1.0 + norm_sq - 2.0 * probs
     return probs * weights / denom
@@ -156,11 +159,6 @@ class GaussianPolicy:
         return self.mean[s] + self.std[s] * rng.standard_normal(self.dim)
 
 
-def sample_action(policy, s: int, rng: np.random.Generator):
-    """Draw an action from one agent's policy slice at state s."""
-    return policy.sample(s, rng)
-
-
 @dataclass(frozen=True, eq=False)
 class JointPolicy:
     """One policy per agent; joint probability is the per-agent product."""
@@ -206,9 +204,11 @@ def joint_action_probs(game, policy: JointPolicy, s: int) -> np.ndarray:
 
 def joint_action_prob_table(game, policy: JointPolicy) -> np.ndarray:
     """(n_states, n_joint_actions) table of joint-action probabilities."""
-    return np.stack(
-        [joint_action_probs(game, policy, s) for s in range(game.n_states)]
-    )
+    out = np.ones((game.n_states, 1))
+    for i in range(game.n_agents):
+        pi_i = policy.agents[i].all_probs()
+        out = (out[:, :, None] * pi_i[:, None, :]).reshape(game.n_states, -1)
+    return out
 
 
 def uniform_policy(game) -> JointPolicy:

@@ -21,11 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import BaselineKind, BaselineTag, ob_surrogate_gaussian
-from .estimators import agent_axis_view, default_horizon, param_dim
+from .estimators import (
+    EstimatorKind,
+    EstimatorTag,
+    default_horizon,
+    param_dim,
+    rollout,
+    signal_table,
+)
 from .games import MarkovGame
 from .policies import (
-    DEGENERACY_TOL,
-    DegeneratePolicy,
     JointPolicy,
     SoftmaxPolicy,
     gaussian_log_prob_grad,
@@ -277,34 +282,14 @@ def td_learn_q(
 # the discrete training loop
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _signal_batch(
-    tag: BaselineTag,
-    q_full_vals: np.ndarray,
-    q_rows: np.ndarray,
-    pi_rows: np.ndarray,
-    tol: float = DEGENERACY_TOL,
-) -> np.ndarray:
-    """Per-sample scalar signals for one agent given its counterfactual q-rows."""
-    if tag is BaselineTag.NONE:
-        return q_full_vals
-    if tag is BaselineTag.COMA:
-        return q_full_vals - np.einsum("bk,bk->b", pi_rows, q_rows)
-    # variance-optimal surrogate: weights pi(a) ||score(a)||^2, normalized
-    pi_norm_sq = np.einsum("bk,bk->b", pi_rows, pi_rows)
-    denom = 1.0 - pi_norm_sq
-    if np.any(denom <= tol):
-        raise DegeneratePolicy(
-            "optimal-baseline weights undefined for a near-deterministic policy row"
-        )
-    weights = pi_rows * (1.0 + pi_norm_sq[:, None] - 2.0 * pi_rows)
-    baseline = np.einsum("bk,bk->b", weights, q_rows) / denom
-    return q_full_vals - baseline
+# each actor baseline turns q into one estimator kind's signal; for softmax
+# actors the exact optimal baseline is the x-measure one
+_SIGNAL_FOR_BASELINE = {
+    BaselineTag.NONE: EstimatorTag.CENTRALIZED_VANILLA,
+    BaselineTag.COMA: EstimatorTag.COMA,
+    BaselineTag.OB_SURROGATE: EstimatorTag.OB_X,
+    BaselineTag.OB_EXACT: EstimatorTag.OB_X,
+}
 
 
 def train(
@@ -334,8 +319,7 @@ def train(
     j_bound = 10.0 * game.beta / (1.0 - game.gamma)
     use_td = config.critic.mode == "td"
     critic = init_critic(game, config.critic) if use_td else None
-    init_cdf = np.cumsum(game.initial_dist)
-    trans_cdf = np.cumsum(game.transition, axis=2)
+    signal_tag = _SIGNAL_FOR_BASELINE[config.baseline.tag]
     batch = config.batch_size
     rows_b = np.arange(batch)
 
@@ -355,7 +339,7 @@ def train(
                 },
             )
         returns.append(j_val)
-        pi_tables = [_softmax_rows(l) for l in logits]
+        pi_tables = [agent.all_probs() for agent in policy.agents]
         entropies.append(
             tuple(
                 float(
@@ -365,49 +349,20 @@ def train(
             )
         )
         q_table = critic.q if use_td else tables.q
-        q_views = [agent_axis_view(game, q_table, i) for i in range(n)]
 
-        cdfs = [np.cumsum(p, axis=1) for p in pi_tables]
-        # roll out the batch, vectorized across trajectories
-        states = np.empty((batch, horizon), dtype=np.int64)
-        actions = [np.empty((batch, horizon), dtype=np.int64) for _ in range(n)]
-        joint_idx = np.empty((batch, horizon), dtype=np.int64)
-        rewards = np.empty((batch, horizon))
-        s = np.searchsorted(init_cdf, rng.random(batch), side="right").clip(
-            0, game.n_states - 1
+        # (batch, horizon) arrays; actions gains a leading agent axis
+        states, actions, joint_idx, next_states = (
+            np.stack(column, axis=-1)
+            for column in zip(*rollout(game, pi_tables, batch, horizon, rng))
         )
-        for t in range(horizon):
-            states[:, t] = s
-            a_idx = np.zeros(batch, dtype=np.int64)
-            for j in range(n):
-                u = rng.random(batch)
-                a_j = (u[:, None] > cdfs[j][s]).sum(axis=1).clip(0, counts[j] - 1)
-                actions[j][:, t] = a_j
-                a_idx = a_idx * counts[j] + a_j
-            joint_idx[:, t] = a_idx
-            rewards[:, t] = game.reward[s, a_idx]
-            u = rng.random(batch)
-            s = (u[:, None] > trans_cdf[s, a_idx]).sum(axis=1).clip(
-                0, game.n_states - 1
-            )
 
-        # per-trajectory gradients, plus flat sample records for clipped epochs
+        # per-trajectory gradients, plus per-sample signals for clipped epochs
         grads = [np.zeros((batch, game.n_states, counts[i])) for i in range(n)]
-        signals = [np.empty((batch, horizon)) for _ in range(n)]
+        signals = []
         for i in range(n):
-            # rank of the other agents' actions inside the (S, M, k) view
-            m_idx = np.zeros(batch * horizon, dtype=np.int64)
-            for j in range(n):
-                if j == i:
-                    continue
-                m_idx = m_idx * counts[j] + actions[j].reshape(-1)
-            s_flat = states.reshape(-1)
-            q_rows = q_views[i][s_flat, m_idx]  # (B*T, k)
-            pi_rows = pi_tables[i][s_flat]
-            q_full_vals = q_table[s_flat, joint_idx.reshape(-1)]
-            sig = _signal_batch(config.baseline.tag, q_full_vals, q_rows, pi_rows)
-            sig = sig.reshape(batch, horizon)
-            signals[i][:] = sig
+            kind = EstimatorKind(signal_tag, i)
+            sig = signal_table(kind, game, policy, q_table)[states, joint_idx]
+            signals.append(sig)
             a_i = actions[i]
             scale = 1.0
             for t in range(horizon):
@@ -444,7 +399,7 @@ def train(
                 for i in range(n)
             ]
             for _ in range(config.ppo.epochs):
-                new_tables = [_softmax_rows(l) for l in logits]
+                new_tables = [SoftmaxPolicy(l).all_probs() for l in logits]
                 steps = [np.zeros_like(l) for l in logits]
                 for i in range(n):
                     s_flat = states.reshape(-1)
@@ -470,7 +425,7 @@ def train(
 
         if config.entropy_coef > 0.0:
             for i in range(n):
-                p = _softmax_rows(logits[i])
+                p = SoftmaxPolicy(logits[i]).all_probs()
                 log_p = np.log(np.clip(p, 1e-300, None))
                 ent = -(p * log_p).sum(axis=1, keepdims=True)
                 logits[i] = logits[i] + config.actor_lr * config.entropy_coef * (
@@ -478,24 +433,13 @@ def train(
                 )
 
         if use_td:
-            transitions = []
-            next_states = np.empty((batch, horizon), dtype=np.int64)
-            next_states[:, :-1] = states[:, 1:]
-            # resample terminal next-states? trajectories are contiguous, so
-            # the sampled chain already provides s' for every t < horizon-1;
-            # the final step reuses its own sampled successor via the chain's
-            # last draw, which lives in `s` after the loop.
-            next_states[:, -1] = s
-            for b in range(batch):
-                for t in range(horizon):
-                    transitions.append(
-                        (
-                            int(states[b, t]),
-                            int(joint_idx[b, t]),
-                            float(rewards[b, t]),
-                            int(next_states[b, t]),
-                        )
-                    )
+            # transitions in trajectory order: all of trajectory 0, then 1, ...
+            transitions = zip(
+                states.ravel().tolist(),
+                joint_idx.ravel().tolist(),
+                game.reward[states, joint_idx].ravel().tolist(),
+                next_states.ravel().tolist(),
+            )
             critic = td_learn_q(game, policy, transitions, critic)
 
     final_policy = JointPolicy(tuple(SoftmaxPolicy(l) for l in logits))

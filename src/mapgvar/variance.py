@@ -35,6 +35,7 @@ from .estimators import (
     default_horizon,
     others_prob_table,
     param_dim,
+    rollout,
     signal_table,
 )
 from .games import MarkovGame
@@ -76,7 +77,7 @@ def step_moments(
     tables: ValueTables,
 ) -> StepMoments:
     i = kind.agent
-    sig_rows = agent_axis_view(game, signal_table(kind, game, policy, tables), i)
+    sig_rows = agent_axis_view(game, signal_table(kind, game, policy, tables.q), i)
     p_others = others_prob_table(game, policy, i)  # (S, M)
     pi_i = agent_prob_table(game, policy, i)  # (S, k)
     pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
@@ -283,9 +284,10 @@ def bound_constants(
         pi_i = agent_prob_table(game, policy, i)
         norm_sq = 1.0 + np.einsum("sk,sk->s", pi_i, pi_i)[:, None] - 2.0 * pi_i
         score[i] = math.sqrt(float(norm_sq.max()))
-        rows = agent_axis_view(game, tables.q, i)
-        cond_mean = np.einsum("smk,sk->sm", rows, pi_i)
-        adv[i] = float(np.abs(rows - cond_mean[:, :, None]).max())
+        local_adv = signal_table(
+            EstimatorKind(EstimatorTag.COMA, i), game, policy, tables.q
+        )
+        adv[i] = float(np.abs(local_adv).max())
     return BoundConstants(
         score_norm_max=score,
         adv_abs_max=adv,
@@ -524,12 +526,8 @@ def mc_variance(
     i = kind.agent
     k = game.action_counts[i]
     dim = param_dim(game, i)
-    sig = signal_table(kind, game, policy, tables)
+    sig = signal_table(kind, game, policy, tables.q)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
-    cdfs = [np.cumsum(p, axis=1) for p in pi_tables]
-    init_cdf = np.cumsum(game.initial_dist)
-    trans_cdf = np.cumsum(game.transition, axis=2)
-    counts = game.action_counts
 
     s1 = np.zeros(dim)
     q1 = 0.0
@@ -542,27 +540,12 @@ def mc_variance(
         m = min(chunk_size, remaining)
         remaining -= m
         rows = np.arange(m)
-        s = np.searchsorted(init_cdf, rng.random(m), side="right").clip(
-            0, game.n_states - 1
-        )
         grads = np.zeros((m, game.n_states, k))
         scale = 1.0
-        for _ in range(horizon):
-            a_idx = np.zeros(m, dtype=np.int64)
-            a_own = None
-            for j in range(game.n_agents):
-                u = rng.random(m)
-                a_j = (u[:, None] > cdfs[j][s]).sum(axis=1).clip(0, counts[j] - 1)
-                a_idx = a_idx * counts[j] + a_j
-                if j == i:
-                    a_own = a_j
+        for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
             val = scale * sig[s, a_idx]
             grads[rows, s] -= pi_tables[i][s] * val[:, None]
-            grads[rows, s, a_own] += val
-            u = rng.random(m)
-            s = (u[:, None] > trans_cdf[s, a_idx]).sum(axis=1).clip(
-                0, game.n_states - 1
-            )
+            grads[rows, s, actions[i]] += val
             scale *= game.gamma
         flat = grads.reshape(m, dim)
         norm_sq = np.einsum("md,md->m", flat, flat)

@@ -280,6 +280,29 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["report", "--mc", "1"], "--mc"),
+        (["report", "--mc", "-5"], "--mc"),
+        (["report", "--t-max", "-3"], "--t-max"),
+        (["verify", "--games", "0"], "--games"),
+        (["verify", "--agents", "0"], "--agents"),
+        (["gen", "--states", "0"], "--states"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, flag):
+    if argv[0] == "report":
+        argv = argv + ["--game", make_game_file(tmp_path)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and f"argument {flag}:" in error_lines[0]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["report", "--game", str(tmp_path / "missing.json")])
     assert code == 3

@@ -101,16 +101,16 @@ def test_signal_rows_by_hand(corpus30):
     for s in range(game.n_states):
         rows = agent_axis_view(game, tables.q, i)[s]  # (M, k)
         vanilla = agent_axis_view(
-            game, signal_table(kinds[EstimatorTag.CENTRALIZED_VANILLA], game, policy, tables), i
+            game, signal_table(kinds[EstimatorTag.CENTRALIZED_VANILLA], game, policy, tables.q), i
         )[s]
         coma = agent_axis_view(
-            game, signal_table(kinds[EstimatorTag.COMA], game, policy, tables), i
+            game, signal_table(kinds[EstimatorTag.COMA], game, policy, tables.q), i
         )[s]
         obx = agent_axis_view(
-            game, signal_table(kinds[EstimatorTag.OB_X], game, policy, tables), i
+            game, signal_table(kinds[EstimatorTag.OB_X], game, policy, tables.q), i
         )[s]
         dec = agent_axis_view(
-            game, signal_table(kinds[EstimatorTag.DECENTRALIZED], game, policy, tables), i
+            game, signal_table(kinds[EstimatorTag.DECENTRALIZED], game, policy, tables.q), i
         )[s]
         for m in range(rows.shape[0]):
             np.testing.assert_allclose(vanilla[m], rows[m], atol=1e-12)
@@ -130,7 +130,7 @@ def test_coma_signal_rows_have_zero_policy_mean(corpus30):
     for game, policy, tables in corpus30[:10]:
         for i in range(game.n_agents):
             kind = EstimatorKind(EstimatorTag.COMA, i)
-            rows = agent_axis_view(game, signal_table(kind, game, policy, tables), i)
+            rows = agent_axis_view(game, signal_table(kind, game, policy, tables.q), i)
             pi_rows = agent_prob_table(game, policy, i)
             means = np.einsum("smk,sk->sm", rows, pi_rows)
             assert np.abs(means).max() < 1e-9

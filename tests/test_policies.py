@@ -109,6 +109,24 @@ def test_x_measure_rejects_degenerate_rows():
     p = softmax_probs(np.array([60.0, 0.0, 0.0]))
     with pytest.raises(DegeneratePolicy):
         x_measure_softmax(p)
+    # one degenerate row anywhere in a stack is enough
+    stack = np.stack([np.full(3, 1 / 3), p, np.array([0.5, 0.25, 0.25])])
+    with pytest.raises(DegeneratePolicy):
+        x_measure_softmax(stack)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 17])
+def test_x_measure_of_a_stack_equals_its_rows_exactly(k):
+    rng = np.random.default_rng(k)
+    stack = SoftmaxPolicy(2.0 * rng.standard_normal((12, k))).all_probs()
+    x = x_measure_softmax(stack)
+    for s, p in enumerate(stack):
+        assert np.array_equal(x[s], x_measure_softmax(p))
+        # the 1-D formula written out, with its dot-product rounding
+        norm_sq = float(p @ p)
+        assert np.array_equal(x[s], p * (1.0 + norm_sq - 2.0 * p) / (1.0 - norm_sq))
+    deeper = x_measure_softmax(stack.reshape(3, 4, k))
+    assert np.array_equal(deeper, x.reshape(3, 4, k))
 
 
 def test_x_measure_equals_policy_at_uniform():

@@ -9,7 +9,10 @@ from mapgvar import (
     BaselineTag,
     ContinuousOneStepTask,
     CriticConfig,
+    DegeneratePolicy,
     DivergenceError,
+    EstimatorKind,
+    EstimatorTag,
     JointPolicy,
     MarkovGame,
     OneStepGame,
@@ -23,11 +26,14 @@ from mapgvar import (
     init_critic,
     load_checkpoint,
     random_game,
+    random_softmax_policy,
+    rollout,
     save_checkpoint,
     solve_values,
     td_learn_q,
     train,
     train_gaussian,
+    trajectory_gradient,
     uniform_policy,
 )
 
@@ -223,6 +229,78 @@ def test_batch_mean_gradient_is_unbiased():
         np.testing.assert_array_less(
             np.abs(realized - exact), 3 * spread + 1e-6
         )
+
+
+@pytest.mark.parametrize(
+    "baseline, signal",
+    [
+        (BaselineTag.NONE, EstimatorTag.CENTRALIZED_VANILLA),
+        (BaselineTag.COMA, EstimatorTag.COMA),
+        (BaselineTag.OB_SURROGATE, EstimatorTag.OB_X),
+    ],
+)
+def test_train_step_matches_the_per_trajectory_reference(baseline, signal):
+    # replay train's batch from the same seed and rebuild every trajectory's
+    # gradient with the per-step reference implementation
+    game = random_game(2, 4, 3, seed=11)
+    initial = random_softmax_policy(game, np.random.default_rng(5))
+    cfg = quick_config(
+        iterations=1, batch_size=6, horizon=9, seed=3, baseline=BaselineKind(baseline)
+    )
+    result = train(game, initial, cfg)
+
+    tables = solve_values(game, initial)
+    pi_tables = [agent.all_probs() for agent in initial.agents]
+    steps = list(rollout(game, pi_tables, cfg.batch_size, cfg.horizon,
+                         np.random.default_rng(cfg.seed)))
+    flat = np.stack([
+        np.concatenate([
+            trajectory_gradient(
+                EstimatorKind(signal, i),
+                game,
+                initial,
+                tables,
+                [(s[b], tuple(a[b] for a in actions)) for s, actions, _, _ in steps],
+            )
+            for i in range(game.n_agents)
+        ])
+        for b in range(cfg.batch_size)
+    ])
+    mean = flat.mean(axis=0)
+    variance = float(((flat - mean) ** 2).sum() / (cfg.batch_size - 1))
+
+    rel = dict(rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(result.history.grad_norm[0], np.linalg.norm(mean), **rel)
+    np.testing.assert_allclose(result.history.grad_variance[0], variance, **rel)
+    offset = 0
+    for agent, start in zip(result.policy.agents, initial.agents):
+        width = start.logits.size
+        expected = start.logits + cfg.actor_lr * mean[offset : offset + width].reshape(
+            start.logits.shape
+        )
+        np.testing.assert_allclose(agent.logits, expected, **rel)
+        offset += width
+
+
+def test_ob_training_rejects_a_degenerate_row_in_an_unvisited_state():
+    # state 1 is never reached, yet its near-deterministic row leaves the
+    # x-measure undefined there, so the OB signal table cannot be built
+    game = MarkovGame(
+        n_agents=2,
+        states=("s0", "s1"),
+        action_spaces=(("a0", "a1"), ("a0", "a1")),
+        transition=np.stack([np.ones((2, 4)), np.zeros((2, 4))], axis=-1),
+        reward=np.linspace(-1.0, 1.0, 8).reshape(2, 4),
+        beta=1.0,
+        gamma=0.5,
+        initial_dist=np.array([1.0, 0.0]),
+    )
+    initial = JointPolicy(
+        (SoftmaxPolicy([[0.0, 0.0], [40.0, 0.0]]), SoftmaxPolicy(np.zeros((2, 2))))
+    )
+    train(game, initial, quick_config(iterations=2, baseline=BaselineKind(BaselineTag.COMA)))
+    with pytest.raises(DegeneratePolicy):
+        train(game, initial, quick_config(iterations=2))
 
 
 def test_td_critic_training_runs_and_learns():
