@@ -3,7 +3,7 @@
 Every command is deterministic given --seed and writes byte-stable files;
 stdout mentions files only by basename so two runs into different --out
 directories produce identical bytes everywhere. Exit codes: 0 success,
-1 verification/golden failure, 2 usage error, 3 I/O error.
+1 verification/golden failure, 2 usage error or invalid input, 3 I/O error.
 
 The default output directory is the current one, overridable by --out or
 the MAPGVAR_OUT environment variable (the variable configures nothing else).
@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import ob_surrogate_discrete
 from .estimators import agent_axis_view, agent_prob_table
-from .games import load_game, parse_game, random_game, serialize_game
+from .games import load_game, parse_game, random_game, serialize_game, validate_game
 from .policies import (
     grad_log_softmax,
     load_policy,
@@ -75,6 +75,18 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _load_valid_game(path: str):
+    """load_game, then validate_game; ValueError naming the file if either fails."""
+    try:
+        game = load_game(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    violations = validate_game(game).violations
+    if violations:
+        raise ValueError(f"{path}: {len(violations)} violation(s): {violations[0]}")
+    return game
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +329,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    game = load_game(args.game)
+    game = _load_valid_game(args.game)
     if args.policy == "uniform":
         policy = uniform_policy(game)
     else:
@@ -356,7 +368,7 @@ def cmd_report(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    game = load_game(args.game)
+    game = _load_valid_game(args.game)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             config = config_from_dict(json.load(fh))
@@ -519,6 +531,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # includes JSONDecodeError, DegeneratePolicy
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

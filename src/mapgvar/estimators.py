@@ -145,6 +145,29 @@ def signal_table(
     return unview_agent_axis(game, rows - b[:, :, None], i)
 
 
+def cdf_table(probs: np.ndarray) -> np.ndarray:
+    """Per row of nonnegative ``probs`` (last axis, width w): its cumulative
+    sums but the last, padded with +inf to 2**d - 1 entries, 2**d >= w."""
+    w = probs.shape[-1]
+    table = np.full((probs.size // w, (1 << (w - 1).bit_length()) - 1), np.inf)
+    table[:, : w - 1] = np.cumsum(probs, axis=-1).reshape(-1, w)[:, :-1]
+    return table
+
+
+def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw by each uniform ``u`` from its row of a ``cdf_table``: the count of
+    entries below u by branchless binary search, which equals
+    (u[:, None] > cdf[rows]).sum(axis=1).clip(0, w - 1) on the full rows."""
+    width = table.shape[1]
+    flat = table.reshape(-1)
+    idx = rows * width
+    step = (width + 1) >> 1
+    while step:
+        idx += step * (flat[step - 1 :][idx] < u)
+        step >>= 1
+    return idx - rows * width
+
+
 def rollout(
     game: MarkovGame,
     pi_tables: Sequence[np.ndarray],
@@ -160,25 +183,35 @@ def rollout(
     the batch: one uniform batch for the initial states, then per step one
     batch per agent in agent order and one for the transition.
     """
-    counts = game.action_counts
-    cdfs = [np.cumsum(p, axis=1) for p in pi_tables]
-    trans_cdf = np.cumsum(game.transition, axis=2)
+    counts, n_joint = game.action_counts, game.n_joint_actions
+    agent_tables = [cdf_table(p) for p in pi_tables]
+    trans_table = cdf_table(game.transition)
     s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
     s = s.clip(0, game.n_states - 1)
     for _ in range(horizon):
-        actions = []
-        a_idx = np.zeros(m, dtype=np.int64)
-        for j in range(game.n_agents):
-            u = rng.random(m)
-            a_j = (u[:, None] > cdfs[j][s]).sum(axis=1).clip(0, counts[j] - 1)
-            actions.append(a_j)
-            a_idx = a_idx * counts[j] + a_j
-        u = rng.random(m)
-        s_next = (u[:, None] > trans_cdf[s, a_idx]).sum(axis=1).clip(
-            0, game.n_states - 1
-        )
-        yield s, tuple(actions), a_idx, s_next
+        u = rng.random((len(counts) + 1, m))  # one row per agent, then the transition
+        actions = tuple(inverse_cdf(tab, s, u_j) for tab, u_j in zip(agent_tables, u))
+        a_idx = actions[0]
+        for j in range(1, len(counts)):
+            a_idx = a_idx * counts[j] + actions[j]
+        s_next = inverse_cdf(trans_table, s * n_joint + a_idx, u[-1])
+        yield s, actions, a_idx, s_next
         s = s_next
+
+
+def scatter_scores(flat, cells, own, pi_rows, val) -> None:
+    """Accumulate signal-times-score blocks into ``flat`` in place.
+
+    For each entry of ``cells`` (the flat offset of a state's k-action
+    block), in C order, applies flat[cells + a] -= pi_rows[..., a] * val
+    for every action a, then flat[cells + own] += val: the same sequence of
+    roundings as those two updates made one step at a time.
+    """
+    k = pi_rows.shape[-1]
+    idx = cells[..., None] + np.arange(k + 1)
+    np.add(cells, own, out=idx[..., k])
+    vals = np.concatenate((pi_rows * -val[..., None], val[..., None]), axis=-1)
+    np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
 
 
 def per_step_gradient(

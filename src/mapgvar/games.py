@@ -190,24 +190,21 @@ class ValidationReport:
 def validate_game(game: MarkovGame) -> ValidationReport:
     """Check every game invariant; list all violations, never abort."""
     report = ValidationReport()
-    actions = enumerate_joint_actions(game)
-    for s in range(game.n_states):
-        for ai, a in enumerate(actions):
-            row = game.transition[s, ai]
-            if np.any(row < 0):
-                report.violations.append(
-                    f"negative-prob state={game.states[s]} action={a}"
-                )
-            total = float(row.sum())
-            if abs(total - 1.0) > DIST_TOL:
-                report.violations.append(
-                    f"row-sum state={game.states[s]} action={a} sum={total!r}"
-                )
-            if abs(game.reward[s, ai]) > game.beta:
-                report.violations.append(
-                    f"reward-bound state={game.states[s]} action={a} "
-                    f"value={game.reward[s, ai]!r} beta={game.beta!r}"
-                )
+    negative = np.any(game.transition < 0, axis=2)
+    sums = game.transition.sum(axis=2)
+    bad_sum = np.abs(sums - 1.0) > DIST_TOL
+    unbounded = np.abs(game.reward) > game.beta
+    for s, ai in zip(*np.nonzero(negative | bad_sum | unbounded)):
+        where = f"state={game.states[s]} action={game.joint_action(int(ai))}"
+        if negative[s, ai]:
+            report.violations.append(f"negative-prob {where}")
+        if bad_sum[s, ai]:
+            report.violations.append(f"row-sum {where} sum={float(sums[s, ai])!r}")
+        if unbounded[s, ai]:
+            report.violations.append(
+                f"reward-bound {where} "
+                f"value={game.reward[s, ai]!r} beta={game.beta!r}"
+            )
     if np.any(game.initial_dist < 0):
         report.violations.append("initial-dist has negative entries")
     total = float(game.initial_dist.sum())

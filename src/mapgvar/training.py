@@ -27,6 +27,7 @@ from .estimators import (
     default_horizon,
     param_dim,
     rollout,
+    scatter_scores,
     signal_table,
 )
 from .games import MarkovGame
@@ -321,7 +322,8 @@ def train(
     critic = init_critic(game, config.critic) if use_td else None
     signal_tag = _SIGNAL_FOR_BASELINE[config.baseline.tag]
     batch = config.batch_size
-    rows_b = np.arange(batch)
+    # gamma^t rounded as a running product, step by step
+    discounts = np.cumprod(np.r_[1.0, np.full(horizon - 1, game.gamma)])
 
     returns, grad_vars, grad_norms, entropies = [], [], [], []
     for _ in range(config.iterations):
@@ -357,20 +359,20 @@ def train(
         )
 
         # per-trajectory gradients, plus per-sample signals for clipped epochs
-        grads = [np.zeros((batch, game.n_states, counts[i])) for i in range(n)]
-        signals = []
+        grads, signals = [], []
         for i in range(n):
             kind = EstimatorKind(signal_tag, i)
             sig = signal_table(kind, game, policy, q_table)[states, joint_idx]
             signals.append(sig)
-            a_i = actions[i]
-            scale = 1.0
-            for t in range(horizon):
-                val = scale * sig[:, t]
-                st = states[:, t]
-                grads[i][rows_b, st] -= pi_tables[i][st] * val[:, None]
-                grads[i][rows_b, st, a_i[:, t]] += val
-                scale *= game.gamma
+            dim = param_dim(game, i)
+            grads.append(np.zeros(batch * dim))
+            scatter_scores(
+                grads[i],
+                np.arange(batch) * dim + states.T * counts[i],
+                actions[i].T,
+                np.take(pi_tables[i], states.T, axis=0),
+                discounts[:, None] * sig.T,
+            )
 
         flat = np.concatenate([g.reshape(batch, -1) for g in grads], axis=1)
         mean_grad = flat.mean(axis=0)

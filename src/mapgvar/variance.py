@@ -36,6 +36,7 @@ from .estimators import (
     others_prob_table,
     param_dim,
     rollout,
+    scatter_scores,
     signal_table,
 )
 from .games import MarkovGame
@@ -539,15 +540,15 @@ def mc_variance(
     while remaining > 0:
         m = min(chunk_size, remaining)
         remaining -= m
-        rows = np.arange(m)
-        grads = np.zeros((m, game.n_states, k))
+        row_cells = np.arange(m) * dim
+        flat = np.zeros(m * dim)
         scale = 1.0
         for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
             val = scale * sig[s, a_idx]
-            grads[rows, s] -= pi_tables[i][s] * val[:, None]
-            grads[rows, s, actions[i]] += val
+            pi_rows = np.take(pi_tables[i], s, axis=0)
+            scatter_scores(flat, row_cells + s * k, actions[i], pi_rows, val)
             scale *= game.gamma
-        flat = grads.reshape(m, dim)
+        flat = flat.reshape(m, dim)
         norm_sq = np.einsum("md,md->m", flat, flat)
         s1 += flat.sum(axis=0)
         q1 += float(norm_sq.sum())

@@ -170,3 +170,16 @@ def local_variance_oracle(pi_i, signal_row, grad_vectors):
     return float(
         sum(p * float(v @ v) for p, v in zip(pi_i, vecs)) - mean @ mean
     )
+
+
+def inverse_cdf_oracle(cdf_rows, u):
+    """Compare-count-clip draw: each full CDF row's entries below u, at most w - 1."""
+    w = cdf_rows.shape[1]
+    return (u[:, None] > cdf_rows).sum(axis=1).clip(0, w - 1)
+
+
+def score_step_oracle(grads, states, own, pi_table, val):
+    """One step of signal-times-score accumulation into (m, S, k) grads."""
+    rows = np.arange(len(states))
+    grads[rows, states] -= pi_table[states] * val[:, None]
+    grads[rows, states, own] += val

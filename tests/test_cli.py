@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mapgvar import load_checkpoint, load_game, save_policy, uniform_policy
+from mapgvar import load_checkpoint, load_game, save_game, save_policy, uniform_policy
 from mapgvar.cli import main
 
 
@@ -307,6 +308,38 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["report", "--game", str(tmp_path / "missing.json")])
     assert code == 3
     assert "missing.json" in capsys.readouterr().err
+
+
+def _invalid_input_argv(tmp_path, case):
+    game_file = make_game_file(tmp_path)
+    if case == "agent out of range":
+        return ["report", "--game", game_file, "--agent", "5"]
+    path = tmp_path / "bad.json"
+    if case == "malformed json":
+        path.write_text('{"states": ["s0",', encoding="utf-8")
+    else:  # gamma = 1 has no finite default horizon
+        save_game(dataclasses.replace(load_game(game_file), gamma=1.0), path)
+    command = "train" if case == "train gamma one" else "report"
+    return [command, "--game", str(path)]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("gamma one", "gamma out of [0,1): 1.0"),
+        ("train gamma one", "gamma out of [0,1): 1.0"),
+        ("malformed json", "bad.json: Expecting value"),
+        ("agent out of range", "agent index 5 out of range [0, 2)"),
+    ],
+)
+def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, message):
+    argv = _invalid_input_argv(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_out_dir_is_created_deep(tmp_path):

@@ -1,0 +1,95 @@
+"""The rollout sampler and the score-scatter kernel against their oracles.
+
+Both kernels promise bit equality with the plain numpy idioms in
+``oracles.py``, so every comparison here is ``array_equal``.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import inverse_cdf_oracle, score_step_oracle
+
+from mapgvar.estimators import cdf_table, inverse_cdf, scatter_scores
+
+
+def _prob_rows(rng, shape, zero_frac, scale):
+    """Nonnegative rows over the last axis, with zeros, summing to ``scale``."""
+    w = rng.random(shape)
+    w[rng.random(shape) < zero_frac] = 0.0
+    totals = w.sum(axis=-1, keepdims=True)
+    return np.divide(w, totals, out=np.zeros(shape), where=totals > 0) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 130),
+    lead=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    scale=st.sampled_from([1.0, 0.999, 0.5, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_cdf_equals_compare_count_clip(width, lead, zero_frac, scale, seed):
+    rng = np.random.default_rng(seed)
+    probs = _prob_rows(rng, (*lead, width), zero_frac, scale)
+    cdf = np.cumsum(probs, axis=-1).reshape(-1, width)
+    n_rows = cdf.shape[0]
+    # uniform draws, draws landing exactly on CDF values (ties), and 0.0
+    rows = rng.integers(0, n_rows, size=96)
+    u = np.concatenate(
+        (
+            rng.random(32),
+            cdf[rows[32:80], rng.integers(0, width, size=48)],
+            np.zeros(8),
+            np.nextafter(cdf[rows[88:], -1], 0.0),
+        )
+    )
+    got = inverse_cdf(cdf_table(probs), rows, u)
+    assert np.array_equal(got, inverse_cdf_oracle(cdf[rows], u))
+
+
+def test_cdf_table_pads_to_one_less_than_a_power_of_two():
+    for width, padded in ((1, 0), (2, 1), (3, 3), (4, 3), (5, 7), (129, 255)):
+        table = cdf_table(np.full((2, width), 1.0 / width))
+        assert table.shape == (2, padded)
+        assert np.all(np.isinf(table[:, width - 1 :]))
+
+
+def _trajectories(rng, n_states, k, steps, batch):
+    """Few states over many steps, so every trajectory revisits cells."""
+    states = rng.integers(0, n_states, size=(steps, batch))
+    own = rng.integers(0, k, size=(steps, batch))
+    pi = _prob_rows(rng, (n_states, k), 0.2, 1.0)
+    # signals spanning magnitudes, so a different summation order rounds differently
+    magnitude = 10.0 ** rng.integers(-3, 4, (steps, batch))
+    val = rng.standard_normal((steps, batch)) * magnitude
+    return states, own, pi, val
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_states=st.integers(1, 4),
+    k=st.integers(1, 5),
+    steps=st.integers(1, 30),
+    batch=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_scores_equals_the_per_step_fancy_index_update(
+    n_states, k, steps, batch, seed
+):
+    states, own, pi, val = _trajectories(
+        np.random.default_rng(seed), n_states, k, steps, batch
+    )
+    expected = np.zeros((batch, n_states, k))
+    for t in range(steps):
+        score_step_oracle(expected, states[t], own[t], pi, val[t])
+    dim = n_states * k
+    row_cells = np.arange(batch) * dim
+
+    per_step = np.zeros(batch * dim)  # one (m,) call per step
+    for t in range(steps):
+        cells = row_cells + states[t] * k
+        scatter_scores(per_step, cells, own[t], pi[states[t]], val[t])
+    stacked = np.zeros(batch * dim)  # one (steps, batch) call
+    scatter_scores(stacked, row_cells + states * k, own, pi[states], val)
+
+    assert np.array_equal(per_step.reshape(expected.shape), expected)
+    assert np.array_equal(stacked.reshape(expected.shape), expected)

@@ -1,0 +1,156 @@
+"""Print one sha256 per CLI artifact over a fixed grid of games and configs.
+
+A byte oracle for refactors: run it against two source trees and diff the
+output. Equal lines mean both trees wrote the same bytes, stdout included.
+
+    python3 tools/artifact_digest.py                 # this checkout's src/
+    python3 tools/artifact_digest.py --src OTHER/src > other.txt
+
+The grid covers gen, report (CSV, JSON, uniform and random policy files,
+every agent, --mc), verify, toy and train (baseline x critic x PPO, plus an
+entropy bonus and a default horizon). Every command runs in-process through
+``mapgvar.cli.main`` in a temporary directory. Each line is
+``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
+or the exception a command raised) are recorded as files too.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# (n_agents, n_states, n_actions, seed): a one-state game and 3-agent games
+# beside plain 2-agent ones. One-action agents are left out: the optimal
+# baseline is undefined for them, so report refuses such games.
+GAMES = ((2, 2, 2, 0), (2, 3, 3, 1), (3, 2, 2, 2), (2, 4, 4, 3), (2, 1, 3, 4),
+         (3, 3, 2, 5), (2, 9, 5, 6))
+TRAIN_GAMES = GAMES[:3]
+BASELINES = ("none", "coma", "ob_surrogate", "ob_exact")
+
+
+def _digest_dir(path: str) -> list[tuple[str, str]]:
+    out = []
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    return out
+
+
+def _run(main, label: str, argv: list[str], work: str) -> list[str]:
+    """Run one command into a fresh directory; one line per artifact."""
+    out = os.path.join(work, "runs", label)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = main([*argv, "--out", out])
+        except Exception as exc:  # a crash is an outcome to compare, too
+            traceback.print_exc()
+            code = f"raised {type(exc).__name__}: {exc}"
+    files = _digest_dir(out) if os.path.isdir(out) else []
+    files += [
+        ("stdout", hashlib.sha256(stdout.getvalue().encode()).hexdigest()),
+        ("exit", hashlib.sha256(str(code).encode()).hexdigest()),
+    ]
+    return [f"{sha}  {label}/{name}" for name, sha in files]
+
+
+def _train_configs():
+    for baseline in BASELINES:
+        for critic in ("exact", "td"):
+            for ppo in (None, {"eps_clip": 0.2, "epochs": 3}):
+                yield {
+                    "baseline": baseline,
+                    "critic": {"mode": critic, "lr": 0.5, "target_sync_interval": 2},
+                    "ppo": ppo,
+                    "batch_size": 5,
+                    "horizon": 9,
+                    "iterations": 3,
+                    "actor_lr": 0.3,
+                }
+    yield {"baseline": "ob_surrogate", "entropy_coef": 0.05, "batch_size": 4,
+           "horizon": 6, "iterations": 2}
+    yield {"baseline": "coma", "batch_size": 2, "iterations": 1}  # default horizon
+
+
+def digest_lines(work: str) -> list[str]:
+    import numpy as np
+
+    from mapgvar import random_game, random_softmax_policy, save_policy
+    from mapgvar.cli import main
+
+    lines = []
+    lines += _run(main, "toy-csv", ["toy"], work)
+    lines += _run(main, "toy-json", ["toy", "--format", "json"], work)
+    for agents in (2, 3):
+        for fmt in ("csv", "json"):
+            lines += _run(main, f"verify-n{agents}-{fmt}",
+                          ["verify", "--games", "6", "--agents", str(agents),
+                           "--seed", "7", "--format", fmt], work)
+
+    game_files = {}
+    for n, s, k, seed in GAMES:
+        label = f"gen-n{n}-s{s}-k{k}-seed{seed}"
+        lines += _run(main, label, ["gen", "--agents", str(n), "--states", str(s),
+                                    "--actions", str(k), "--seed", str(seed)], work)
+        out = os.path.join(work, "runs", label)
+        game_files[(n, s, k, seed)] = os.path.join(out, os.listdir(out)[0])
+
+    for key, path in game_files.items():
+        n, s, k, seed = key
+        policy_file = os.path.join(work, f"policy-{n}-{s}-{k}-{seed}.json")
+        game = random_game(n, s, k, seed=seed)
+        save_policy(policy_file,
+                    random_softmax_policy(game, np.random.default_rng(seed), 2.0))
+        stem = f"report-n{n}-s{s}-k{k}-seed{seed}"
+        for agent in range(n):
+            for policy, tag in (("uniform", "uniform"), (policy_file, "random")):
+                for fmt in ("csv", "json"):
+                    lines += _run(main, f"{stem}-a{agent}-{tag}-{fmt}",
+                                  ["report", "--game", path, "--policy", policy,
+                                   "--agent", str(agent), "--t-max", "6",
+                                   "--format", fmt], work)
+            lines += _run(main, f"{stem}-a{agent}-mc",
+                          ["report", "--game", path, "--policy", policy_file,
+                           "--agent", str(agent), "--mc", "300", "--seed", "3",
+                           "--format", "json"], work)
+
+    for key in TRAIN_GAMES:
+        n, s, k, seed = key
+        for c, config in enumerate(_train_configs()):
+            config_file = os.path.join(work, f"train-config-{c}.json")
+            with open(config_file, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            lines += _run(main, f"train-n{n}-s{s}-k{k}-seed{seed}-c{c}",
+                          ["train", "--game", game_files[key], "--config", config_file,
+                           "--seed", str(11 + c)], work)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
+                        help="source tree to import mapgvar from (default: ./src)")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import mapgvar
+
+    if not os.path.abspath(mapgvar.__file__).startswith(src + os.sep):
+        print(f"imported mapgvar from {mapgvar.__file__}, not {src}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        for line in digest_lines(work):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
