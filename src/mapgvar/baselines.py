@@ -90,9 +90,7 @@ def ob_surrogate_gaussian(
 
     Draws n_samples actions from N(mean, std), queries q_fn once with the
     (n_samples, d) batch, and returns the score-norm-weighted average of the
-    q-values. The score norm covers the (mean, std) output layer; pass
-    include_std_grad=False to weight by the mean components only (the
-    reference pseudocode is silent on which convention it uses).
+    q-values (see ``gaussian_ob_rows``).
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -101,21 +99,33 @@ def ob_surrogate_gaussian(
     if np.any(std <= 0):
         raise ValueError("std must be strictly positive")
     actions = mean + std * rng.standard_normal((n_samples, mean.shape[0]))
-    diff = actions - mean
-    norms = np.sum((diff / std**2) ** 2, axis=1)
-    if include_std_grad:
-        norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=1)
     q_vals = np.asarray(q_fn(actions), dtype=float).reshape(-1)
     if q_vals.shape[0] != n_samples:
         raise ValueError("q_fn must return one value per sampled action")
-    denom = float(norms.sum())
-    if denom <= 0.0:
+    return float(gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad))
+
+
+def gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad: bool = True):
+    """Score-norm-weighted mean of q over each row of sampled actions.
+
+    ``actions`` is (..., n, d), drawn from N(mean, std), and ``q_vals`` its
+    (..., n) q-values; returns one baseline per row. The score norm covers the
+    (mean, std) output layer; pass include_std_grad=False to weight by the
+    mean components only (the reference pseudocode is silent on which
+    convention it uses).
+    """
+    diff = actions - mean
+    norms = np.sum((diff / std**2) ** 2, axis=-1)
+    if include_std_grad:
+        norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=-1)
+    denom = norms.sum(axis=-1)
+    if np.any(denom <= 0.0):
         raise ZeroDivisionError("all sampled score norms vanish; baseline undefined")
-    lo, hi = float(q_vals.min()), float(q_vals.max())
-    if lo == hi:
-        # weighted mean of identical values is that value; skip the rounding
-        return lo
-    return float(norms @ q_vals) / denom
+    # a (1, n) @ (n, 1) product per row rounds like the 1-D dot product
+    weighted = (norms[..., None, :] @ q_vals[..., :, None])[..., 0, 0] / denom
+    # a weighted mean of identical values is that value; skip the rounding
+    lo = q_vals.min(axis=-1)
+    return np.where(lo == q_vals.max(axis=-1), lo, weighted)
 
 
 def x_value(q_row, baseline: float) -> np.ndarray:

@@ -145,11 +145,13 @@ def signal_table(
     return unview_agent_axis(game, rows - b[:, :, None], i)
 
 
-def cdf_table(probs: np.ndarray) -> np.ndarray:
+def cdf_table(probs: np.ndarray, width: int = 1) -> np.ndarray:
     """Per row of nonnegative ``probs`` (last axis, width w): its cumulative
-    sums but the last, padded with +inf to 2**d - 1 entries, 2**d >= w."""
+    sums but the last, padded with +inf to 2**d - 1 entries, 2**d >= w and
+    2**d >= ``width``, so tables of different widths stack."""
     w = probs.shape[-1]
-    table = np.full((probs.size // w, (1 << (w - 1).bit_length()) - 1), np.inf)
+    span = (max(w, width) - 1).bit_length()
+    table = np.full((probs.size // w, (1 << span) - 1), np.inf)
     table[:, : w - 1] = np.cumsum(probs, axis=-1).reshape(-1, w)[:, :-1]
     return table
 
@@ -157,7 +159,8 @@ def cdf_table(probs: np.ndarray) -> np.ndarray:
 def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Draw by each uniform ``u`` from its row of a ``cdf_table``: the count of
     entries below u by branchless binary search, which equals
-    (u[:, None] > cdf[rows]).sum(axis=1).clip(0, w - 1) on the full rows."""
+    (u[:, None] > cdf[rows]).sum(axis=1).clip(0, w - 1) on the full rows.
+    ``rows`` and ``u`` are arrays of one shape."""
     width = table.shape[1]
     flat = table.reshape(-1)
     idx = rows * width
@@ -174,26 +177,29 @@ def rollout(
     m: int,
     horizon: int,
     rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Sample m trajectories side by side, yielding one step at a time.
 
     ``pi_tables`` holds each agent's (S, k) action probabilities. Each step
-    yields (states, per-agent actions, joint action index, next states), all
-    of length m. The draw order is fixed, so a seeded generator reproduces
-    the batch: one uniform batch for the initial states, then per step one
-    batch per agent in agent order and one for the transition.
+    yields (states, actions, joint action index, next states): actions is
+    (n_agents, m), the rest have length m. The draw order is fixed, so a
+    seeded generator reproduces the batch: one uniform batch for the initial
+    states, then per step one batch per agent in agent order and one for the
+    transition.
     """
     counts, n_joint = game.action_counts, game.n_joint_actions
-    agent_tables = [cdf_table(p) for p in pi_tables]
+    # every agent's table in one, agent j's row for state s at s + j * S;
+    # the +inf padding to the widest agent never changes a draw
+    agent_table = np.concatenate([cdf_table(p, max(counts)) for p in pi_tables])
+    agent_rows = np.arange(len(counts))[:, None] * game.n_states
+    strides = np.cumprod((1,) + counts[:0:-1])[::-1]  # C-order joint index
     trans_table = cdf_table(game.transition)
     s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
     s = s.clip(0, game.n_states - 1)
     for _ in range(horizon):
         u = rng.random((len(counts) + 1, m))  # one row per agent, then the transition
-        actions = tuple(inverse_cdf(tab, s, u_j) for tab, u_j in zip(agent_tables, u))
-        a_idx = actions[0]
-        for j in range(1, len(counts)):
-            a_idx = a_idx * counts[j] + actions[j]
+        actions = inverse_cdf(agent_table, s + agent_rows, u[:-1])
+        a_idx = strides @ actions
         s_next = inverse_cdf(trans_table, s * n_joint + a_idx, u[-1])
         yield s, actions, a_idx, s_next
         s = s_next

@@ -56,9 +56,13 @@ def x_measure_softmax(probs, tol: float = DEGENERACY_TOL) -> np.ndarray:
     ``probs`` is one distribution of shape (k,) or a stack (..., k) of them;
     each row is weighted on its own. The normalizer 1 - ||pi||^2 is the
     expected squared score norm under pi; it vanishes for deterministic
-    policies, where the measure is undefined, and any such row raises.
+    policies, where the measure is undefined, and any such row raises. A
+    single action has a zero score vector and any baseline is optimal for
+    it, so width-1 rows return x = pi.
     """
     probs = np.asarray(probs, dtype=float)
+    if probs.shape[-1] == 1:
+        return probs.copy()
     # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
     norm_sq = (probs[..., None, :] @ probs[..., :, None])[..., 0]
     denom = 1.0 - norm_sq
@@ -85,6 +89,7 @@ def gaussian_log_prob_grad(mean, std, action) -> np.ndarray:
 
     d/dmean = (a - mean)/std^2 and d/dstd = ((a - mean)^2 - std^2)/std^3,
     componentwise; the returned vector is [mean components..., std components...].
+    ``action`` may be an (m, d) stack, giving one such row per action.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     std = np.atleast_1d(np.asarray(std, dtype=float))
@@ -94,7 +99,7 @@ def gaussian_log_prob_grad(mean, std, action) -> np.ndarray:
     diff = action - mean
     d_mean = diff / std**2
     d_std = (diff**2 - std**2) / std**3
-    return np.concatenate([d_mean, d_std])
+    return np.concatenate([d_mean, d_std], axis=-1)
 
 
 def sample_discrete(probs, rng: np.random.Generator) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import BaselineKind, BaselineTag, ob_surrogate_gaussian
+from .baselines import BaselineKind, BaselineTag, gaussian_ob_rows
 from .estimators import (
     EstimatorKind,
     EstimatorTag,
@@ -248,8 +248,9 @@ def td_learn_q(
     state: CriticState,
 ) -> CriticState:
     """One TD pass: batch=None does a full synchronous expected sweep over
-    every (s, joint action); otherwise batch is an iterable of
-    (s, joint_action_index, reward, next_state) transitions applied in order.
+    every (s, joint action); otherwise batch is a sequence (or (N, 4) array)
+    of (s, joint_action_index, reward, next_state) transitions applied in
+    order.
 
     Targets bootstrap from the target table, which re-syncs every
     target_sync_interval sweeps. Full synchronous sweeps with interval 1
@@ -257,15 +258,20 @@ def td_learn_q(
     """
     probs = joint_action_prob_table(game, policy)  # (S, A)
     q = state.q.copy()
+    expected_next = np.einsum("sa,sa->s", probs, state.target_q)  # E_{a'}[Q_tgt(s',.)]
     if batch is None:
-        probs_dot = np.einsum("sa,sa->s", probs, state.target_q)  # E_{a'}[Q_tgt(s',.)]
-        targets = game.reward + game.gamma * game.transition @ probs_dot
+        targets = game.reward + game.gamma * game.transition @ expected_next
         q += state.lr * (targets - q)
     else:
-        expected_next = np.einsum("sa,sa->s", probs, state.target_q)
-        for s, a_idx, r, s_next in batch:
-            target = r + game.gamma * expected_next[s_next]
-            q[s, a_idx] += state.lr * (target - q[s, a_idx])
+        s, a_idx, r, s_next = np.asarray(batch, dtype=float).reshape(-1, 4).T
+        cells = np.ravel_multi_index((s.astype(int), a_idx.astype(int)), q.shape)
+        targets = r + game.gamma * expected_next[s_next.astype(int)]
+        # in order on Python floats: the roundings of numpy scalar updates,
+        # without their indexing cost
+        flat, lr = q.reshape(-1).tolist(), state.lr
+        for c, y in zip(cells.tolist(), targets.tolist()):
+            flat[c] += lr * (y - flat[c])
+        q = np.array(flat).reshape(q.shape)
     sweeps = state.sweeps + 1
     target_q = state.target_q
     if sweeps % state.target_sync_interval == 0:
@@ -352,11 +358,11 @@ def train(
         )
         q_table = critic.q if use_td else tables.q
 
-        # (batch, horizon) arrays; actions gains a leading agent axis
-        states, actions, joint_idx, next_states = (
-            np.stack(column, axis=-1)
-            for column in zip(*rollout(game, pi_tables, batch, horizon, rng))
-        )
+        # t-major (horizon, batch) arrays; actions gains a leading agent axis
+        states, joint_idx, next_states = np.empty((3, horizon, batch), dtype=np.int64)
+        actions = np.empty((n, horizon, batch), dtype=np.int64)
+        for t, yielded in enumerate(rollout(game, pi_tables, batch, horizon, rng)):
+            states[t], actions[:, t], joint_idx[t], next_states[t] = yielded
 
         # per-trajectory gradients, plus per-sample signals for clipped epochs
         grads, signals = [], []
@@ -368,10 +374,10 @@ def train(
             grads.append(np.zeros(batch * dim))
             scatter_scores(
                 grads[i],
-                np.arange(batch) * dim + states.T * counts[i],
-                actions[i].T,
-                np.take(pi_tables[i], states.T, axis=0),
-                discounts[:, None] * sig.T,
+                np.arange(batch) * dim + states * counts[i],
+                actions[i],
+                np.take(pi_tables[i], states, axis=0),
+                discounts[:, None] * sig,
             )
 
         flat = np.concatenate([g.reshape(batch, -1) for g in grads], axis=1)
@@ -394,36 +400,33 @@ def train(
                 offset += width
         else:
             gamma_pow = game.gamma ** np.arange(horizon)
-            old_logp = [
-                np.log(
-                    pi_tables[i][states.reshape(-1), actions[i].reshape(-1)]
-                ).reshape(batch, horizon)
-                for i in range(n)
-            ]
+            # flat cells in trajectory order, the order the epochs sum samples in
+            s_flat = states.T.reshape(-1)
+            own, row_cells, adv, old_logp = [], [], [], []
+            for i in range(n):
+                cells = s_flat * counts[i]
+                own.append(cells + actions[i].T.reshape(-1))
+                row_cells.append((cells[:, None] + np.arange(counts[i])).reshape(-1))
+                adv.append((signals[i] * gamma_pow[:, None]).T.reshape(-1))
+                old_logp.append(np.log(np.take(pi_tables[i], own[i])))
             for _ in range(config.ppo.epochs):
                 new_tables = [SoftmaxPolicy(l).all_probs() for l in logits]
-                steps = [np.zeros_like(l) for l in logits]
                 for i in range(n):
-                    s_flat = states.reshape(-1)
-                    a_flat = actions[i].reshape(-1)
-                    logp = np.log(new_tables[i][s_flat, a_flat]).reshape(
-                        batch, horizon
-                    )
+                    logp = np.log(np.take(new_tables[i], own[i]))
                     ratio = np.exp(logp - old_logp[i])
-                    adv = signals[i] * gamma_pow[None, :]
                     clipped_out = (
-                        (adv > 0) & (ratio > 1.0 + config.ppo.eps_clip)
-                    ) | ((adv < 0) & (ratio < 1.0 - config.ppo.eps_clip))
-                    coef = np.where(clipped_out, 0.0, ratio * adv) / (
-                        batch * horizon
+                        (adv[i] > 0) & (ratio > 1.0 + config.ppo.eps_clip)
+                    ) | ((adv[i] < 0) & (ratio < 1.0 - config.ppo.eps_clip))
+                    coef = np.where(clipped_out, 0.0, ratio * adv[i])
+                    coef /= batch * horizon
+                    rows = np.take(new_tables[i], s_flat, axis=0)
+                    # every own-action term, then every row term, each in sample order
+                    step = np.zeros(logits[i].size)
+                    np.add.at(step, own[i], coef)
+                    np.add.at(step, row_cells[i], (rows * -coef[:, None]).reshape(-1))
+                    logits[i] = logits[i] + config.actor_lr * step.reshape(
+                        logits[i].shape
                     )
-                    coef_flat = coef.reshape(-1)
-                    np.add.at(steps[i], (s_flat, a_flat), coef_flat)
-                    np.add.at(
-                        steps[i], s_flat, -new_tables[i][s_flat] * coef_flat[:, None]
-                    )
-                for i in range(n):
-                    logits[i] = logits[i] + config.actor_lr * steps[i]
 
         if config.entropy_coef > 0.0:
             for i in range(n):
@@ -436,12 +439,8 @@ def train(
 
         if use_td:
             # transitions in trajectory order: all of trajectory 0, then 1, ...
-            transitions = zip(
-                states.ravel().tolist(),
-                joint_idx.ravel().tolist(),
-                game.reward[states, joint_idx].ravel().tolist(),
-                next_states.ravel().tolist(),
-            )
+            columns = (states, joint_idx, game.reward[states, joint_idx], next_states)
+            transitions = np.stack(columns, axis=-1).swapaxes(0, 1).reshape(-1, 4)
             critic = td_learn_q(game, policy, transitions, critic)
 
     final_policy = JointPolicy(tuple(SoftmaxPolicy(l) for l in logits))
@@ -577,7 +576,7 @@ def train_gaussian(
         raise ValueError("one (mean, std) pair per agent required")
     rng = np.random.default_rng(config.seed)
     offsets = np.concatenate(([0], np.cumsum(task.dims))).astype(int)
-    batch = config.batch_size
+    batch, n_ob = config.batch_size, config.ob_n_samples
     j_bound = 10.0 * task.beta
     returns, grad_vars, grad_norms, entropies = [], [], [], []
     for _ in range(config.iterations):
@@ -606,27 +605,19 @@ def train_gaussian(
         mean_steps = []
         for i, (mean, std) in enumerate(params):
             own = samples[:, offsets[i] : offsets[i + 1]]
+            score = gaussian_log_prob_grad(mean, std, own)  # (batch, 2d)
             if config.baseline.tag is BaselineTag.NONE:
                 baselines = np.zeros(batch)
             elif config.baseline.tag is BaselineTag.COMA:
                 baselines = np.full(batch, j_val)
             else:
-                baselines = np.empty(batch)
-                for b in range(batch):
-                    fixed = samples[b]
-
-                    def q_fn(candidates, fixed=fixed, i=i):
-                        joint = np.tile(fixed, (len(candidates), 1))
-                        joint[:, offsets[i] : offsets[i + 1]] = candidates
-                        return np.asarray(task.payoff(joint), dtype=float)
-
-                    baselines[b] = ob_surrogate_gaussian(
-                        q_fn, mean, std, config.ob_n_samples, rng
-                    )
+                # n_samples fresh own actions per batch row, the others held fixed
+                actions = mean + std * rng.standard_normal((batch, n_ob, task.dims[i]))
+                joint = np.repeat(samples, n_ob, axis=0)
+                joint[:, offsets[i] : offsets[i + 1]] = actions.reshape(len(joint), -1)
+                q_cf = np.asarray(task.payoff(joint), dtype=float).reshape(batch, n_ob)
+                baselines = gaussian_ob_rows(actions, mean, std, q_cf)
             x_vals = q_vals - baselines
-            score = np.stack(
-                [gaussian_log_prob_grad(mean, std, a) for a in own]
-            )  # (batch, 2d)
             g = x_vals[:, None] * score
             per_traj.append(g)
             mean_steps.append(g.mean(axis=0))

@@ -183,3 +183,33 @@ def score_step_oracle(grads, states, own, pi_table, val):
     rows = np.arange(len(states))
     grads[rows, states] -= pi_table[states] * val[:, None]
     grads[rows, states, own] += val
+
+
+def rollout_oracle(game, pi_tables, m, horizon, rng):
+    """rollout's draw stream sampled agent by agent with compare-count-clip
+    on full CDF rows; returns the list of yielded steps."""
+    cdfs = [np.cumsum(p, axis=1) for p in pi_tables]
+    trans_cdf = np.cumsum(game.transition, axis=-1)
+    s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
+    s = s.clip(0, game.n_states - 1)
+    steps = []
+    for _ in range(horizon):
+        u = rng.random((game.n_agents + 1, m))
+        actions = np.array([inverse_cdf_oracle(c[s], u_j) for c, u_j in zip(cdfs, u)])
+        joint = np.array([game.joint_action_index(tuple(a)) for a in actions.T])
+        s_next = inverse_cdf_oracle(trans_cdf[s, joint], u[-1])
+        steps.append((s, actions, joint, s_next))
+        s = s_next
+    return steps
+
+
+def td_batch_oracle(game, policy, transitions, q, target_q, lr):
+    """A TD pass over (s, joint index, reward, next state) transitions, one
+    at a time in order; returns the updated copy of q."""
+    joint = joint_probs_oracle(game, policy)
+    expected_next = np.einsum("sa,sa->s", joint, target_q)
+    q = q.copy()
+    for s, a_idx, r, s_next in transitions:
+        target = r + game.gamma * expected_next[s_next]
+        q[s, a_idx] += lr * (target - q[s, a_idx])
+    return q

@@ -15,7 +15,7 @@ from mapgvar import (
     softmax_probs,
     x_value,
 )
-from mapgvar.baselines import baseline_value
+from mapgvar.baselines import baseline_value, gaussian_ob_rows
 
 q_rows = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=6)
 logit_rows = st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=6)
@@ -106,6 +106,24 @@ def test_gaussian_ob_constant_q_is_exact():
     )
     assert val == 3.25  # no sampling noise and no rounding for constant rows
 
+
+@pytest.mark.parametrize("include_std_grad", [True, False])
+def test_gaussian_ob_rows_equal_the_one_row_formula(include_std_grad):
+    # each row of a stack rounds like the 1-D formula; row 2's q-values are flat
+    rng = np.random.default_rng(3)
+    mean, std = np.array([0.3, -1.0]), np.array([0.5, 2.0])
+    actions = mean + std * rng.standard_normal((4, 64, 2))
+    q_vals = np.minimum(actions[..., 0] ** 3 - actions[..., 1], 1.5)
+    q_vals[2] = 1.5
+    got = gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad)
+    for row, q, b in zip(actions, q_vals, got):
+        diff = row - mean
+        norms = np.sum((diff / std**2) ** 2, axis=1)
+        if include_std_grad:
+            norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=1)
+        flat = q.min() == q.max()
+        assert b == (q[0] if flat else float(norms @ q) / float(norms.sum()))
+    assert got[2] == 1.5
 
 def test_gaussian_ob_linear_q_self_oracle():
     # q(a) = a in one dimension: compare a small-sample mean of the

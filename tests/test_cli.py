@@ -192,6 +192,33 @@ def test_report_with_policy_file_and_mc(tmp_path, capsys):
     assert "trajectory_draw_variance" in body
 
 
+
+def test_report_on_single_action_agents_is_exactly_zero(tmp_path, capsys):
+    # a lone action has a zero score vector, so every estimator kind, the
+    # optimal baseline's included, has variance exactly 0
+    gen_out = tmp_path / "gen"
+    assert main(["gen", "--agents", "2", "--states", "3", "--actions", "1",
+                 "--seed", "4", "--out", str(gen_out)]) == 0
+    game_path = str(gen_out / os.listdir(gen_out)[0])
+    kinds = {"centralized_vanilla", "decentralized", "coma", "ob_x"}
+    for agent in ("0", "1"):
+        out = tmp_path / f"rep{agent}"
+        code = main(["report", "--game", game_path, "--agent", agent,
+                     "--t-max", "4", "--mc", "50", "--seed", "1",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        with open(out / "variance_report.json") as fh:
+            doc = json.load(fh)
+        assert set(doc["per_timestep"]) == kinds
+        for kind, terms in doc["per_timestep"].items():
+            assert set(terms) == {"variance", "state", "others", "own"}
+            for values in terms.values():
+                assert values == [0.0] * 5
+        assert doc["discounted_per_step_sum"] == dict.fromkeys(kinds, 0.0)
+        for mc in doc["monte_carlo"].values():
+            assert mc["trajectory_draw_variance"] == mc["standard_error"] == 0.0
+
+
 def test_report_byte_stable(tmp_path, capsys):
     game_path = make_game_file(tmp_path)
     outs = []

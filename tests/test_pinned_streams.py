@@ -1,7 +1,9 @@
-"""Pinned draw streams: exact outputs of rollout, mc_variance and train.
+"""Pinned draw streams: exact outputs of rollout, mc_variance, train and
+train_gaussian.
 
-The constants were recorded from the per-step compare-count sampler and the
-per-step fancy-index gradient updates that the current kernels replaced.
+The constants were recorded from the per-step compare-count sampler, the
+per-step fancy-index gradient updates, the per-row Gaussian OB surrogate and
+the per-transition TD loop that the current kernels replaced.
 Every comparison is ==, so a change to the draw order, the sampler's tie
 rule or the order in which gradient terms are summed fails here. Update the
 constants only with a change that is meant to move numbers, and record why.
@@ -14,6 +16,7 @@ import pytest
 from mapgvar import (
     BaselineKind,
     BaselineTag,
+    ContinuousOneStepTask,
     CriticConfig,
     EstimatorKind,
     EstimatorTag,
@@ -24,6 +27,7 @@ from mapgvar import (
     random_softmax_policy,
     rollout,
     train,
+    train_gaussian,
 )
 
 # (n_agents, n_states, n_actions, game seed, policy seed, m, horizon, draw seed)
@@ -100,6 +104,137 @@ TRAIN = {
 }
 
 
+# Gaussian actors on a clipped quadratic task, one dict per baseline; the OB
+# surrogate's counterfactual rows are clipped flat about a quarter of the time
+GAUSSIAN = {
+    "none": {
+        "returns": (
+            -2.2126632298160263,
+            -2.2722022731527107,
+            -2.172319342771129,
+            -1.9904469850763835,
+        ),
+        "grad_variance": (
+            127.77133681753526,
+            246.42372574427878,
+            192.63717019437294,
+            102.03744105004805,
+        ),
+        "grad_norm": (
+            5.039636769200212,
+            7.048957241266904,
+            4.935218497732492,
+            2.9856897846876906,
+        ),
+        "entropies": (
+            (2.391589963780926, 1.195794981890463),
+            (2.190287946199347, 1.133398008668583),
+            (1.3517180032776208, 1.2158865761862039),
+            (1.3632842011773918, 1.26678581629567),
+        ),
+        "params": [
+            [
+                [0.4363844719824409, 0.14370908353038048],
+                [0.3821616304893509, 0.7193533822613816],
+            ],
+            [[0.23308161597919064], [0.8782617105443141]],
+        ],
+        "state": 328035146939809093048252230540099681952,
+    },
+    "coma": {
+        "returns": (
+            -2.2126632298160263,
+            -2.2745134531538036,
+            -2.186253590472875,
+            -2.005468778687124,
+        ),
+        "grad_variance": (
+            14.94133962750914,
+            15.638454906661394,
+            10.987034831807188,
+            9.534845717788665,
+        ),
+        "grad_norm": (
+            2.3580742221369997,
+            2.116813569050955,
+            2.026862281688103,
+            1.6975263687874538,
+        ),
+        "entropies": (
+            (2.391589963780926, 1.195794981890463),
+            (2.2910393586882423, 1.2475099153325409),
+            (2.116933172366979, 1.2896981133684406),
+            (1.9664876031282983, 1.2963873375158),
+        ),
+        "params": [
+            [
+                [0.07685525913229635, -0.003856876768688287],
+                [0.5701399792152728, 0.7055426233904961],
+            ],
+            [[0.21665160406062084], [0.8989236170009259]],
+        ],
+        "state": 328035146939809093048252230540099681952,
+    },
+    "ob_surrogate": {
+        "returns": (
+            -2.2126632298160263,
+            -2.073280928077543,
+            -2.335577829945658,
+            -2.8021955095732234,
+        ),
+        "grad_variance": (
+            11.366852625414843,
+            2.4817408440822204,
+            0.9367579903403396,
+            2.4919896303269216,
+        ),
+        "grad_norm": (
+            1.278501453910128,
+            1.0052622815546497,
+            0.40567343214867957,
+            0.7309080553524911,
+        ),
+        "entropies": (
+            (2.391589963780926, 1.195794981890463),
+            (2.360636526288959, 1.1940458763803752),
+            (2.303743544282413, 1.1569665827947384),
+            (2.2668332236506954, 1.1552145260185305),
+        ),
+        "params": [
+            [
+                [0.013359139060335801, -0.030244368331280313],
+                [0.722900551511018, 0.7506449142656207],
+            ],
+            [[0.07946959874742354], [0.7769305119400353]],
+        ],
+        "state": 307565987804725757108482449745358173640,
+    },
+}
+
+# TD critic at lr 0.1 with the COMA baseline on a 16-cell game (4 states, 2 x 2
+# joint actions): batch 8, horizon 400, so a pass visits each cell many times
+TD_TRAIN = {
+    "returns": (1.5282184735228557, 1.5282184735228557, 2.2363893136247635),
+    "grad_variance": (0.0, 1.1122902905670269, 0.7935655322390993),
+    "grad_norm": (0.0, 3.002524769597178, 2.210276079346627),
+    "logits": [
+        [
+            [-0.13950171459353541, 0.13950171459353544],
+            [0.13749315068695664, -0.13749315068695667],
+            [-0.04106037808521595, 0.041060378085215954],
+            [-0.030663104746875038, 0.030663104746875045],
+        ],
+        [
+            [-0.2938587143199318, 0.2938587143199318],
+            [-0.04334702831733742, 0.043347028317337416],
+            [-0.01918300725335568, 0.01918300725335567],
+            [0.06832889336257728, -0.06832889336257725],
+        ],
+    ],
+    "state": 240865411370187109693785584832010105184,
+}
+
+
 def _pcg_state(rng):
     return rng.bit_generator.state["state"]["state"]
 
@@ -168,3 +303,64 @@ def test_td_ppo_train_history_is_pinned():
         "state": result.final_rng_state["state"]["state"],
     }
     assert got == TRAIN
+
+
+def test_td_critic_train_with_many_visits_per_cell_is_pinned():
+    game = random_game(2, 4, 2, seed=41)
+    config = TrainConfig(
+        baseline=BaselineKind(BaselineTag.COMA),
+        critic=CriticConfig(mode="td", lr=0.1),
+        batch_size=8,
+        horizon=400,
+        iterations=3,
+        seed=19,
+    )
+    result = train(game, None, config)
+    got = {
+        "returns": result.history.returns,
+        "grad_variance": result.history.grad_variance,
+        "grad_norm": result.history.grad_norm,
+        "logits": [agent.logits.tolist() for agent in result.policy.agents],
+        "state": result.final_rng_state["state"]["state"],
+    }
+    assert got == TD_TRAIN
+
+
+_TARGET = np.array([0.4, -0.3, 1.2])
+
+
+def _clipped_quadratic(x):
+    return -np.minimum(((x - _TARGET) ** 2).sum(axis=1) + 0.5 * x[:, 0] * x[:, 2], 3.0)
+
+
+@pytest.mark.parametrize("baseline", sorted(GAUSSIAN))
+def test_train_gaussian_is_pinned(baseline, monkeypatch):
+    # train_gaussian keeps its generator to itself; catch it as it is made
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    task = ContinuousOneStepTask(payoff=_clipped_quadratic, dims=(2, 1), beta=3.0)
+    config = TrainConfig(
+        baseline=BaselineKind(BaselineTag(baseline)),
+        actor_lr=0.05,
+        batch_size=6,
+        iterations=4,
+        ob_n_samples=5,
+        seed=17,
+    )
+    init = [(np.zeros(2), np.full(2, 0.8)), (np.zeros(1), np.full(1, 0.8))]
+    history, params = train_gaussian(task, init, config)
+    got = {
+        "returns": history.returns,
+        "grad_variance": history.grad_variance,
+        "grad_norm": history.grad_norm,
+        "entropies": history.entropies,
+        "params": [[m.tolist(), s.tolist()] for m, s in params],
+        "state": made[-1].bit_generator.state["state"]["state"],
+    }
+    assert got == GAUSSIAN[baseline]

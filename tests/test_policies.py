@@ -115,6 +115,14 @@ def test_x_measure_rejects_degenerate_rows():
         x_measure_softmax(stack)
 
 
+def test_x_measure_of_a_single_action_is_the_policy():
+    # zero score vector: no baseline changes the variance, x = pi = [1.0]
+    assert np.array_equal(x_measure_softmax(np.array([1.0])), [1.0])
+    assert np.array_equal(x_measure_softmax(np.ones((4, 1))), np.ones((4, 1)))
+    # two actions, one of them nearly certain, are still degenerate
+    with pytest.raises(DegeneratePolicy):
+        x_measure_softmax(softmax_probs(np.array([60.0, 0.0])))
+
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 17])
 def test_x_measure_of_a_stack_equals_its_rows_exactly(k):
     rng = np.random.default_rng(k)
@@ -160,6 +168,10 @@ def test_gaussian_grad_matches_fd(mean, scale, offset):
     action = mean + offset
     grad = gaussian_log_prob_grad(mean, std, action)
     assert grad.shape == (2 * d,)
+    # a stack of actions gives each action's gradient as one row
+    stacked = gaussian_log_prob_grad(mean, std, np.stack([action, mean - offset]))
+    assert np.array_equal(stacked[0], grad)
+    assert np.array_equal(stacked[1], gaussian_log_prob_grad(mean, std, mean - offset))
     h = 1e-6
     fd = np.empty(2 * d)
     for j in range(d):

@@ -6,8 +6,9 @@ Both kernels promise bit equality with the plain numpy idioms in
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import inverse_cdf_oracle, score_step_oracle
+from oracles import inverse_cdf_oracle, rollout_oracle, score_step_oracle
 
+from mapgvar import MarkovGame, rollout
 from mapgvar.estimators import cdf_table, inverse_cdf, scatter_scores
 
 
@@ -51,6 +52,50 @@ def test_cdf_table_pads_to_one_less_than_a_power_of_two():
         table = cdf_table(np.full((2, width), 1.0 / width))
         assert table.shape == (2, padded)
         assert np.all(np.isinf(table[:, width - 1 :]))
+    # padded to a wider table's width, so that tables stack
+    for width, stack_width, padded in ((1, 9, 15), (3, 2, 3), (2, 5, 7)):
+        table = cdf_table(np.full((2, width), 1.0 / width), stack_width)
+        assert table.shape == (2, padded)
+        assert np.all(np.isinf(table[:, width - 1 :]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_states=st.integers(1, 3),
+    m=st.integers(1, 6),
+    horizon=st.integers(1, 8),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+    scale=st.sampled_from([1.0, 0.999, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_agent_draws_equal_per_agent_draws(
+    widths, n_states, m, horizon, zero_frac, scale, seed
+):
+    # agents of mixed widths share one +inf-padded table in rollout
+    rng = np.random.default_rng(seed)
+    n_joint = int(np.prod(widths))
+    game = MarkovGame(
+        n_agents=len(widths),
+        states=tuple(f"s{i}" for i in range(n_states)),
+        action_spaces=tuple(tuple(f"a{j}" for j in range(k)) for k in widths),
+        transition=rng.dirichlet(np.ones(n_states), size=(n_states, n_joint)),
+        reward=np.zeros((n_states, n_joint)),
+        beta=1.0,
+        gamma=0.9,
+        initial_dist=rng.dirichlet(np.ones(n_states)),
+    )
+    pi_tables = [_prob_rows(rng, (n_states, k), zero_frac, scale) for k in widths]
+    draw_seed = int(rng.integers(2**32))
+    got_rng = np.random.default_rng(draw_seed)
+    want_rng = np.random.default_rng(draw_seed)
+    got = list(rollout(game, pi_tables, m, horizon, got_rng))
+    want = rollout_oracle(game, pi_tables, m, horizon, want_rng)
+    assert len(got) == len(want) == horizon
+    for got_step, want_step in zip(got, want):
+        for g, w in zip(got_step, want_step):
+            assert np.array_equal(g, w)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _trajectories(rng, n_states, k, steps, batch):

@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import td_batch_oracle
 
 from mapgvar import (
     BaselineKind,
@@ -152,6 +155,38 @@ def test_td_transition_batch_updates_only_visited_entries():
     mask[0, 1] = False
     assert np.all(after.q[mask] == 0.0)
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_states=st.integers(1, 3),
+    k=st.integers(1, 3),
+    n_transitions=st.integers(0, 400),
+    lr=st.sampled_from([1.0, 0.5, 0.1, 0.03]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_td_batch_equals_the_per_transition_loop(n_states, k, n_transitions, lr, seed):
+    # few cells and many transitions, so every cell is revisited often
+    rng = np.random.default_rng(seed)
+    game = random_game(2, n_states, k, seed=seed % 1000)
+    policy = random_softmax_policy(game, rng)
+    shape = (n_states, game.n_joint_actions)
+    state = dataclasses.replace(
+        init_critic(game, CriticConfig(mode="td", lr=lr)),
+        q=rng.standard_normal(shape),
+        target_q=rng.standard_normal(shape),
+    )
+    transitions = list(
+        zip(
+            rng.integers(0, n_states, n_transitions).tolist(),
+            rng.integers(0, game.n_joint_actions, n_transitions).tolist(),
+            rng.uniform(-1.0, 1.0, n_transitions).tolist(),
+            rng.integers(0, n_states, n_transitions).tolist(),
+        )
+    )
+    expected = td_batch_oracle(game, policy, transitions, state.q, state.target_q, lr)
+    assert np.array_equal(td_learn_q(game, policy, transitions, state).q, expected)
+    as_array = np.array(transitions, dtype=float).reshape(-1, 4)
+    assert np.array_equal(td_learn_q(game, policy, as_array, state).q, expected)
 
 def test_td_target_sync_interval():
     game = random_game(2, 2, 2, seed=11)

@@ -8,10 +8,13 @@ output. Equal lines mean both trees wrote the same bytes, stdout included.
 
 The grid covers gen, report (CSV, JSON, uniform and random policy files,
 every agent, --mc), verify, toy and train (baseline x critic x PPO, plus an
-entropy bonus and a default horizon). Every command runs in-process through
+entropy bonus, a default horizon and a TD critic that visits each cell
+hundreds of times per pass). Every command runs in-process through
 ``mapgvar.cli.main`` in a temporary directory. Each line is
 ``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
-or the exception a command raised) are recorded as files too.
+or the exception a command raised) are recorded as files too. Last come
+``train_gaussian`` runs, one per baseline, which have no CLI command: their
+history and final parameters are hashed as JSON.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ import traceback
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # (n_agents, n_states, n_actions, seed): a one-state game and 3-agent games
-# beside plain 2-agent ones. One-action agents are left out: the optimal
-# baseline is undefined for them, so report refuses such games.
+# beside plain 2-agent ones. One-action agents are left out, so that trees
+# whose report refused them (x-measure undefined) still compare equal.
 GAMES = ((2, 2, 2, 0), (2, 3, 3, 1), (3, 2, 2, 2), (2, 4, 4, 3), (2, 1, 3, 4),
          (3, 3, 2, 5), (2, 9, 5, 6))
 TRAIN_GAMES = GAMES[:3]
@@ -78,6 +81,41 @@ def _train_configs():
     yield {"baseline": "ob_surrogate", "entropy_coef": 0.05, "batch_size": 4,
            "horizon": 6, "iterations": 2}
     yield {"baseline": "coma", "batch_size": 2, "iterations": 1}  # default horizon
+    yield {"baseline": "coma", "critic": {"mode": "td", "lr": 0.1}, "batch_size": 8,
+           "horizon": 400, "iterations": 2}  # hundreds of TD visits per cell
+
+
+def _gaussian_lines() -> list[str]:
+    """One line per baseline: train_gaussian on a clipped quadratic payoff."""
+    import numpy as np
+
+    from mapgvar import BaselineKind, BaselineTag, TrainConfig
+    from mapgvar.training import ContinuousOneStepTask, train_gaussian
+
+    target = np.array([0.4, -0.3, 1.2])
+
+    def payoff(x):
+        cost = ((x - target) ** 2).sum(axis=1) + 0.5 * x[:, 0] * x[:, 2]
+        return -np.minimum(cost, 3.0)
+
+    task = ContinuousOneStepTask(payoff=payoff, dims=(2, 1), beta=3.0)
+    init = [(np.zeros(2), np.full(2, 0.8)), (np.zeros(1), np.full(1, 0.8))]
+    lines = []
+    for baseline in ("none", "coma", "ob_surrogate"):
+        config = TrainConfig(baseline=BaselineKind(BaselineTag(baseline)),
+                             actor_lr=0.05, batch_size=8, iterations=3,
+                             ob_n_samples=40, seed=5)
+        try:
+            history, params = train_gaussian(task, init, config)
+            result = json.dumps({
+                "history": history.to_json_dict(),
+                "params": [[m.tolist(), s.tolist()] for m, s in params],
+            })
+        except Exception as exc:
+            result = f"raised {type(exc).__name__}: {exc}"
+        digest = hashlib.sha256(result.encode()).hexdigest()
+        lines.append(f"{digest}  train_gaussian-{baseline}/result")
+    return lines
 
 
 def digest_lines(work: str) -> list[str]:
@@ -131,7 +169,7 @@ def digest_lines(work: str) -> list[str]:
             lines += _run(main, f"train-n{n}-s{s}-k{k}-seed{seed}-c{c}",
                           ["train", "--game", game_files[key], "--config", config_file,
                            "--seed", str(11 + c)], work)
-    return lines
+    return lines + _gaussian_lines()
 
 
 def main(argv=None) -> int:
