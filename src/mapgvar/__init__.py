@@ -93,7 +93,9 @@ from .values import (
     advantage_decomposition,
     agent_subset,
     discounted_state_occupancy,
+    lattice_advantage_decomposition,
     marginal_q,
+    marginal_q_lattice,
     marginal_q_tensor,
     multi_agent_advantage,
     policy_transition,
@@ -108,6 +110,7 @@ from .variance import (
     VarianceReport,
     advantage_variance_bound,
     advantage_variance_identity,
+    baseline_excess_variance,
     bound_constants,
     build_variance_report,
     centralized_gap_bound,
@@ -115,6 +118,7 @@ from .variance import (
     excess_surrogate_variance,
     excess_variance_bounds,
     expected_score_norm_sq,
+    gap_bounds,
     local_variance,
     mc_variance,
     per_timestep_variances,

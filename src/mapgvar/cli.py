@@ -38,15 +38,15 @@ from .training import (
     save_checkpoint,
     train,
 )
-from .values import advantage_decomposition, solve_values
+from .values import lattice_advantage_decomposition, marginal_q_lattice, solve_values
 from .variance import (
     advantage_variance_bound,
     advantage_variance_identity,
+    baseline_excess_variance,
     build_variance_report,
-    centralized_gap_bound,
-    coma_gap_bound,
-    excess_surrogate_variance,
     excess_variance_bounds,
+    expected_score_norm_sq,
+    gap_bounds,
     local_variance,
 )
 
@@ -173,6 +173,7 @@ def _verify_suites(n_games: int, n_agents: int, seed: int, sabotage: bool) -> di
 
         decomp = suites["advantage_decomposition"]
         for s in range(game.n_states):
+            marginals = marginal_q_lattice(game, policy, tables, s)
             actions = tuple(
                 int(rng.integers(game.action_counts[i])) for i in range(n_agents)
             )
@@ -181,8 +182,8 @@ def _verify_suites(n_games: int, n_agents: int, seed: int, sabotage: bool) -> di
                 for prefix_len in (0, 1):
                     if prefix_len >= n_agents:
                         continue
-                    lhs, rhs = advantage_decomposition(
-                        game, policy, tables, s, order, acts, prefix_len=prefix_len
+                    lhs, rhs = lattice_advantage_decomposition(
+                        marginals, order, acts, prefix_len
                     )
                     if sabotage:
                         rhs = rhs + 1.0
@@ -224,13 +225,11 @@ def _verify_suites(n_games: int, n_agents: int, seed: int, sabotage: bool) -> di
             if slack < -tol:
                 bound["violations"] += 1
 
-        for name, fn in (
-            ("centralized_gap_bound", centralized_gap_bound),
-            ("coma_gap_bound", coma_gap_bound),
-        ):
+        reports = gap_bounds(game, policy, tables, range(n_agents))
+        for index, name in enumerate(("centralized_gap_bound", "coma_gap_bound")):
             entry = suites[name]
-            for agent in range(n_agents):
-                rep = fn(game, policy, agent, tables)
+            for pair in reports:
+                rep = pair[index]
                 slack = min(b - rep.lhs for b in rep.bounds)
                 entry["checks"] += 1
                 entry["min_slack"] = min(entry["min_slack"], slack)
@@ -252,9 +251,10 @@ def _verify_suites(n_games: int, n_agents: int, seed: int, sabotage: bool) -> di
             )
             b_star = ob_surrogate_discrete(q_row, pi_row)
             base_var = local_variance(pi_row, q_row - b_star, grads)
+            score_sq = expected_score_norm_sq(pi_row)
             for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
                 direct = local_variance(pi_row, q_row - b, grads) - base_var
-                closed = excess_surrogate_variance(float(b), q_row, pi_row)
+                closed = baseline_excess_variance(b, b_star, score_sq)
                 err = abs(direct - closed)
                 ob_eq["checks"] += 1
                 ob_eq["max_abs_error"] = max(ob_eq["max_abs_error"], err)

@@ -109,10 +109,11 @@ def agent_prob_table(game: MarkovGame, policy: JointPolicy, agent: int) -> np.nd
 
 
 def marginal_q_rows(
-    game: MarkovGame, policy: JointPolicy, tables: ValueTables, agent: int
+    game: MarkovGame, policy: JointPolicy, q: np.ndarray, agent: int
 ) -> np.ndarray:
-    """Q^i(s, a^i) table of shape (S, k_i): others integrated out."""
-    rows = agent_axis_view(game, tables.q, agent)
+    """Q^i(s, a^i) table of shape (S, k_i) from an (S, A) action-value
+    table ``q``: others integrated out."""
+    rows = agent_axis_view(game, q, agent)
     p_others = others_prob_table(game, policy, agent)
     return np.einsum("smk,sm->sk", rows, p_others)
 
@@ -134,7 +135,7 @@ def signal_table(
         return q.copy()
     rows = agent_axis_view(game, q, i)  # (S, M, k)
     if kind.tag is EstimatorTag.DECENTRALIZED:
-        qi = np.einsum("smk,sm->sk", rows, others_prob_table(game, policy, i))
+        qi = marginal_q_rows(game, policy, q, i)
         rows = np.broadcast_to(qi[:, None, :], rows.shape)
         return unview_agent_axis(game, np.ascontiguousarray(rows), i)
     # COMA and OB_X subtract the Q-row's mean under the policy or the x-measure
@@ -290,7 +291,7 @@ def mean_step_gradient_by_state(
     agent: int,
 ) -> np.ndarray:
     """E_{a~pi}[Q * score | s] as (S, k_i); identical for all estimator kinds."""
-    qi = marginal_q_rows(game, policy, tables, agent)
+    qi = marginal_q_rows(game, policy, tables.q, agent)
     pi_i = agent_prob_table(game, policy, agent)
     w = pi_i * qi  # (S, k)
     return w - w.sum(axis=1, keepdims=True) * pi_i

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,8 +37,9 @@ class MarkovGame:
     transition has shape (n_states, n_joint_actions, n_states); reward has
     shape (n_states, n_joint_actions). Rows of ``transition`` are probability
     vectors over successor states. ``beta`` bounds |reward| and ``gamma`` in
-    [0, 1) is the discount. Immutable after construction; safe to share
-    across workers.
+    [0, 1) is the discount. State names are distinct strings, and so are the
+    comma-joined joint-action keys, which name the rows of a game file.
+    Immutable after construction; safe to share across workers.
     """
 
     n_agents: int
@@ -58,6 +60,7 @@ class MarkovGame:
         object.__setattr__(
             self, "action_spaces", tuple(tuple(a) for a in self.action_spaces)
         )
+        _check_names(self.states, self.action_spaces)
         object.__setattr__(self, "transition", _read_only(self.transition))
         object.__setattr__(self, "reward", _read_only(self.reward))
         object.__setattr__(self, "initial_dist", _read_only(self.initial_dist))
@@ -123,6 +126,29 @@ class MarkovGame:
             and np.array_equal(self.reward, other.reward)
             and np.array_equal(self.initial_dist, other.initial_dist)
         )
+
+
+def _joint_keys(action_spaces) -> list[str]:
+    """Comma-joined action names of every joint action, in rank order."""
+    return [",".join(names) for names in itertools.product(*action_spaces)]
+
+
+def _check_names(states, action_spaces) -> None:
+    """Names must be strings that key a game file's rows unambiguously."""
+    names = [*states, *itertools.chain.from_iterable(action_spaces)]
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError("state and action names must be strings")
+    if len(set(states)) != len(states):
+        raise ValueError(f"duplicate state names in {list(states)!r}")
+    for i, actions in enumerate(action_spaces):
+        if len(set(actions)) != len(actions):
+            raise ValueError(f"duplicate action names for agent {i}: {list(actions)!r}")
+    # distinct names without commas always join to distinct keys
+    if any("," in name for actions in action_spaces for name in actions):
+        keys = _joint_keys(action_spaces)
+        if len(set(keys)) != len(keys):
+            clash = next(k for k in keys if keys.count(k) > 1)
+            raise ValueError(f"joint actions share the key {clash!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,65 +286,87 @@ def random_game(
     )
 
 
-def _action_key(game: MarkovGame, joint: tuple[int, ...]) -> str:
-    return ",".join(game.action_spaces[i][a] for i, a in enumerate(joint))
+def _json_map(keys, values, indent: str) -> str:
+    """A JSON object of pre-encoded keys and values, laid out as
+    json.dumps(..., indent=2) lays it out at nesting prefix ``indent``."""
+    if not keys:
+        return "{}"
+    inner = indent + "  "
+    items = f",\n{inner}".join(f"{k}: {v}" for k, v in zip(keys, values))
+    return f"{{\n{inner}{items}\n{indent}}}"
 
 
 def serialize_game(game: MarkovGame) -> str:
-    """Lossless UTF-8 JSON text for a game; parse_game inverts it exactly."""
-    actions = enumerate_joint_actions(game)
-    doc = {
-        "n_agents": game.n_agents,
-        "states": list(game.states),
-        "actions": [list(a) for a in game.action_spaces],
-        "gamma": game.gamma,
-        "beta": game.beta,
-        "initial_dist": game.initial_dist.tolist(),
-        "transition": {
-            game.states[s]: {
-                _action_key(game, a): game.transition[s, ai].tolist()
-                for ai, a in enumerate(actions)
-            }
-            for s in range(game.n_states)
+    """Lossless UTF-8 JSON text for a game; parse_game inverts it exactly.
+
+    The text is json.dumps(doc, indent=2) of the game document. Only the
+    header goes through json; the transition and reward maps, almost all of
+    the text, are joined from float reprs and escaped keys at the same
+    indents, since json's indenting encoder runs in pure Python.
+    """
+    header = json.dumps(
+        {
+            "n_agents": game.n_agents,
+            "states": list(game.states),
+            "actions": [list(a) for a in game.action_spaces],
+            "gamma": game.gamma,
+            "beta": game.beta,
+            "initial_dist": game.initial_dist.tolist(),
         },
-        "reward": {
-            game.states[s]: {
-                _action_key(game, a): float(game.reward[s, ai])
-                for ai, a in enumerate(actions)
-            }
-            for s in range(game.n_states)
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        indent=2,
+    )
+    states = [encode_basestring_ascii(name) for name in game.states]
+    actions = [encode_basestring_ascii(key) for key in _joint_keys(game.action_spaces)]
+    value_sep = ",\n" + " " * 8
+
+    def transition_row(row):
+        return f"[\n        {value_sep.join(map(float.__repr__, row))}\n      ]"
+
+    def state_map(table, encode) -> str:
+        # one state at a time, so only one state's Python floats are alive
+        per_state = (
+            _json_map(actions, list(map(encode, rows.tolist())), "    ")
+            for rows in table
+        )
+        return _json_map(states, per_state, "  ")
+
+    maps = (
+        state_map(game.transition, transition_row),
+        state_map(game.reward, float.__repr__),
+    )
+    return (
+        f"{header[:-2]},\n"
+        f'  "transition": {maps[0]},\n'
+        f'  "reward": {maps[1]}\n'
+        "}\n"
+    )
 
 
 def parse_game(text: str) -> MarkovGame:
+    """Invert serialize_game. A malformed document raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a game document must be a JSON object")
     try:
         states = tuple(doc["states"])
         action_spaces = tuple(tuple(a) for a in doc["actions"])
         n_agents = int(doc["n_agents"])
         if len(action_spaces) != n_agents:
             raise ValueError("actions must list one action set per agent")
-        counts = [len(a) for a in action_spaces]
-        n_joint = int(np.prod(counts))
-        keys = [
-            ",".join(action_spaces[i][a] for i, a in enumerate(joint))
-            for joint in itertools.product(*(range(k) for k in counts))
-        ]
-        transition = np.empty((len(states), n_joint, len(states)))
-        reward = np.empty((len(states), n_joint))
+        keys = _joint_keys(action_spaces)
+        n_states = len(states)
+        transition = np.empty((n_states, len(keys), n_states))
+        reward = np.empty((n_states, len(keys)))
         for s, name in enumerate(states):
-            trans_row = doc["transition"][name]
-            reward_row = doc["reward"][name]
-            for ai, key in enumerate(keys):
-                transition[s, ai] = trans_row[key]
-                reward[s, ai] = reward_row[key]
+            transition[s] = _state_rows(doc, "transition", name, keys, (n_states,))
+            reward[s] = _state_rows(doc, "reward", name, keys, ())
         beta = float(doc["beta"])
         gamma = float(doc["gamma"])
         initial = np.array(doc["initial_dist"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"game document missing entry {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed game document: {exc}") from exc
     return MarkovGame(
         n_agents=n_agents,
         states=states,
@@ -329,6 +377,21 @@ def parse_game(text: str) -> MarkovGame:
         gamma=gamma,
         initial_dist=initial,
     )
+
+
+def _state_rows(doc, table: str, state: str, keys, entry_shape) -> np.ndarray:
+    """A state's entries of one table, in joint-action rank order, as one
+    array; every entry must have ``entry_shape``."""
+    shape = (len(keys), *entry_shape)
+    entries = doc[table][state]
+    try:
+        rows = np.array([entries[key] for key in keys], dtype=float)
+    except ValueError:  # ragged rows or entries that are not numbers
+        rows = None
+    if rows is None or rows.shape != shape:
+        entry = f"a list of {entry_shape[0]} numbers" if entry_shape else "a number"
+        raise ValueError(f"{table}[{state!r}] must map each joint action to {entry}")
+    return rows
 
 
 def save_game(game: MarkovGame, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,9 +110,15 @@ def sample_discrete(probs, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SoftmaxPolicy:
-    """Tabular softmax actor: one logit vector per state, shape (S, k)."""
+    """Tabular softmax actor: one logit vector per state, shape (S, k).
+
+    The (S, k) probability table is computed once, at construction, and is
+    read-only; each of its rows equals ``softmax_probs`` of that state's
+    logits bit for bit.
+    """
 
     logits: np.ndarray
+    _table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.logits, dtype=float)).copy()
@@ -120,18 +126,20 @@ class SoftmaxPolicy:
             raise ValueError("logits must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "logits", arr)
+        e = np.exp(arr - arr.max(axis=1, keepdims=True))
+        table = e / e.sum(axis=1, keepdims=True)
+        table.setflags(write=False)
+        object.__setattr__(self, "_table", table)
 
     @property
     def n_actions(self) -> int:
         return self.logits.shape[1]
 
     def probs(self, s: int) -> np.ndarray:
-        return softmax_probs(self.logits[s])
+        return self._table[s]
 
     def all_probs(self) -> np.ndarray:
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return self._table
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
         return sample_discrete(self.probs(s), rng)

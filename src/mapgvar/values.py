@@ -135,6 +135,30 @@ def marginal_q_tensor(
     return t
 
 
+def marginal_q_lattice(
+    game: MarkovGame,
+    policy: JointPolicy,
+    tables: ValueTables,
+    s: int,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Q^K(s, .) for every coalition K at s, keyed by K in ascending order.
+
+    Walks the subset lattice down from the full set: Q^K is Q^{K+e}
+    contracted against pi_e(s), e being K's smallest excluded agent. That is
+    the contraction sequence ``marginal_q_tensor`` runs, so each of the 2^n
+    tensors is bit-equal to it, and each is built once.
+    """
+    n = game.n_agents
+    out = {tuple(range(n)): tables.q[s].reshape(game.action_counts)}
+    for mask in range((1 << n) - 2, -1, -1):  # every superset comes first
+        coalition = tuple(j for j in range(n) if mask >> j & 1)
+        e = next(j for j in range(n) if not mask >> j & 1)
+        parent = tuple(sorted(coalition + (e,)))
+        # all agents below e are kept, so e's axis in the parent is e
+        out[coalition] = np.tensordot(out[parent], policy.probs(e, s), axes=(e, 0))
+    return out
+
+
 def marginal_q(
     game: MarkovGame,
     policy: JointPolicy,
@@ -203,34 +227,35 @@ def advantage_decomposition(
 
     Exact for every ordering, which is why the identity is permutation-free.
     """
-    order = agent_subset(order, game.n_agents)
+    return lattice_advantage_decomposition(
+        marginal_q_lattice(game, policy, tables, s), order, actions, prefix_len
+    )
+
+
+def lattice_advantage_decomposition(
+    marginals, order, actions, prefix_len: int = 0
+) -> tuple[float, float]:
+    """``advantage_decomposition`` read from one state's ``marginal_q_lattice``.
+
+    A caller checking many orders at one state builds the lattice once and
+    passes it here; the state is the lattice's.
+    """
+    order = agent_subset(order, max(map(len, marginals)))
     actions = tuple(int(a) for a in actions)
     if len(actions) != len(order):
         raise ValueError("one action per agent in `order` required")
     if not 0 <= prefix_len <= len(order):
         raise ValueError("prefix_len out of range")
-    lhs = multi_agent_advantage(
-        game,
-        policy,
-        tables,
-        s,
-        order[:prefix_len],
-        actions[:prefix_len],
-        order[prefix_len:],
-        actions[prefix_len:],
-    )
+
+    def q(j: int) -> float:
+        # Q^{order[:j]} at the first j actions; tensor axes ascend by agent
+        idx = tuple(a for _, a in sorted(zip(order[:j], actions[:j])))
+        return float(marginals[tuple(sorted(order[:j]))][idx])
+
+    lhs = q(len(order)) - q(prefix_len)
     rhs = 0.0
     for j in range(prefix_len, len(order)):
-        rhs += multi_agent_advantage(
-            game,
-            policy,
-            tables,
-            s,
-            order[:j],
-            actions[:j],
-            (order[j],),
-            (actions[j],),
-        )
+        rhs += q(j + 1) - q(j)
     return lhs, rhs
 
 

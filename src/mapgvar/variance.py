@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,20 +209,20 @@ def advantage_variance_identity(
     mean = float((w * t).sum())
     lhs = float((w * t**2).sum()) - mean**2
 
+    # partials[j] is t with the agents after order[j] integrated out; built
+    # from the back, each contraction runs once
+    partials = [t]
+    for r in range(len(order) - 1, 0, -1):
+        partials.append(np.tensordot(partials[-1], probs[r], axes=(r, 0)))
+    partials.reverse()
     rhs = 0.0
-    for j in range(len(order)):
-        partial = t
-        for r in range(len(order) - 1, j, -1):
-            partial = np.tensordot(partial, probs[r], axes=(r, 0))
-        # partial has axes for order[0..j]; weighted variance along axis j,
-        # then expectation over the earlier axes.
-        e1 = np.tensordot(partial, probs[j], axes=(j, 0))
-        e2 = np.tensordot(partial**2, probs[j], axes=(j, 0))
-        var_j = e2 - e1**2
-        w_before = np.ones(())
-        for r in range(j):
-            w_before = np.multiply.outer(w_before, probs[r])
-        rhs += float((w_before * var_j).sum())
+    w_before = np.ones(())
+    for j, (partial, p) in enumerate(zip(partials, probs)):
+        # weighted variance along axis j, then expectation over the earlier axes
+        e1 = np.tensordot(partial, p, axes=(j, 0))
+        e2 = np.tensordot(partial**2, p, axes=(j, 0))
+        rhs += float((w_before * (e2 - e1**2)).sum())
+        w_before = np.multiply.outer(w_before, p)
     return lhs, rhs
 
 
@@ -315,27 +316,98 @@ def _gap_horizon(gamma: float, tail_scale: float, tol: float) -> int:
     return max(1, h)
 
 
-def _discounted_gap(
+def _tail_bound(gamma: float, tail_scale: float, horizon: int) -> float:
+    """sum over t >= horizon of gamma^{2t} tail_scale."""
+    if gamma == 0.0:
+        return 0.0
+    return gamma ** (2 * horizon) * tail_scale / (1.0 - gamma**2)
+
+
+class _GapSpec(NamedTuple):
+    tag: EstimatorTag  # the kind compared with DECENTRALIZED
+    bounds: tuple[float, ...]
+    tail_scale: float
+    horizon: int
+
+
+def _gap_specs(
+    game: MarkovGame, consts: BoundConstants, agent: int, tol: float
+) -> tuple[_GapSpec, _GapSpec]:
+    """The agent's centralized and COMA gaps; see ``centralized_gap_bound``
+    and ``coma_gap_bound``."""
+    inv = 1.0 if game.gamma == 0.0 else 1.0 / (1.0 - game.gamma**2)
+    others_sq = float(np.sum(np.delete(consts.adv_abs_max, agent) ** 2))
+    b_i = float(consts.score_norm_max[agent])
+    eps_i = float(consts.adv_abs_max[agent])
+    q_scale = game.beta if game.gamma == 0.0 else game.beta / (1.0 - game.gamma)
+    rhs1 = b_i**2 * inv * others_sq
+    rhs2 = (game.n_agents - 1) * (consts.adv_abs_max_overall * b_i) ** 2 * inv
+    centralized = (EstimatorTag.CENTRALIZED_VANILLA, (rhs1, rhs2), b_i**2 * others_sq)
+    coma_scale = b_i**2 * max(eps_i, q_scale) ** 2
+    coma = (EstimatorTag.COMA, ((eps_i * b_i) ** 2 * inv,), coma_scale)
+    return tuple(
+        _GapSpec(tag, bounds, scale, _gap_horizon(game.gamma, scale, tol))
+        for tag, bounds, scale in (centralized, coma)
+    )
+
+
+def gap_bounds(
     game: MarkovGame,
     policy: JointPolicy,
     tables: ValueTables,
-    kind_a: EstimatorKind,
-    kind_b: EstimatorKind,
-    tail_scale: float,
-    tol: float,
-) -> tuple[float, int, float]:
-    horizon = _gap_horizon(game.gamma, tail_scale, tol)
-    dists = state_distributions(game, policy, horizon - 1)
-    var_a = per_timestep_variances(step_moments(kind_a, game, policy, tables), dists)
-    var_b = per_timestep_variances(step_moments(kind_b, game, policy, tables), dists)
-    weights = game.gamma ** (2.0 * np.arange(horizon))
-    lhs = float(weights @ (var_a - var_b))
-    tail = (
-        0.0
-        if game.gamma == 0.0
-        else game.gamma ** (2 * horizon) * tail_scale / (1.0 - game.gamma**2)
-    )
-    return lhs, horizon, tail
+    agents,
+    tol: float = IDENTITY_TOL,
+    moments: dict | None = None,
+) -> list[tuple[BoundReport, BoundReport]]:
+    """The (centralized, COMA) gap reports of each agent in ``agents``.
+
+    Every input is computed once: one ``bound_constants`` for all agents,
+    one ``state_distributions`` run to the longest horizon (row t depends
+    only on the rows before it, so each bound reads a prefix), and per agent
+    one ``step_moments`` per kind, the DECENTRALIZED one serving both
+    bounds. A caller that holds step moments passes them in ``moments``,
+    a map from EstimatorKind to StepMoments.
+    """
+    consts = bound_constants(game, policy, tables)
+    specs = {agent: _gap_specs(game, consts, agent, tol) for agent in agents}
+    longest = max(spec.horizon for pair in specs.values() for spec in pair)
+    dists = state_distributions(game, policy, longest - 1)
+    moments = dict(moments or {})
+
+    def moments_of(tag: EstimatorTag, agent: int) -> StepMoments:
+        kind = EstimatorKind(tag, agent)
+        if kind not in moments:
+            moments[kind] = step_moments(kind, game, policy, tables)
+        return moments[kind]
+
+    out = []
+    for agent, pair in specs.items():
+        reports = []
+        for spec in pair:
+            # sum_t gamma^{2t} (Var_t[kind] - Var_t[decentralized]) over the horizon
+            d = dists[: spec.horizon]
+            var_a = per_timestep_variances(moments_of(spec.tag, agent), d)
+            var_b = per_timestep_variances(
+                moments_of(EstimatorTag.DECENTRALIZED, agent), d
+            )
+            weights = game.gamma ** (2.0 * np.arange(spec.horizon))
+            lhs = float(weights @ (var_a - var_b))
+            # the chain lhs <= bounds[0] <= bounds[1] <= ... within tol
+            chain = (lhs, *spec.bounds)
+            reports.append(
+                BoundReport(
+                    lhs=lhs,
+                    bounds=spec.bounds,
+                    constants=consts,
+                    horizon=spec.horizon,
+                    truncation_error=_tail_bound(
+                        game.gamma, spec.tail_scale, spec.horizon
+                    ),
+                    holds=all(a <= b + tol for a, b in zip(chain, chain[1:])),
+                )
+            )
+        out.append(tuple(reports))
+    return out
 
 
 def centralized_gap_bound(
@@ -358,32 +430,7 @@ def centralized_gap_bound(
     """
     if tables is None:
         tables = solve_values(game, policy)
-    consts = bound_constants(game, policy, tables)
-    inv = 1.0 if game.gamma == 0.0 else 1.0 / (1.0 - game.gamma**2)
-    others_sq = float(
-        np.sum(np.delete(consts.adv_abs_max, agent) ** 2)
-    )
-    b_i = float(consts.score_norm_max[agent])
-    rhs1 = b_i**2 * inv * others_sq
-    rhs2 = (game.n_agents - 1) * (consts.adv_abs_max_overall * b_i) ** 2 * inv
-    lhs, horizon, tail = _discounted_gap(
-        game,
-        policy,
-        tables,
-        EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, agent),
-        EstimatorKind(EstimatorTag.DECENTRALIZED, agent),
-        tail_scale=b_i**2 * others_sq,
-        tol=tol,
-    )
-    holds = lhs <= rhs1 + tol and rhs1 <= rhs2 + tol
-    return BoundReport(
-        lhs=lhs,
-        bounds=(rhs1, rhs2),
-        constants=consts,
-        horizon=horizon,
-        truncation_error=tail,
-        holds=holds,
-    )
+    return gap_bounds(game, policy, tables, (agent,), tol)[0][0]
 
 
 def coma_gap_bound(
@@ -402,30 +449,7 @@ def coma_gap_bound(
     """
     if tables is None:
         tables = solve_values(game, policy)
-    consts = bound_constants(game, policy, tables)
-    inv = 1.0 if game.gamma == 0.0 else 1.0 / (1.0 - game.gamma**2)
-    b_i = float(consts.score_norm_max[agent])
-    eps_i = float(consts.adv_abs_max[agent])
-    rhs = (eps_i * b_i) ** 2 * inv
-    q_scale = game.beta if game.gamma == 0.0 else game.beta / (1.0 - game.gamma)
-    lhs, horizon, tail = _discounted_gap(
-        game,
-        policy,
-        tables,
-        EstimatorKind(EstimatorTag.COMA, agent),
-        EstimatorKind(EstimatorTag.DECENTRALIZED, agent),
-        tail_scale=b_i**2 * max(eps_i, q_scale) ** 2,
-        tol=tol,
-    )
-    holds = lhs <= rhs + tol
-    return BoundReport(
-        lhs=lhs,
-        bounds=(rhs,),
-        constants=consts,
-        horizon=horizon,
-        truncation_error=tail,
-        holds=holds,
-    )
+    return gap_bounds(game, policy, tables, (agent,), tol)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +470,13 @@ def excess_surrogate_variance(b: float, q_row, pi_i, tol: float = 1e-10) -> floa
     local_variance(q - b) - local_variance(q - b*) exactly.
     """
     b_star = ob_surrogate_discrete(q_row, pi_i, tol=tol)
-    return (float(b) - b_star) ** 2 * expected_score_norm_sq(pi_i)
+    return baseline_excess_variance(b, b_star, expected_score_norm_sq(pi_i))
+
+
+def baseline_excess_variance(b: float, b_star: float, score_norm_sq: float) -> float:
+    """``excess_surrogate_variance`` from a row's b* and E_pi[||score||^2],
+    for a caller that scans many baselines on one row."""
+    return (float(b) - b_star) ** 2 * score_norm_sq
 
 
 @dataclass(frozen=True)
@@ -690,10 +720,13 @@ def build_variance_report(
             "own": d @ m.own,
         }
         aggregates[tag.value] = float(weights @ var_all[:agg_horizon])
-    tail = (
-        0.0
-        if game.gamma == 0.0
-        else game.gamma ** (2 * agg_horizon) * tail_scale / (1.0 - game.gamma**2)
+    [(centralized_gap, coma_gap)] = gap_bounds(
+        game,
+        policy,
+        tables,
+        (agent,),
+        tol,
+        moments={EstimatorKind(tag, agent): m for tag, m in moments.items()},
     )
     report = VarianceReport(
         agent=agent,
@@ -701,10 +734,10 @@ def build_variance_report(
         per_t=per_t,
         discounted_per_step_sum=aggregates,
         aggregate_horizon=agg_horizon,
-        aggregate_tail_bound=tail,
-        constants=bound_constants(game, policy, tables),
-        centralized_gap=centralized_gap_bound(game, policy, agent, tables, tol),
-        coma_gap=coma_gap_bound(game, policy, agent, tables, tol),
+        aggregate_tail_bound=_tail_bound(game.gamma, tail_scale, agg_horizon),
+        constants=centralized_gap.constants,
+        centralized_gap=centralized_gap,
+        coma_gap=coma_gap,
     )
     if mc_trajectories > 0:
         if rng is None:

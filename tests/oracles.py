@@ -213,3 +213,82 @@ def td_batch_oracle(game, policy, transitions, q, target_q, lr):
         target = r + game.gamma * expected_next[s_next]
         q[s, a_idx] += lr * (target - q[s, a_idx])
     return q
+
+
+def serialize_game_oracle(game):
+    """A game document through json.dumps(indent=2), key by key."""
+    import json
+
+    def key(joint):
+        return ",".join(game.action_spaces[i][a] for i, a in enumerate(joint))
+
+    actions = list(itertools.product(*(range(k) for k in game.action_counts)))
+    doc = {
+        "n_agents": game.n_agents,
+        "states": list(game.states),
+        "actions": [list(a) for a in game.action_spaces],
+        "gamma": game.gamma,
+        "beta": game.beta,
+        "initial_dist": game.initial_dist.tolist(),
+        "transition": {
+            game.states[s]: {
+                key(a): game.transition[s, ai].tolist() for ai, a in enumerate(actions)
+            }
+            for s in range(game.n_states)
+        },
+        "reward": {
+            game.states[s]: {
+                key(a): float(game.reward[s, ai]) for ai, a in enumerate(actions)
+            }
+            for s in range(game.n_states)
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
+    """One agent's centralized or COMA gap report computed on its own: its own
+    bound constants, step moments and state distributions to its horizon.
+    Returns (lhs, bounds, horizon, truncation_error, holds)."""
+    import math
+
+    from mapgvar import EstimatorKind, EstimatorTag, bound_constants, step_moments
+    from mapgvar import per_timestep_variances, state_distributions
+
+    consts = bound_constants(game, policy, tables)
+    gamma = game.gamma
+    inv = 1.0 if gamma == 0.0 else 1.0 / (1.0 - gamma**2)
+    b_i = float(consts.score_norm_max[agent])
+    eps_i = float(consts.adv_abs_max[agent])
+    if tag is EstimatorTag.CENTRALIZED_VANILLA:
+        others_sq = float(np.sum(np.delete(consts.adv_abs_max, agent) ** 2))
+        bounds = (
+            b_i**2 * inv * others_sq,
+            (game.n_agents - 1) * (consts.adv_abs_max_overall * b_i) ** 2 * inv,
+        )
+        tail_scale = b_i**2 * others_sq
+    else:
+        bounds = ((eps_i * b_i) ** 2 * inv,)
+        q_scale = game.beta if gamma == 0.0 else game.beta / (1.0 - gamma)
+        tail_scale = b_i**2 * max(eps_i, q_scale) ** 2
+    if gamma == 0.0 or tail_scale <= 0.0:
+        horizon = 1
+    else:
+        horizon = max(1, math.ceil(
+            math.log(tol * (1.0 - gamma**2) / tail_scale) / (2.0 * math.log(gamma))
+        ))
+    dists = state_distributions(game, policy, horizon - 1)
+    var = [
+        per_timestep_variances(
+            step_moments(EstimatorKind(t, agent), game, policy, tables), dists
+        )
+        for t in (tag, EstimatorTag.DECENTRALIZED)
+    ]
+    lhs = float(gamma ** (2.0 * np.arange(horizon)) @ (var[0] - var[1]))
+    tail = 0.0
+    if gamma != 0.0:
+        tail = gamma ** (2 * horizon) * tail_scale / (1.0 - gamma**2)
+    holds = lhs <= bounds[0] + tol
+    if len(bounds) == 2:
+        holds = holds and bounds[0] <= bounds[1] + tol
+    return lhs, bounds, horizon, tail, holds

@@ -369,6 +369,52 @@ def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, mess
     assert "Traceback" not in err
 
 
+def _game_text(case, game_file):
+    with open(game_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if case == "top-level list":
+        return "[]"
+    if case == "scalar row":  # one joint action: [0.5] would broadcast to a row
+        doc["actions"] = [["x"], ["y"]]
+        for table in ("transition", "reward"):
+            for state, row in doc[table].items():
+                doc[table][state] = {"x,y": next(iter(row.values()))}
+        doc["transition"]["s0"]["x,y"] = 0.5
+    elif case == "duplicate states":
+        doc["states"] = ["s0", "s0"]
+    else:  # joint keys "a,b" + "c" and "a" + "b,c" are both "a,b,c"
+        doc["actions"] = [["a,b", "a"], ["c", "b,c"]]
+        keys = ["a,b,c", "a,b,b,c", "a,c", "a,b,c"]
+        for table in ("transition", "reward"):
+            for state, row in doc[table].items():
+                doc[table][state] = dict(zip(keys, row.values()))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("top-level list", "a game document must be a JSON object"),
+        ("scalar row", "transition['s0'] must map each joint action to a list of 2"),
+        ("duplicate states", "duplicate state names in ['s0', 's0']"),
+        ("colliding action keys", "joint actions share the key 'a,b,c'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["report", "train"])
+def test_malformed_or_ambiguous_game_files_are_one_error_line(
+    tmp_path, capsys, case, message, command
+):
+    path = tmp_path / "bad.json"
+    path.write_text(_game_text(case, make_game_file(tmp_path)), encoding="utf-8")
+    capsys.readouterr()
+    code = main([command, "--game", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "bad.json" in err
+    assert "Traceback" not in err
+
+
 def test_out_dir_is_created_deep(tmp_path):
     out = tmp_path / "x" / "y" / "z"
     assert main(["toy", "--out", str(out)]) == 0

@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapgvar import (
@@ -202,3 +203,149 @@ def test_parse_rejects_garbage():
         parse_game("{}")
     with pytest.raises(ValueError):
         parse_game("not json at all")
+
+
+# names that need JSON escaping: quotes, backslashes, control and non-ASCII
+NAME_CHARS = st.sampled_from(
+    ['"', "\\", "\n", "\x00", "é", "☃", "𝄞", ",", "a", "b", " "]
+)
+NAME = st.text(NAME_CHARS, max_size=4)
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_agents=st.integers(1, 3),
+    n_states=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_serialize_equals_json_dumps_of_the_document(data, n_agents, n_states, seed):
+    from oracles import serialize_game_oracle
+
+    states = data.draw(
+        st.lists(NAME, min_size=n_states, max_size=n_states, unique=True)
+    )
+    action_spaces = tuple(
+        tuple(data.draw(st.lists(NAME, min_size=1, max_size=4, unique=True)))
+        for _ in range(n_agents)
+    )
+    keys = [",".join(names) for names in itertools.product(*action_spaces)]
+    assume(len(set(keys)) == len(keys))  # names with commas may collide
+    rng = np.random.default_rng(seed)
+    n_joint = len(keys)
+
+    def table(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        special = rng.choice(SPECIAL_FLOATS, size=shape)
+        return np.where(rng.random(shape) < 0.2, special, values)
+
+    game = MarkovGame(
+        n_agents=n_agents,
+        states=tuple(states),
+        action_spaces=action_spaces,
+        transition=table(n_states, n_joint, n_states),
+        reward=table(n_states, n_joint),
+        beta=float(rng.uniform(0.5, 2.0)),
+        gamma=data.draw(st.sampled_from([0, 0.0, 0.95, float(rng.random())])),
+        initial_dist=table(n_states),
+    )
+    text = serialize_game(game)
+    assert text == serialize_game_oracle(game)
+    assert parse_game(text) == game
+
+
+def _named_game(states=("s0", "s1"), action_spaces=(("a", "b"), ("c", "d"))):
+    n_joint = int(np.prod([len(a) for a in action_spaces]))
+    n = len(states)
+    return MarkovGame(
+        n_agents=len(action_spaces),
+        states=states,
+        action_spaces=action_spaces,
+        transition=np.full((n, n_joint, n), 1.0 / n),
+        reward=np.zeros((n, n_joint)),
+        beta=1.0,
+        gamma=0.5,
+        initial_dist=np.full(n, 1.0 / n),
+    )
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (dict(states=("s0", "s0")), "duplicate state names"),
+        (dict(action_spaces=(("a", "a"), ("c", "d"))), "duplicate action names"),
+        (dict(action_spaces=(("a,b", "a"), ("c", "b,c"))), "share the key 'a,b,c'"),
+        (dict(states=("s0", 1)), "must be strings"),
+        (dict(action_spaces=(("a", "b"), (0, 1))), "must be strings"),
+    ],
+)
+def test_names_that_would_not_round_trip_are_rejected(names, message):
+    with pytest.raises(ValueError, match=message):
+        _named_game(**names)
+
+
+def test_commas_in_action_names_are_fine_when_keys_stay_distinct():
+    game = _named_game(action_spaces=(("a,b", "a"), ("c", "d")))
+    assert parse_game(serialize_game(game)) == game
+
+
+def _game_doc(seed=3):
+    return json.loads(serialize_game(random_game(2, 2, 2, seed=seed)))
+
+
+def test_old_layouts_still_parse_to_equal_games():
+    # integer entries, keys in another order and extra keys all parse as before
+    game = random_game(2, 2, 2, seed=3)
+    doc = _game_doc()
+    doc["transition"]["s0"]["a0,a0"] = [1, 0]
+    doc["reward"]["s1"] = dict(reversed(list(doc["reward"]["s1"].items())))
+    doc["reward"]["s1"]["unused"] = 9.0
+    expect = np.array(game.transition)
+    expect[0, 0] = [1.0, 0.0]
+    parsed = parse_game(json.dumps(doc))
+    assert np.array_equal(parsed.transition, expect)
+    assert np.array_equal(parsed.reward, game.reward)
+    assert parse_game(json.dumps(_game_doc(), indent=None)) == game
+
+
+def _set(path, value):
+    """An edit of a game document: the entry at ``path`` becomes ``value``."""
+
+    def edit(doc):
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [], "must be a JSON object"),
+        (lambda doc: None, "must be a JSON object"),
+        (_set(("transition", "s1", "a0,a1"), 0.5),
+         r"transition\['s1'\] must map each joint action to a list of 2 numbers"),
+        (_set(("transition", "s0", "a1,a1"), [0.5]),
+         r"transition\['s0'\] must map each joint action to a list of 2 numbers"),
+        (_set(("reward", "s0", "a0,a0"), [0.5]),
+         r"reward\['s0'\] must map each joint action to a number"),
+        (_set(("reward", "s0", "a0,a0"), {}), "malformed game document"),
+        (_set(("transition",), []), "malformed game document"),
+        (_set(("states",), ["s0", "s0"]), "duplicate state names"),
+    ],
+)
+def test_malformed_documents_raise_value_error(edit, message):
+    with pytest.raises(ValueError, match=message):
+        parse_game(json.dumps(edit(_game_doc())))
+
+
+def test_a_number_in_place_of_a_row_is_not_broadcast():
+    # one joint action and two states: [0.5] would broadcast to [0.5, 0.5]
+    doc = json.loads(serialize_game(_named_game(action_spaces=(("x",),))))
+    doc["transition"]["s0"]["x"] = 0.5
+    with pytest.raises(ValueError, match=r"to a list of 2 numbers"):
+        parse_game(json.dumps(doc))

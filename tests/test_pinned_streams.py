@@ -1,5 +1,5 @@
 """Pinned draw streams: exact outputs of rollout, mc_variance, train and
-train_gaussian.
+train_gaussian, plus the bytes of one verify report.
 
 The constants were recorded from the per-step compare-count sampler, the
 per-step fancy-index gradient updates, the per-row Gaussian OB surrogate and
@@ -364,3 +364,18 @@ def test_train_gaussian_is_pinned(baseline, monkeypatch):
         "state": made[-1].bit_generator.state["state"]["state"],
     }
     assert got == GAUSSIAN[baseline]
+
+
+# sha256 of verify_report.json from `verify --games 30 --agents 3 --format json`
+# (seed 0), recorded before the marginal lattice, the shared gap path and the
+# cached softmax table replaced recomputing each of them per call
+VERIFY_30_3_SHA256 = "fa33af8898a3ce5d5126edbd5e2c2a69df95c7e4230ed5d9a42bc37644df3ea0"
+
+
+def test_verify_report_is_pinned(tmp_path):
+    from mapgvar.cli import main
+
+    argv = ["verify", "--games", "30", "--agents", "3", "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_30_3_SHA256

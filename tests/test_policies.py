@@ -123,6 +123,23 @@ def test_x_measure_of_a_single_action_is_the_policy():
     with pytest.raises(DegeneratePolicy):
         x_measure_softmax(softmax_probs(np.array([60.0, 0.0])))
 
+@pytest.mark.parametrize("k", range(1, 40))
+def test_cached_probability_table_equals_softmax_probs_per_row(k):
+    rng = np.random.default_rng(100 + k)
+    for scale in (0.0, 1.0, 8.0, 300.0):
+        logits = scale * rng.standard_normal((9, k))
+        policy = SoftmaxPolicy(logits)
+        table = policy.all_probs()
+        assert table is policy.all_probs()  # computed once
+        for s in range(9):
+            assert np.array_equal(policy.probs(s), softmax_probs(logits[s]))
+            assert np.array_equal(table[s], policy.probs(s))
+        with pytest.raises(ValueError):
+            policy.probs(0)[0] = 1.0
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 17])
 def test_x_measure_of_a_stack_equals_its_rows_exactly(k):
     rng = np.random.default_rng(k)

@@ -11,7 +11,9 @@ from mapgvar import (
     agent_subset,
     discounted_state_occupancy,
     joint_action_prob_table,
+    lattice_advantage_decomposition,
     marginal_q,
+    marginal_q_lattice,
     marginal_q_tensor,
     multi_agent_advantage,
     random_game,
@@ -130,6 +132,45 @@ def test_marginal_q_tensor_axes(corpus30):
     assert t_all.shape == game.action_counts
 
 
+def test_marginal_q_lattice_equals_each_marginal_tensor(corpus30):
+    for game, policy, tables in corpus30:
+        n = game.n_agents
+        for s in range(game.n_states):
+            lattice = marginal_q_lattice(game, policy, tables, s)
+            assert len(lattice) == 2**n
+            for size in range(n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    expect = marginal_q_tensor(game, policy, tables, subset, s)
+                    assert np.array_equal(lattice[subset], expect)
+
+
+def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
+    for game, policy, tables in corpus30[:10]:
+        n = game.n_agents
+        for s in range(game.n_states):
+            lattice = marginal_q_lattice(game, policy, tables, s)
+            for order in itertools.permutations(range(n)):
+                acts = tuple(j % game.action_counts[i] for j, i in enumerate(order))
+                for p in range(n + 1):
+                    # the chain of two-marginal advantages the lattice replaces
+                    lhs = multi_agent_advantage(
+                        game, policy, tables, s, order[:p], acts[:p], order[p:], acts[p:]
+                    )
+                    rhs = 0.0
+                    for j in range(p, n):
+                        rhs += multi_agent_advantage(
+                            game, policy, tables, s,
+                            order[:j], acts[:j], (order[j],), (acts[j],),
+                        )
+                    assert lattice_advantage_decomposition(lattice, order, acts, p) == (
+                        lhs,
+                        rhs,
+                    )
+                    assert advantage_decomposition(
+                        game, policy, tables, s, order, acts, p
+                    ) == (lhs, rhs)
+
+
 # ---------------------------------------------------------------------------
 # multi-agent advantage
 
@@ -230,6 +271,14 @@ def test_state_distributions_are_distributions(corpus30):
         np.testing.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(dists[0], game.initial_dist, atol=1e-15)
         assert np.all(dists >= -1e-15)
+
+
+def test_state_distributions_rows_do_not_depend_on_the_horizon(corpus30):
+    # callers run one long propagation and slice it; the rows must be the same bits
+    for game, policy, _ in corpus30[:10]:
+        long = state_distributions(game, policy, 300)
+        for t in (0, 1, 7, 64, 299):
+            assert np.array_equal(long[: t + 1], state_distributions(game, policy, t))
 
 
 def test_discounted_occupancy_matches_series(corpus30):

@@ -2,7 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import local_variance_oracle, per_t_variance_oracle, trajectory_variance_oracle
+from oracles import (
+    gap_bound_oracle,
+    local_variance_oracle,
+    per_t_variance_oracle,
+    trajectory_variance_oracle,
+)
 
 from mapgvar import (
     EstimatorKind,
@@ -10,6 +15,7 @@ from mapgvar import (
     MarkovGame,
     advantage_variance_bound,
     advantage_variance_identity,
+    baseline_excess_variance,
     bound_constants,
     build_variance_report,
     centralized_gap_bound,
@@ -17,6 +23,7 @@ from mapgvar import (
     excess_surrogate_variance,
     excess_variance_bounds,
     expected_score_norm_sq,
+    gap_bounds,
     grad_log_softmax,
     local_variance,
     mc_variance,
@@ -267,6 +274,39 @@ def test_gap_bounds_on_a_one_step_game():
     assert report.holds and report.truncation_error == 0.0 and report.horizon == 1
 
 
+def _fields(report):
+    return (
+        report.lhs, report.bounds, report.horizon, report.truncation_error, report.holds
+    )
+
+
+def test_shared_gap_path_equals_each_bound_computed_on_its_own(corpus30):
+    # gap_bounds shares constants, moments and one state-distribution run
+    # between agents and bounds; every figure must be the same bits as
+    # computing each bound from scratch, standalone or inside a report
+    for game, policy, tables in corpus30[:12]:
+        pairs = gap_bounds(game, policy, tables, range(game.n_agents))
+        for agent, (centralized, coma) in enumerate(pairs):
+            expect = tuple(
+                gap_bound_oracle(game, policy, agent, tables, tag)
+                for tag in (EstimatorTag.CENTRALIZED_VANILLA, EstimatorTag.COMA)
+            )
+            assert (_fields(centralized), _fields(coma)) == expect
+            standalone = (
+                centralized_gap_bound(game, policy, agent, tables),
+                coma_gap_bound(game, policy, agent, tables),
+            )
+            assert tuple(map(_fields, standalone)) == expect
+            report = build_variance_report(game, policy, agent, t_max=3)
+            assert (_fields(report.centralized_gap), _fields(report.coma_gap)) == expect
+            consts = bound_constants(game, policy, tables)
+            for rep in (centralized, coma, report.coma_gap):
+                for name in ("score_norm_max", "adv_abs_max"):
+                    assert np.array_equal(
+                        getattr(rep.constants, name), getattr(consts, name)
+                    )
+
+
 # ---------------------------------------------------------------------------
 # excess variance of suboptimal baselines
 
@@ -285,6 +325,19 @@ def test_excess_variance_closed_form_matches_direct():
             )
             closed = excess_surrogate_variance(float(b), q, pi)
             assert abs(direct - closed) < 1e-9
+
+
+def test_excess_variance_from_b_star_equals_the_one_row_form():
+    rng = np.random.default_rng(16)
+    for k in (2, 3, 6):
+        q = rng.normal(size=k) * 4.0
+        pi = softmax_probs(rng.normal(size=k))
+        b_star = ob_surrogate_discrete(q, pi)
+        score_sq = expected_score_norm_sq(pi)
+        for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
+            assert baseline_excess_variance(b, b_star, score_sq) == (
+                excess_surrogate_variance(float(b), q, pi)
+            )
 
 
 def test_excess_variance_bounds_hold():

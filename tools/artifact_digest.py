@@ -7,9 +7,10 @@ output. Equal lines mean both trees wrote the same bytes, stdout included.
     python3 tools/artifact_digest.py --src OTHER/src > other.txt
 
 The grid covers gen, report (CSV, JSON, uniform and random policy files,
-every agent, --mc), verify, toy and train (baseline x critic x PPO, plus an
-entropy bonus, a default horizon and a TD critic that visits each cell
-hundreds of times per pass). Every command runs in-process through
+every agent, --mc, and a game file whose state and action names need JSON
+escaping), verify, toy and train (baseline x critic x PPO, plus an entropy
+bonus, a default horizon and a TD critic that visits each cell hundreds of
+times per pass). Every command runs in-process through
 ``mapgvar.cli.main`` in a temporary directory. Each line is
 ``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
 or the exception a command raised) are recorded as files too. Last come
@@ -118,10 +119,21 @@ def _gaussian_lines() -> list[str]:
     return lines
 
 
+def _escaped_names_game():
+    """A random game renamed with quotes, backslashes and non-ASCII names."""
+    from dataclasses import replace
+
+    from mapgvar import random_game
+
+    game = random_game(2, 3, 2, seed=8)
+    return replace(game, states=('q"uote', "back\\slash", "\u00fcml\u00e4ut"),
+                   action_spaces=(("a\"0", "\u2603"), ("x,y", "tab\t")))
+
+
 def digest_lines(work: str) -> list[str]:
     import numpy as np
 
-    from mapgvar import random_game, random_softmax_policy, save_policy
+    from mapgvar import random_game, random_softmax_policy, save_game, save_policy
     from mapgvar.cli import main
 
     lines = []
@@ -132,6 +144,8 @@ def digest_lines(work: str) -> list[str]:
             lines += _run(main, f"verify-n{agents}-{fmt}",
                           ["verify", "--games", "6", "--agents", str(agents),
                            "--seed", "7", "--format", fmt], work)
+    lines += _run(main, "verify-n3-games30", ["verify", "--games", "30", "--agents",
+                                              "3", "--format", "json"], work)
 
     game_files = {}
     for n, s, k, seed in GAMES:
@@ -159,6 +173,16 @@ def digest_lines(work: str) -> list[str]:
                           ["report", "--game", path, "--policy", policy_file,
                            "--agent", str(agent), "--mc", "300", "--seed", "3",
                            "--format", "json"], work)
+
+    escaped = os.path.join(work, "escaped-names.json")
+    save_game(_escaped_names_game(), escaped)
+    with open(escaped, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    lines.append(f"{digest}  save-escaped-names/game")
+    for fmt in ("csv", "json"):
+        lines += _run(main, f"report-escaped-names-{fmt}",
+                      ["report", "--game", escaped, "--agent", "1", "--t-max", "6",
+                       "--format", fmt], work)
 
     for key in TRAIN_GAMES:
         n, s, k, seed = key
