@@ -12,34 +12,25 @@ into the advantage slot. Everything is deterministic given a seed.
 from .baselines import (
     BaselineKind,
     BaselineTag,
-    baseline_value,
     coma_baseline,
-    ob_exact,
     ob_surrogate_discrete,
     ob_surrogate_gaussian,
-    x_value,
 )
 from .estimators import (
     EstimatorKind,
     EstimatorTag,
-    GradientContribution,
     default_horizon,
     exact_policy_gradient,
-    expected_per_step_gradient,
     marginal_q_rows,
     param_dim,
-    per_step_gradient,
     rollout,
     signal_table,
-    trajectory_gradient,
 )
 from .games import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     MarkovGame,
-    OneStepGame,
     ValidationReport,
-    enumerate_joint_actions,
     load_game,
     parse_game,
     random_game,
@@ -49,15 +40,12 @@ from .games import (
 )
 from .policies import (
     DegeneratePolicy,
-    GaussianPolicy,
     JointPolicy,
     SoftmaxPolicy,
     gaussian_log_prob,
     gaussian_log_prob_grad,
-    grad_log_norm_sq,
     grad_log_softmax,
     joint_action_prob_table,
-    joint_action_probs,
     load_policy,
     policy_from_dict,
     policy_to_dict,
@@ -77,7 +65,6 @@ from .training import (
     TrainConfig,
     TrainHistory,
     TrainResult,
-    compare_baselines,
     config_from_dict,
     config_to_dict,
     init_critic,
@@ -92,12 +79,8 @@ from .values import (
     ValueTables,
     advantage_decomposition,
     agent_subset,
-    discounted_state_occupancy,
     lattice_advantage_decomposition,
-    marginal_q,
     marginal_q_lattice,
-    marginal_q_tensor,
-    multi_agent_advantage,
     policy_transition,
     solve_values,
     state_distributions,
@@ -123,7 +106,6 @@ from .variance import (
     mc_variance,
     per_timestep_variances,
     step_moments,
-    variance_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ row:
   coma          b = E_{a~pi}[Q]  (counterfactual baseline; signal becomes the
                 local advantage)
   ob_exact      b* = sum_a pi(a) Q(a) ||g_a||^2 / sum_a pi(a) ||g_a||^2, the
-                variance-minimizing choice for arbitrary score vectors g_a
+                variance-minimizing choice for arbitrary score vectors g_a;
+                for softmax scores it equals ob_surrogate
   ob_surrogate  the same optimum specialized to output-layer scores; for
                 softmax it is the x-measure expectation of Q, and for Gaussian
                 policies it is estimated from freshly sampled actions.
@@ -60,24 +61,6 @@ def ob_surrogate_discrete(q_row, pi_i, tol: float = 1e-10) -> float:
     return float(x_measure_softmax(pi_i, tol=tol) @ q_row)
 
 
-def ob_exact(q_row, grad_vectors, pi_i) -> float:
-    """Optimal baseline for arbitrary per-action score vectors.
-
-    grad_vectors has one row per action: the gradient of log pi at that
-    action with respect to the full parameter vector.
-    """
-    q_row = np.asarray(q_row, dtype=float)
-    pi_i = np.asarray(pi_i, dtype=float)
-    grads = np.asarray(grad_vectors, dtype=float)
-    if grads.shape[0] != q_row.shape[0] or pi_i.shape != q_row.shape:
-        raise ValueError("q_row, grad_vectors, pi_i must agree on the action count")
-    norms = np.einsum("ad,ad->a", grads, grads)
-    denom = float(pi_i @ norms)
-    if denom <= 0.0:
-        raise ZeroDivisionError("all score vectors vanish; baseline undefined")
-    return float(pi_i @ (q_row * norms)) / denom
-
-
 def ob_surrogate_gaussian(
     q_fn,
     mean,
@@ -126,26 +109,3 @@ def gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad: bool = True):
     # a weighted mean of identical values is that value; skip the rounding
     lo = q_vals.min(axis=-1)
     return np.where(lo == q_vals.max(axis=-1), lo, weighted)
-
-
-def x_value(q_row, baseline: float) -> np.ndarray:
-    """Baseline-shifted signal row: Q - b, the drop-in advantage replacement."""
-    return np.asarray(q_row, dtype=float) - float(baseline)
-
-
-def baseline_value(kind: BaselineKind, q_row, pi_i, grad_vectors=None) -> float:
-    """Dispatch a discrete baseline choice on one Q-row."""
-    if kind.tag is BaselineTag.NONE:
-        return 0.0
-    if kind.tag is BaselineTag.COMA:
-        return coma_baseline(q_row, pi_i)
-    if kind.tag is BaselineTag.OB_SURROGATE:
-        return ob_surrogate_discrete(q_row, pi_i)
-    if grad_vectors is None:
-        from .policies import grad_log_softmax
-
-        pi_arr = np.asarray(pi_i, dtype=float)
-        grad_vectors = np.stack(
-            [grad_log_softmax(pi_arr, a) for a in range(pi_arr.shape[0])]
-        )
-    return ob_exact(q_row, grad_vectors, pi_i)

@@ -89,6 +89,27 @@ def _load_valid_game(path: str):
     return game
 
 
+def _load_game_policy(path: str, game):
+    """load_policy, then check that it has one softmax agent per game agent,
+    agent i's logits of shape (n_states, k_i); ValueError naming the file if
+    any check fails."""
+    try:
+        policy = load_policy(path)
+        if policy.n_agents != game.n_agents:
+            raise ValueError(
+                f"{policy.n_agents} agent(s), the game has {game.n_agents}"
+            )
+        for i, (agent, k) in enumerate(zip(policy.agents, game.action_counts)):
+            if agent.logits.shape != (game.n_states, k):
+                raise ValueError(
+                    f"agent {i} logits have shape {agent.logits.shape}, "
+                    f"the game needs {(game.n_states, k)}"
+                )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return policy
+
+
 # ---------------------------------------------------------------------------
 # toy
 
@@ -333,7 +354,7 @@ def cmd_report(args) -> int:
     if args.policy == "uniform":
         policy = uniform_policy(game)
     else:
-        policy = load_policy(args.policy)
+        policy = _load_game_policy(args.policy, game)
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     report = build_variance_report(
         game,
@@ -371,7 +392,10 @@ def cmd_train(args) -> int:
     game = _load_valid_game(args.game)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            config = config_from_dict(json.load(fh))
+            try:
+                config = config_from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from exc
     else:
         config = TrainConfig()
     if args.seed is not None:

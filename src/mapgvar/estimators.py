@@ -1,4 +1,4 @@
-"""Per-step policy-gradient contributions and their exact expectation.
+"""Estimator signals, the trajectory sampler and the exact policy gradient.
 
 Every estimator multiplies a scalar signal by the acting agent's own score
 vector at the visited state:
@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .games import DEFAULT_ENUMERATION_CAP, MarkovGame
-from .policies import JointPolicy, joint_action_prob_table, x_measure_softmax
+from .policies import JointPolicy, x_measure_softmax
 from .values import ValueTables, state_distributions
 
 
@@ -44,15 +44,6 @@ class EstimatorKind:
         object.__setattr__(self, "tag", EstimatorTag(self.tag))
         if self.agent < 0:
             raise ValueError("agent index must be non-negative")
-
-
-@dataclass(frozen=True)
-class GradientContribution:
-    vector: np.ndarray
-    t: int
-    kind: EstimatorKind
-    state: int
-    joint_action: tuple
 
 
 def param_dim(game: MarkovGame, agent: int) -> int:
@@ -221,69 +212,6 @@ def scatter_scores(flat, cells, own, pi_rows, val) -> None:
     np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
 
 
-def per_step_gradient(
-    kind: EstimatorKind,
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-    joint_action,
-    t: int = 0,
-) -> GradientContribution:
-    """Signal times the agent's score at (s, joint action); zero elsewhere."""
-    if tables.policy_fingerprint != policy.fingerprint():
-        raise ValueError("value tables were solved for a different policy")
-    joint_action = tuple(int(a) for a in joint_action)
-    i = kind.agent
-    _check_agent(game, i)
-    a_idx = game.joint_action_index(joint_action)
-    sig = signal_table(kind, game, policy, tables.q)[s, a_idx]
-    k = game.action_counts[i]
-    probs = policy.probs(i, s)
-    block = -probs * sig
-    block[joint_action[i]] += sig
-    vec = np.zeros(param_dim(game, i))
-    vec[s * k : (s + 1) * k] = block
-    return GradientContribution(
-        vector=vec, t=t, kind=kind, state=s, joint_action=joint_action
-    )
-
-
-def trajectory_gradient(
-    kind: EstimatorKind,
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    trajectory,
-    horizon: int | None = None,
-) -> np.ndarray:
-    """Discounted sum of per-step contributions along one trajectory.
-
-    ``trajectory`` is a sequence of (state, joint action) pairs; entries past
-    ``horizon`` are ignored. The truncation error of stopping at H is at most
-    gamma^H * beta/(1-gamma) * max-score-norm.
-    """
-    i = kind.agent
-    _check_agent(game, i)
-    vec = np.zeros(param_dim(game, i))
-    if horizon is None:
-        horizon = len(trajectory)
-    sig = signal_table(kind, game, policy, tables.q)
-    k = game.action_counts[i]
-    scale = 1.0
-    for t, (s, joint) in enumerate(trajectory):
-        if t >= horizon:
-            break
-        joint = tuple(int(a) for a in joint)
-        a_idx = game.joint_action_index(joint)
-        value = scale * sig[s, a_idx]
-        probs = policy.probs(i, s)
-        vec[s * k : (s + 1) * k] -= probs * value
-        vec[s * k + joint[i]] += value
-        scale *= game.gamma
-    return vec
-
-
 def mean_step_gradient_by_state(
     game: MarkovGame,
     policy: JointPolicy,
@@ -325,27 +253,3 @@ def exact_policy_gradient(
         grad += scale * dists[t][:, None] * mean_by_state
         scale *= game.gamma
     return grad.reshape(-1)
-
-
-def expected_per_step_gradient(
-    kind: EstimatorKind,
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-) -> np.ndarray:
-    """Exhaustive E_{a~pi}[contribution | s] over the joint action space."""
-    probs = joint_action_prob_table(game, policy)[s]
-    sig = signal_table(kind, game, policy, tables.q)[s]
-    i = kind.agent
-    k = game.action_counts[i]
-    pi_i = policy.probs(i, s)
-    vec = np.zeros(k)
-    for a_idx, p in enumerate(probs):
-        a_i = game.joint_action(a_idx)[i]
-        contrib = -pi_i * sig[a_idx]
-        contrib[a_i] += sig[a_idx]
-        vec += p * contrib
-    out = np.zeros(param_dim(game, i))
-    out[s * k : (s + 1) * k] = vec
-    return out

@@ -151,59 +151,6 @@ def _check_names(states, action_spaces) -> None:
             raise ValueError(f"joint actions share the key {clash!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class OneStepGame:
-    """Stateless one-shot game: agents act once, receive ``payoff``.
-
-    ``payoff`` is indexed by joint-action rank. Used for worked examples and
-    coordination tasks where a transition kernel would be dead weight;
-    ``as_markov_game`` lifts it when full-game machinery is needed.
-    """
-
-    n_agents: int
-    action_spaces: tuple[tuple[str, ...], ...]
-    payoff: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "action_spaces", tuple(tuple(a) for a in self.action_spaces)
-        )
-        object.__setattr__(self, "payoff", _read_only(self.payoff))
-        n = int(np.prod([len(a) for a in self.action_spaces]))
-        if self.payoff.shape != (n,):
-            raise ValueError(f"payoff must have {n} entries, one per joint action")
-        if not np.all(np.isfinite(self.payoff)):
-            raise ValueError("payoff contains non-finite entries")
-
-    @property
-    def action_counts(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.action_spaces)
-
-    def as_markov_game(self, gamma: float = 0.0) -> MarkovGame:
-        """Lift to a single-state game with a self-loop and discount ``gamma``."""
-        n = self.payoff.shape[0]
-        beta = float(np.max(np.abs(self.payoff)))
-        return MarkovGame(
-            n_agents=self.n_agents,
-            states=("s0",),
-            action_spaces=self.action_spaces,
-            transition=np.ones((1, n, 1)),
-            reward=self.payoff.reshape(1, n),
-            beta=beta if beta > 0 else 1.0,
-            gamma=gamma,
-            initial_dist=np.array([1.0]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, OneStepGame):
-            return NotImplemented
-        return (
-            self.n_agents == other.n_agents
-            and self.action_spaces == other.action_spaces
-            and np.array_equal(self.payoff, other.payoff)
-        )
-
-
 @dataclass
 class ValidationReport:
     violations: list = field(default_factory=list)
@@ -239,17 +186,6 @@ def validate_game(game: MarkovGame) -> ValidationReport:
     if not 0.0 <= game.gamma < 1.0:
         report.violations.append(f"gamma out of [0,1): {game.gamma!r}")
     return report
-
-
-def enumerate_joint_actions(game, cap: int = DEFAULT_ENUMERATION_CAP):
-    """All joint actions as index tuples, lexicographic by agent then action."""
-    counts = game.action_counts
-    total = int(np.prod(counts))
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} joint actions exceeds the cap of {cap}"
-        )
-    return list(itertools.product(*(range(k) for k in counts)))
 
 
 def random_game(

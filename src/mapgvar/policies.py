@@ -1,11 +1,12 @@
 """Per-agent policies and their output-layer score functions.
 
-Tabular softmax policies hold one logit vector per state; diagonal Gaussian
-policies hold a per-state (mean, std) pair (std is per-state, not global).
-All gradients here are with respect to the policy's output layer: for softmax
-that is the logit vector itself, so grad log pi(a) = e_a - pi, with squared
-norm 1 + ||pi||^2 - 2 pi(a). The x-measure reweights actions by exactly that
-squared norm; under it the optimal baseline is a plain expectation of Q.
+Tabular softmax policies hold one logit vector per state. The diagonal
+Gaussian score functions serve the continuous one-step task's (mean, std)
+actors. All gradients here are with respect to the policy's output layer: for
+softmax that is the logit vector itself, so grad log pi(a) = e_a - pi, with
+squared norm 1 + ||pi||^2 - 2 pi(a). The x-measure reweights actions by
+exactly that squared norm; under it the optimal baseline is a plain
+expectation of Q.
 """
 from __future__ import annotations
 
@@ -40,14 +41,6 @@ def grad_log_softmax(probs, a: int) -> np.ndarray:
     g = -probs.copy()
     g[a] += 1.0
     return g
-
-
-def grad_log_norm_sq(probs, a: int) -> float:
-    """||e_a - pi||^2 in closed form: 1 + ||pi||^2 - 2 pi(a)."""
-    probs = np.asarray(probs, dtype=float)
-    if not 0 <= a < probs.shape[0]:
-        raise IndexError(f"action index {a} out of range")
-    return float(1.0 + probs @ probs - 2.0 * probs[a])
 
 
 def x_measure_softmax(probs, tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -102,12 +95,6 @@ def gaussian_log_prob_grad(mean, std, action) -> np.ndarray:
     return np.concatenate([d_mean, d_std], axis=-1)
 
 
-def sample_discrete(probs, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a probability vector."""
-    cdf = np.cumsum(np.asarray(probs, dtype=float))
-    return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, len(cdf) - 1))
-
-
 @dataclass(frozen=True, eq=False)
 class SoftmaxPolicy:
     """Tabular softmax actor: one logit vector per state, shape (S, k).
@@ -141,36 +128,6 @@ class SoftmaxPolicy:
     def all_probs(self) -> np.ndarray:
         return self._table
 
-    def sample(self, s: int, rng: np.random.Generator) -> int:
-        return sample_discrete(self.probs(s), rng)
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianPolicy:
-    """Diagonal Gaussian actor: per-state mean/std arrays of shape (S, d)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_2d(np.asarray(self.mean, dtype=float)).copy()
-        std = np.atleast_2d(np.asarray(self.std, dtype=float)).copy()
-        if mean.shape != std.shape:
-            raise ValueError("mean and std must have matching shapes")
-        if np.any(std <= 0):
-            raise ValueError("std must be strictly positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[1]
-
-    def sample(self, s: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mean[s] + self.std[s] * rng.standard_normal(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
 class JointPolicy:
@@ -187,32 +144,15 @@ class JointPolicy:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @property
-    def is_discrete(self) -> bool:
-        return all(isinstance(p, SoftmaxPolicy) for p in self.agents)
-
     def probs(self, i: int, s: int) -> np.ndarray:
         return self.agents[i].probs(s)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for p in self.agents:
-            if isinstance(p, SoftmaxPolicy):
-                h.update(b"softmax")
-                h.update(p.logits.tobytes())
-            else:
-                h.update(b"gaussian")
-                h.update(p.mean.tobytes())
-                h.update(p.std.tobytes())
+            h.update(b"softmax")
+            h.update(p.logits.tobytes())
         return h.hexdigest()[:16]
-
-
-def joint_action_probs(game, policy: JointPolicy, s: int) -> np.ndarray:
-    """Flattened product distribution over joint actions at state s."""
-    out = np.ones(1)
-    for i in range(game.n_agents):
-        out = (out[:, None] * policy.probs(i, s)[None, :]).reshape(-1)
-    return out
 
 
 def joint_action_prob_table(game, policy: JointPolicy) -> np.ndarray:
@@ -245,39 +185,29 @@ POLICY_SCHEMA_VERSION = 1
 
 
 def policy_to_dict(policy: JointPolicy) -> dict:
-    agents = []
-    for agent in policy.agents:
-        if isinstance(agent, SoftmaxPolicy):
-            agents.append({"kind": "softmax", "logits": agent.logits.tolist()})
-        else:
-            agents.append(
-                {
-                    "kind": "gaussian",
-                    "mean": agent.mean.tolist(),
-                    "std": agent.std.tolist(),
-                }
-            )
+    agents = [{"kind": "softmax", "logits": a.logits.tolist()} for a in policy.agents]
     return {"schema_version": POLICY_SCHEMA_VERSION, "agents": agents}
 
 
 def policy_from_dict(data: dict) -> JointPolicy:
+    """Invert policy_to_dict. A malformed document raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a policy document must be a JSON object")
     version = data.get("schema_version")
     if version != POLICY_SCHEMA_VERSION:
         raise ValueError(f"unsupported policy schema_version {version!r}")
+    entries = data.get("agents")
+    if not isinstance(entries, list):
+        raise ValueError("a policy document must list its agents")
     agents = []
-    for entry in data["agents"]:
-        kind = entry.get("kind")
-        if kind == "softmax":
-            agents.append(SoftmaxPolicy(np.array(entry["logits"], dtype=float)))
-        elif kind == "gaussian":
-            agents.append(
-                GaussianPolicy(
-                    mean=np.array(entry["mean"], dtype=float),
-                    std=np.array(entry["std"], dtype=float),
-                )
-            )
-        else:
+    for entry in entries:
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        if kind != "softmax":
             raise ValueError(f"unknown policy kind {kind!r}")
+        try:
+            agents.append(SoftmaxPolicy(np.array(entry["logits"], dtype=float)))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed softmax agent: {exc!r}") from exc
     return JointPolicy(tuple(agents))
 
 

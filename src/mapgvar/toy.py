@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import coma_baseline, ob_surrogate_discrete
 from .estimators import EstimatorKind, EstimatorTag
-from .games import MarkovGame, OneStepGame
+from .games import MarkovGame
 from .policies import (
     JointPolicy,
     SoftmaxPolicy,
@@ -58,12 +58,17 @@ _KIND_BY_NAME = {
 
 
 def toy_game() -> MarkovGame:
-    one_step = OneStepGame(
+    """One state with a self-loop, reward TOY_Q, gamma 0 and beta max |q|."""
+    return MarkovGame(
         n_agents=1,
+        states=("s0",),
         action_spaces=(("a0", "a1", "a2"),),
-        payoff=np.array(TOY_Q),
+        transition=np.ones((1, 3, 1)),
+        reward=np.array([TOY_Q]),
+        beta=max(map(abs, TOY_Q)),
+        gamma=0.0,
+        initial_dist=np.array([1.0]),
     )
-    return one_step.as_markov_game(gamma=0.0)
 
 
 def toy_policy() -> JointPolicy:

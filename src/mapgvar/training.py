@@ -9,14 +9,13 @@ initial policy) triple reproduces bit-identically.
 
 Plain gradient ascent on the logits, no adaptive optimizer: determinism and
 attributability matter more at this scale than wall-clock, and the optimizer
-is orthogonal to what is being measured. Baseline comparisons share seeds
-across runs so variance differences are paired, not sampling luck.
+is orthogonal to what is being measured.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +102,7 @@ class TrainConfig:
     entropy_coef: float = 0.0
 
     def __post_init__(self):
-        if self.actor_lr <= 0.0:
+        if not self.actor_lr > 0.0:  # NaN fails too
             raise ValueError("actor_lr must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -113,7 +112,7 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.ob_n_samples < 2:
             raise ValueError("ob_n_samples must be >= 2")
-        if self.entropy_coef < 0.0:
+        if not self.entropy_coef >= 0.0:
             raise ValueError("entropy_coef must be >= 0")
 
 
@@ -141,29 +140,40 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> TrainConfig:
-    ppo = data.get("ppo")
-    return TrainConfig(
-        baseline=BaselineKind(BaselineTag(data.get("baseline", "ob_surrogate"))),
-        actor_lr=float(data.get("actor_lr", 0.1)),
-        critic=CriticConfig(
-            mode=data.get("critic", {}).get("mode", "exact"),
-            lr=float(data.get("critic", {}).get("lr", 0.5)),
-            target_sync_interval=int(
-                data.get("critic", {}).get("target_sync_interval", 1)
+    """Invert config_to_dict; absent keys take their defaults. A malformed
+    document raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a train config must be a JSON object")
+    critic, ppo = data.get("critic", {}), data.get("ppo")
+    if not isinstance(critic, dict) or not isinstance(ppo, (dict, type(None))):
+        raise ValueError("config entries 'critic' and 'ppo' must be objects")
+    try:
+        return TrainConfig(
+            baseline=BaselineKind(BaselineTag(data.get("baseline", "ob_surrogate"))),
+            actor_lr=float(data.get("actor_lr", 0.1)),
+            critic=CriticConfig(
+                mode=critic.get("mode", "exact"),
+                lr=float(critic.get("lr", 0.5)),
+                target_sync_interval=int(critic.get("target_sync_interval", 1)),
             ),
-        ),
-        batch_size=int(data.get("batch_size", 32)),
-        ppo=(
-            None
-            if ppo is None
-            else PPOConfig(eps_clip=float(ppo["eps_clip"]), epochs=int(ppo["epochs"]))
-        ),
-        horizon=None if data.get("horizon") is None else int(data["horizon"]),
-        iterations=int(data.get("iterations", 100)),
-        seed=int(data.get("seed", 0)),
-        ob_n_samples=int(data.get("ob_n_samples", 1000)),
-        entropy_coef=float(data.get("entropy_coef", 0.0)),
-    )
+            batch_size=int(data.get("batch_size", 32)),
+            ppo=(
+                None
+                if ppo is None
+                else PPOConfig(
+                    eps_clip=float(ppo["eps_clip"]), epochs=int(ppo["epochs"])
+                )
+            ),
+            horizon=None if data.get("horizon") is None else int(data["horizon"]),
+            iterations=int(data.get("iterations", 100)),
+            seed=int(data.get("seed", 0)),
+            ob_n_samples=int(data.get("ob_n_samples", 1000)),
+            entropy_coef=float(data.get("entropy_coef", 0.0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"config entry 'ppo' needs {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed train config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +322,6 @@ def train(
     """
     if initial_policy is None:
         initial_policy = uniform_policy(game)
-    if not initial_policy.is_discrete:
-        raise ValueError("train() handles softmax actors; see train_gaussian")
     rng = np.random.default_rng(config.seed)
     n = game.n_agents
     counts = game.action_counts
@@ -456,49 +464,6 @@ def train(
         config=config,
         final_rng_state=rng.bit_generator.state,
     )
-
-
-# ---------------------------------------------------------------------------
-# paired baseline comparison
-
-
-def compare_baselines(
-    game: MarkovGame,
-    base_config: TrainConfig,
-    baseline_tags=(BaselineTag.NONE, BaselineTag.COMA, BaselineTag.OB_SURROGATE),
-    seeds=(0, 1, 2, 3, 4),
-    initial_policy: JointPolicy | None = None,
-) -> list[dict]:
-    """Train once per (baseline, seed) with seeds shared across baselines and
-    summarize gradient-estimate variance and final return per baseline.
-    """
-    seeds = tuple(int(s) for s in seeds)
-    if len(seeds) < 5:
-        raise ValueError("paired comparison needs at least 5 seeds")
-    rows = []
-    for tag in baseline_tags:
-        per_seed_var = []
-        per_seed_final = []
-        for seed in seeds:
-            cfg = replace(base_config, baseline=BaselineKind(tag), seed=seed)
-            result = train(game, initial_policy, cfg)
-            per_seed_var.append(
-                float(np.mean(result.history.grad_variance))
-            )
-            per_seed_final.append(result.history.returns[-1])
-        rows.append(
-            {
-                "baseline": tag.value,
-                "seeds": list(seeds),
-                "mean_grad_variance": float(np.mean(per_seed_var)),
-                "sd_grad_variance": float(np.std(per_seed_var, ddof=1)),
-                "mean_final_return": float(np.mean(per_seed_final)),
-                "sd_final_return": float(np.std(per_seed_final, ddof=1)),
-                "per_seed_grad_variance": per_seed_var,
-                "per_seed_final_return": per_seed_final,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -112,29 +112,6 @@ def agent_subset(indices, n_agents: int) -> tuple[int, ...]:
     return subset
 
 
-def marginal_q_tensor(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    subset,
-    s: int,
-) -> np.ndarray:
-    """Q^{subset}(s, .) as a tensor over the subset agents' actions.
-
-    Axes follow ascending agent index regardless of the order in ``subset``.
-    The excluded agents are integrated out against their policies at s.
-    Empty subset yields a 0-d tensor equal to V(s); the full set yields the
-    raw q-row reshaped.
-    """
-    subset = agent_subset(subset, game.n_agents)
-    keep = set(subset)
-    t = tables.q[s].reshape(game.action_counts)
-    for j in range(game.n_agents - 1, -1, -1):
-        if j not in keep:
-            t = np.tensordot(t, policy.probs(j, s), axes=(j, 0))
-    return t
-
-
 def marginal_q_lattice(
     game: MarkovGame,
     policy: JointPolicy,
@@ -144,9 +121,10 @@ def marginal_q_lattice(
     """Q^K(s, .) for every coalition K at s, keyed by K in ascending order.
 
     Walks the subset lattice down from the full set: Q^K is Q^{K+e}
-    contracted against pi_e(s), e being K's smallest excluded agent. That is
-    the contraction sequence ``marginal_q_tensor`` runs, so each of the 2^n
-    tensors is bit-equal to it, and each is built once.
+    contracted against pi_e(s), e being K's smallest excluded agent, so
+    the excluded agents are integrated out from the highest index down and
+    each of the 2^n tensors is built once. Tensor axes follow ascending agent
+    index; the empty coalition's 0-d tensor is V(s).
     """
     n = game.n_agents
     out = {tuple(range(n)): tables.q[s].reshape(game.action_counts)}
@@ -157,54 +135,6 @@ def marginal_q_lattice(
         # all agents below e are kept, so e's axis in the parent is e
         out[coalition] = np.tensordot(out[parent], policy.probs(e, s), axes=(e, 0))
     return out
-
-
-def marginal_q(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    subset,
-    actions,
-    s: int,
-) -> float:
-    """Expected Q at s with the coalition's actions fixed, others integrated out."""
-    subset = agent_subset(subset, game.n_agents)
-    actions = tuple(int(a) for a in actions)
-    if len(actions) != len(subset):
-        raise ValueError(
-            f"{len(subset)} coalition agents but {len(actions)} actions given"
-        )
-    t = marginal_q_tensor(game, policy, tables, subset, s)
-    # tensor axes are in ascending agent order; reorder the given actions to match
-    order = np.argsort(subset)
-    idx = tuple(actions[int(j)] for j in order)
-    return float(t[idx])
-
-
-def multi_agent_advantage(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-    given,
-    given_actions,
-    of,
-    of_actions,
-) -> float:
-    """Advantage of coalition ``of`` acting at s, conditioned on ``given``.
-
-    Q^{given+of}(s, both blocks) - Q^{given}(s, given block). The two
-    coalitions must be disjoint.
-    """
-    given = agent_subset(given, game.n_agents)
-    of = agent_subset(of, game.n_agents)
-    if set(given) & set(of):
-        raise ValueError(f"coalitions overlap: {sorted(set(given) & set(of))}")
-    both = given + of
-    both_actions = tuple(given_actions) + tuple(of_actions)
-    return marginal_q(game, policy, tables, both, both_actions, s) - marginal_q(
-        game, policy, tables, given, given_actions, s
-    )
 
 
 def advantage_decomposition(
@@ -269,10 +199,3 @@ def state_distributions(
     for t in range(t_max):
         out[t + 1] = out[t] @ p_pi
     return out
-
-
-def discounted_state_occupancy(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
-    """eta = sum_t gamma^t d^t, solved exactly from eta = d0 + gamma P_pi^T eta."""
-    p_pi = policy_transition(game, policy)
-    m = np.eye(game.n_states) - game.gamma * p_pi.T
-    return np.linalg.solve(m, game.initial_dist)

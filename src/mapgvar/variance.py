@@ -114,24 +114,6 @@ def per_timestep_variances(moments: StepMoments, dists: np.ndarray) -> np.ndarra
     return dists @ moments.m2 - (dists**2) @ moments.mean_sq
 
 
-def variance_decomposition(
-    game: MarkovGame,
-    policy: JointPolicy,
-    kind: EstimatorKind,
-    t: int,
-    tables: ValueTables | None = None,
-) -> tuple[float, float, float]:
-    """(state, others, own) variance terms at timestep t; they sum to the total."""
-    if tables is None:
-        tables = solve_values(game, policy)
-    moments = step_moments(kind, game, policy, tables)
-    d = state_distributions(game, policy, t)[t]
-    state_term = float(d @ moments.mean_sq - (d**2) @ moments.mean_sq)
-    others_term = float(d @ moments.others)
-    own_term = float(d @ moments.own)
-    return state_term, others_term, own_term
-
-
 def local_variance(pi_i, signal_row, grad_vectors) -> float:
     """Total variance over one agent's action of signal(a) * score-vector(a)."""
     pi_i = np.asarray(pi_i, dtype=float)
@@ -149,37 +131,37 @@ def local_variance(pi_i, signal_row, grad_vectors) -> float:
 # advantage-variance identity and bound (with optional fixed prefix)
 
 
-def _rest_tensor(
-    game: MarkovGame,
-    tables: ValueTables,
-    s: int,
-    order: tuple[int, ...],
-    prefix: tuple,
-) -> np.ndarray:
-    """q(s, .) with prefix agents' actions fixed, axes permuted to ``order``."""
-    t = tables.q[s].reshape(game.action_counts)
-    idx = [slice(None)] * game.n_agents
-    for agent, action in prefix:
-        idx[agent] = int(action)
-    t = t[tuple(idx)]
-    remaining = sorted(set(range(game.n_agents)) - {a for a, _ in prefix})
-    perm = [remaining.index(a) for a in order]
-    return np.transpose(t, perm) if perm else t
+def _joint_draw(
+    game: MarkovGame, policy: JointPolicy, tables: ValueTables, s: int, order, prefix
+):
+    """What the identity and the bound share, for the non-prefix agents' joint
+    draw at s: the tensor t of q(s, .) with the prefix actions fixed and axes
+    in ``order`` (default ascending), the agents' probability rows, the joint
+    weight tensor w and lhs, the variance of q under the draw.
 
-
-def _split_prefix_order(game: MarkovGame, prefix, order):
+    Returns (t, probs, w, lhs).
+    """
     prefix = tuple((int(a), int(x)) for a, x in prefix)
     fixed = [a for a, _ in prefix]
     if len(set(fixed)) != len(fixed):
         raise ValueError("prefix agents must be distinct")
-    rest = set(range(game.n_agents)) - set(fixed)
-    if order is None:
-        order = tuple(sorted(rest))
-    else:
-        order = tuple(int(a) for a in order)
-    if set(order) != rest or len(order) != len(rest):
+    rest = sorted(set(range(game.n_agents)) - set(fixed))
+    order = tuple(rest) if order is None else tuple(int(a) for a in order)
+    if sorted(order) != rest:
         raise ValueError("order must enumerate exactly the non-prefix agents")
-    return prefix, order
+    idx = [slice(None)] * game.n_agents
+    for agent, action in prefix:
+        idx[agent] = action
+    t = tables.q[s].reshape(game.action_counts)[tuple(idx)]
+    if order:
+        t = np.transpose(t, [rest.index(a) for a in order])
+    probs = [policy.probs(a, s) for a in order]
+    w = np.ones(())
+    for p in probs:
+        w = np.multiply.outer(w, p)
+    mean = float((w * t).sum())
+    lhs = float((w * t**2).sum()) - mean**2
+    return t, probs, w, lhs
 
 
 def advantage_variance_identity(
@@ -199,20 +181,12 @@ def advantage_variance_identity(
     equal for every ordering; fixing a nonempty prefix gives the conditional
     version of the same identity.
     """
-    prefix, order = _split_prefix_order(game, prefix, order)
-    t = _rest_tensor(game, tables, s, order, prefix)
-    probs = [policy.probs(a, s) for a in order]
-
-    w = np.ones(())
-    for p in probs:
-        w = np.multiply.outer(w, p)
-    mean = float((w * t).sum())
-    lhs = float((w * t**2).sum()) - mean**2
+    t, probs, _, lhs = _joint_draw(game, policy, tables, s, order, prefix)
 
     # partials[j] is t with the agents after order[j] integrated out; built
     # from the back, each contraction runs once
     partials = [t]
-    for r in range(len(order) - 1, 0, -1):
+    for r in range(len(probs) - 1, 0, -1):
         partials.append(np.tensordot(partials[-1], probs[r], axes=(r, 0)))
     partials.reverse()
     rhs = 0.0
@@ -240,18 +214,10 @@ def advantage_variance_bound(
     joint draw) of that agent's advantage given everyone else's sampled
     actions. lhs <= rhs always; the caller asserts the slack.
     """
-    prefix, order = _split_prefix_order(game, prefix, order)
-    t = _rest_tensor(game, tables, s, order, prefix)
-    probs = [policy.probs(a, s) for a in order]
-
-    w = np.ones(())
-    for p in probs:
-        w = np.multiply.outer(w, p)
-    mean = float((w * t).sum())
-    lhs = float((w * t**2).sum()) - mean**2
+    t, probs, w, lhs = _joint_draw(game, policy, tables, s, order, prefix)
 
     rhs = 0.0
-    for j in range(len(order)):
+    for j in range(len(probs)):
         cond_mean = np.tensordot(t, probs[j], axes=(j, 0))
         adv = t - np.expand_dims(cond_mean, axis=j)
         m1 = float((w * adv).sum())

@@ -6,9 +6,26 @@ enumeration (all permutations, all joint actions) is always affordable.
 import numpy as np
 import pytest
 
-from mapgvar import random_game, random_softmax_policy, solve_values
+from mapgvar import MarkovGame, random_game, random_softmax_policy, solve_values
 
 CORPUS_SEED = 20_000
+
+
+def one_step_game(action_spaces, payoff):
+    """A one-state game with a self-loop and gamma 0 whose reward is
+    ``payoff``, indexed by joint-action rank; beta is max |payoff| (1 if 0)."""
+    payoff = np.asarray(payoff, dtype=float)
+    beta = float(np.max(np.abs(payoff)))
+    return MarkovGame(
+        n_agents=len(action_spaces),
+        states=("s0",),
+        action_spaces=action_spaces,
+        transition=np.ones((1, payoff.size, 1)),
+        reward=payoff.reshape(1, -1),
+        beta=beta if beta > 0 else 1.0,
+        gamma=0.0,
+        initial_dist=np.array([1.0]),
+    )
 
 
 def corpus_pair(idx):

@@ -5,10 +5,19 @@ value iteration instead of a linear solve, full path enumeration instead of
 moment algebra. Keep these dumb.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from mapgvar import per_step_gradient, trajectory_gradient
+from mapgvar import (
+    BaselineKind,
+    BaselineTag,
+    agent_subset,
+    joint_action_prob_table,
+    policy_transition,
+    signal_table,
+    train,
+)
 from mapgvar.estimators import param_dim
 
 
@@ -76,7 +85,7 @@ def per_t_variance_oracle(kind, game, policy, tables, dist_t):
                 continue
             g = per_step_gradient(
                 kind, game, policy, tables, s, game.joint_action(a_idx)
-            ).vector
+            )
             mean += p * g
             second += p * float(g @ g)
     return second - float(mean @ mean)
@@ -92,7 +101,7 @@ def expected_contribution_oracle(kind, game, policy, tables, s):
             continue
         g = per_step_gradient(
             kind, game, policy, tables, s, game.joint_action(a_idx)
-        ).vector
+        )
         out += p * g
     return out
 
@@ -292,3 +301,160 @@ def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
     if len(bounds) == 2:
         holds = holds and bounds[0] <= bounds[1] + tol
     return lhs, bounds, horizon, tail, holds
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry routes to the quantities the vectorized kernels compute:
+# per-step and trajectory gradients (rollout + scatter_scores, signal_table,
+# step_moments), coalition marginals (marginal_q_lattice), the discounted
+# occupancy (exact_policy_gradient) and the generic optimal baseline
+# (ob_surrogate_discrete, signal_table(OB_X))
+
+
+def per_step_gradient(kind, game, policy, tables, s, joint_action):
+    """Signal times the agent's score at (s, joint action); zero elsewhere."""
+    if tables.policy_fingerprint != policy.fingerprint():
+        raise ValueError("value tables were solved for a different policy")
+    joint_action = tuple(int(a) for a in joint_action)
+    i = kind.agent
+    a_idx = game.joint_action_index(joint_action)
+    sig = signal_table(kind, game, policy, tables.q)[s, a_idx]
+    k = game.action_counts[i]
+    block = -policy.probs(i, s) * sig
+    block[joint_action[i]] += sig
+    vec = np.zeros(param_dim(game, i))
+    vec[s * k : (s + 1) * k] = block
+    return vec
+
+
+def trajectory_gradient(kind, game, policy, tables, trajectory, horizon=None):
+    """Discounted sum of per-step contributions along one trajectory of
+    (state, joint action) pairs; entries past ``horizon`` are ignored."""
+    i = kind.agent
+    vec = np.zeros(param_dim(game, i))
+    if horizon is None:
+        horizon = len(trajectory)
+    sig = signal_table(kind, game, policy, tables.q)
+    k = game.action_counts[i]
+    scale = 1.0
+    for t, (s, joint) in enumerate(trajectory):
+        if t >= horizon:
+            break
+        joint = tuple(int(a) for a in joint)
+        value = scale * sig[s, game.joint_action_index(joint)]
+        vec[s * k : (s + 1) * k] -= policy.probs(i, s) * value
+        vec[s * k + joint[i]] += value
+        scale *= game.gamma
+    return vec
+
+
+def expected_per_step_gradient(kind, game, policy, tables, s):
+    """Exhaustive E_{a~pi}[contribution | s] over the joint action space."""
+    probs = joint_action_prob_table(game, policy)[s]
+    sig = signal_table(kind, game, policy, tables.q)[s]
+    i = kind.agent
+    k = game.action_counts[i]
+    pi_i = policy.probs(i, s)
+    vec = np.zeros(k)
+    for a_idx, p in enumerate(probs):
+        contrib = -pi_i * sig[a_idx]
+        contrib[game.joint_action(a_idx)[i]] += sig[a_idx]
+        vec += p * contrib
+    out = np.zeros(param_dim(game, i))
+    out[s * k : (s + 1) * k] = vec
+    return out
+
+
+def marginal_q_tensor(game, policy, tables, subset, s):
+    """Q^{subset}(s, .) over the subset agents' actions, axes ascending by
+    agent; the excluded agents are integrated out from the highest down."""
+    keep = set(agent_subset(subset, game.n_agents))
+    t = tables.q[s].reshape(game.action_counts)
+    for j in range(game.n_agents - 1, -1, -1):
+        if j not in keep:
+            t = np.tensordot(t, policy.probs(j, s), axes=(j, 0))
+    return t
+
+
+def marginal_q(game, policy, tables, subset, actions, s):
+    """Expected Q at s with the coalition's actions fixed, others integrated out."""
+    subset = agent_subset(subset, game.n_agents)
+    actions = tuple(int(a) for a in actions)
+    if len(actions) != len(subset):
+        raise ValueError(
+            f"{len(subset)} coalition agents but {len(actions)} actions given"
+        )
+    t = marginal_q_tensor(game, policy, tables, subset, s)
+    # tensor axes are in ascending agent order; reorder the given actions to match
+    idx = tuple(actions[int(j)] for j in np.argsort(subset))
+    return float(t[idx])
+
+
+def multi_agent_advantage(
+    game, policy, tables, s, given, given_actions, of, of_actions
+):
+    """Q^{given+of}(s, both blocks) - Q^{given}(s, given block), for
+    disjoint coalitions."""
+    given = agent_subset(given, game.n_agents)
+    of = agent_subset(of, game.n_agents)
+    if set(given) & set(of):
+        raise ValueError(f"coalitions overlap: {sorted(set(given) & set(of))}")
+    both_actions = tuple(given_actions) + tuple(of_actions)
+    return marginal_q(game, policy, tables, given + of, both_actions, s) - marginal_q(
+        game, policy, tables, given, given_actions, s
+    )
+
+
+def discounted_state_occupancy(game, policy):
+    """eta = sum_t gamma^t d^t, solved exactly from eta = d0 + gamma P_pi^T eta."""
+    p_pi = policy_transition(game, policy)
+    m = np.eye(game.n_states) - game.gamma * p_pi.T
+    return np.linalg.solve(m, game.initial_dist)
+
+
+def ob_exact(q_row, grad_vectors, pi_i):
+    """Optimal baseline for arbitrary per-action score vectors (one row per
+    action): the pi * ||score||^2-weighted mean of the Q-row."""
+    q_row = np.asarray(q_row, dtype=float)
+    pi_i = np.asarray(pi_i, dtype=float)
+    grads = np.asarray(grad_vectors, dtype=float)
+    norms = np.einsum("ad,ad->a", grads, grads)
+    denom = float(pi_i @ norms)
+    if denom <= 0.0:
+        raise ZeroDivisionError("all score vectors vanish; baseline undefined")
+    return float(pi_i @ (q_row * norms)) / denom
+
+
+def compare_baselines(
+    game,
+    base_config,
+    baseline_tags=(BaselineTag.NONE, BaselineTag.COMA, BaselineTag.OB_SURROGATE),
+    seeds=(0, 1, 2, 3, 4),
+):
+    """Train once per (baseline, seed) with seeds shared across baselines and
+    summarize gradient-estimate variance and final return per baseline."""
+    seeds = tuple(int(s) for s in seeds)
+    if len(seeds) < 5:
+        raise ValueError("paired comparison needs at least 5 seeds")
+    rows = []
+    for tag in baseline_tags:
+        per_seed_var = []
+        per_seed_final = []
+        for seed in seeds:
+            cfg = replace(base_config, baseline=BaselineKind(tag), seed=seed)
+            result = train(game, None, cfg)
+            per_seed_var.append(float(np.mean(result.history.grad_variance)))
+            per_seed_final.append(result.history.returns[-1])
+        rows.append(
+            {
+                "baseline": tag.value,
+                "seeds": list(seeds),
+                "mean_grad_variance": float(np.mean(per_seed_var)),
+                "sd_grad_variance": float(np.std(per_seed_var, ddof=1)),
+                "mean_final_return": float(np.mean(per_seed_final)),
+                "sd_final_return": float(np.std(per_seed_final, ddof=1)),
+                "per_seed_grad_variance": per_seed_var,
+                "per_seed_final_return": per_seed_final,
+            }
+        )
+    return rows

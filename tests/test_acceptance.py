@@ -17,25 +17,23 @@ import time
 
 import numpy as np
 import pytest
-from oracles import fd_policy_gradient
+from conftest import one_step_game
+from oracles import compare_baselines, expected_per_step_gradient, fd_policy_gradient
 
 from mapgvar import (
     BaselineKind,
     BaselineTag,
     EstimatorKind,
     EstimatorTag,
-    OneStepGame,
     TrainConfig,
     advantage_decomposition,
     advantage_variance_bound,
     advantage_variance_identity,
     centralized_gap_bound,
     coma_gap_bound,
-    compare_baselines,
     exact_policy_gradient,
     excess_surrogate_variance,
     excess_variance_bounds,
-    expected_per_step_gradient,
     gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,
@@ -393,11 +391,7 @@ def test_criterion_10_mc_consistency():
 
 
 def test_criterion_11_training():
-    game = OneStepGame(
-        n_agents=2,
-        action_spaces=(("a0", "a1", "a2"), ("a0", "a1", "a2")),
-        payoff=np.eye(3).reshape(-1),
-    ).as_markov_game()
+    game = one_step_game((("a0", "a1", "a2"),) * 2, np.eye(3).reshape(-1))
     config = TrainConfig(
         baseline=BaselineKind(BaselineTag.OB_SURROGATE),
         actor_lr=0.6,

@@ -3,19 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ob_exact
+
 from mapgvar import (
     BaselineKind,
     BaselineTag,
+    EstimatorKind,
     coma_baseline,
     grad_log_softmax,
     local_variance,
-    ob_exact,
     ob_surrogate_discrete,
     ob_surrogate_gaussian,
+    signal_table,
     softmax_probs,
-    x_value,
+    solve_values,
+    toy_game,
+    toy_policy,
 )
-from mapgvar.baselines import baseline_value, gaussian_ob_rows
+from mapgvar.baselines import gaussian_ob_rows
+from mapgvar.training import _SIGNAL_FOR_BASELINE
 
 q_rows = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=6)
 logit_rows = st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=6)
@@ -175,9 +181,20 @@ def test_gaussian_ob_requires_two_samples():
 # plumbing
 
 
+def _toy_signal_row(baseline_tag):
+    """The worked example's signal row for the kind train uses with a baseline."""
+    game, policy = toy_game(), toy_policy()
+    q = solve_values(game, policy).q
+    kind = EstimatorKind(_SIGNAL_FOR_BASELINE[baseline_tag], 0)
+    return q[0], policy.probs(0, 0), signal_table(kind, game, policy, q)[0]
+
+
 def test_x_value_shifts_the_row():
-    q = np.array([2.0, 1.0, 100.0])
-    np.testing.assert_allclose(x_value(q, 43.71), [-41.71, -42.71, 56.29])
+    # the optimal-baseline signal is the Q-row shifted by b*, which is
+    # 43.65 on the worked example (43.71 after its two-decimal weights)
+    q, pi, x_row = _toy_signal_row(BaselineTag.OB_SURROGATE)
+    np.testing.assert_allclose(x_row, q - ob_surrogate_discrete(q, pi), atol=1e-12)
+    np.testing.assert_allclose(x_row, [-41.65, -42.65, 56.35], atol=5e-3)
 
 
 def test_baseline_kind_coerces_tags():
@@ -187,16 +204,16 @@ def test_baseline_kind_coerces_tags():
 
 
 def test_baseline_value_dispatch():
-    q = np.array([2.0, 1.0, 100.0])
-    pi = np.array([0.8, 0.1, 0.1])
-    assert baseline_value(BaselineKind(BaselineTag.NONE), q, pi) == 0.0
-    assert baseline_value(BaselineKind(BaselineTag.COMA), q, pi) == pytest.approx(
-        11.7
-    )
-    assert baseline_value(
-        BaselineKind(BaselineTag.OB_SURROGATE), q, pi
-    ) == pytest.approx(ob_surrogate_discrete(q, pi))
-    grads = [grad_log_softmax(pi, a) for a in range(3)]
-    assert baseline_value(
-        BaselineKind(BaselineTag.OB_EXACT), q, pi, grad_vectors=grads
-    ) == pytest.approx(ob_surrogate_discrete(q, pi))
+    # each baseline train accepts subtracts its b from the Q-row; for softmax
+    # scores the exact optimal baseline is the x-measure surrogate
+    for tag, expect in (
+        (BaselineTag.NONE, lambda q, pi: 0.0),
+        (BaselineTag.COMA, lambda q, pi: 11.7),
+        (BaselineTag.OB_SURROGATE, ob_surrogate_discrete),
+        (
+            BaselineTag.OB_EXACT,
+            lambda q, pi: ob_exact(q, [grad_log_softmax(pi, a) for a in range(3)], pi),
+        ),
+    ):
+        q, pi, row = _toy_signal_row(tag)
+        np.testing.assert_allclose(q - row, expect(q, pi), atol=1e-9)

@@ -415,6 +415,71 @@ def test_malformed_or_ambiguous_game_files_are_one_error_line(
     assert "Traceback" not in err
 
 
+def _softmax(*tables):
+    return [{"kind": "softmax", "logits": t} for t in tables]
+
+
+TWO_BY_TWO = [[0.0, 1.0], [2.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema_version": 1, "agents": _softmax([[2, 0]], TWO_BY_TWO)},
+         "agent 0 logits have shape (1, 2), the game needs (2, 2)"),
+        ({"schema_version": 1, "agents": _softmax(TWO_BY_TWO, TWO_BY_TWO, TWO_BY_TWO)},
+         "3 agent(s), the game has 2"),
+        ({"schema_version": 1, "agents": _softmax(TWO_BY_TWO)},
+         "1 agent(s), the game has 2"),
+        ([1], "a policy document must be a JSON object"),
+        ({"schema_version": 1}, "a policy document must list its agents"),
+        ({"schema_version": 1,
+          "agents": [{"kind": "gaussian", "mean": [[0.0]], "std": [[1.0]]},
+                     *_softmax(TWO_BY_TWO)]},
+         "unknown policy kind 'gaussian'"),
+    ],
+)
+def test_report_rejects_a_policy_that_does_not_fit_the_game(
+    tmp_path, capsys, doc, message
+):
+    game_path = make_game_file(tmp_path)  # 2 agents, 2 states, 2 actions
+    pol_path = tmp_path / "policy.json"
+    pol_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["report", "--game", game_path, "--policy", str(pol_path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "policy.json" in err
+    assert not (tmp_path / "out" / "variance_report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "a train config must be a JSON object"),
+        ({"critic": "td"}, "'critic' and 'ppo' must be objects"),
+        ({"ppo": 5}, "'critic' and 'ppo' must be objects"),
+        ({"ppo": {"epochs": 2}}, "config entry 'ppo' needs 'eps_clip'"),
+        ({"batch_size": None}, "malformed train config"),
+        ({"entropy_coef": float("nan")}, "entropy_coef must be >= 0"),
+        ({"actor_lr": float("nan")}, "actor_lr must be positive"),
+    ],
+)
+def test_train_rejects_a_malformed_config(tmp_path, capsys, doc, message):
+    game_path = make_game_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["train", "--game", game_path, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "cfg.json" in err
+
+
 def test_out_dir_is_created_deep(tmp_path):
     out = tmp_path / "x" / "y" / "z"
     assert main(["toy", "--out", str(out)]) == 0

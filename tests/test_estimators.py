@@ -2,7 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import expected_contribution_oracle, fd_policy_gradient
+from oracles import (
+    discounted_state_occupancy,
+    expected_contribution_oracle,
+    expected_per_step_gradient,
+    fd_policy_gradient,
+    per_step_gradient,
+    trajectory_gradient,
+)
 
 from mapgvar import (
     EstimatorKind,
@@ -10,10 +17,9 @@ from mapgvar import (
     coma_baseline,
     exact_policy_gradient,
     ob_surrogate_discrete,
-    per_step_gradient,
+    rollout,
     signal_table,
-    solve_values,
-    trajectory_gradient,
+    step_moments,
 )
 from mapgvar.estimators import (
     agent_axis_view,
@@ -22,9 +28,9 @@ from mapgvar.estimators import (
     mean_step_gradient_by_state,
     others_prob_table,
     param_dim,
+    scatter_scores,
     unview_agent_axis,
 )
-from mapgvar.values import discounted_state_occupancy
 
 ALL_TAGS = (
     EstimatorTag.CENTRALIZED_VANILLA,
@@ -141,22 +147,29 @@ def test_coma_signal_rows_have_zero_policy_mean(corpus30):
 
 
 def test_per_step_gradient_by_hand(corpus30):
+    # one step of scatter_scores with the signal_table entry, the reference
+    # per-step contribution and signal * (e_a - pi) written out all agree
     game, policy, tables = corpus30[4]
     i = 0
     kind = EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, i)
     s = game.n_states - 1
     joint = tuple(0 for _ in range(game.n_agents))
-    contrib = per_step_gradient(kind, game, policy, tables, s, joint)
     k = game.action_counts[i]
-    vec = contrib.vector
-    assert vec.shape == (param_dim(game, i),)
+    sig = signal_table(kind, game, policy, tables.q)[s, game.joint_action_index(joint)]
+    vec = np.zeros(param_dim(game, i))
+    scatter_scores(
+        vec, np.array([s * k]), np.array([joint[i]]),
+        policy.probs(i, s)[None, :], np.array([sig]),
+    )
+    np.testing.assert_array_equal(
+        vec, per_step_gradient(kind, game, policy, tables, s, joint)
+    )
     # zero outside the state block
     outside = np.delete(vec.reshape(game.n_states, k), s, axis=0)
     assert np.all(outside == 0.0)
-    # inside: signal * (e_a - pi)
-    sig = tables.q[s, game.joint_action_index(joint)]
-    probs = policy.probs(i, s)
-    expect = -probs * sig
+    # inside: signal * (e_a - pi), the signal being the raw q entry
+    assert sig == tables.q[s, game.joint_action_index(joint)]
+    expect = -policy.probs(i, s) * sig
     expect[joint[i]] += sig
     np.testing.assert_allclose(vec[s * k : (s + 1) * k], expect, atol=1e-12)
 
@@ -173,32 +186,42 @@ def test_per_step_gradient_rejects_stale_tables(corpus30):
 
 
 def test_trajectory_gradient_is_discounted_sum(corpus30):
+    # rollout + scatter_scores, the accumulation mc_variance and train run,
+    # equal the discounted sum of per-step contributions along each sampled
+    # trajectory, and stopping at a horizon drops the tail
     game, policy, tables = corpus30[7]
-    kind = EstimatorKind(EstimatorTag.OB_X, 0)
-    rng = np.random.default_rng(8)
-    traj = [
-        (
-            int(rng.integers(game.n_states)),
-            tuple(int(rng.integers(k)) for k in game.action_counts),
+    i = 0
+    kind = EstimatorKind(EstimatorTag.OB_X, i)
+    m, horizon, k = 4, 5, game.action_counts[i]
+    dim = param_dim(game, i)
+    pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
+    sig = signal_table(kind, game, policy, tables.q)
+    flat = np.zeros(m * dim)
+    steps = list(rollout(game, pi_tables, m, horizon, np.random.default_rng(8)))
+    scale = 1.0
+    for s, actions, a_idx, _ in steps:
+        scatter_scores(
+            flat, np.arange(m) * dim + s * k, actions[i],
+            pi_tables[i][s], scale * sig[s, a_idx],
         )
-        for _ in range(5)
-    ]
-    total = trajectory_gradient(kind, game, policy, tables, traj)
-    expect = np.zeros_like(total)
-    for t, (s, joint) in enumerate(traj):
-        expect += (
-            game.gamma**t
-            * per_step_gradient(kind, game, policy, tables, s, joint).vector
+        scale *= game.gamma
+    for b, total in enumerate(flat.reshape(m, dim)):
+        traj = [(s[b], tuple(actions[:, b])) for s, actions, _, _ in steps]
+        np.testing.assert_allclose(
+            total, trajectory_gradient(kind, game, policy, tables, traj), atol=1e-12
         )
-    np.testing.assert_allclose(total, expect, atol=1e-12)
-    # horizon truncation drops the tail
-    short = trajectory_gradient(kind, game, policy, tables, traj, horizon=2)
-    expect2 = sum(
-        game.gamma**t
-        * per_step_gradient(kind, game, policy, tables, s, joint).vector
-        for t, (s, joint) in enumerate(traj[:2])
-    )
-    np.testing.assert_allclose(short, expect2, atol=1e-12)
+        expect = np.zeros(dim)
+        for t, (s, joint) in enumerate(traj):
+            expect += game.gamma**t * per_step_gradient(
+                kind, game, policy, tables, s, joint
+            )
+        np.testing.assert_allclose(total, expect, atol=1e-12)
+        short = trajectory_gradient(kind, game, policy, tables, traj, horizon=2)
+        expect2 = sum(
+            game.gamma**t * per_step_gradient(kind, game, policy, tables, s, joint)
+            for t, (s, joint) in enumerate(traj[:2])
+        )
+        np.testing.assert_allclose(short, expect2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +229,25 @@ def test_trajectory_gradient_is_discounted_sum(corpus30):
 
 
 def test_all_kinds_share_the_expected_contribution(corpus30):
-    from mapgvar import expected_per_step_gradient
-
+    # every kind's enumerated E[contribution | s] is the kind-free block that
+    # exact_policy_gradient sums, and step_moments' mean_sq is its squared norm
     for game, policy, tables in corpus30[:10]:
         for i in range(game.n_agents):
-            for s in range(game.n_states):
-                vecs = []
-                for tag in ALL_TAGS:
-                    kind = EstimatorKind(tag, i)
+            by_state = mean_step_gradient_by_state(game, policy, tables, i)
+            k = game.action_counts[i]
+            for tag in ALL_TAGS:
+                kind = EstimatorKind(tag, i)
+                mean_sq = step_moments(kind, game, policy, tables).mean_sq
+                for s in range(game.n_states):
                     vec = expected_per_step_gradient(kind, game, policy, tables, s)
                     oracle = expected_contribution_oracle(
                         kind, game, policy, tables, s
                     )
                     np.testing.assert_allclose(vec, oracle, atol=1e-9)
-                    vecs.append(vec)
-                for other in vecs[1:]:
-                    np.testing.assert_allclose(other, vecs[0], atol=1e-9)
+                    np.testing.assert_allclose(
+                        vec[s * k : (s + 1) * k], by_state[s], atol=1e-9
+                    )
+                    assert abs(float(vec @ vec) - mean_sq[s]) < 1e-9
 
 
 def test_mean_step_gradient_matches_enumeration(corpus30):

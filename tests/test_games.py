@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from mapgvar import (
     EnumerationCapExceeded,
     MarkovGame,
-    OneStepGame,
-    enumerate_joint_actions,
     load_game,
     parse_game,
     random_game,
     save_game,
     serialize_game,
+    toy_game,
     validate_game,
 )
+from mapgvar.toy import TOY_Q
 
 
 def tiny_game(**overrides):
@@ -66,7 +66,6 @@ def test_joint_action_index_is_c_order():
     for rank, combo in enumerate(combos):
         assert game.joint_action_index(combo) == rank
         assert game.joint_action(rank) == combo
-    assert enumerate_joint_actions(game) == combos
 
 
 def test_joint_action_index_range_check():
@@ -76,9 +75,8 @@ def test_joint_action_index_range_check():
 
 
 def test_enumeration_cap():
-    game = random_game(3, 2, 3, seed=7)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_joint_actions(game, cap=10)
+        random_game(3, 2, 3, seed=7, cap=10)  # 2 * 3^3 table entries
     with pytest.raises(EnumerationCapExceeded):
         random_game(12, 3, 8, seed=0)  # 3 * 8^12 table entries
 
@@ -152,17 +150,12 @@ def test_random_game_ranges():
 
 
 def test_one_step_game_lift():
-    payoff = np.arange(6, dtype=float) - 2.0
-    one = OneStepGame(
-        n_agents=2,
-        action_spaces=(("a0", "a1"), ("a0", "a1", "a2")),
-        payoff=payoff,
-    )
-    game = one.as_markov_game()
+    # the worked example lifts a one-step payoff to one state with a self-loop
+    game = toy_game()
     assert game.n_states == 1
     assert game.gamma == 0.0
-    assert game.beta == 3.0  # max |payoff|
-    assert np.array_equal(game.reward[0], payoff)
+    assert game.beta == 100.0  # max |payoff|
+    assert np.array_equal(game.reward[0], TOY_Q)
     assert np.all(game.transition == 1.0)
     assert validate_game(game).ok
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import td_batch_oracle
+from conftest import one_step_game
+from oracles import compare_baselines, td_batch_oracle, trajectory_gradient
 
 from mapgvar import (
     BaselineKind,
@@ -18,11 +19,9 @@ from mapgvar import (
     EstimatorTag,
     JointPolicy,
     MarkovGame,
-    OneStepGame,
     PPOConfig,
     SoftmaxPolicy,
     TrainConfig,
-    compare_baselines,
     config_from_dict,
     config_to_dict,
     exact_policy_gradient,
@@ -36,18 +35,13 @@ from mapgvar import (
     td_learn_q,
     train,
     train_gaussian,
-    trajectory_gradient,
     uniform_policy,
 )
 
 
 def coordination_game() -> MarkovGame:
     # two agents, three actions each, reward 1 on the diagonal
-    return OneStepGame(
-        n_agents=2,
-        action_spaces=(("a0", "a1", "a2"), ("a0", "a1", "a2")),
-        payoff=np.eye(3).reshape(-1),
-    ).as_markov_game()
+    return one_step_game((("a0", "a1", "a2"),) * 2, np.eye(3).reshape(-1))
 
 
 def quick_config(**overrides):
@@ -229,11 +223,7 @@ def test_history_lengths_and_monotone_learning():
 
 
 def test_constant_reward_game_has_zero_gradients():
-    game = OneStepGame(
-        n_agents=2,
-        action_spaces=(("a0", "a1"), ("a0", "a1")),
-        payoff=np.full(4, 0.5),
-    ).as_markov_game()
+    game = one_step_game((("a0", "a1"), ("a0", "a1")), np.full(4, 0.5))
     result = train(game, None, quick_config(iterations=10, baseline=BaselineKind(BaselineTag.COMA)))
     assert all(abs(r - 0.5) < 1e-12 for r in result.history.returns)
     assert all(v < 1e-20 for v in result.history.grad_variance)
@@ -390,20 +380,6 @@ def test_divergence_guard_fires():
         train(game, None, quick_config(iterations=5))
     assert "bound" in str(exc_info.value)
     assert exc_info.value.report["iteration"] == 0
-
-
-def test_train_rejects_gaussian_actors():
-    from mapgvar import GaussianPolicy
-
-    game = coordination_game()
-    pol = JointPolicy(
-        (
-            GaussianPolicy(np.zeros((1, 1)), np.ones((1, 1))),
-            SoftmaxPolicy(np.zeros((1, 3))),
-        )
-    )
-    with pytest.raises(ValueError, match="softmax"):
-        train(game, pol, quick_config())
 
 
 def test_history_serialization():

@@ -2,20 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import marginal_q_oracle, vi_q_oracle
+from oracles import (
+    discounted_state_occupancy,
+    marginal_q,
+    marginal_q_oracle,
+    marginal_q_tensor,
+    multi_agent_advantage,
+    vi_q_oracle,
+)
 
 from mapgvar import (
     MarkovGame,
     SingularSystem,
     advantage_decomposition,
     agent_subset,
-    discounted_state_occupancy,
     joint_action_prob_table,
     lattice_advantage_decomposition,
-    marginal_q,
     marginal_q_lattice,
-    marginal_q_tensor,
-    multi_agent_advantage,
     random_game,
     solve_values,
     state_distributions,
@@ -92,17 +95,24 @@ def test_agent_subset_validation():
         agent_subset((3,), 3)
 
 
+def _lattice_q(lattice, subset, actions):
+    """Q^subset at the given actions, read from a state's lattice."""
+    return float(lattice[tuple(sorted(subset))][tuple(a for _, a in sorted(zip(subset, actions)))])
+
+
 def test_marginal_q_against_enumeration(corpus30):
     rng = np.random.default_rng(1)
     for game, policy, tables in corpus30:
         n = game.n_agents
         s = int(rng.integers(game.n_states))
+        lattice = marginal_q_lattice(game, policy, tables, s)
         for size in range(n + 1):
             subset = tuple(rng.permutation(n)[:size].tolist())
             actions = tuple(
                 int(rng.integers(game.action_counts[i])) for i in subset
             )
-            fast = marginal_q(game, policy, tables, subset, actions, s)
+            fast = _lattice_q(lattice, subset, actions)
+            assert fast == marginal_q(game, policy, tables, subset, actions, s)
             slow = marginal_q_oracle(game, policy, tables, subset, actions, s)
             assert abs(fast - slow) < 1e-9
 
@@ -110,26 +120,29 @@ def test_marginal_q_against_enumeration(corpus30):
 def test_marginal_q_edge_cases(corpus30):
     game, policy, tables = corpus30[0]
     s = 0
+    lattice = marginal_q_lattice(game, policy, tables, s)
     # empty coalition is V(s)
-    assert abs(marginal_q(game, policy, tables, (), (), s) - tables.v[s]) < 1e-12
+    assert abs(_lattice_q(lattice, (), ()) - tables.v[s]) < 1e-12
+    assert _lattice_q(lattice, (), ()) == marginal_q(game, policy, tables, (), (), s)
     # the full coalition reads the raw q entry
     full = tuple(range(game.n_agents))
     joint = tuple(0 for _ in full)
     expect = tables.q[s, game.joint_action_index(joint)]
-    assert abs(marginal_q(game, policy, tables, full, joint, s) - expect) < 1e-12
+    assert _lattice_q(lattice, full, joint) == expect
     # order of the subset must not matter when actions are reordered with it
     if game.n_agents >= 2:
         a = marginal_q(game, policy, tables, (0, 1), (0, 1), s)
         b = marginal_q(game, policy, tables, (1, 0), (1, 0), s)
         assert abs(a - b) < 1e-12
+        assert a == _lattice_q(lattice, (1, 0), (1, 0))
 
 
 def test_marginal_q_tensor_axes(corpus30):
     game, policy, tables = corpus30[1]
-    t = marginal_q_tensor(game, policy, tables, (0,), 0)
-    assert t.shape == (game.action_counts[0],)
-    t_all = marginal_q_tensor(game, policy, tables, tuple(range(game.n_agents)), 0)
-    assert t_all.shape == game.action_counts
+    lattice = marginal_q_lattice(game, policy, tables, 0)
+    assert lattice[(0,)].shape == (game.action_counts[0],)
+    assert lattice[tuple(range(game.n_agents))].shape == game.action_counts
+    assert lattice[()].shape == ()
 
 
 def test_marginal_q_lattice_equals_each_marginal_tensor(corpus30):
@@ -176,9 +189,11 @@ def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
 
 
 def test_advantage_rejects_overlap(corpus30):
+    # an agent both given and acting is a repeated agent in the order
     game, policy, tables = corpus30[0]
-    with pytest.raises(ValueError, match="overlap"):
-        multi_agent_advantage(game, policy, tables, 0, (0,), (0,), (0,), (0,))
+    lattice = marginal_q_lattice(game, policy, tables, 0)
+    with pytest.raises(ValueError, match="distinct"):
+        lattice_advantage_decomposition(lattice, (0, 0), (0, 0), 1)
 
 
 def test_advantage_has_zero_policy_mean(corpus30):
@@ -194,11 +209,13 @@ def test_advantage_has_zero_policy_mean(corpus30):
         given_actions = tuple(
             int(rng.integers(game.action_counts[j])) for j in given
         )
+        lattice = marginal_q_lattice(game, policy, tables, s)
         total = 0.0
         for a in range(game.action_counts[i]):
-            total += float(policy.probs(i, s)[a]) * multi_agent_advantage(
-                game, policy, tables, s, given, given_actions, (i,), (a,)
+            adv, _ = lattice_advantage_decomposition(
+                lattice, given + (i,), given_actions + (a,), len(given)
             )
+            total += float(policy.probs(i, s)[a]) * adv
         assert abs(total) < 1e-9
 
 
@@ -206,11 +223,10 @@ def test_advantage_bounded(corpus30):
     for game, policy, tables in corpus30[:10]:
         bound = 2.0 * game.beta / (1.0 - game.gamma) + 1e-9
         for s in range(game.n_states):
+            lattice = marginal_q_lattice(game, policy, tables, s)
             for i in range(game.n_agents):
                 for a in range(game.action_counts[i]):
-                    adv = multi_agent_advantage(
-                        game, policy, tables, s, (), (), (i,), (a,)
-                    )
+                    adv, _ = lattice_advantage_decomposition(lattice, (i,), (a,))
                     assert abs(adv) <= bound
 
 

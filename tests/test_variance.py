@@ -37,7 +37,6 @@ from mapgvar import (
     toy_game,
     toy_policy,
     uniform_policy,
-    variance_decomposition,
 )
 from mapgvar.estimators import agent_prob_table
 from mapgvar.variance import ALL_TAGS
@@ -75,51 +74,39 @@ def test_variances_are_nonnegative(corpus100):
 def test_decomposition_terms_sum_to_total(corpus30):
     for game, policy, tables in corpus30[:12]:
         dists = state_distributions(game, policy, 4)
+        per_t = build_variance_report(game, policy, 0, t_max=4).per_t
         for tag in ALL_TAGS:
             kind = EstimatorKind(tag, 0)
             total = per_timestep_variances(
                 step_moments(kind, game, policy, tables), dists
             )
+            terms = per_t[tag.value]
             for t in (0, 4):
-                state, others, own = variance_decomposition(
-                    game, policy, kind, t, tables=tables
-                )
+                state, others, own = (terms[k][t] for k in ("state", "others", "own"))
                 assert state >= -1e-12 and others >= -1e-12 and own >= -1e-12
                 assert abs((state + others + own) - total[t]) < 1e-9
+                assert abs(terms["variance"][t] - total[t]) < 1e-12
 
 
 def test_only_the_own_term_depends_on_the_baseline(corpus30):
     # state and others' terms are baseline-invariant: the per-row mean
     # vector is unchanged by any row-constant shift of the signal
-    for game, policy, tables in corpus30[:12]:
-        parts = {
-            tag: variance_decomposition(
-                game, policy, EstimatorKind(tag, 0), 1, tables=tables
-            )
-            for tag in (
-                EstimatorTag.CENTRALIZED_VANILLA,
-                EstimatorTag.COMA,
-                EstimatorTag.OB_X,
-            )
-        }
-        base = parts[EstimatorTag.CENTRALIZED_VANILLA]
+    for game, policy, _ in corpus30[:12]:
+        per_t = build_variance_report(game, policy, 0, t_max=1).per_t
+        base = per_t[EstimatorTag.CENTRALIZED_VANILLA.value]
         for tag in (EstimatorTag.COMA, EstimatorTag.OB_X):
-            assert abs(parts[tag][0] - base[0]) < 1e-9  # state term
-            assert abs(parts[tag][1] - base[1]) < 1e-9  # others term
+            for term in ("state", "others"):
+                assert abs(per_t[tag.value][term][1] - base[term][1]) < 1e-9
 
 
 def test_ob_own_term_never_exceeds_coma_or_vanilla(corpus100):
-    for game, policy, tables in corpus100:
-        own = {}
-        for tag in (
-            EstimatorTag.CENTRALIZED_VANILLA,
-            EstimatorTag.COMA,
-            EstimatorTag.OB_X,
-        ):
-            kind = EstimatorKind(tag, 0)
-            own[tag] = variance_decomposition(game, policy, kind, 0, tables=tables)[2]
-        assert own[EstimatorTag.OB_X] <= own[EstimatorTag.COMA] + 1e-9
-        assert own[EstimatorTag.OB_X] <= own[EstimatorTag.CENTRALIZED_VANILLA] + 1e-9
+    for game, policy, _ in corpus100:
+        own = {
+            tag: terms["own"][0]
+            for tag, terms in build_variance_report(game, policy, 0, t_max=0).per_t.items()
+        }
+        assert own["ob_x"] <= own["coma"] + 1e-9
+        assert own["ob_x"] <= own["centralized_vanilla"] + 1e-9
 
 
 def test_local_variance_matches_two_pass(corpus30):
