@@ -42,6 +42,7 @@ from .policies import (
     DegeneratePolicy,
     JointPolicy,
     SoftmaxPolicy,
+    check_policy_fits,
     gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,

@@ -25,6 +25,7 @@ from .baselines import ob_surrogate_discrete
 from .estimators import agent_axis_view, agent_prob_table
 from .games import load_game, parse_game, random_game, serialize_game, validate_game
 from .policies import (
+    check_policy_fits,
     grad_log_softmax,
     load_policy,
     random_softmax_policy,
@@ -90,21 +91,11 @@ def _load_valid_game(path: str):
 
 
 def _load_game_policy(path: str, game):
-    """load_policy, then check that it has one softmax agent per game agent,
-    agent i's logits of shape (n_states, k_i); ValueError naming the file if
-    any check fails."""
+    """load_policy, then check_policy_fits; ValueError naming the file if
+    either fails."""
     try:
         policy = load_policy(path)
-        if policy.n_agents != game.n_agents:
-            raise ValueError(
-                f"{policy.n_agents} agent(s), the game has {game.n_agents}"
-            )
-        for i, (agent, k) in enumerate(zip(policy.agents, game.action_counts)):
-            if agent.logits.shape != (game.n_states, k):
-                raise ValueError(
-                    f"agent {i} logits have shape {agent.logits.shape}, "
-                    f"the game needs {(game.n_states, k)}"
-                )
+        check_policy_fits(game, policy)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return policy

@@ -152,15 +152,35 @@ def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     """Draw by each uniform ``u`` from its row of a ``cdf_table``: the count of
     entries below u by branchless binary search, which equals
     (u[:, None] > cdf[rows]).sum(axis=1).clip(0, w - 1) on the full rows.
-    ``rows`` and ``u`` are arrays of one shape."""
+    ``rows`` holds one row index per draw, and ``u`` broadcasts to its shape."""
     width = table.shape[1]
     flat = table.reshape(-1)
-    idx = rows * width
+    base = rows * width
+    idx = base.copy()
     step = (width + 1) >> 1
     while step:
         idx += step * (flat[step - 1 :][idx] < u)
         step >>= 1
-    return idx - rows * width
+    return idx - base
+
+
+# rollout's cost rule. A window draws every step's actions and successor for
+# every state, (n_agents + 1) * S * m search elements per step, where the
+# per-step path searches (n_agents + 1) * m but pays a dozen numpy calls per
+# step. The two cost the same at about 1000-1500 elements (measured at S 2-8,
+# one core), so windows run up to this many and the per-step path above it.
+WINDOW_MAX_ELEMENTS = 1024
+# Steps per window. It bounds each of a window's temporaries at
+# WINDOW_CAP * WINDOW_MAX_ELEMENTS int64 entries (1 MiB).
+WINDOW_CAP = 128
+
+
+def rollout_window(n_agents: int, n_states: int, m: int) -> int:
+    """Steps per block of ``rollout``: WINDOW_CAP when a step over every
+    state costs at most WINDOW_MAX_ELEMENTS search elements, else 1."""
+    if (n_agents + 1) * n_states * m <= WINDOW_MAX_ELEMENTS:
+        return WINDOW_CAP
+    return 1
 
 
 def rollout(
@@ -170,31 +190,61 @@ def rollout(
     horizon: int,
     rng: np.random.Generator,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Sample m trajectories side by side, yielding one step at a time.
+    """Sample m trajectories side by side, yielding blocks of consecutive steps.
 
-    ``pi_tables`` holds each agent's (S, k) action probabilities. Each step
-    yields (states, actions, joint action index, next states): actions is
-    (n_agents, m), the rest have length m. The draw order is fixed, so a
-    seeded generator reproduces the batch: one uniform batch for the initial
-    states, then per step one batch per agent in agent order and one for the
-    transition.
+    ``pi_tables`` holds each agent's (S, k) action probabilities. A block of
+    w steps is t-major (states, actions, joint action index, next states):
+    actions is (n_agents, w, m), the rest are (w, m). The blocks' steps, in
+    order, are the whole horizon, and no block is longer than WINDOW_CAP.
+    The draw order is fixed, so a seeded generator reproduces the batch: one
+    uniform batch for the initial states, then per step one batch per agent
+    in agent order and one for the transition.
+
+    A block takes its w steps' uniforms in one draw, which is the same
+    stream as w draws of one step. With ``rollout_window`` steps per block,
+    each step's actions and successor are drawn for every state, and the
+    visited states are chased through those successor maps; with one step
+    per block, they are drawn for the known current state only. Either way
+    each draw compares the same uniform with the same table row, so the
+    blocks hold the same bits.
     """
+    n, n_states = game.n_agents, game.n_states
     counts, n_joint = game.action_counts, game.n_joint_actions
     # every agent's table in one, agent j's row for state s at s + j * S;
     # the +inf padding to the widest agent never changes a draw
     agent_table = np.concatenate([cdf_table(p, max(counts)) for p in pi_tables])
-    agent_rows = np.arange(len(counts))[:, None] * game.n_states
+    agent_rows = np.arange(n)[:, None] * n_states
     strides = np.cumprod((1,) + counts[:0:-1])[::-1]  # C-order joint index
     trans_table = cdf_table(game.transition)
+    window = rollout_window(n, n_states, m)
+    every = np.arange(n_states)[:, None]
+    every_rows = np.broadcast_to(every[:, None] + agent_rows, (window, n_states, n, m))
+    cols = np.arange(m)
     s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
-    s = s.clip(0, game.n_states - 1)
-    for _ in range(horizon):
-        u = rng.random((len(counts) + 1, m))  # one row per agent, then the transition
-        actions = inverse_cdf(agent_table, s + agent_rows, u[:-1])
-        a_idx = strides @ actions
-        s_next = inverse_cdf(trans_table, s * n_joint + a_idx, u[-1])
-        yield s, actions, a_idx, s_next
-        s = s_next
+    s = s.clip(0, n_states - 1)
+    for t0 in range(0, horizon, window):
+        w = min(window, horizon - t0)
+        u = rng.random((w, n + 1, m))  # per step one row per agent, then the transition
+        if window == 1:  # draw for the known states: (n, m) actions, (m,) successors
+            cand, rows, u_act, u_next = s, s + agent_rows, u[0, :-1], u[0, -1]
+        else:  # draw for every state: (w, S, n, m) actions, (w, S, m) successors
+            cand, rows = every, every_rows[:w]
+            u_act, u_next = u[:, None, :-1], u[:, -1:]
+        acts = inverse_cdf(agent_table, rows, u_act)
+        joint = strides @ acts
+        succ = inverse_cdf(trans_table, cand * n_joint + joint, u_next)
+        if window == 1:
+            yield s[None], acts[:, None], joint[None], succ[None]
+            s = succ
+            continue
+        path = np.empty((w + 1, m), dtype=np.int64)  # chase s_t through succ
+        path[0] = s
+        for t in range(w):
+            path[t + 1] = succ[t, path[t], cols]
+        t_at, s_at = np.arange(w)[:, None], path[:-1]
+        actions = acts[t_at, s_at, :, cols].transpose(2, 0, 1)
+        yield s_at, actions, joint[t_at, s_at, cols], path[1:]
+        s = path[-1]
 
 
 def scatter_scores(flat, cells, own, pi_rows, val) -> None:
@@ -208,7 +258,9 @@ def scatter_scores(flat, cells, own, pi_rows, val) -> None:
     k = pi_rows.shape[-1]
     idx = cells[..., None] + np.arange(k + 1)
     np.add(cells, own, out=idx[..., k])
-    vals = np.concatenate((pi_rows * -val[..., None], val[..., None]), axis=-1)
+    vals = np.empty(idx.shape)
+    np.multiply(pi_rows, -val[..., None], out=vals[..., :k])
+    vals[..., k] = val
     np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
 
 

@@ -155,6 +155,19 @@ class JointPolicy:
         return h.hexdigest()[:16]
 
 
+def check_policy_fits(game, policy: JointPolicy) -> None:
+    """Raise ValueError unless ``policy`` has one agent per game agent, agent
+    i's logits of shape (n_states, k_i): a one-row table is not broadcast."""
+    if policy.n_agents != game.n_agents:
+        raise ValueError(f"{policy.n_agents} agent(s), the game has {game.n_agents}")
+    for i, (agent, k) in enumerate(zip(policy.agents, game.action_counts)):
+        if agent.logits.shape != (game.n_states, k):
+            raise ValueError(
+                f"agent {i} logits have shape {agent.logits.shape}, "
+                f"the game needs {(game.n_states, k)}"
+            )
+
+
 def joint_action_prob_table(game, policy: JointPolicy) -> np.ndarray:
     """(n_states, n_joint_actions) table of joint-action probabilities."""
     out = np.ones((game.n_states, 1))

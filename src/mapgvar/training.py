@@ -139,6 +139,15 @@ def config_to_dict(config: TrainConfig) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """``int(value)`` for a config integer, which may be an integral float
+    such as 8.0; a bool or a fractional number raises ValueError rather than
+    being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"config entry {name!r} must be an integer, not {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> TrainConfig:
     """Invert config_to_dict; absent keys take their defaults. A malformed
     document raises ValueError."""
@@ -154,20 +163,27 @@ def config_from_dict(data: dict) -> TrainConfig:
             critic=CriticConfig(
                 mode=critic.get("mode", "exact"),
                 lr=float(critic.get("lr", 0.5)),
-                target_sync_interval=int(critic.get("target_sync_interval", 1)),
+                target_sync_interval=_integer(
+                    critic.get("target_sync_interval", 1), "critic.target_sync_interval"
+                ),
             ),
-            batch_size=int(data.get("batch_size", 32)),
+            batch_size=_integer(data.get("batch_size", 32), "batch_size"),
             ppo=(
                 None
                 if ppo is None
                 else PPOConfig(
-                    eps_clip=float(ppo["eps_clip"]), epochs=int(ppo["epochs"])
+                    eps_clip=float(ppo["eps_clip"]),
+                    epochs=_integer(ppo["epochs"], "ppo.epochs"),
                 )
             ),
-            horizon=None if data.get("horizon") is None else int(data["horizon"]),
-            iterations=int(data.get("iterations", 100)),
-            seed=int(data.get("seed", 0)),
-            ob_n_samples=int(data.get("ob_n_samples", 1000)),
+            horizon=(
+                None
+                if data.get("horizon") is None
+                else _integer(data["horizon"], "horizon")
+            ),
+            iterations=_integer(data.get("iterations", 100), "iterations"),
+            seed=_integer(data.get("seed", 0), "seed"),
+            ob_n_samples=_integer(data.get("ob_n_samples", 1000), "ob_n_samples"),
             entropy_coef=float(data.get("entropy_coef", 0.0)),
         )
     except KeyError as exc:
@@ -369,8 +385,11 @@ def train(
         # t-major (horizon, batch) arrays; actions gains a leading agent axis
         states, joint_idx, next_states = np.empty((3, horizon, batch), dtype=np.int64)
         actions = np.empty((n, horizon, batch), dtype=np.int64)
-        for t, yielded in enumerate(rollout(game, pi_tables, batch, horizon, rng)):
-            states[t], actions[:, t], joint_idx[t], next_states[t] = yielded
+        t = 0
+        for block in rollout(game, pi_tables, batch, horizon, rng):
+            at = slice(t, t + len(block[0]))
+            states[at], actions[:, at], joint_idx[at], next_states[at] = block
+            t = at.stop
 
         # per-trajectory gradients, plus per-sample signals for clipped epochs
         grads, signals = [], []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, MarkovGame
-from .policies import JointPolicy, joint_action_prob_table
+from .policies import JointPolicy, check_policy_fits, joint_action_prob_table
 
 BELLMAN_TOL = 1e-9
 VI_TOL = 1e-12
@@ -61,8 +61,10 @@ def solve_values(
 
     Raises SingularSystem if the linear system is outright singular (possible
     only for malformed kernels; with stochastic rows and gamma < 1 the system
-    matrix is always invertible).
+    matrix is always invertible), and ValueError if the policy does not fit
+    the game (``check_policy_fits``).
     """
+    check_policy_fits(game, policy)
     if game.n_states * game.n_joint_actions > cap:
         raise EnumerationCapExceeded(
             f"{game.n_states * game.n_joint_actions} q-table entries exceeds {cap}"

@@ -525,6 +525,8 @@ def mc_variance(
     dim = param_dim(game, i)
     sig = signal_table(kind, game, policy, tables.q)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
+    # gamma^t rounded as a running product, step by step, as a column
+    discounts = np.cumprod(np.r_[1.0, np.full(horizon, game.gamma)])[:, None]
 
     s1 = np.zeros(dim)
     q1 = 0.0
@@ -536,14 +538,15 @@ def mc_variance(
     while remaining > 0:
         m = min(chunk_size, remaining)
         remaining -= m
-        row_cells = np.arange(m) * dim
+        # (1, m), the shape of a one-step block, which adds without broadcasting
+        row_cells = np.arange(m)[None] * dim
         flat = np.zeros(m * dim)
-        scale = 1.0
+        t = 0
         for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
-            val = scale * sig[s, a_idx]
+            val = discounts[t : t + len(s)] * sig[s, a_idx]
             pi_rows = np.take(pi_tables[i], s, axis=0)
             scatter_scores(flat, row_cells + s * k, actions[i], pi_rows, val)
-            scale *= game.gamma
+            t += len(s)
         flat = flat.reshape(m, dim)
         norm_sq = np.einsum("md,md->m", flat, flat)
         s1 += flat.sum(axis=0)

@@ -28,6 +28,16 @@ def one_step_game(action_spaces, payoff):
     )
 
 
+def rollout_steps(blocks):
+    """``rollout``'s blocks as one (states, actions, joint index, next
+    states) tuple per step: actions is (n_agents, m), the rest (m,)."""
+    return [
+        (s[t], actions[:, t], a_idx[t], s_next[t])
+        for s, actions, a_idx, s_next in blocks
+        for t in range(len(s))
+    ]
+
+
 def corpus_pair(idx):
     """Deterministic (game, policy) pair #idx."""
     rng = np.random.default_rng(CORPUS_SEED + idx)

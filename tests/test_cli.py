@@ -480,6 +480,47 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, doc, message):
     assert message in err and "cfg.json" in err
 
 
+@pytest.mark.parametrize(
+    "doc, name",
+    [
+        ({"horizon": 1.7}, "horizon"),
+        ({"batch_size": 2.9}, "batch_size"),
+        ({"iterations": True}, "iterations"),
+        ({"seed": 0.5}, "seed"),
+        ({"ob_n_samples": 10.25}, "ob_n_samples"),
+        ({"critic": {"target_sync_interval": 1.5}}, "critic.target_sync_interval"),
+        ({"ppo": {"eps_clip": 0.2, "epochs": False}}, "ppo.epochs"),
+    ],
+)
+def test_train_rejects_an_integer_entry_it_would_truncate(tmp_path, capsys, doc, name):
+    game_path = make_game_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_TRAIN_CONFIG, **doc}), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["train", "--game", game_path, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config entry '{name}' must be an integer" in err and "cfg.json" in err
+    assert not (tmp_path / "out" / "train_history.csv").exists()
+
+
+def test_train_accepts_integral_floats(tmp_path):
+    game_path = make_game_file(tmp_path)
+    outputs = []
+    for cast in (int, float):
+        cfg = {key: cast(value) if key in ("batch_size", "horizon", "iterations")
+               else value for key, value in SMALL_TRAIN_CONFIG.items()}
+        cfg_path = tmp_path / f"cfg-{cast.__name__}.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / f"out-{cast.__name__}"
+        assert main(["train", "--game", game_path, "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        outputs.append((out / "train_history.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_out_dir_is_created_deep(tmp_path):
     out = tmp_path / "x" / "y" / "z"
     assert main(["toy", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import rollout_steps
 from oracles import (
     discounted_state_occupancy,
     expected_contribution_oracle,
@@ -197,7 +198,8 @@ def test_trajectory_gradient_is_discounted_sum(corpus30):
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     sig = signal_table(kind, game, policy, tables.q)
     flat = np.zeros(m * dim)
-    steps = list(rollout(game, pi_tables, m, horizon, np.random.default_rng(8)))
+    blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(8))
+    steps = rollout_steps(blocks)
     scale = 1.0
     for s, actions, a_idx, _ in steps:
         scatter_scores(

@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import rollout_steps
 
 from mapgvar import (
     BaselineKind,
@@ -251,8 +252,8 @@ def test_rollout_stream_is_pinned(case):
     rng = np.random.default_rng(draw_seed)
     steps = [
         (s.tolist(), [a.tolist() for a in actions], a_idx.tolist(), s_next.tolist())
-        for s, actions, a_idx, s_next in rollout(
-            game, _pi_tables(policy), m, horizon, rng
+        for s, actions, a_idx, s_next in rollout_steps(
+            rollout(game, _pi_tables(policy), m, horizon, rng)
         )
     ]
     assert (steps, _pcg_state(rng)) == ROLLOUTS[case]
@@ -263,7 +264,8 @@ def test_long_rollout_digest_is_pinned():
     policy = random_softmax_policy(game, np.random.default_rng(22), scale=3.0)
     rng = np.random.default_rng(23)
     digest = hashlib.sha256()
-    for s, actions, a_idx, s_next in rollout(game, _pi_tables(policy), 200, 40, rng):
+    blocks = rollout(game, _pi_tables(policy), 200, 40, rng)
+    for s, actions, a_idx, s_next in rollout_steps(blocks):
         for x in (s, *actions, a_idx, s_next):
             digest.update(np.asarray(x, dtype="<i8").tobytes())
     assert (digest.hexdigest(), _pcg_state(rng)) == LONG_ROLLOUT

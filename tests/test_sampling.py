@@ -4,12 +4,20 @@ Both kernels promise bit equality with the plain numpy idioms in
 ``oracles.py``, so every comparison here is ``array_equal``.
 """
 import numpy as np
+from conftest import rollout_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import inverse_cdf_oracle, rollout_oracle, score_step_oracle
 
 from mapgvar import MarkovGame, rollout
-from mapgvar.estimators import cdf_table, inverse_cdf, scatter_scores
+from mapgvar.estimators import (
+    WINDOW_CAP,
+    WINDOW_MAX_ELEMENTS,
+    cdf_table,
+    inverse_cdf,
+    rollout_window,
+    scatter_scores,
+)
 
 
 def _prob_rows(rng, shape, zero_frac, scale):
@@ -74,8 +82,14 @@ def test_stacked_agent_draws_equal_per_agent_draws(
 ):
     # agents of mixed widths share one +inf-padded table in rollout
     rng = np.random.default_rng(seed)
+    game = _random_game(rng, widths, n_states)
+    pi_tables = [_prob_rows(rng, (n_states, k), zero_frac, scale) for k in widths]
+    _assert_rollout_equals_oracle(game, pi_tables, m, horizon, int(rng.integers(2**32)))
+
+
+def _random_game(rng, widths, n_states):
     n_joint = int(np.prod(widths))
-    game = MarkovGame(
+    return MarkovGame(
         n_agents=len(widths),
         states=tuple(f"s{i}" for i in range(n_states)),
         action_spaces=tuple(tuple(f"a{j}" for j in range(k)) for k in widths),
@@ -85,17 +99,63 @@ def test_stacked_agent_draws_equal_per_agent_draws(
         gamma=0.9,
         initial_dist=rng.dirichlet(np.ones(n_states)),
     )
-    pi_tables = [_prob_rows(rng, (n_states, k), zero_frac, scale) for k in widths]
-    draw_seed = int(rng.integers(2**32))
+
+
+def _assert_rollout_equals_oracle(game, pi_tables, m, horizon, draw_seed):
+    """rollout's blocks, step for step, and the generator state after them
+    equal the oracle's; returns the block lengths."""
     got_rng = np.random.default_rng(draw_seed)
     want_rng = np.random.default_rng(draw_seed)
-    got = list(rollout(game, pi_tables, m, horizon, got_rng))
+    blocks = list(rollout(game, pi_tables, m, horizon, got_rng))
+    got = rollout_steps(blocks)
     want = rollout_oracle(game, pi_tables, m, horizon, want_rng)
     assert len(got) == len(want) == horizon
     for got_step, want_step in zip(got, want):
         for g, w in zip(got_step, want_step):
             assert np.array_equal(g, w)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return [len(block[0]) for block in blocks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_states=st.integers(1, 4),
+    size=st.sampled_from(["small", "largest window", "smallest per-step", "per-step"]),
+    horizon=st.sampled_from(
+        [1, 2, 7, WINDOW_CAP - 1, WINDOW_CAP, WINDOW_CAP + 1, 2 * WINDOW_CAP + 3]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rollout_blocks_equal_the_oracle_in_both_regimes(
+    widths, n_states, size, horizon, seed
+):
+    # m on both sides of the cost rule's boundary: the largest batch that
+    # still runs windows, and the smallest that runs the per-step path
+    largest = WINDOW_MAX_ELEMENTS // ((len(widths) + 1) * n_states)
+    m = {"small": 3, "largest window": largest, "smallest per-step": largest + 1,
+         "per-step": 2 * largest}[size]
+    window = rollout_window(len(widths), n_states, m)
+    assert window == (WINDOW_CAP if m <= largest else 1)
+    rng = np.random.default_rng(seed)
+    game = _random_game(rng, widths, n_states)
+    pi_tables = [_prob_rows(rng, (n_states, k), 0.3, 1.0) for k in widths]
+    lengths = _assert_rollout_equals_oracle(
+        game, pi_tables, m, horizon, int(rng.integers(2**32))
+    )
+    full, rest = divmod(horizon, window)
+    assert lengths == [window] * full + [rest] * (rest > 0)
+
+
+def test_no_block_is_longer_than_the_cap():
+    rng = np.random.default_rng(3)
+    game = _random_game(rng, (2, 3), 3)
+    pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
+    horizon = 3 * WINDOW_CAP + 7
+    for m in (1, 8, WINDOW_MAX_ELEMENTS // 9):  # the largest batch with windows
+        blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(4))
+        lengths = [len(s) for s, _, _, _ in blocks]
+        assert max(lengths) == WINDOW_CAP and sum(lengths) == horizon
 
 
 def _trajectories(rng, n_states, k, steps, batch):

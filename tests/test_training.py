@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import one_step_game
+from conftest import one_step_game, rollout_steps
 from oracles import compare_baselines, td_batch_oracle, trajectory_gradient
 
 from mapgvar import (
@@ -276,8 +276,8 @@ def test_train_step_matches_the_per_trajectory_reference(baseline, signal):
 
     tables = solve_values(game, initial)
     pi_tables = [agent.all_probs() for agent in initial.agents]
-    steps = list(rollout(game, pi_tables, cfg.batch_size, cfg.horizon,
-                         np.random.default_rng(cfg.seed)))
+    steps = rollout_steps(rollout(game, pi_tables, cfg.batch_size, cfg.horizon,
+                                  np.random.default_rng(cfg.seed)))
     flat = np.stack([
         np.concatenate([
             trajectory_gradient(

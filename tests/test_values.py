@@ -12,8 +12,10 @@ from oracles import (
 )
 
 from mapgvar import (
+    JointPolicy,
     MarkovGame,
     SingularSystem,
+    SoftmaxPolicy,
     advantage_decomposition,
     agent_subset,
     joint_action_prob_table,
@@ -81,6 +83,21 @@ def test_singular_system_raised():
     )
     with pytest.raises(SingularSystem):
         solve_values(game, uniform_policy(game))
+
+
+def test_solve_rejects_a_one_row_table_on_a_multi_state_game():
+    # a (1, k) logit table would broadcast over every state
+    game = random_game(2, 3, 2, seed=0)
+    policy = JointPolicy((SoftmaxPolicy([[0.5, 0.0]]), SoftmaxPolicy(np.zeros((3, 2)))))
+    with pytest.raises(ValueError, match=r"agent 0 logits have shape \(1, 2\)"):
+        solve_values(game, policy)
+
+
+def test_solve_rejects_a_policy_with_more_agents_than_the_game():
+    game = random_game(2, 3, 2, seed=0)
+    policy = uniform_policy(random_game(3, 3, 2, seed=0))
+    with pytest.raises(ValueError, match=r"3 agent\(s\), the game has 2"):
+        solve_values(game, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ The grid covers gen, report (CSV, JSON, uniform and random policy files,
 every agent, --mc, and a game file whose state and action names need JSON
 escaping), verify, toy and train (baseline x critic x PPO, plus an entropy
 bonus, a default horizon and a TD critic that visits each cell hundreds of
-times per pass). Every command runs in-process through
+times per pass, then three runs on both sides of the sampler's cost rule).
+Every command runs in-process through
 ``mapgvar.cli.main`` in a temporary directory. Each line is
 ``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
 or the exception a command raised) are recorded as files too. Last come
@@ -84,6 +85,17 @@ def _train_configs():
     yield {"baseline": "coma", "batch_size": 2, "iterations": 1}  # default horizon
     yield {"baseline": "coma", "critic": {"mode": "td", "lr": 0.1}, "batch_size": 8,
            "horizon": 400, "iterations": 2}  # hundreds of TD visits per cell
+
+
+def _regime_configs():
+    """Trains on a 2-agent, 3-state game on both sides of rollout's cost
+    rule, which samples windows of steps while (n_agents + 1) * n_states *
+    batch_size <= 1024 and one step at a time above it."""
+    base = {"baseline": "coma", "critic": {"mode": "td", "lr": 0.2}, "iterations": 2}
+    # windows of 128 steps, the last one partial
+    yield "window-tail", {**base, "batch_size": 8, "horizon": 2 * 128 + 45, "seed": 4}
+    yield "largest-window", {**base, "batch_size": 113, "horizon": 30, "seed": 5}
+    yield "smallest-per-step", {**base, "batch_size": 114, "horizon": 30, "seed": 6}
 
 
 def _gaussian_lines() -> list[str]:
@@ -193,6 +205,13 @@ def digest_lines(work: str) -> list[str]:
             lines += _run(main, f"train-n{n}-s{s}-k{k}-seed{seed}-c{c}",
                           ["train", "--game", game_files[key], "--config", config_file,
                            "--seed", str(11 + c)], work)
+    for label, config in _regime_configs():
+        config_file = os.path.join(work, f"train-config-{label}.json")
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        lines += _run(main, f"train-n2-s3-k3-seed1-{label}",
+                      ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
+                       config_file], work)
     return lines + _gaussian_lines()
 
 
