@@ -52,13 +52,13 @@ def coma_baseline(q_row, pi_i) -> float:
     return float(pi_i @ q_row)
 
 
-def ob_surrogate_discrete(q_row, pi_i, tol: float = 1e-10) -> float:
+def ob_surrogate_discrete(q_row, pi_i) -> float:
     """Optimal baseline for a tabular softmax actor: E_x[Q] under the x-measure."""
     q_row = np.asarray(q_row, dtype=float)
     pi_i = np.asarray(pi_i, dtype=float)
     if q_row.shape != pi_i.shape:
         raise ValueError(f"length mismatch: {q_row.shape} vs {pi_i.shape}")
-    return float(x_measure_softmax(pi_i, tol=tol) @ q_row)
+    return float(x_measure_softmax(pi_i) @ q_row)
 
 
 def ob_surrogate_gaussian(
@@ -67,7 +67,6 @@ def ob_surrogate_gaussian(
     std,
     n_samples: int,
     rng: np.random.Generator,
-    include_std_grad: bool = True,
 ) -> float:
     """Sampled optimal baseline for a diagonal Gaussian actor.
 
@@ -85,22 +84,21 @@ def ob_surrogate_gaussian(
     q_vals = np.asarray(q_fn(actions), dtype=float).reshape(-1)
     if q_vals.shape[0] != n_samples:
         raise ValueError("q_fn must return one value per sampled action")
-    return float(gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad))
+    return float(gaussian_ob_rows(actions, mean, std, q_vals))
 
 
-def gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad: bool = True):
+def gaussian_ob_rows(actions, mean, std, q_vals):
     """Score-norm-weighted mean of q over each row of sampled actions.
 
     ``actions`` is (..., n, d), drawn from N(mean, std), and ``q_vals`` its
     (..., n) q-values; returns one baseline per row. The score norm covers the
-    (mean, std) output layer; pass include_std_grad=False to weight by the
-    mean components only (the reference pseudocode is silent on which
-    convention it uses).
+    whole (mean, std) output layer (the reference pseudocode is silent on
+    whether the std components count).
     """
     diff = actions - mean
-    norms = np.sum((diff / std**2) ** 2, axis=-1)
-    if include_std_grad:
-        norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=-1)
+    norms = np.sum((diff / std**2) ** 2, axis=-1) + np.sum(
+        ((diff**2 - std**2) / std**3) ** 2, axis=-1
+    )
     denom = norms.sum(axis=-1)
     if np.any(denom <= 0.0):
         raise ZeroDivisionError("all sampled score norms vanish; baseline undefined")

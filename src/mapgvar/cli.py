@@ -12,25 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .baselines import ob_surrogate_discrete
-from .estimators import agent_axis_view, agent_prob_table
 from .games import load_game, parse_game, random_game, serialize_game, validate_game
-from .policies import (
-    check_policy_fits,
-    grad_log_softmax,
-    load_policy,
-    random_softmax_policy,
-    uniform_policy,
-)
+from .policies import check_policy_fits, load_policy, uniform_policy
 from .toy import run_toy
 from .training import (
     DivergenceError,
@@ -39,19 +29,9 @@ from .training import (
     save_checkpoint,
     train,
 )
-from .values import lattice_advantage_decomposition, marginal_q_lattice, solve_values
-from .variance import (
-    advantage_variance_bound,
-    advantage_variance_identity,
-    baseline_excess_variance,
-    build_variance_report,
-    excess_variance_bounds,
-    expected_score_norm_sq,
-    gap_bounds,
-    local_variance,
-)
-
-VERIFY_SCHEMA_VERSION = 1
+from .values import solve_values  # noqa: F401 (bench/test_bench.py reads it)
+from .variance import build_variance_report
+from .verify import run_suites
 
 
 def _out_dir(args) -> str:
@@ -156,161 +136,18 @@ def cmd_toy(args) -> int:
 # verify
 
 
-def _verify_suites(n_games: int, n_agents: int, seed: int, sabotage: bool) -> dict:
-    tol = 1e-9
-    rng = np.random.default_rng(seed)
-    suites = {
-        "advantage_decomposition": {"checks": 0, "violations": 0, "max_abs_error": 0.0},
-        "advantage_variance_identity": {"checks": 0, "violations": 0, "max_abs_error": 0.0},
-        "advantage_variance_bound": {"checks": 0, "violations": 0, "min_slack": math.inf},
-        "centralized_gap_bound": {"checks": 0, "violations": 0, "min_slack": math.inf},
-        "coma_gap_bound": {"checks": 0, "violations": 0, "min_slack": math.inf},
-        "optimal_baseline_identity": {"checks": 0, "violations": 0, "max_abs_error": 0.0},
-        "optimal_baseline_scan": {"checks": 0, "violations": 0, "min_margin": math.inf},
-        "excess_variance_bounds": {"checks": 0, "violations": 0},
-    }
-    for g_idx in range(n_games):
-        n_states = int(rng.integers(1, 4))
-        n_actions = int(rng.integers(2, 4))
-        game_seed = int(rng.integers(0, 2**31 - 1))
-        game = random_game(n_agents, n_states, n_actions, seed=game_seed)
-        policy = random_softmax_policy(game, rng)
-        tables = solve_values(game, policy)
-
-        perms = (
-            list(itertools.permutations(range(n_agents)))
-            if n_agents <= 4
-            else [tuple(range(n_agents))]
-        )
-
-        decomp = suites["advantage_decomposition"]
-        for s in range(game.n_states):
-            marginals = marginal_q_lattice(game, policy, tables, s)
-            actions = tuple(
-                int(rng.integers(game.action_counts[i])) for i in range(n_agents)
-            )
-            for order in perms:
-                acts = tuple(actions[i] for i in order)
-                for prefix_len in (0, 1):
-                    if prefix_len >= n_agents:
-                        continue
-                    lhs, rhs = lattice_advantage_decomposition(
-                        marginals, order, acts, prefix_len
-                    )
-                    if sabotage:
-                        rhs = rhs + 1.0
-                    err = abs(lhs - rhs)
-                    decomp["checks"] += 1
-                    decomp["max_abs_error"] = max(decomp["max_abs_error"], err)
-                    if err > tol:
-                        decomp["violations"] += 1
-
-        ident = suites["advantage_variance_identity"]
-        for s in range(game.n_states):
-            for order in perms:
-                lhs, rhs = advantage_variance_identity(game, policy, tables, s, order)
-                if sabotage:
-                    rhs = -rhs
-                err = abs(lhs - rhs)
-                ident["checks"] += 1
-                ident["max_abs_error"] = max(ident["max_abs_error"], err)
-                if err > tol:
-                    ident["violations"] += 1
-            if n_agents >= 2:
-                lhs, rhs = advantage_variance_identity(
-                    game, policy, tables, s, prefix=((0, 0),)
-                )
-                if sabotage:
-                    rhs = -rhs
-                err = abs(lhs - rhs)
-                ident["checks"] += 1
-                ident["max_abs_error"] = max(ident["max_abs_error"], err)
-                if err > tol:
-                    ident["violations"] += 1
-
-        bound = suites["advantage_variance_bound"]
-        for s in range(game.n_states):
-            lhs, rhs = advantage_variance_bound(game, policy, tables, s)
-            slack = rhs - lhs
-            bound["checks"] += 1
-            bound["min_slack"] = min(bound["min_slack"], slack)
-            if slack < -tol:
-                bound["violations"] += 1
-
-        reports = gap_bounds(game, policy, tables, range(n_agents))
-        for index, name in enumerate(("centralized_gap_bound", "coma_gap_bound")):
-            entry = suites[name]
-            for pair in reports:
-                rep = pair[index]
-                slack = min(b - rep.lhs for b in rep.bounds)
-                entry["checks"] += 1
-                entry["min_slack"] = min(entry["min_slack"], slack)
-                if not rep.holds:
-                    entry["violations"] += 1
-
-        ob_eq = suites["optimal_baseline_identity"]
-        ob_scan = suites["optimal_baseline_scan"]
-        ob_bounds = suites["excess_variance_bounds"]
-        for agent in range(n_agents):
-            rows = agent_axis_view(game, tables.q, agent)
-            pi_i = agent_prob_table(game, policy, agent)
-            s = int(rng.integers(0, game.n_states))
-            m = int(rng.integers(0, rows.shape[1]))
-            q_row = rows[s, m]
-            pi_row = pi_i[s]
-            grads = np.stack(
-                [grad_log_softmax(pi_row, a) for a in range(len(pi_row))]
-            )
-            b_star = ob_surrogate_discrete(q_row, pi_row)
-            base_var = local_variance(pi_row, q_row - b_star, grads)
-            score_sq = expected_score_norm_sq(pi_row)
-            for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
-                direct = local_variance(pi_row, q_row - b, grads) - base_var
-                closed = baseline_excess_variance(b, b_star, score_sq)
-                err = abs(direct - closed)
-                ob_eq["checks"] += 1
-                ob_eq["max_abs_error"] = max(ob_eq["max_abs_error"], err)
-                if err > tol:
-                    ob_eq["violations"] += 1
-                ob_scan["checks"] += 1
-                ob_scan["min_margin"] = min(ob_scan["min_margin"], direct)
-                if direct < -tol:
-                    ob_scan["violations"] += 1
-            ob_bounds["checks"] += 1
-            if not excess_variance_bounds(q_row, pi_row).holds:
-                ob_bounds["violations"] += 1
-
-    for entry in suites.values():
-        for key, value in list(entry.items()):
-            if isinstance(value, float) and math.isinf(value):
-                entry[key] = None
-    total = sum(entry["violations"] for entry in suites.values())
-    return {
-        "schema_version": VERIFY_SCHEMA_VERSION,
-        "games": n_games,
-        "agents": n_agents,
-        "seed": seed,
-        "suites": suites,
-        "total_violations": total,
-        "ok": total == 0,
-    }
-
-
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     seed = 0 if args.seed is None else args.seed
-    result = _verify_suites(args.games, args.agents, seed, args.sabotage)
+    result = run_suites(args.games, args.agents, seed, args.sabotage)
+    rows = []
     for name, entry in result["suites"].items():
-        stats = ", ".join(
-            f"{k}={v!r}"
-            for k, v in entry.items()
-            if k not in ("checks", "violations")
-        )
-        status = "PASS" if entry["violations"] == 0 else "FAIL"
-        print(
-            f"[{status}] {name}: {entry['checks']} checks, "
-            f"{entry['violations']} violations ({stats})"
-        )
+        # checks, violations, then the suite's statistic if it has one
+        (_, checks), (_, violations), *stat = entry.items()
+        stats = ", ".join(f"{k}={v!r}" for k, v in stat)
+        status = "PASS" if violations == 0 else "FAIL"
+        print(f"[{status}] {name}: {checks} checks, {violations} violations ({stats})")
+        rows.append((name, checks, violations, *(stat[0] if stat else ("", ""))))
     print(
         f"total violations: {result['total_violations']} "
         f"over {result['games']} games"
@@ -318,15 +155,6 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _write_json(os.path.join(out, "verify_report.json"), result)
     else:
-        rows = []
-        for name, entry in result["suites"].items():
-            stat_items = [
-                (k, v) for k, v in entry.items() if k not in ("checks", "violations")
-            ]
-            stat_name, stat_value = stat_items[0] if stat_items else ("", "")
-            rows.append(
-                (name, entry["checks"], entry["violations"], stat_name, stat_value)
-            )
         _write_csv(
             os.path.join(out, "verify_report.csv"),
             ("suite", "checks", "violations", "stat_name", "stat_value"),

@@ -27,6 +27,8 @@ from .games import DEFAULT_ENUMERATION_CAP, MarkovGame
 from .policies import JointPolicy, x_measure_softmax
 from .values import ValueTables, state_distributions
 
+IDENTITY_TOL = 1e-9  # identity/bound slack; relative tail a horizon leaves out
+
 
 class EstimatorTag(str, Enum):
     DECENTRALIZED = "decentralized"
@@ -50,11 +52,12 @@ def param_dim(game: MarkovGame, agent: int) -> int:
     return game.n_states * game.action_counts[agent]
 
 
-def default_horizon(gamma: float, beta: float, tol: float = 1e-9) -> int:
-    """Steps needed for the discounted tail to fall below tol * beta-scale."""
+def default_horizon(gamma: float, beta: float) -> int:
+    """Steps after which the discounted tail is below IDENTITY_TOL * beta-scale."""
     if gamma == 0.0:
         return 1
-    return max(1, math.ceil(math.log(tol * (1.0 - gamma) / beta) / math.log(gamma)))
+    tail = math.log(IDENTITY_TOL * (1.0 - gamma) / beta)
+    return max(1, math.ceil(tail / math.log(gamma)))
 
 
 def _check_agent(game: MarkovGame, agent: int) -> None:

@@ -10,7 +10,6 @@ expectation of Q.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -43,7 +42,7 @@ def grad_log_softmax(probs, a: int) -> np.ndarray:
     return g
 
 
-def x_measure_softmax(probs, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def x_measure_softmax(probs) -> np.ndarray:
     """Score-norm-weighted action measure x(a) = pi(a) ||e_a - pi||^2 / (1 - ||pi||^2).
 
     ``probs`` is one distribution of shape (k,) or a stack (..., k) of them;
@@ -59,9 +58,10 @@ def x_measure_softmax(probs, tol: float = DEGENERACY_TOL) -> np.ndarray:
     # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
     norm_sq = (probs[..., None, :] @ probs[..., :, None])[..., 0]
     denom = 1.0 - norm_sq
-    if np.any(denom <= tol):
+    if np.any(denom <= DEGENERACY_TOL):
         raise DegeneratePolicy(
-            f"1 - ||pi||^2 = {float(denom.min())!r} <= {tol!r}; x-measure undefined"
+            f"1 - ||pi||^2 = {float(denom.min())!r} <= {DEGENERACY_TOL!r}; "
+            "x-measure undefined"
         )
     weights = 1.0 + norm_sq - 2.0 * probs
     return probs * weights / denom
@@ -146,13 +146,6 @@ class JointPolicy:
 
     def probs(self, i: int, s: int) -> np.ndarray:
         return self.agents[i].probs(s)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for p in self.agents:
-            h.update(b"softmax")
-            h.update(p.logits.tobytes())
-        return h.hexdigest()[:16]
 
 
 def check_policy_fits(game, policy: JointPolicy) -> None:

@@ -141,11 +141,21 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 def _integer(value, name: str) -> int:
     """``int(value)`` for a config integer, which may be an integral float
-    such as 8.0; a bool or a fractional number raises ValueError rather than
-    being truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    such as 8.0; a bool, a string or a fractional number raises ValueError
+    rather than being converted."""
+    if isinstance(value, (bool, str)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError(f"config entry {name!r} must be an integer, not {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``float(value)`` for a config real number; a bool or a string raises
+    ValueError rather than being converted."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"config entry {name!r} must be a real number, not {value!r}")
+    return float(value)
 
 
 def config_from_dict(data: dict) -> TrainConfig:
@@ -159,10 +169,10 @@ def config_from_dict(data: dict) -> TrainConfig:
     try:
         return TrainConfig(
             baseline=BaselineKind(BaselineTag(data.get("baseline", "ob_surrogate"))),
-            actor_lr=float(data.get("actor_lr", 0.1)),
+            actor_lr=_real(data.get("actor_lr", 0.1), "actor_lr"),
             critic=CriticConfig(
                 mode=critic.get("mode", "exact"),
-                lr=float(critic.get("lr", 0.5)),
+                lr=_real(critic.get("lr", 0.5), "critic.lr"),
                 target_sync_interval=_integer(
                     critic.get("target_sync_interval", 1), "critic.target_sync_interval"
                 ),
@@ -172,7 +182,7 @@ def config_from_dict(data: dict) -> TrainConfig:
                 None
                 if ppo is None
                 else PPOConfig(
-                    eps_clip=float(ppo["eps_clip"]),
+                    eps_clip=_real(ppo["eps_clip"], "ppo.eps_clip"),
                     epochs=_integer(ppo["epochs"], "ppo.epochs"),
                 )
             ),
@@ -184,7 +194,7 @@ def config_from_dict(data: dict) -> TrainConfig:
             iterations=_integer(data.get("iterations", 100), "iterations"),
             seed=_integer(data.get("seed", 0), "seed"),
             ob_n_samples=_integer(data.get("ob_n_samples", 1000), "ob_n_samples"),
-            entropy_coef=float(data.get("entropy_coef", 0.0)),
+            entropy_coef=_real(data.get("entropy_coef", 0.0), "entropy_coef"),
         )
     except KeyError as exc:
         raise ValueError(f"config entry 'ppo' needs {exc}") from exc

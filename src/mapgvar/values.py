@@ -34,8 +34,6 @@ class ValueTables:
 
     q: np.ndarray
     v: np.ndarray
-    gamma: float
-    policy_fingerprint: str
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).copy()
@@ -98,9 +96,7 @@ def solve_values(
         raise SingularSystem(
             f"Bellman residual {bellman!r} exceeds {BELLMAN_TOL!r}"
         )
-    return ValueTables(
-        q=q, v=v, gamma=game.gamma, policy_fingerprint=policy.fingerprint()
-    )
+    return ValueTables(q=q, v=v)
 
 
 def agent_subset(indices, n_agents: int) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from .baselines import coma_baseline, ob_surrogate_discrete
 from .estimators import (
     EstimatorKind,
     EstimatorTag,
+    IDENTITY_TOL,
     agent_axis_view,
     agent_prob_table,
     default_horizon,
@@ -45,7 +46,6 @@ from .policies import JointPolicy
 from .values import ValueTables, solve_values, state_distributions
 
 SCHEMA_VERSION = 1
-IDENTITY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +273,11 @@ class BoundReport:
     holds: bool
 
 
-def _gap_horizon(gamma: float, tail_scale: float, tol: float) -> int:
+def _gap_horizon(gamma: float, tail_scale: float) -> int:
     if gamma == 0.0 or tail_scale <= 0.0:
         return 1
     h = math.ceil(
-        math.log(tol * (1.0 - gamma**2) / tail_scale) / (2.0 * math.log(gamma))
+        math.log(IDENTITY_TOL * (1.0 - gamma**2) / tail_scale) / (2.0 * math.log(gamma))
     )
     return max(1, h)
 
@@ -297,7 +297,7 @@ class _GapSpec(NamedTuple):
 
 
 def _gap_specs(
-    game: MarkovGame, consts: BoundConstants, agent: int, tol: float
+    game: MarkovGame, consts: BoundConstants, agent: int
 ) -> tuple[_GapSpec, _GapSpec]:
     """The agent's centralized and COMA gaps; see ``centralized_gap_bound``
     and ``coma_gap_bound``."""
@@ -312,7 +312,7 @@ def _gap_specs(
     coma_scale = b_i**2 * max(eps_i, q_scale) ** 2
     coma = (EstimatorTag.COMA, ((eps_i * b_i) ** 2 * inv,), coma_scale)
     return tuple(
-        _GapSpec(tag, bounds, scale, _gap_horizon(game.gamma, scale, tol))
+        _GapSpec(tag, bounds, scale, _gap_horizon(game.gamma, scale))
         for tag, bounds, scale in (centralized, coma)
     )
 
@@ -322,7 +322,6 @@ def gap_bounds(
     policy: JointPolicy,
     tables: ValueTables,
     agents,
-    tol: float = IDENTITY_TOL,
     moments: dict | None = None,
 ) -> list[tuple[BoundReport, BoundReport]]:
     """The (centralized, COMA) gap reports of each agent in ``agents``.
@@ -335,7 +334,7 @@ def gap_bounds(
     a map from EstimatorKind to StepMoments.
     """
     consts = bound_constants(game, policy, tables)
-    specs = {agent: _gap_specs(game, consts, agent, tol) for agent in agents}
+    specs = {agent: _gap_specs(game, consts, agent) for agent in agents}
     longest = max(spec.horizon for pair in specs.values() for spec in pair)
     dists = state_distributions(game, policy, longest - 1)
     moments = dict(moments or {})
@@ -358,7 +357,7 @@ def gap_bounds(
             )
             weights = game.gamma ** (2.0 * np.arange(spec.horizon))
             lhs = float(weights @ (var_a - var_b))
-            # the chain lhs <= bounds[0] <= bounds[1] <= ... within tol
+            # the chain lhs <= bounds[0] <= bounds[1] <= ... within IDENTITY_TOL
             chain = (lhs, *spec.bounds)
             reports.append(
                 BoundReport(
@@ -369,7 +368,9 @@ def gap_bounds(
                     truncation_error=_tail_bound(
                         game.gamma, spec.tail_scale, spec.horizon
                     ),
-                    holds=all(a <= b + tol for a, b in zip(chain, chain[1:])),
+                    holds=all(
+                        a <= b + IDENTITY_TOL for a, b in zip(chain, chain[1:])
+                    ),
                 )
             )
         out.append(tuple(reports))
@@ -381,7 +382,6 @@ def centralized_gap_bound(
     policy: JointPolicy,
     agent: int,
     tables: ValueTables | None = None,
-    tol: float = IDENTITY_TOL,
 ) -> BoundReport:
     """Discounted excess variance of the centralized estimator over the
     decentralized one, against its two closed-form bounds.
@@ -396,7 +396,7 @@ def centralized_gap_bound(
     """
     if tables is None:
         tables = solve_values(game, policy)
-    return gap_bounds(game, policy, tables, (agent,), tol)[0][0]
+    return gap_bounds(game, policy, tables, (agent,))[0][0]
 
 
 def coma_gap_bound(
@@ -404,7 +404,6 @@ def coma_gap_bound(
     policy: JointPolicy,
     agent: int,
     tables: ValueTables | None = None,
-    tol: float = IDENTITY_TOL,
 ) -> BoundReport:
     """Discounted excess variance of the counterfactual-baseline estimator
     over the decentralized one: lhs <= (eps_i B_i)^2 / (1 - gamma^2).
@@ -415,7 +414,7 @@ def coma_gap_bound(
     """
     if tables is None:
         tables = solve_values(game, policy)
-    return gap_bounds(game, policy, tables, (agent,), tol)[0][1]
+    return gap_bounds(game, policy, tables, (agent,))[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +428,13 @@ def expected_score_norm_sq(pi_i) -> float:
     return float(pi_i @ norm_sq)
 
 
-def excess_surrogate_variance(b: float, q_row, pi_i, tol: float = 1e-10) -> float:
+def excess_surrogate_variance(b: float, q_row, pi_i) -> float:
     """Variance penalty of baseline b over the optimum on one Q-row.
 
     Closed form (b - b*)^2 * E_pi[||score||^2]; equals the direct difference
     local_variance(q - b) - local_variance(q - b*) exactly.
     """
-    b_star = ob_surrogate_discrete(q_row, pi_i, tol=tol)
+    b_star = ob_surrogate_discrete(q_row, pi_i)
     return baseline_excess_variance(b, b_star, expected_score_norm_sq(pi_i))
 
 
@@ -456,7 +455,7 @@ class ExcessVarianceBounds:
     holds: bool
 
 
-def excess_variance_bounds(q_row, pi_i, tol: float = 1e-10) -> ExcessVarianceBounds:
+def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
     """Closed-form penalties of the zero and counterfactual baselines with
     their upper bounds on one Q-row.
 
@@ -468,8 +467,8 @@ def excess_variance_bounds(q_row, pi_i, tol: float = 1e-10) -> ExcessVarianceBou
     q_row = np.asarray(q_row, dtype=float)
     pi_i = np.asarray(pi_i, dtype=float)
     q_bar = coma_baseline(q_row, pi_i)
-    delta_vanilla = excess_surrogate_variance(0.0, q_row, pi_i, tol=tol)
-    delta_coma = excess_surrogate_variance(q_bar, q_row, pi_i, tol=tol)
+    delta_vanilla = excess_surrogate_variance(0.0, q_row, pi_i)
+    delta_coma = excess_surrogate_variance(q_bar, q_row, pi_i)
     norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
     d_max = math.sqrt(float(norm_sq.max()))
     adv = q_row - q_bar
@@ -665,7 +664,6 @@ def build_variance_report(
     mc_trajectories: int = 0,
     mc_horizon: int | None = None,
     rng: np.random.Generator | None = None,
-    tol: float = IDENTITY_TOL,
 ) -> VarianceReport:
     tables = solve_values(game, policy)
     moments = {
@@ -673,7 +671,7 @@ def build_variance_report(
         for tag in ALL_TAGS
     }
     tail_scale = max(float(m.m2.max()) for m in moments.values())
-    agg_horizon = _gap_horizon(game.gamma, tail_scale, tol)
+    agg_horizon = _gap_horizon(game.gamma, tail_scale)
     dists = state_distributions(game, policy, max(t_max, agg_horizon - 1))
     weights = game.gamma ** (2.0 * np.arange(agg_horizon))
     per_t = {}
@@ -694,7 +692,6 @@ def build_variance_report(
         policy,
         tables,
         (agent,),
-        tol,
         moments={EstimatorKind(tag, agent): m for tag, m in moments.items()},
     )
     report = VarianceReport(

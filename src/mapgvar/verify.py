@@ -1,0 +1,167 @@
+"""The enumeration suites behind ``mapgvar verify``: the identities and
+bounds of the analysis, checked on solved games.
+
+``check_game`` runs all eight suites on one game, adding to one tally per
+suite (checks, violations and at most one statistic); ``run_suites`` draws
+random games and returns the report ``verify`` writes.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .baselines import ob_surrogate_discrete
+from .estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
+from .games import random_game
+from .policies import random_softmax_policy
+from .values import lattice_advantage_decomposition, marginal_q_lattice, solve_values
+from .variance import (
+    advantage_variance_bound,
+    advantage_variance_identity,
+    baseline_excess_variance,
+    excess_variance_bounds,
+    expected_score_norm_sq,
+    gap_bounds,
+    local_variance,
+)
+
+SCHEMA_VERSION = 1
+
+# suite -> (statistic, how a check folds into it, its value before any check)
+SUITES = {
+    "advantage_decomposition": ("max_abs_error", max, 0.0),
+    "advantage_variance_identity": ("max_abs_error", max, 0.0),
+    "advantage_variance_bound": ("min_slack", min, math.inf),
+    "centralized_gap_bound": ("min_slack", min, math.inf),
+    "coma_gap_bound": ("min_slack", min, math.inf),
+    "optimal_baseline_identity": ("max_abs_error", max, 0.0),
+    "optimal_baseline_scan": ("min_margin", min, math.inf),
+    "excess_variance_bounds": None,
+}
+
+
+def new_tallies() -> dict:
+    """One empty tally per suite, in report order."""
+    tallies = {}
+    for name, stat in SUITES.items():
+        tallies[name] = {"checks": 0, "violations": 0}
+        if stat is not None:
+            tallies[name][stat[0]] = stat[2]
+    return tallies
+
+
+def _record(entry: dict, stat, checks: list) -> None:
+    """Add a batch of (violated, statistic) checks to one suite's tally; the
+    statistic comes out as if the checks were folded in one at a time."""
+    violated, values = zip(*checks)
+    entry["checks"] += len(checks)
+    # a numpy comparison gives np.bool_, and a sum of those is no JSON int
+    entry["violations"] += sum(map(bool, violated))
+    if stat is not None:
+        key, fold, _ = stat
+        entry[key] = fold(entry[key], fold(values))
+
+
+def check_game(
+    tallies: dict, game, policy, tables, rng, sabotage: bool = False
+) -> None:
+    """Run every suite on one game, adding to ``tallies``.
+
+    Draws from ``rng`` one joint action per state, then one state and one
+    other-agents' action row per agent. ``sabotage`` corrupts the two
+    identities' right-hand sides, so their suites must report violations.
+    """
+    n = game.n_agents
+    orders = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
+    tol = IDENTITY_TOL
+    found = {name: [] for name in SUITES}  # (violated, statistic) per check
+
+    for s in range(game.n_states):
+        marginals = marginal_q_lattice(game, policy, tables, s)
+        actions = tuple(int(rng.integers(k)) for k in game.action_counts)
+        for order in orders:
+            acts = tuple(actions[i] for i in order)
+            for prefix_len in range(min(n, 2)):
+                lhs, rhs = lattice_advantage_decomposition(
+                    marginals, order, acts, prefix_len
+                )
+                if sabotage:
+                    rhs = rhs + 1.0
+                err = abs(lhs - rhs)
+                found["advantage_decomposition"].append((err > tol, err))
+
+    for s in range(game.n_states):
+        cases = [(order, ()) for order in orders]
+        if n >= 2:  # the conditional form: agent 0's action fixed to 0
+            cases.append((None, ((0, 0),)))
+        for order, prefix in cases:
+            lhs, rhs = advantage_variance_identity(
+                game, policy, tables, s, order, prefix
+            )
+            if sabotage:
+                rhs = -rhs
+            err = abs(lhs - rhs)
+            found["advantage_variance_identity"].append((err > tol, err))
+
+    for s in range(game.n_states):
+        lhs, rhs = advantage_variance_bound(game, policy, tables, s)
+        slack = rhs - lhs
+        found["advantage_variance_bound"].append((slack < -tol, slack))
+
+    for pair in gap_bounds(game, policy, tables, range(n)):
+        for name, rep in zip(("centralized_gap_bound", "coma_gap_bound"), pair):
+            slack = min(b - rep.lhs for b in rep.bounds)
+            found[name].append((not rep.holds, slack))
+
+    for agent in range(n):
+        rows = agent_axis_view(game, tables.q, agent)
+        pi_i = agent_prob_table(game, policy, agent)
+        s = int(rng.integers(0, game.n_states))
+        m = int(rng.integers(0, rows.shape[1]))
+        q_row = rows[s, m]
+        pi_row = pi_i[s]
+        grads = np.eye(len(pi_row)) - pi_row  # row a is the score e_a - pi
+        b_star = ob_surrogate_discrete(q_row, pi_row)
+        base_var = local_variance(pi_row, q_row - b_star, grads)
+        score_sq = expected_score_norm_sq(pi_row)
+        for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
+            direct = local_variance(pi_row, q_row - b, grads) - base_var
+            err = abs(direct - baseline_excess_variance(b, b_star, score_sq))
+            found["optimal_baseline_identity"].append((err > tol, err))
+            found["optimal_baseline_scan"].append((direct < -tol, direct))
+        bounds = excess_variance_bounds(q_row, pi_row)
+        found["excess_variance_bounds"].append((not bounds.holds, None))
+
+    for name, checks in found.items():
+        _record(tallies[name], SUITES[name], checks)
+
+
+def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -> dict:
+    """Every suite over ``n_games`` random games of ``n_agents`` agents (1-3
+    states, 2-3 actions each, a random softmax policy), as the JSON-ready
+    report ``mapgvar verify`` writes, with an infinite statistic as None."""
+    rng = np.random.default_rng(seed)
+    tallies = new_tallies()
+    for _ in range(n_games):
+        n_states = int(rng.integers(1, 4))
+        n_actions = int(rng.integers(2, 4))
+        game_seed = int(rng.integers(0, 2**31 - 1))
+        game = random_game(n_agents, n_states, n_actions, seed=game_seed)
+        policy = random_softmax_policy(game, rng)
+        check_game(tallies, game, policy, solve_values(game, policy), rng, sabotage)
+    for entry in tallies.values():
+        for key, value in entry.items():
+            if isinstance(value, float) and math.isinf(value):
+                entry[key] = None
+    total = sum(entry["violations"] for entry in tallies.values())
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "games": n_games,
+        "agents": n_agents,
+        "seed": seed,
+        "suites": tallies,
+        "total_violations": total,
+        "ok": total == 0,
+    }

@@ -28,6 +28,13 @@ def one_step_game(action_spaces, payoff):
     )
 
 
+def same_logits(policy, other):
+    """Whether two joint policies hold equal logit tables, agent by agent."""
+    return policy.n_agents == other.n_agents and all(
+        np.array_equal(a.logits, b.logits) for a, b in zip(policy.agents, other.agents)
+    )
+
+
 def rollout_steps(blocks):
     """``rollout``'s blocks as one (states, actions, joint index, next
     states) tuple per step: actions is (n_agents, m), the rest (m,)."""

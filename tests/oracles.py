@@ -313,8 +313,6 @@ def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
 
 def per_step_gradient(kind, game, policy, tables, s, joint_action):
     """Signal times the agent's score at (s, joint action); zero elsewhere."""
-    if tables.policy_fingerprint != policy.fingerprint():
-        raise ValueError("value tables were solved for a different policy")
     joint_action = tuple(int(a) for a in joint_action)
     i = kind.agent
     a_idx = game.joint_action_index(joint_action)

@@ -26,7 +26,6 @@ from mapgvar import (
     EstimatorKind,
     EstimatorTag,
     TrainConfig,
-    advantage_decomposition,
     advantage_variance_bound,
     advantage_variance_identity,
     centralized_gap_bound,
@@ -52,6 +51,7 @@ from mapgvar import (
 )
 from mapgvar.cli import main
 from mapgvar.variance import ALL_TAGS
+from mapgvar.verify import SUITES, check_game, new_tallies
 
 
 def _line(n, detail):
@@ -118,39 +118,28 @@ def test_criterion_01_reference_ob_replay_string():
 
 
 # ---------------------------------------------------------------------------
-# 2. telescoping advantage decomposition, all orders, with prefixes
+# 2. every verify suite, on the shared corpus (2-4 agents, all orders)
 
 
 def test_criterion_02_decomposition(corpus200):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
-    checks = 0
-    worst = 0.0
+    tallies = new_tallies()
     for game, policy, tables in corpus200:
-        n = game.n_agents
-        perms = list(itertools.permutations(range(n)))
-        for s in range(game.n_states):
-            actions = tuple(
-                int(rng.integers(game.action_counts[i])) for i in range(n)
-            )
-            for order in perms:
-                acts = tuple(actions[i] for i in order)
-                for prefix_len in (0, 1):
-                    if prefix_len >= n:
-                        continue
-                    lhs, rhs = advantage_decomposition(
-                        game, policy, tables, s, order, acts, prefix_len=prefix_len
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-                    checks += 1
+        check_game(tallies, game, policy, tables, rng)
     elapsed = time.perf_counter() - t0
-    assert worst < 1e-9, worst
+    violations = {name: entry["violations"] for name, entry in tallies.items()}
+    assert violations == dict.fromkeys(SUITES, 0)
+    decomposition = tallies["advantage_decomposition"]
+    assert decomposition["max_abs_error"] < 1e-9, decomposition
     assert elapsed < 60.0
     _line(
         2,
-        f"{checks} decomposition checks (all states, all orders, with and "
-        f"without prefix) on 200 games, max |lhs-rhs| = {worst:.2e}, "
-        f"{elapsed:.1f} s",
+        f"{sum(entry['checks'] for entry in tallies.values())} checks in "
+        f"{len(SUITES)} verify suites on 200 games, none violated; "
+        f"{decomposition['checks']} decomposition checks (all states, all "
+        f"orders, with and without prefix), max |lhs-rhs| = "
+        f"{decomposition['max_abs_error']:.2e}, {elapsed:.1f} s",
     )
 
 

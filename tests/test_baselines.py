@@ -113,20 +113,18 @@ def test_gaussian_ob_constant_q_is_exact():
     assert val == 3.25  # no sampling noise and no rounding for constant rows
 
 
-@pytest.mark.parametrize("include_std_grad", [True, False])
-def test_gaussian_ob_rows_equal_the_one_row_formula(include_std_grad):
+def test_gaussian_ob_rows_equal_the_one_row_formula():
     # each row of a stack rounds like the 1-D formula; row 2's q-values are flat
     rng = np.random.default_rng(3)
     mean, std = np.array([0.3, -1.0]), np.array([0.5, 2.0])
     actions = mean + std * rng.standard_normal((4, 64, 2))
     q_vals = np.minimum(actions[..., 0] ** 3 - actions[..., 1], 1.5)
     q_vals[2] = 1.5
-    got = gaussian_ob_rows(actions, mean, std, q_vals, include_std_grad)
+    got = gaussian_ob_rows(actions, mean, std, q_vals)
     for row, q, b in zip(actions, q_vals, got):
         diff = row - mean
         norms = np.sum((diff / std**2) ** 2, axis=1)
-        if include_std_grad:
-            norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=1)
+        norms = norms + np.sum(((diff**2 - std**2) / std**3) ** 2, axis=1)
         flat = q.min() == q.max()
         assert b == (q[0] if flat else float(norms @ q) / float(norms.sum()))
     assert got[2] == 1.5
@@ -149,21 +147,6 @@ def test_gaussian_ob_linear_q_self_oracle():
         payoff, np.zeros(1), np.ones(1), 400_000, np.random.default_rng(999)
     )
     assert abs(runs.mean() - big) <= 3 * se + 5e-3
-
-
-def test_gaussian_ob_weights_respond_to_std_grad_flag():
-    def payoff(a):
-        return np.asarray(a)[:, 0] ** 3
-
-    rng1 = np.random.default_rng(7)
-    rng2 = np.random.default_rng(7)
-    with_std = ob_surrogate_gaussian(
-        payoff, np.zeros(1), np.ones(1), 512, rng1, include_std_grad=True
-    )
-    without = ob_surrogate_gaussian(
-        payoff, np.zeros(1), np.ones(1), 512, rng2, include_std_grad=False
-    )
-    assert with_std != without
 
 
 def test_gaussian_ob_requires_two_samples():

@@ -465,6 +465,14 @@ def test_report_rejects_a_policy_that_does_not_fit_the_game(
         ({"batch_size": None}, "malformed train config"),
         ({"entropy_coef": float("nan")}, "entropy_coef must be >= 0"),
         ({"actor_lr": float("nan")}, "actor_lr must be positive"),
+        ({**SMALL_TRAIN_CONFIG, "actor_lr": True},
+         "config entry 'actor_lr' must be a real number"),
+        ({**SMALL_TRAIN_CONFIG, "entropy_coef": "0.5"},
+         "config entry 'entropy_coef' must be a real number"),
+        ({**SMALL_TRAIN_CONFIG, "critic": {"lr": True}},
+         "config entry 'critic.lr' must be a real number"),
+        ({**SMALL_TRAIN_CONFIG, "ppo": {"eps_clip": "0.1", "epochs": 2}},
+         "config entry 'ppo.eps_clip' must be a real number"),
     ],
 )
 def test_train_rejects_a_malformed_config(tmp_path, capsys, doc, message):
@@ -490,6 +498,8 @@ def test_train_rejects_a_malformed_config(tmp_path, capsys, doc, message):
         ({"ob_n_samples": 10.25}, "ob_n_samples"),
         ({"critic": {"target_sync_interval": 1.5}}, "critic.target_sync_interval"),
         ({"ppo": {"eps_clip": 0.2, "epochs": False}}, "ppo.epochs"),
+        ({"batch_size": "4"}, "batch_size"),
+        ({"ppo": {"eps_clip": 0.2, "epochs": "2"}}, "ppo.epochs"),
     ],
 )
 def test_train_rejects_an_integer_entry_it_would_truncate(tmp_path, capsys, doc, name):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import one_step_game, rollout_steps
+from conftest import one_step_game, rollout_steps, same_logits
 from oracles import compare_baselines, td_batch_oracle, trajectory_gradient
 
 from mapgvar import (
@@ -203,7 +203,7 @@ def test_train_is_deterministic():
     r1 = train(game, None, cfg)
     r2 = train(game, None, cfg)
     assert r1.history == r2.history
-    assert r1.policy.fingerprint() == r2.policy.fingerprint()
+    assert same_logits(r1.policy, r2.policy)
 
 
 def test_history_lengths_and_monotone_learning():
@@ -430,7 +430,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, cfg, result.policy, result.final_rng_state)
     cfg2, policy2, rng_state2 = load_checkpoint(path)
     assert cfg2 == cfg
-    assert policy2.fingerprint() == result.policy.fingerprint()
+    assert same_logits(policy2, result.policy)
     assert rng_state2 == result.final_rng_state
 
 

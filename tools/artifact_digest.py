@@ -8,9 +8,10 @@ output. Equal lines mean both trees wrote the same bytes, stdout included.
 
 The grid covers gen, report (CSV, JSON, uniform and random policy files,
 every agent, --mc, and a game file whose state and action names need JSON
-escaping), verify, toy and train (baseline x critic x PPO, plus an entropy
-bonus, a default horizon and a TD critic that visits each cell hundreds of
-times per pass, then three runs on both sides of the sampler's cost rule).
+escaping), verify (1 to 5 agents, and a sabotaged run that must fail), toy
+and train (baseline x critic x PPO, plus an entropy bonus, a default horizon
+and a TD critic that visits each cell hundreds of times per pass, then three
+runs on both sides of the sampler's cost rule).
 Every command runs in-process through
 ``mapgvar.cli.main`` in a temporary directory. Each line is
 ``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
@@ -158,6 +159,14 @@ def digest_lines(work: str) -> list[str]:
                            "--seed", "7", "--format", fmt], work)
     lines += _run(main, "verify-n3-games30", ["verify", "--games", "30", "--agents",
                                               "3", "--format", "json"], work)
+    # one agent (no prefix checks), 24 orders, the single-order branch
+    for agents in (1, 4, 5):
+        lines += _run(main, f"verify-n{agents}-json",
+                      ["verify", "--games", "6", "--agents", str(agents),
+                       "--seed", "7", "--format", "json"], work)
+    # violations and exit 1
+    lines += _run(main, "verify-n2-sabotage",
+                  ["verify", "--games", "6", "--seed", "7", "--sabotage"], work)
 
     game_files = {}
     for n, s, k, seed in GAMES:
