@@ -21,7 +21,7 @@ import numpy as np
 
 from .games import load_game, parse_game, random_game, serialize_game, validate_game
 from .policies import check_policy_fits, load_policy, uniform_policy
-from .toy import run_toy
+from .toy import TOY_LOGITS, TOY_Q, run_toy
 from .training import (
     DivergenceError,
     TrainConfig,
@@ -29,6 +29,7 @@ from .training import (
     save_checkpoint,
     train,
 )
+from .values import SingularSystem
 from .values import solve_values  # noqa: F401 (bench/test_bench.py reads it)
 from .variance import build_variance_report
 from .verify import run_suites
@@ -94,10 +95,10 @@ def cmd_toy(args) -> int:
     table_rows = [
         (
             a,
-            repr(float(np.log(8.0)) if a == 0 else 0.0),
+            repr(float(TOY_LOGITS[a])),
             repr(float(report.pi[a])),
             repr(float(report.x[a])),
-            repr(float((2.0, 1.0, 100.0)[a])),
+            repr(float(TOY_Q[a])),
             repr(float(report.advantage[a])),
             repr(float(report.x_exact[a])),
             f"{float(report.x_values_rounded[a]):.2f}",
@@ -117,7 +118,7 @@ def cmd_toy(args) -> int:
                 "schema_version": 1,
                 "pi": report.pi.tolist(),
                 "x": report.x.tolist(),
-                "q": [2.0, 1.0, 100.0],
+                "q": list(TOY_Q),
                 "counterfactual_baseline": report.coma_b,
                 "advantage": report.advantage.tolist(),
                 "optimal_baseline": report.b_star_exact,
@@ -308,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", default=None, help="output directory (default: MAPGVAR_OUT or .)"
     )
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="artifact format"
-    )
 
     parser = argparse.ArgumentParser(
         prog="mapgvar",
@@ -345,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc", type=_mc_count, default=0, help="Monte-Carlo trajectories (0 = skip)"
     )
     p_report.set_defaults(func=cmd_report)
+    for p in (p_toy, p_verify, p_report):  # train and gen write fixed formats
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="artifact format"
+        )
 
     p_train = sub.add_parser(
         "train", parents=[common], help="train tabular actors on a game file"
@@ -374,7 +376,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # includes JSONDecodeError, DegeneratePolicy
+    # ValueError includes JSONDecodeError and DegeneratePolicy
+    except (ValueError, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

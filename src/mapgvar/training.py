@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .estimators import (
     scatter_scores,
     signal_table,
 )
-from .games import MarkovGame
+from .games import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, MarkovGame
 from .policies import (
     JointPolicy,
     SoftmaxPolicy,
@@ -117,26 +117,7 @@ class TrainConfig:
 
 
 def config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "baseline": config.baseline.tag.value,
-        "actor_lr": config.actor_lr,
-        "critic": {
-            "mode": config.critic.mode,
-            "lr": config.critic.lr,
-            "target_sync_interval": config.critic.target_sync_interval,
-        },
-        "batch_size": config.batch_size,
-        "ppo": (
-            None
-            if config.ppo is None
-            else {"eps_clip": config.ppo.eps_clip, "epochs": config.ppo.epochs}
-        ),
-        "horizon": config.horizon,
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "ob_n_samples": config.ob_n_samples,
-        "entropy_coef": config.entropy_coef,
-    }
+    return {**asdict(config), "baseline": config.baseline.tag.value}
 
 
 def _integer(value, name: str) -> int:
@@ -158,46 +139,43 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _section(cls, value, name: str = "", complete: bool = False):
+    """``cls`` built from the entries the object ``value`` holds, each
+    converted by its field's annotation; an absent entry takes the dataclass
+    default, or raises ValueError if ``complete``."""
+    if not isinstance(value, dict):
+        raise ValueError("config entries 'critic' and 'ppo' must be objects")
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{name}.{f.name}" if name else f.name
+        if f.name in value:  # f.type is the annotation's text (postponed)
+            kwargs[f.name] = _CONVERTERS[f.type](value[f.name], key)
+        elif complete:
+            raise ValueError(f"config entry {name!r} needs {f.name!r}")
+    return cls(**kwargs)
+
+
+_CONVERTERS = {
+    "int": _integer,
+    "float": _real,
+    "str": lambda value, name: value,
+    "int | None": lambda value, name: None if value is None else _integer(value, name),
+    "BaselineKind": lambda value, name: BaselineKind(BaselineTag(value)),
+    "CriticConfig": lambda value, name: _section(CriticConfig, value, name),
+    "PPOConfig | None": lambda value, name: (
+        None if value is None else _section(PPOConfig, value, name, complete=True)
+    ),
+}
+
+
 def config_from_dict(data: dict) -> TrainConfig:
-    """Invert config_to_dict; absent keys take their defaults. A malformed
-    document raises ValueError."""
+    """Invert config_to_dict; absent keys take the dataclass defaults, except
+    inside 'ppo', which needs every key. A malformed document raises
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError("a train config must be a JSON object")
-    critic, ppo = data.get("critic", {}), data.get("ppo")
-    if not isinstance(critic, dict) or not isinstance(ppo, (dict, type(None))):
-        raise ValueError("config entries 'critic' and 'ppo' must be objects")
     try:
-        return TrainConfig(
-            baseline=BaselineKind(BaselineTag(data.get("baseline", "ob_surrogate"))),
-            actor_lr=_real(data.get("actor_lr", 0.1), "actor_lr"),
-            critic=CriticConfig(
-                mode=critic.get("mode", "exact"),
-                lr=_real(critic.get("lr", 0.5), "critic.lr"),
-                target_sync_interval=_integer(
-                    critic.get("target_sync_interval", 1), "critic.target_sync_interval"
-                ),
-            ),
-            batch_size=_integer(data.get("batch_size", 32), "batch_size"),
-            ppo=(
-                None
-                if ppo is None
-                else PPOConfig(
-                    eps_clip=_real(ppo["eps_clip"], "ppo.eps_clip"),
-                    epochs=_integer(ppo["epochs"], "ppo.epochs"),
-                )
-            ),
-            horizon=(
-                None
-                if data.get("horizon") is None
-                else _integer(data["horizon"], "horizon")
-            ),
-            iterations=_integer(data.get("iterations", 100), "iterations"),
-            seed=_integer(data.get("seed", 0), "seed"),
-            ob_n_samples=_integer(data.get("ob_n_samples", 1000), "ob_n_samples"),
-            entropy_coef=_real(data.get("entropy_coef", 0.0), "entropy_coef"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config entry 'ppo' needs {exc}") from exc
+        return _section(TrainConfig, data)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed train config: {exc}") from exc
 
@@ -262,19 +240,13 @@ class TrainResult:
 class CriticState:
     q: np.ndarray
     target_q: np.ndarray
-    lr: float
-    target_sync_interval: int
+    config: CriticConfig
     sweeps: int = 0
 
 
 def init_critic(game: MarkovGame, config: CriticConfig) -> CriticState:
     shape = (game.n_states, game.n_joint_actions)
-    return CriticState(
-        q=np.zeros(shape),
-        target_q=np.zeros(shape),
-        lr=config.lr,
-        target_sync_interval=config.target_sync_interval,
-    )
+    return CriticState(q=np.zeros(shape), target_q=np.zeros(shape), config=config)
 
 
 def td_learn_q(
@@ -293,32 +265,38 @@ def td_learn_q(
     contract toward the solved q at rate (1 - lr) + lr * gamma per sweep.
     """
     probs = joint_action_prob_table(game, policy)  # (S, A)
-    q = state.q.copy()
+    q, lr = state.q.copy(), state.config.lr
     expected_next = np.einsum("sa,sa->s", probs, state.target_q)  # E_{a'}[Q_tgt(s',.)]
     if batch is None:
         targets = game.reward + game.gamma * game.transition @ expected_next
-        q += state.lr * (targets - q)
+        q += lr * (targets - q)
     else:
         s, a_idx, r, s_next = np.asarray(batch, dtype=float).reshape(-1, 4).T
         cells = np.ravel_multi_index((s.astype(int), a_idx.astype(int)), q.shape)
         targets = r + game.gamma * expected_next[s_next.astype(int)]
         # in order on Python floats: the roundings of numpy scalar updates,
         # without their indexing cost
-        flat, lr = q.reshape(-1).tolist(), state.lr
+        flat = q.reshape(-1).tolist()
         for c, y in zip(cells.tolist(), targets.tolist()):
             flat[c] += lr * (y - flat[c])
         q = np.array(flat).reshape(q.shape)
     sweeps = state.sweeps + 1
     target_q = state.target_q
-    if sweeps % state.target_sync_interval == 0:
+    if sweeps % state.config.target_sync_interval == 0:
         target_q = q.copy()
-    return CriticState(
-        q=q,
-        target_q=target_q,
-        lr=state.lr,
-        target_sync_interval=state.target_sync_interval,
-        sweeps=sweeps,
-    )
+    return replace(state, q=q, target_q=target_q, sweeps=sweeps)
+
+
+def _batch_statistics(per_agent: list[np.ndarray]):
+    """Statistics of one batch of per-trajectory gradients, agent i's block
+    of shape (batch, dim_i): each agent's slice of the batch-mean gradient,
+    the total sample variance (0 for a batch of one) and the mean's norm."""
+    flat = np.concatenate(per_agent, axis=1)
+    mean = flat.mean(axis=0)
+    dev = flat - mean
+    variance = float(np.einsum("bd,bd->", dev, dev) / max(len(flat) - 1, 1))
+    steps = np.split(mean, np.cumsum([g.shape[1] for g in per_agent])[:-1])
+    return steps, variance, float(np.linalg.norm(mean))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +322,8 @@ def train(
 
     Returns the final policy alongside the history so callers can checkpoint
     or evaluate; histories from identical (game, initial policy, config) are
-    bit-identical.
+    bit-identical. A batch of more than DEFAULT_ENUMERATION_CAP steps
+    (horizon x batch_size) raises EnumerationCapExceeded before allocating.
     """
     if initial_policy is None:
         initial_policy = uniform_policy(game)
@@ -352,16 +331,17 @@ def train(
     n = game.n_agents
     counts = game.action_counts
     logits = [np.array(agent.logits, dtype=float) for agent in initial_policy.agents]
-    horizon = (
-        config.horizon
-        if config.horizon is not None
-        else default_horizon(game.gamma, game.beta)
-    )
+    horizon = config.horizon or default_horizon(game.gamma, game.beta)
+    batch = config.batch_size
+    if horizon * batch > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"horizon {horizon} x batch_size {batch} steps per iteration exceeds "
+            f"{DEFAULT_ENUMERATION_CAP}"
+        )
     j_bound = 10.0 * game.beta / (1.0 - game.gamma)
     use_td = config.critic.mode == "td"
     critic = init_critic(game, config.critic) if use_td else None
     signal_tag = _SIGNAL_FOR_BASELINE[config.baseline.tag]
-    batch = config.batch_size
     # gamma^t rounded as a running product, step by step
     discounts = np.cumprod(np.r_[1.0, np.full(horizon - 1, game.gamma)])
 
@@ -417,24 +397,17 @@ def train(
                 discounts[:, None] * sig,
             )
 
-        flat = np.concatenate([g.reshape(batch, -1) for g in grads], axis=1)
-        mean_grad = flat.mean(axis=0)
-        if batch > 1:
-            dev = flat - mean_grad
-            grad_vars.append(float(np.einsum("bd,bd->", dev, dev) / (batch - 1)))
-        else:
-            grad_vars.append(0.0)
-        grad_norms.append(float(np.linalg.norm(mean_grad)))
+        steps, grad_var, grad_norm = _batch_statistics(
+            [g.reshape(batch, -1) for g in grads]
+        )
+        grad_vars.append(grad_var)
+        grad_norms.append(grad_norm)
 
         if config.ppo is None:
-            offset = 0
             for i in range(n):
-                width = param_dim(game, i)
-                step = mean_grad[offset : offset + width].reshape(
-                    game.n_states, counts[i]
+                logits[i] = logits[i] + config.actor_lr * steps[i].reshape(
+                    logits[i].shape
                 )
-                logits[i] = logits[i] + config.actor_lr * step
-                offset += width
         else:
             gamma_pow = game.gamma ** np.arange(horizon)
             # flat cells in trajectory order, the order the epochs sum samples in
@@ -596,7 +569,6 @@ def train_gaussian(
             )
         )
         per_traj = []
-        mean_steps = []
         for i, (mean, std) in enumerate(params):
             own = samples[:, offsets[i] : offsets[i + 1]]
             score = gaussian_log_prob_grad(mean, std, own)  # (batch, 2d)
@@ -611,20 +583,12 @@ def train_gaussian(
                 joint[:, offsets[i] : offsets[i + 1]] = actions.reshape(len(joint), -1)
                 q_cf = np.asarray(task.payoff(joint), dtype=float).reshape(batch, n_ob)
                 baselines = gaussian_ob_rows(actions, mean, std, q_cf)
-            x_vals = q_vals - baselines
-            g = x_vals[:, None] * score
-            per_traj.append(g)
-            mean_steps.append(g.mean(axis=0))
-        flat = np.concatenate(per_traj, axis=1)
-        mg = flat.mean(axis=0)
-        dev = flat - mg
-        grad_vars.append(
-            float(np.einsum("bd,bd->", dev, dev) / max(batch - 1, 1))
-        )
-        grad_norms.append(float(np.linalg.norm(mg)))
-        for i, (mean, std) in enumerate(params):
+            per_traj.append((q_vals - baselines)[:, None] * score)
+        steps, grad_var, grad_norm = _batch_statistics(per_traj)
+        grad_vars.append(grad_var)
+        grad_norms.append(grad_norm)
+        for i, ((mean, std), step) in enumerate(zip(params, steps)):
             d = task.dims[i]
-            step = mean_steps[i]
             new_mean = mean + config.actor_lr * step[:d]
             new_std = np.maximum(std + config.actor_lr * step[d:], 1e-3)
             params[i] = (new_mean, new_std)

@@ -467,8 +467,10 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
     q_row = np.asarray(q_row, dtype=float)
     pi_i = np.asarray(pi_i, dtype=float)
     q_bar = coma_baseline(q_row, pi_i)
-    delta_vanilla = excess_surrogate_variance(0.0, q_row, pi_i)
-    delta_coma = excess_surrogate_variance(q_bar, q_row, pi_i)
+    b_star = ob_surrogate_discrete(q_row, pi_i)
+    score_sq = expected_score_norm_sq(pi_i)
+    delta_vanilla = baseline_excess_variance(0.0, b_star, score_sq)
+    delta_coma = baseline_excess_variance(q_bar, b_star, score_sq)
     norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
     d_max = math.sqrt(float(norm_sq.max()))
     adv = q_row - q_bar

@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from mapgvar import load_checkpoint, load_game, save_game, save_policy, uniform_policy
+from mapgvar import (
+    load_checkpoint,
+    load_game,
+    random_game,
+    save_game,
+    save_policy,
+    uniform_policy,
+)
 from mapgvar.cli import main
 
 
@@ -308,6 +315,20 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "gen"])
+def test_format_is_a_usage_error_for_train_and_gen(tmp_path, capsys, command):
+    # both always write the same formats, so the flag would be ignored
+    argv = [command, "--format", "json", "--out", str(tmp_path / "out")]
+    if command == "train":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_TRAIN_CONFIG), encoding="utf-8")
+        argv += ["--game", make_game_file(tmp_path), "--config", str(cfg_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -344,9 +365,12 @@ def _invalid_input_argv(tmp_path, case):
     path = tmp_path / "bad.json"
     if case == "malformed json":
         path.write_text('{"states": ["s0",', encoding="utf-8")
+    elif case.endswith("gamma near one"):  # valid, since gamma < 1
+        game = random_game(2, 3, 2, seed=3)
+        save_game(dataclasses.replace(game, gamma=1 - 1e-9), path)
     else:  # gamma = 1 has no finite default horizon
         save_game(dataclasses.replace(load_game(game_file), gamma=1.0), path)
-    command = "train" if case == "train gamma one" else "report"
+    command = "train" if case.startswith("train") else "report"
     return [command, "--game", str(path)]
 
 
@@ -357,6 +381,9 @@ def _invalid_input_argv(tmp_path, case):
         ("train gamma one", "gamma out of [0,1): 1.0"),
         ("malformed json", "bad.json: Expecting value"),
         ("agent out of range", "agent index 5 out of range [0, 2)"),
+        ("gamma near one", "Bellman residual"),
+        # the default horizon is about 4.1e10 steps, refused before allocating
+        ("train gamma near one", "horizon 41446532854 x batch_size 32"),
     ],
 )
 def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, message):

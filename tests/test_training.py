@@ -97,8 +97,18 @@ def test_config_round_trip():
 
 
 def test_config_from_dict_defaults():
-    cfg = config_from_dict({})
-    assert cfg == TrainConfig()
+    # absent keys take the dataclass defaults
+    cases = [
+        ({}, TrainConfig()),
+        ({"iterations": 2}, TrainConfig(iterations=2)),
+        ({"iterations": 2, "critic": {"mode": "td"}},
+         TrainConfig(iterations=2, critic=CriticConfig(mode="td"))),
+        ({"iterations": 2, "baseline": "coma", "ppo": {"eps_clip": 0.2, "epochs": 2}},
+         TrainConfig(iterations=2, baseline=BaselineKind(BaselineTag.COMA),
+                     ppo=PPOConfig(eps_clip=0.2, epochs=2))),
+    ]
+    for doc, expected in cases:
+        assert config_from_dict(doc) == expected, doc
 
 
 # ---------------------------------------------------------------------------

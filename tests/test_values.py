@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mapgvar import (
     joint_action_prob_table,
     lattice_advantage_decomposition,
     marginal_q_lattice,
+    policy_transition,
     random_game,
     solve_values,
     state_distributions,
@@ -82,6 +85,30 @@ def test_singular_system_raised():
     )
     with pytest.raises(SingularSystem):
         solve_values(game, uniform_policy(game))
+
+
+@pytest.mark.parametrize(
+    "n_states, gamma, singular",
+    [(120, 1 - 1e-7, False), (3, 1 - 1e-9, True), (40, 1 - 1e-9, True),
+     (120, 1 - 1e-9, True)],
+)
+def test_solve_near_gamma_one_ends_within_a_second(n_states, gamma, singular):
+    # the value-iteration fallback starts from the direct solution and reaches
+    # a floating-point fixed point in a few sweeps, not VI_MAX_SWEEPS
+    game = dataclasses.replace(random_game(2, n_states, 2, seed=3), gamma=gamma)
+    policy = uniform_policy(game)
+    start = time.perf_counter()
+    if singular:
+        with pytest.raises(SingularSystem, match="Bellman residual"):
+            solve_values(game, policy)
+    else:
+        solve_values(game, policy)
+    assert time.perf_counter() - start < 1.0
+    if not singular:  # the direct solve's residual sends it to the fallback
+        probs = joint_action_prob_table(game, policy)
+        r_pi = np.einsum("sa,sa->s", probs, game.reward)
+        m = np.eye(n_states) - gamma * policy_transition(game, policy)
+        assert np.abs(m @ np.linalg.solve(m, r_pi) - r_pi).max() > 1e-10
 
 
 def test_solve_rejects_a_one_row_table_on_a_multi_state_game():

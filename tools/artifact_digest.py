@@ -17,7 +17,9 @@ Every command runs in-process through
 ``<sha256>  <label>/<file>``, where ``stdout`` and ``exit`` (the exit code,
 or the exception a command raised) are recorded as files too. Last come
 ``train_gaussian`` runs, one per baseline, which have no CLI command: their
-history and final parameters are hashed as JSON.
+history and final parameters are hashed as JSON. After them come trains
+from config documents that leave keys out, which check the defaults a
+document's absent keys take, the checkpoint's config included.
 """
 from __future__ import annotations
 
@@ -97,6 +99,14 @@ def _regime_configs():
     yield "window-tail", {**base, "batch_size": 8, "horizon": 2 * 128 + 45, "seed": 4}
     yield "largest-window", {**base, "batch_size": 113, "horizon": 30, "seed": 5}
     yield "smallest-per-step", {**base, "batch_size": 114, "horizon": 30, "seed": 6}
+
+
+# config documents that leave keys out, so the rest take the defaults
+PARTIAL_CONFIGS = (
+    {"iterations": 2},
+    {"iterations": 2, "critic": {"mode": "td"}},
+    {"iterations": 2, "baseline": "coma", "ppo": {"eps_clip": 0.2, "epochs": 2}},
+)
 
 
 def _gaussian_lines() -> list[str]:
@@ -221,7 +231,15 @@ def digest_lines(work: str) -> list[str]:
         lines += _run(main, f"train-n2-s3-k3-seed1-{label}",
                       ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
                        config_file], work)
-    return lines + _gaussian_lines()
+    lines += _gaussian_lines()
+    for c, config in enumerate(PARTIAL_CONFIGS):
+        config_file = os.path.join(work, f"train-config-partial-{c}.json")
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        lines += _run(main, f"train-n2-s3-k3-seed1-partial{c}",
+                      ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
+                       config_file], work)
+    return lines
 
 
 def main(argv=None) -> int:
