@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -19,9 +20,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .games import load_game, parse_game, random_game, serialize_game, validate_game
-from .policies import check_policy_fits, load_policy, uniform_policy
-from .toy import TOY_LOGITS, TOY_Q, run_toy
+from .games import parse_game, random_game, serialize_game, validate_game
+from .policies import check_policy_fits, policy_from_dict, uniform_policy
+from .toy import run_toy
 from .training import (
     DivergenceError,
     TrainConfig,
@@ -32,7 +33,7 @@ from .training import (
 from .values import SingularSystem
 from .values import solve_values  # noqa: F401 (bench/test_bench.py reads it)
 from .variance import build_variance_report
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 def _out_dir(args) -> str:
@@ -41,45 +42,45 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, data) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _load_valid_game(path: str):
-    """load_game, then validate_game; ValueError naming the file if either fails."""
+def _read(path: str, parse):
+    """``parse`` applied to the open file at ``path``; a ValueError it raises
+    (malformed JSON and undecodable bytes included) names the file."""
     try:
-        game = load_game(path)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, data) -> None:
+    """One artifact: text as it is, a dict as a JSON document (indented,
+    sorted keys, final newline), anything else as CSV rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if isinstance(data, str):
+            fh.write(data)
+        elif isinstance(data, dict):
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(data)
+
+
+def _write_table(args, out: str, stem: str, header, rows, doc) -> None:
+    """``stem``.csv (``header``, then ``rows()``) or ``stem``.json (``doc()``),
+    as --format asks; only the chosen one is built."""
+    if args.format == "json":
+        _write(os.path.join(out, f"{stem}.json"), doc())
+    else:
+        _write(os.path.join(out, f"{stem}.csv"), [header, *rows()])
+
+
+def _valid_game(fh):
+    """The game in a file: parse_game, then validate_game."""
+    game = parse_game(fh.read())
     violations = validate_game(game).violations
     if violations:
-        raise ValueError(f"{path}: {len(violations)} violation(s): {violations[0]}")
+        raise ValueError(f"{len(violations)} violation(s): {violations[0]}")
     return game
-
-
-def _load_game_policy(path: str, game):
-    """load_policy, then check_policy_fits; ValueError naming the file if
-    either fails."""
-    try:
-        policy = load_policy(path)
-        check_policy_fits(game, policy)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -91,45 +92,9 @@ def cmd_toy(args) -> int:
     report = run_toy()
     text = report.render_text()
     sys.stdout.write(text)
-    _write_text(os.path.join(out, "toy_report.txt"), text)
-    table_rows = [
-        (
-            a,
-            repr(float(TOY_LOGITS[a])),
-            repr(float(report.pi[a])),
-            repr(float(report.x[a])),
-            repr(float(TOY_Q[a])),
-            repr(float(report.advantage[a])),
-            repr(float(report.x_exact[a])),
-            f"{float(report.x_values_rounded[a]):.2f}",
-        )
-        for a in range(3)
-    ]
-    if args.format == "csv":
-        _write_csv(
-            os.path.join(out, "toy_table.csv"),
-            ("action", "logit", "pi", "x", "q", "advantage", "x_value", "x_value_rounded"),
-            table_rows,
-        )
-    else:
-        _write_json(
-            os.path.join(out, "toy_table.json"),
-            {
-                "schema_version": 1,
-                "pi": report.pi.tolist(),
-                "x": report.x.tolist(),
-                "q": list(TOY_Q),
-                "counterfactual_baseline": report.coma_b,
-                "advantage": report.advantage.tolist(),
-                "optimal_baseline": report.b_star_exact,
-                "x_values": report.x_exact.tolist(),
-                "x_values_rounded": report.x_values_rounded.tolist(),
-                "variances": report.variances,
-                "ob_replay_variance": report.ob_replay_variance,
-                "checks": report.checks,
-                "notes": report.notes,
-            },
-        )
+    _write(os.path.join(out, "toy_report.txt"), text)
+    _write_table(args, out, "toy_table", report.CSV_HEADER, report.to_csv_rows,
+                 report.to_json_dict)
     return 0 if report.passed else 1
 
 
@@ -143,24 +108,20 @@ def cmd_verify(args) -> int:
     result = run_suites(args.games, args.agents, seed, args.sabotage)
     rows = []
     for name, entry in result["suites"].items():
-        # checks, violations, then the suite's statistic if it has one
-        (_, checks), (_, violations), *stat = entry.items()
-        stats = ", ".join(f"{k}={v!r}" for k, v in stat)
+        checks, violations = entry["checks"], entry["violations"]
+        key = SUITES[name][0] if SUITES[name] else None  # the suite's statistic
+        stat = (key, entry[key]) if key else ("", "")
         status = "PASS" if violations == 0 else "FAIL"
+        stats = f"{key}={entry[key]!r}" if key else ""
         print(f"[{status}] {name}: {checks} checks, {violations} violations ({stats})")
-        rows.append((name, checks, violations, *(stat[0] if stat else ("", ""))))
+        rows.append((name, checks, violations, *stat))
     print(
         f"total violations: {result['total_violations']} "
         f"over {result['games']} games"
     )
-    if args.format == "json":
-        _write_json(os.path.join(out, "verify_report.json"), result)
-    else:
-        _write_csv(
-            os.path.join(out, "verify_report.csv"),
-            ("suite", "checks", "violations", "stat_name", "stat_value"),
-            rows,
-        )
+    _write_table(args, out, "verify_report",
+                 ("suite", "checks", "violations", "stat_name", "stat_value"),
+                 lambda: rows, lambda: result)
     return 0 if result["ok"] else 1
 
 
@@ -170,11 +131,17 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    game = _load_valid_game(args.game)
+    game = _read(args.game, _valid_game)
+
+    def fitting_policy(fh):
+        policy = policy_from_dict(json.load(fh))
+        check_policy_fits(game, policy)
+        return policy
+
     if args.policy == "uniform":
         policy = uniform_policy(game)
     else:
-        policy = _load_game_policy(args.policy, game)
+        policy = _read(args.policy, fitting_policy)
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     report = build_variance_report(
         game,
@@ -192,14 +159,8 @@ def cmd_report(args) -> int:
                 f"{tag}: trajectory_draw variance = {entry['estimate']!r} "
                 f"(se {entry['se']!r}, n {entry['n']})"
             )
-    if args.format == "json":
-        _write_json(os.path.join(out, "variance_report.json"), report.to_json_dict())
-    else:
-        _write_csv(
-            os.path.join(out, "variance_report.csv"),
-            ("kind", "t", "term", "value"),
-            report.to_csv_rows(),
-        )
+    _write_table(args, out, "variance_report", report.CSV_HEADER, report.to_csv_rows,
+                 report.to_json_dict)
     return 0
 
 
@@ -209,13 +170,9 @@ def cmd_report(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    game = _load_valid_game(args.game)
+    game = _read(args.game, _valid_game)
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                config = config_from_dict(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: {exc}") from exc
+        config = _read(args.config, lambda fh: config_from_dict(json.load(fh)))
     else:
         config = TrainConfig()
     if args.seed is not None:
@@ -227,19 +184,10 @@ def cmd_train(args) -> int:
         print(json.dumps(exc.report, sort_keys=True), file=sys.stderr)
         return 1
     history = result.history
-    n_agents = game.n_agents
-    _write_csv(
-        os.path.join(out, "train_history.csv"),
-        (
-            "iteration",
-            "expected_return",
-            "grad_variance",
-            "grad_norm",
-            *(f"entropy_agent{i}" for i in range(n_agents)),
-        ),
-        history.to_csv_rows(),
-    )
-    _write_json(os.path.join(out, "train_summary.json"), history.to_json_dict())
+    header = ("iteration", "expected_return", "grad_variance", "grad_norm",
+              *(f"entropy_agent{i}" for i in range(game.n_agents)))
+    _write(os.path.join(out, "train_history.csv"), [header, *history.to_csv_rows()])
+    _write(os.path.join(out, "train_summary.json"), history.to_json_dict())
     save_checkpoint(
         os.path.join(out, "checkpoint.json"),
         config,
@@ -264,7 +212,7 @@ def cmd_gen(args) -> int:
         print("generated game failed to round-trip", file=sys.stderr)
         return 1
     name = f"game_n{args.agents}_s{args.states}_k{args.actions}_seed{seed}.json"
-    _write_text(os.path.join(out, name), text)
+    _write(os.path.join(out, name), text)
     print(f"wrote {name}")
     return 0
 
@@ -297,7 +245,10 @@ def _mc_count(text: str) -> int:
 _mc_count.__name__ = "int"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: argparse gives each
+    parse a fresh namespace, so no state passes between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
@@ -366,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .games import DEFAULT_ENUMERATION_CAP, MarkovGame
+from .games import MarkovGame
 from .policies import JointPolicy, x_measure_softmax
 from .values import ValueTables, state_distributions
 
@@ -285,7 +285,6 @@ def exact_policy_gradient(
     policy: JointPolicy,
     agent: int,
     horizon: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Exact discounted gradient of the expected return for one agent.
 
@@ -298,7 +297,7 @@ def exact_policy_gradient(
     _check_agent(game, agent)
     if horizon is None:
         horizon = default_horizon(game.gamma, game.beta)
-    tables = solve_values(game, policy, cap=cap)
+    tables = solve_values(game, policy)
     mean_by_state = mean_step_gradient_by_state(game, policy, tables, agent)
     dists = state_distributions(game, policy, horizon - 1)
     k = game.action_counts[agent]

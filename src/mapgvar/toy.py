@@ -92,9 +92,44 @@ class ToyReport:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
+    CSV_HEADER = ("action", "logit", "pi", "x", "q", "advantage", "x_value",
+                  "x_value_rounded")
+
     @property
     def passed(self) -> bool:
         return all(entry["passed"] for entry in self.checks)
+
+    def to_csv_rows(self) -> list[tuple]:
+        return [
+            (
+                a,
+                repr(float(TOY_LOGITS[a])),
+                repr(float(self.pi[a])),
+                repr(float(self.x[a])),
+                repr(float(TOY_Q[a])),
+                repr(float(self.advantage[a])),
+                repr(float(self.x_exact[a])),
+                f"{float(self.x_values_rounded[a]):.2f}",
+            )
+            for a in range(len(TOY_Q))
+        ]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "schema_version": 1,
+            "pi": self.pi.tolist(),
+            "x": self.x.tolist(),
+            "q": list(TOY_Q),
+            "counterfactual_baseline": self.coma_b,
+            "advantage": self.advantage.tolist(),
+            "optimal_baseline": self.b_star_exact,
+            "x_values": self.x_exact.tolist(),
+            "x_values_rounded": self.x_values_rounded.tolist(),
+            "variances": self.variances,
+            "ob_replay_variance": self.ob_replay_variance,
+            "checks": self.checks,
+            "notes": self.notes,
+        }
 
     def render_text(self) -> str:
         def vec(v, fmt=repr):

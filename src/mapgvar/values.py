@@ -50,11 +50,7 @@ def policy_transition(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     return np.einsum("sa,sat->st", probs, game.transition)
 
 
-def solve_values(
-    game: MarkovGame,
-    policy: JointPolicy,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ValueTables:
+def solve_values(game: MarkovGame, policy: JointPolicy) -> ValueTables:
     """Exact Q and V. Direct dense solve; value-iteration fallback at 1e-12.
 
     Raises SingularSystem if the linear system is outright singular (possible
@@ -63,9 +59,10 @@ def solve_values(
     the game (``check_policy_fits``).
     """
     check_policy_fits(game, policy)
-    if game.n_states * game.n_joint_actions > cap:
+    if game.n_states * game.n_joint_actions > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{game.n_states * game.n_joint_actions} q-table entries exceeds {cap}"
+            f"{game.n_states * game.n_joint_actions} q-table entries exceeds "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     probs = joint_action_prob_table(game, policy)
     p_pi = np.einsum("sa,sat->st", probs, game.transition)
@@ -190,7 +187,13 @@ def lattice_advantage_decomposition(
 def state_distributions(
     game: MarkovGame, policy: JointPolicy, t_max: int
 ) -> np.ndarray:
-    """d^t for t = 0..t_max as a (t_max+1, n_states) array."""
+    """d^t for t = 0..t_max as a (t_max+1, n_states) array; a table above
+    DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first."""
+    if (t_max + 1) * game.n_states > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"state distributions of {t_max + 1} rows x {game.n_states} states "
+            f"exceed {DEFAULT_ENUMERATION_CAP}"
+        )
     p_pi = policy_transition(game, policy)
     out = np.empty((t_max + 1, game.n_states))
     out[0] = game.initial_dist

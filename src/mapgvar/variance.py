@@ -205,16 +205,16 @@ def advantage_variance_bound(
     policy: JointPolicy,
     tables: ValueTables,
     s: int,
-    order=None,
     prefix=(),
 ) -> tuple[float, float]:
     """Joint-advantage variance vs. the independent-row sum; returns (lhs, rhs).
 
     rhs sums, per non-prefix agent, the variance (over the full non-prefix
     joint draw) of that agent's advantage given everyone else's sampled
-    actions. lhs <= rhs always; the caller asserts the slack.
+    actions; the sum takes every such agent, so no order enters it. lhs <=
+    rhs always; the caller asserts the slack.
     """
-    t, probs, w, lhs = _joint_draw(game, policy, tables, s, order, prefix)
+    t, probs, w, lhs = _joint_draw(game, policy, tables, s, None, prefix)
 
     rhs = 0.0
     for j in range(len(probs)):
@@ -592,6 +592,8 @@ class VarianceReport:
     coma_gap: BoundReport
     mc: dict = field(default_factory=dict)  # tag -> {"n", "horizon", "estimate", "se"}
     schema_version: int = SCHEMA_VERSION
+
+    CSV_HEADER = ("kind", "t", "term", "value")
 
     def to_csv_rows(self) -> list[tuple]:
         rows = [("schema_version", -1, "value", float(self.schema_version))]

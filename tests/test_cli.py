@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +313,39 @@ def test_train_byte_stable(tmp_path, capsys):
 # plumbing
 
 
+def test_back_to_back_commands_match_each_run_alone(tmp_path, capsys):
+    # one process parses every command with one parser; each run alone is a
+    # fresh interpreter, so a flag or default left over from an earlier
+    # command shows as different bytes
+    import mapgvar
+
+    game_path = make_game_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_TRAIN_CONFIG), encoding="utf-8")
+    commands = [
+        ["report", "--game", game_path, "--t-max", "3", "--agent", "1",
+         "--seed", "4", "--mc", "20", "--format", "json"],
+        ["report", "--game", game_path, "--t-max", "3"],
+        ["train", "--game", game_path, "--config", str(cfg_path), "--seed", "5"],
+        ["train", "--game", game_path, "--config", str(cfg_path)],
+        ["verify", "--games", "2", "--agents", "3", "--sabotage", "--format", "json"],
+        ["verify", "--games", "2"],
+    ]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(mapgvar.__file__))}
+    capsys.readouterr()
+    for i, argv in enumerate(commands):
+        together, alone = tmp_path / f"together{i}", tmp_path / f"alone{i}"
+        code = main([*argv, "--out", str(together)])
+        stdout = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mapgvar", *argv, "--out", str(alone)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, stdout) == (fresh.returncode, fresh.stdout), argv
+        assert snapshot(together) == snapshot(alone), argv
+
+
 def test_usage_error_exit_code():
     assert main(["report"]) == 2  # --game is required
     assert main(["no-such-command"]) == 2
@@ -362,9 +398,14 @@ def _invalid_input_argv(tmp_path, case):
     game_file = make_game_file(tmp_path)
     if case == "agent out of range":
         return ["report", "--game", game_file, "--agent", "5"]
+    if case == "t-max over the cap":
+        return ["report", "--game", game_file, "--t-max", "100000000"]
     path = tmp_path / "bad.json"
     if case == "malformed json":
         path.write_text('{"states": ["s0",', encoding="utf-8")
+    elif case == "120 states gamma near one":  # valid, and solve_values solves it
+        game = random_game(2, 120, 2, seed=3)
+        save_game(dataclasses.replace(game, gamma=1 - 1e-7), path)
     elif case.endswith("gamma near one"):  # valid, since gamma < 1
         game = random_game(2, 3, 2, seed=3)
         save_game(dataclasses.replace(game, gamma=1 - 1e-9), path)
@@ -384,12 +425,17 @@ def _invalid_input_argv(tmp_path, case):
         ("gamma near one", "Bellman residual"),
         # the default horizon is about 4.1e10 steps, refused before allocating
         ("train gamma near one", "horizon 41446532854 x batch_size 32"),
+        # report's aggregate horizon is about 3.0e8 steps: a 288 GB table
+        ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
+        ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
     ],
 )
 def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, message):
     argv = _invalid_input_argv(tmp_path, case)
     capsys.readouterr()
+    start = time.perf_counter()
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0  # refused before any large work
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

@@ -19,7 +19,10 @@ or the exception a command raised) are recorded as files too. Last come
 ``train_gaussian`` runs, one per baseline, which have no CLI command: their
 history and final parameters are hashed as JSON. After them come trains
 from config documents that leave keys out, which check the defaults a
-document's absent keys take, the checkpoint's config included.
+document's absent keys take, the checkpoint's config included. Last of all
+come invalid inputs (malformed files, out-of-range flags), each run also
+recording its stderr with the temporary directory's path replaced by
+``WORK``, so that two trees' error texts compare byte for byte.
 """
 from __future__ import annotations
 
@@ -52,21 +55,25 @@ def _digest_dir(path: str) -> list[tuple[str, str]]:
     return out
 
 
-def _run(main, label: str, argv: list[str], work: str) -> list[str]:
-    """Run one command into a fresh directory; one line per artifact."""
+def _run(main, label: str, argv: list[str], work: str,
+         stderr: bool = False) -> list[str]:
+    """Run one command into a fresh directory; one line per artifact, and
+    one for stderr too if ``stderr``."""
     out = os.path.join(work, "runs", label)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(errors if stderr else sys.stderr):
         try:
             code = main([*argv, "--out", out])
         except Exception as exc:  # a crash is an outcome to compare, too
             traceback.print_exc()
             code = f"raised {type(exc).__name__}: {exc}"
     files = _digest_dir(out) if os.path.isdir(out) else []
-    files += [
-        ("stdout", hashlib.sha256(stdout.getvalue().encode()).hexdigest()),
-        ("exit", hashlib.sha256(str(code).encode()).hexdigest()),
-    ]
+    texts = [("stdout", stdout.getvalue())]
+    if stderr:
+        texts.append(("stderr", errors.getvalue().replace(work, "WORK")))
+    texts.append(("exit", str(code)))
+    files += [(name, hashlib.sha256(text.encode()).hexdigest()) for name, text in texts]
     return [f"{sha}  {label}/{name}" for name, sha in files]
 
 
@@ -151,6 +158,44 @@ def _escaped_names_game():
     game = random_game(2, 3, 2, seed=8)
     return replace(game, states=('q"uote', "back\\slash", "\u00fcml\u00e4ut"),
                    action_spaces=(("a\"0", "\u2603"), ("x,y", "tab\t")))
+
+
+def _error_lines(main, work: str, game_file: str) -> list[str]:
+    """One run per invalid input: each must fail with an error message."""
+    from dataclasses import replace
+
+    from mapgvar import random_game, save_game
+
+    def write(name: str, text: str) -> str:
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    def game_at(gamma: float) -> str:
+        path = os.path.join(work, f"game-gamma-{gamma!r}.json")
+        save_game(replace(random_game(2, 3, 2, seed=3), gamma=gamma), path)
+        return path
+
+    policy = write("bad-policy.json", json.dumps(
+        {"schema_version": 1, "agents": [{"kind": "softmax", "logits": [[2, 0]]}]}))
+    config = write("bad-config.json", json.dumps({"iterations": True}))
+    cases = (
+        ("malformed-json", ["report", "--game", write("malformed.json", '{"states": [')]),
+        ("game-not-object", ["report", "--game", write("list.json", "[]")]),
+        ("gamma-one", ["report", "--game", game_at(1.0)]),
+        ("gamma-near-one", ["report", "--game", game_at(1 - 1e-9)]),
+        ("agent-5", ["report", "--game", game_file, "--agent", "5"]),
+        ("policy-misfit", ["report", "--game", game_file, "--policy", policy]),
+        ("config-bool", ["train", "--game", game_file, "--config", config]),
+        ("mc-1", ["report", "--game", game_file, "--mc", "1"]),
+        ("gen-states-0", ["gen", "--states", "0"]),
+        ("train-format-json", ["train", "--game", game_file, "--format", "json"]),
+    )
+    lines = []
+    for label, argv in cases:
+        lines += _run(main, f"error-{label}", argv, work, stderr=True)
+    return lines
 
 
 def digest_lines(work: str) -> list[str]:
@@ -239,6 +284,7 @@ def digest_lines(work: str) -> list[str]:
         lines += _run(main, f"train-n2-s3-k3-seed1-partial{c}",
                       ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
                        config_file], work)
+    lines += _error_lines(main, work, game_files[(2, 2, 2, 0)])
     return lines
 
 
