@@ -30,13 +30,11 @@ from .games import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     MarkovGame,
-    ValidationReport,
     load_game,
     parse_game,
     random_game,
     save_game,
     serialize_game,
-    validate_game,
 )
 from .policies import (
     DegeneratePolicy,

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .games import parse_game, random_game, serialize_game, validate_game
+from .games import parse_game, random_game, serialize_game
 from .policies import check_policy_fits, policy_from_dict, uniform_policy
 from .toy import run_toy
 from .training import (
@@ -43,11 +43,11 @@ def _out_dir(args) -> str:
 
 
 def _read(path: str, parse):
-    """``parse`` applied to the open file at ``path``; a ValueError it raises
-    (malformed JSON and undecodable bytes included) names the file."""
+    """``parse`` applied to the text of the file at ``path``; a ValueError it
+    raises (malformed JSON and undecodable bytes included) names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh)
+            return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -72,15 +72,6 @@ def _write_table(args, out: str, stem: str, header, rows, doc) -> None:
         _write(os.path.join(out, f"{stem}.json"), doc())
     else:
         _write(os.path.join(out, f"{stem}.csv"), [header, *rows()])
-
-
-def _valid_game(fh):
-    """The game in a file: parse_game, then validate_game."""
-    game = parse_game(fh.read())
-    violations = validate_game(game).violations
-    if violations:
-        raise ValueError(f"{len(violations)} violation(s): {violations[0]}")
-    return game
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +122,10 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args)
-    game = _read(args.game, _valid_game)
+    game = _read(args.game, parse_game)
 
-    def fitting_policy(fh):
-        policy = policy_from_dict(json.load(fh))
+    def fitting_policy(text):
+        policy = policy_from_dict(json.loads(text))
         check_policy_fits(game, policy)
         return policy
 
@@ -170,9 +161,9 @@ def cmd_report(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    game = _read(args.game, _valid_game)
+    game = _read(args.game, parse_game)
     if args.config is not None:
-        config = _read(args.config, lambda fh: config_from_dict(json.load(fh)))
+        config = _read(args.config, lambda text: config_from_dict(json.loads(text)))
     else:
         config = TrainConfig()
     if args.seed is not None:

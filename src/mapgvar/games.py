@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -39,7 +39,9 @@ class MarkovGame:
     vectors over successor states. ``beta`` bounds |reward| and ``gamma`` in
     [0, 1) is the discount. State names are distinct strings, and so are the
     comma-joined joint-action keys, which name the rows of a game file.
-    Immutable after construction; safe to share across workers.
+    Construction checks all of this, so every way of making a game (a file,
+    a generator, ``dataclasses.replace``) raises ValueError on a broken
+    contract. Immutable after construction; safe to share across workers.
     """
 
     n_agents: int
@@ -84,6 +86,9 @@ class MarkovGame:
             raise ValueError("beta must be a positive finite real")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
+        violations = _violations(self)
+        if violations:
+            raise ValueError(f"{len(violations)} violation(s): {violations[0]}")
 
     @property
     def n_states(self) -> int:
@@ -128,6 +133,25 @@ class MarkovGame:
         )
 
 
+def _integer(value, entry: str) -> int:
+    """``int(value)`` for a document's integer ``entry``, which may be an
+    integral float such as 8.0; a bool, a string or a fractional number
+    raises ValueError rather than being converted."""
+    if isinstance(value, (bool, str)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{entry} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _real(value, entry: str) -> float:
+    """``float(value)`` for a document's real-number ``entry``; a bool or a
+    string raises ValueError rather than being converted."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{entry} must be a real number, not {value!r}")
+    return float(value)
+
+
 def _joint_keys(action_spaces) -> list[str]:
     """Comma-joined action names of every joint action, in rank order."""
     return [",".join(names) for names in itertools.product(*action_spaces)]
@@ -151,18 +175,11 @@ def _check_names(states, action_spaces) -> None:
             raise ValueError(f"joint actions share the key {clash!r}")
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_game(game: MarkovGame) -> ValidationReport:
-    """Check every game invariant; list all violations, never abort."""
-    report = ValidationReport()
+def _violations(game: MarkovGame) -> list[str]:
+    """Every broken invariant of the contract the structural checks leave:
+    stochastic rows, |reward| <= beta, an initial distribution, gamma in
+    [0, 1)."""
+    violations = []
     negative = np.any(game.transition < 0, axis=2)
     sums = game.transition.sum(axis=2)
     bad_sum = np.abs(sums - 1.0) > DIST_TOL
@@ -170,22 +187,21 @@ def validate_game(game: MarkovGame) -> ValidationReport:
     for s, ai in zip(*np.nonzero(negative | bad_sum | unbounded)):
         where = f"state={game.states[s]} action={game.joint_action(int(ai))}"
         if negative[s, ai]:
-            report.violations.append(f"negative-prob {where}")
+            violations.append(f"negative-prob {where}")
         if bad_sum[s, ai]:
-            report.violations.append(f"row-sum {where} sum={float(sums[s, ai])!r}")
+            violations.append(f"row-sum {where} sum={float(sums[s, ai])!r}")
         if unbounded[s, ai]:
-            report.violations.append(
-                f"reward-bound {where} "
-                f"value={game.reward[s, ai]!r} beta={game.beta!r}"
+            violations.append(
+                f"reward-bound {where} value={game.reward[s, ai]!r} beta={game.beta!r}"
             )
     if np.any(game.initial_dist < 0):
-        report.violations.append("initial-dist has negative entries")
+        violations.append("initial-dist has negative entries")
     total = float(game.initial_dist.sum())
     if abs(total - 1.0) > DIST_TOL:
-        report.violations.append(f"initial-dist sum={total!r}")
+        violations.append(f"initial-dist sum={total!r}")
     if not 0.0 <= game.gamma < 1.0:
-        report.violations.append(f"gamma out of [0,1): {game.gamma!r}")
-    return report
+        violations.append(f"gamma out of [0,1): {game.gamma!r}")
+    return violations
 
 
 def random_game(
@@ -286,7 +302,7 @@ def parse_game(text: str) -> MarkovGame:
     try:
         states = tuple(doc["states"])
         action_spaces = tuple(tuple(a) for a in doc["actions"])
-        n_agents = int(doc["n_agents"])
+        n_agents = _integer(doc["n_agents"], "game entry 'n_agents'")
         if len(action_spaces) != n_agents:
             raise ValueError("actions must list one action set per agent")
         keys = _joint_keys(action_spaces)
@@ -296,9 +312,11 @@ def parse_game(text: str) -> MarkovGame:
         for s, name in enumerate(states):
             transition[s] = _state_rows(doc, "transition", name, keys, (n_states,))
             reward[s] = _state_rows(doc, "reward", name, keys, ())
-        beta = float(doc["beta"])
-        gamma = float(doc["gamma"])
-        initial = np.array(doc["initial_dist"], dtype=float)
+        beta = _real(doc["beta"], "game entry 'beta'")
+        gamma = _real(doc["gamma"], "game entry 'gamma'")
+        initial = np.array(
+            [_real(p, "game entry 'initial_dist'") for p in doc["initial_dist"]]
+        )
     except KeyError as exc:
         raise ValueError(f"game document missing entry {exc}") from exc
     except TypeError as exc:

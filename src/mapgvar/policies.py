@@ -111,9 +111,13 @@ class SoftmaxPolicy:
         arr = np.atleast_2d(np.asarray(self.logits, dtype=float)).copy()
         if not np.all(np.isfinite(arr)):
             raise ValueError("logits must be finite")
+        if arr.shape[-1] == 0:
+            raise ValueError(f"logits have shape {arr.shape}: a state has no action")
         arr.setflags(write=False)
         object.__setattr__(self, "logits", arr)
-        e = np.exp(arr - arr.max(axis=1, keepdims=True))
+        # a row spanning more than the float range gives -inf, whose exp is 0
+        with np.errstate(over="ignore"):
+            e = np.exp(arr - arr.max(axis=1, keepdims=True))
         table = e / e.sum(axis=1, keepdims=True)
         table.setflags(write=False)
         object.__setattr__(self, "_table", table)

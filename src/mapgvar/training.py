@@ -30,6 +30,7 @@ from .estimators import (
     signal_table,
 )
 from .games import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, MarkovGame
+from .games import _integer, _real  # one reader for every input document
 from .policies import (
     JointPolicy,
     SoftmaxPolicy,
@@ -120,25 +121,6 @@ def config_to_dict(config: TrainConfig) -> dict:
     return {**asdict(config), "baseline": config.baseline.tag.value}
 
 
-def _integer(value, name: str) -> int:
-    """``int(value)`` for a config integer, which may be an integral float
-    such as 8.0; a bool, a string or a fractional number raises ValueError
-    rather than being converted."""
-    if isinstance(value, (bool, str)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"config entry {name!r} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """``float(value)`` for a config real number; a bool or a string raises
-    ValueError rather than being converted."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"config entry {name!r} must be a real number, not {value!r}")
-    return float(value)
-
-
 def _section(cls, value, name: str = "", complete: bool = False):
     """``cls`` built from the entries the object ``value`` holds, each
     converted by its field's annotation; an absent entry takes the dataclass
@@ -156,10 +138,12 @@ def _section(cls, value, name: str = "", complete: bool = False):
 
 
 _CONVERTERS = {
-    "int": _integer,
-    "float": _real,
+    "int": lambda value, name: _integer(value, f"config entry {name!r}"),
+    "float": lambda value, name: _real(value, f"config entry {name!r}"),
     "str": lambda value, name: value,
-    "int | None": lambda value, name: None if value is None else _integer(value, name),
+    "int | None": lambda value, name: (
+        None if value is None else _integer(value, f"config entry {name!r}")
+    ),
     "BaselineKind": lambda value, name: BaselineKind(BaselineTag(value)),
     "CriticConfig": lambda value, name: _section(CriticConfig, value, name),
     "PPOConfig | None": lambda value, name: (

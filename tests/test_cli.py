@@ -409,8 +409,16 @@ def _invalid_input_argv(tmp_path, case):
     elif case.endswith("gamma near one"):  # valid, since gamma < 1
         game = random_game(2, 3, 2, seed=3)
         save_game(dataclasses.replace(game, gamma=1 - 1e-9), path)
-    else:  # gamma = 1 has no finite default horizon
-        save_game(dataclasses.replace(load_game(game_file), gamma=1.0), path)
+    elif case == "zero-width logits":
+        policy = {"kind": "softmax", "logits": [[], []]}
+        path.write_text(json.dumps({"schema_version": 1, "agents": [policy] * 2}),
+                        encoding="utf-8")
+        return ["report", "--game", game_file, "--policy", str(path)]
+    else:  # gamma = 1 has no finite default horizon; no such game can be built
+        with open(game_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path.write_text(json.dumps({**doc, "gamma": 1.0}, indent=2) + "\n",
+                        encoding="utf-8")
     command = "train" if case.startswith("train") else "report"
     return [command, "--game", str(path)]
 
@@ -428,6 +436,7 @@ def _invalid_input_argv(tmp_path, case):
         # report's aggregate horizon is about 3.0e8 steps: a 288 GB table
         ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
+        ("zero-width logits", "logits have shape (2, 0): a state has no action"),
     ],
 )
 def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, message):
@@ -440,6 +449,26 @@ def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, mess
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_overflowing_logits_print_only_the_error_line(tmp_path):
+    # a row spanning more than the float range; warnings reach stderr only
+    # outside pytest's capture, so this runs in a fresh interpreter
+    import mapgvar
+
+    policy = tmp_path / "huge.json"
+    logits = [[[1e308, -1e308], [0, 0]], [[0, 0], [0, 0]]]
+    policy.write_text(json.dumps({"schema_version": 1, "agents": [
+        {"kind": "softmax", "logits": table} for table in logits]}), encoding="utf-8")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(mapgvar.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-m", "mapgvar", "report", "--game", make_game_file(tmp_path),
+         "--policy", str(policy), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "error: 1 - ||pi||^2 = 0.0 <= 1e-10; x-measure undefined\n"
 
 
 def _game_text(case, game_file):

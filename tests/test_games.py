@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from mapgvar import (
     save_game,
     serialize_game,
     toy_game,
-    validate_game,
 )
 from mapgvar.toy import TOY_Q
+from oracles import serialize_game_oracle
 
 
 def tiny_game(**overrides):
@@ -82,51 +85,109 @@ def test_enumeration_cap():
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: every way of making a game checks the whole contract
+
+
+def holds_contract(game) -> bool:
+    """The game contract, restated: stochastic rows, |r| <= beta, an initial
+    distribution and gamma in [0, 1)."""
+    return bool(
+        np.all(game.transition >= 0)
+        and np.all(np.abs(game.transition.sum(axis=2) - 1.0) <= 1e-12)
+        and np.all(np.abs(game.reward) <= game.beta)
+        and np.all(game.initial_dist >= 0)
+        and abs(game.initial_dist.sum() - 1.0) <= 1e-12
+        and 0.0 <= game.gamma < 1.0
+    )
+
+
+def assert_rejected(valid, message, **broken):
+    """MarkovGame(...), dataclasses.replace and parse_game each refuse
+    ``valid`` with the fields ``broken``, raising ValueError whose text
+    starts with ``message``: the line the CLI prints after "error: "."""
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    fields.update(broken)
+    text = serialize_game_oracle(
+        SimpleNamespace(**fields, n_states=valid.n_states,
+                        action_counts=valid.action_counts)
+    )
+    routes = (
+        lambda: MarkovGame(**fields),
+        lambda: dataclasses.replace(valid, **broken),
+        lambda: parse_game(text),
+    )
+    for build in routes:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
 
 
 def test_random_games_validate(corpus30):
     for game, _, _ in corpus30:
-        report = validate_game(game)
-        assert report.ok, report.violations
+        assert holds_contract(game)
+        assert holds_contract(parse_game(serialize_game(game)))
 
 
 def test_validate_flags_bad_rows():
     bad_transition = np.ones((1, 4, 1))
     bad_transition[0, 2, 0] = 0.5
-    game = tiny_game(transition=bad_transition)
-    report = validate_game(game)
-    assert not report.ok
-    assert any("row-sum" in v for v in report.violations)
-
-    game = tiny_game(reward=np.full((1, 4), 2.0))
-    assert any("reward-bound" in v for v in validate_game(game).violations)
-
-    game = tiny_game(gamma=1.0)
-    assert any("gamma" in v for v in validate_game(game).violations)
-
-    game = tiny_game(initial_dist=np.array([0.5]))
-    assert any("initial-dist" in v for v in validate_game(game).violations)
+    cases = [
+        ("1 violation(s): row-sum state=s0 action=(1, 0) sum=0.5",
+         dict(transition=bad_transition)),
+        # the value's repr depends on the numpy version
+        ("4 violation(s): reward-bound state=s0 action=(0, 0) value=",
+         dict(reward=np.full((1, 4), 2.0))),
+        ("1 violation(s): gamma out of [0,1): 1.0", dict(gamma=1.0)),
+        ("1 violation(s): gamma out of [0,1): -0.5", dict(gamma=-0.5)),
+        ("1 violation(s): initial-dist sum=0.5", dict(initial_dist=np.array([0.5]))),
+    ]
+    for message, broken in cases:
+        assert_rejected(tiny_game(), message, **broken)
 
 
 def test_validate_flags_negative_probs():
-    t = np.ones((1, 4, 1))
-    # keep the row sum at 1 so only the sign check can fire
+    # every row sums to 1, so only the sign check can fire
     t2 = np.zeros((2, 4, 2))
     t2[:, :, 0] = 1.5
     t2[:, :, 1] = -0.5
-    game = MarkovGame(
-        n_agents=2,
-        states=("s0", "s1"),
-        action_spaces=(("a0", "a1"), ("a0", "a1")),
-        transition=t2,
-        reward=np.zeros((2, 4)),
-        beta=1.0,
-        gamma=0.5,
-        initial_dist=np.array([1.0, 0.0]),
-    )
-    del t
-    assert any("negative-prob" in v for v in validate_game(game).violations)
+    first = "negative-prob state=s0 action=(0, 0)"
+    assert_rejected(_named_game(), f"8 violation(s): {first}", transition=t2)
+    assert_rejected(_named_game(), "1 violation(s): initial-dist has negative entries",
+                    initial_dist=np.array([1.5, -0.5]))
+
+
+def test_parse_game_rejects_gamma_one(tmp_path):
+    # gamma = 1 has no finite discounted return, so the game file is refused
+    doc = json.loads(serialize_game(random_game(2, 3, 2, seed=3)))
+    path = tmp_path / "gamma-one.json"
+    path.write_text(json.dumps({**doc, "gamma": 1.0}, indent=2) + "\n",
+                    encoding="utf-8")
+    for read in (lambda: parse_game(path.read_text(encoding="utf-8")),
+                 lambda: load_game(path)):
+        with pytest.raises(ValueError, match=re.escape("gamma out of [0,1): 1.0")):
+            read()
+
+
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [
+        ("gamma", "0.9", "game entry 'gamma' must be a real number, not '0.9'"),
+        ("n_agents", 2.7, "game entry 'n_agents' must be an integer, not 2.7"),
+        ("n_agents", "2", "game entry 'n_agents' must be an integer, not '2'"),
+        ("beta", True, "game entry 'beta' must be a real number, not True"),
+        ("initial_dist", ["0.5", "0.5"],
+         "game entry 'initial_dist' must be a real number, not '0.5'"),
+    ],
+)
+def test_wrongly_typed_entries_are_not_converted(entry, value, message):
+    doc = json.loads(serialize_game(random_game(2, 2, 2, seed=3)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_game(json.dumps({**doc, entry: value}))
+
+
+def test_integral_float_n_agents_still_parses():
+    game = random_game(2, 2, 2, seed=3)
+    doc = json.loads(serialize_game(game))
+    assert parse_game(json.dumps({**doc, "n_agents": 2.0})) == game
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +207,7 @@ def test_random_game_ranges():
         game = random_game(2, 3, 3, seed=seed)
         assert 0.8 <= game.gamma <= 0.99
         assert np.abs(game.reward).max() <= game.beta == 1.0
-        assert validate_game(game).ok
+        assert holds_contract(game)
 
 
 def test_one_step_game_lift():
@@ -157,7 +218,7 @@ def test_one_step_game_lift():
     assert game.beta == 100.0  # max |payoff|
     assert np.array_equal(game.reward[0], TOY_Q)
     assert np.all(game.transition == 1.0)
-    assert validate_game(game).ok
+    assert holds_contract(game)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +265,7 @@ NAME_CHARS = st.sampled_from(
 )
 NAME = st.text(NAME_CHARS, max_size=4)
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0)
+TINY_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308)
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,20 +290,33 @@ def test_serialize_equals_json_dumps_of_the_document(data, n_agents, n_states, s
     rng = np.random.default_rng(seed)
     n_joint = len(keys)
 
-    def table(*shape):
+    def table(*shape, specials=SPECIAL_FLOATS):
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-        special = rng.choice(SPECIAL_FLOATS, size=shape)
+        special = rng.choice(specials, size=shape)
         return np.where(rng.random(shape) < 0.2, special, values)
 
+    def distributions(*shape):
+        # floats of every magnitude, normalized, and tiny special floats; each
+        # row's largest entry is then set to 1 minus the rest
+        rows = np.abs(table(*shape, specials=(1.0,)))
+        rows /= rows.sum(axis=-1, keepdims=True)
+        tiny = rng.choice(TINY_FLOATS, size=shape)
+        rows = np.where(rng.random(shape) < 0.2, tiny, rows)
+        top = rows.argmax(axis=-1)[..., None]
+        np.put_along_axis(rows, top, 0.0, axis=-1)
+        np.put_along_axis(rows, top, 1.0 - rows.sum(axis=-1, keepdims=True), axis=-1)
+        return rows
+
+    reward = table(n_states, n_joint)
     game = MarkovGame(
         n_agents=n_agents,
         states=tuple(states),
         action_spaces=action_spaces,
-        transition=table(n_states, n_joint, n_states),
-        reward=table(n_states, n_joint),
-        beta=float(rng.uniform(0.5, 2.0)),
+        transition=distributions(n_states, n_joint, n_states),
+        reward=reward,
+        beta=max(float(np.abs(reward).max()), float(rng.uniform(0.5, 2.0))),
         gamma=data.draw(st.sampled_from([0, 0.0, 0.95, float(rng.random())])),
-        initial_dist=table(n_states),
+        initial_dist=distributions(n_states),
     )
     text = serialize_game(game)
     assert text == serialize_game_oracle(game)

@@ -37,6 +37,8 @@ from mapgvar import (
     train_gaussian,
     uniform_policy,
 )
+from mapgvar import training
+from mapgvar.values import ValueTables
 
 
 def coordination_game() -> MarkovGame:
@@ -373,19 +375,17 @@ def test_entropy_bonus_keeps_entropy_higher():
     assert ent_bonus > ent_plain
 
 
-def test_divergence_guard_fires():
-    # a game whose claimed reward bound is a lie: |J| immediately exceeds
-    # 10 * beta / (1 - gamma)
-    game = MarkovGame(
-        n_agents=1,
-        states=("s0",),
-        action_spaces=(("a0", "a1"),),
-        transition=np.ones((1, 2, 1)),
-        reward=np.full((1, 2), 1.0),
-        beta=0.01,
-        gamma=0.0,
-        initial_dist=np.array([1.0]),
-    )
+def test_divergence_guard_fires(monkeypatch):
+    # no valid game reaches the guard, |J| <= beta / (1 - gamma), so the solver
+    # is made to return values 100 times the true ones: |J| = 100 exceeds
+    # 10 * beta / (1 - gamma) = 10
+    game = one_step_game((("a0", "a1"),), [1.0, 1.0])
+
+    def inflated(game, policy):
+        tables = solve_values(game, policy)
+        return ValueTables(q=100.0 * tables.q, v=100.0 * tables.v)
+
+    monkeypatch.setattr(training, "solve_values", inflated)
     with pytest.raises(DivergenceError) as exc_info:
         train(game, None, quick_config(iterations=5))
     assert "bound" in str(exc_info.value)

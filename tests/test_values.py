@@ -70,20 +70,16 @@ def test_gamma_zero_collapses_to_reward():
     np.testing.assert_allclose(tables.q, game.reward, atol=1e-12)
 
 
-def test_singular_system_raised():
-    # transition mass 2.0 at gamma 0.5 makes I - gamma*P_pi exactly singular;
-    # such a game is invalid, and the solver must say so rather than return junk
-    game = MarkovGame(
-        n_agents=1,
-        states=("s0",),
-        action_spaces=(("a0",),),
-        transition=np.full((1, 1, 1), 2.0),
-        reward=np.ones((1, 1)),
-        beta=1.0,
-        gamma=0.5,
-        initial_dist=np.array([1.0]),
-    )
-    with pytest.raises(SingularSystem):
+def test_singular_system_raised(monkeypatch):
+    # with stochastic rows and gamma < 1 the system is never singular, so the
+    # solver's failure is forced; it must be raised, not junk returned
+    game = random_game(2, 3, 2, seed=1)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="value system is singular"):
         solve_values(game, uniform_policy(game))
 
 

@@ -20,9 +20,10 @@ or the exception a command raised) are recorded as files too. Last come
 history and final parameters are hashed as JSON. After them come trains
 from config documents that leave keys out, which check the defaults a
 document's absent keys take, the checkpoint's config included. Last of all
-come invalid inputs (malformed files, out-of-range flags), each run also
-recording its stderr with the temporary directory's path replaced by
-``WORK``, so that two trees' error texts compare byte for byte.
+come invalid inputs (malformed files, out-of-range flags, then wrongly
+typed game entries, games that break the contract and unusable policies),
+each run also recording its stderr with the temporary directory's path
+replaced by ``WORK``, so that two trees' error texts compare byte for byte.
 """
 from __future__ import annotations
 
@@ -162,9 +163,7 @@ def _escaped_names_game():
 
 def _error_lines(main, work: str, game_file: str) -> list[str]:
     """One run per invalid input: each must fail with an error message."""
-    from dataclasses import replace
-
-    from mapgvar import random_game, save_game
+    from mapgvar import random_game, serialize_game
 
     def write(name: str, text: str) -> str:
         path = os.path.join(work, name)
@@ -172,14 +171,24 @@ def _error_lines(main, work: str, game_file: str) -> list[str]:
             fh.write(text)
         return path
 
-    def game_at(gamma: float) -> str:
-        path = os.path.join(work, f"game-gamma-{gamma!r}.json")
-        save_game(replace(random_game(2, 3, 2, seed=3), gamma=gamma), path)
-        return path
+    # a game document is written as text, since a broken game cannot be built
+    doc = json.loads(serialize_game(random_game(2, 3, 2, seed=3)))
 
-    policy = write("bad-policy.json", json.dumps(
-        {"schema_version": 1, "agents": [{"kind": "softmax", "logits": [[2, 0]]}]}))
+    def game_with(name: str, **entries) -> str:
+        """``doc`` with ``entries`` replaced, laid out as save_game lays it out."""
+        return write(name, json.dumps({**doc, **entries}, indent=2) + "\n")
+
+    def game_at(gamma: float) -> str:
+        return game_with(f"game-gamma-{gamma!r}.json", gamma=gamma)
+
+    def policy_with(name: str, logits) -> str:
+        agents = [{"kind": "softmax", "logits": table} for table in logits]
+        return write(name, json.dumps({"schema_version": 1, "agents": agents}))
+
+    policy = policy_with("bad-policy.json", [[[2, 0]]])
     config = write("bad-config.json", json.dumps({"iterations": True}))
+    doubled = {s: dict(rows) for s, rows in doc["transition"].items()}
+    doubled["s1"]["a1,a0"] = [2 * p for p in doubled["s1"]["a1,a0"]]
     cases = (
         ("malformed-json", ["report", "--game", write("malformed.json", '{"states": [')]),
         ("game-not-object", ["report", "--game", write("list.json", "[]")]),
@@ -191,6 +200,23 @@ def _error_lines(main, work: str, game_file: str) -> list[str]:
         ("mc-1", ["report", "--game", game_file, "--mc", "1"]),
         ("gen-states-0", ["gen", "--states", "0"]),
         ("train-format-json", ["train", "--game", game_file, "--format", "json"]),
+        # entries of the wrong type, and games that break the contract
+        ("gamma-string", ["report", "--game", game_with("g-str.json", gamma="0.9")]),
+        ("n-agents-fraction",
+         ["report", "--game", game_with("n-frac.json", n_agents=2.7)]),
+        ("beta-bool", ["report", "--game", game_with("beta-bool.json", beta=True)]),
+        ("initial-dist-strings", ["report", "--game", game_with(
+            "d0-str.json", initial_dist=[repr(p) for p in doc["initial_dist"]])]),
+        ("gamma-one-train", ["train", "--game", game_at(1.0)]),
+        ("row-doubled", ["report", "--game", game_with("row2.json", transition=doubled)]),
+        ("reward-over-beta", ["report", "--game", game_with("beta-half.json", beta=0.5)]),
+        ("negative-initial", ["train", "--game", game_with(
+            "d0-neg.json", initial_dist=[1.5, -0.5, 0.0])]),
+        # policies whose probability table cannot be built, or only with warnings
+        ("logits-zero-width", ["report", "--game", game_file, "--policy",
+                               policy_with("p-empty.json", [[[], []], [[], []]])]),
+        ("logits-overflow", ["report", "--game", game_file, "--policy", policy_with(
+            "p-huge.json", [[[1e308, -1e308], [0, 0]], [[0, 0], [0, 0]]])]),
     )
     lines = []
     for label, argv in cases:
