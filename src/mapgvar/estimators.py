@@ -186,22 +186,32 @@ def rollout_window(n_agents: int, n_states: int, m: int) -> int:
     return 1
 
 
+def rollout_draws(n_agents: int, m: int, horizon: int) -> int:
+    """Doubles ``rollout`` takes from a generator for m trajectories: m for
+    the initial states, then per step m per agent and m for the transition."""
+    return m * (1 + horizon * (n_agents + 1))
+
+
 def rollout(
     game: MarkovGame,
     pi_tables: Sequence[np.ndarray],
     m: int,
     horizon: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Sample m trajectories side by side, yielding blocks of consecutive steps.
+    """Sample K·m trajectories side by side, m from each of the K generators
+    ``rngs``, yielding blocks of consecutive steps.
 
     ``pi_tables`` holds each agent's (S, k) action probabilities. A block of
     w steps is t-major (states, actions, joint action index, next states):
-    actions is (n_agents, w, m), the rest are (w, m). The blocks' steps, in
-    order, are the whole horizon, and no block is longer than WINDOW_CAP.
-    The draw order is fixed, so a seeded generator reproduces the batch: one
-    uniform batch for the initial states, then per step one batch per agent
-    in agent order and one for the transition.
+    actions is (n_agents, w, K·m), the rest are (w, K·m). The blocks' steps,
+    in order, are the whole horizon, and no block is longer than WINDOW_CAP.
+    The draw order is fixed, so seeded generators reproduce the batch: each
+    draws one uniform batch for the initial states, then per step one batch
+    per agent in agent order and one for the transition, ``rollout_draws``
+    doubles in all. Columns j·m to (j + 1)·m are the m trajectories a
+    rollout of generator j alone would give, and generator j ends where that
+    rollout would leave it.
 
     A block takes its w steps' uniforms in one draw, which is the same
     stream as w draws of one step. With ``rollout_window`` steps per block,
@@ -211,6 +221,14 @@ def rollout(
     each draw compares the same uniform with the same table row, so the
     blocks hold the same bits.
     """
+    def uniforms(*lead: int) -> np.ndarray:
+        """(*lead, K·m) uniforms: generator j's (*lead, m) draw in columns
+        j·m to (j + 1)·m, each drawn contiguously, then one transpose."""
+        out = np.empty((len(rngs), *lead, m))
+        for g, part in zip(rngs, out):
+            g.random(out=part)
+        return np.moveaxis(out, 0, -2).reshape(*lead, -1)
+
     n, n_states = game.n_agents, game.n_states
     counts, n_joint = game.action_counts, game.n_joint_actions
     # every agent's table in one, agent j's row for state s at s + j * S;
@@ -219,15 +237,16 @@ def rollout(
     agent_rows = np.arange(n)[:, None] * n_states
     strides = np.cumprod((1,) + counts[:0:-1])[::-1]  # C-order joint index
     trans_table = cdf_table(game.transition)
-    window = rollout_window(n, n_states, m)
+    total = len(rngs) * m
+    window = rollout_window(n, n_states, total)
     every = np.arange(n_states)[:, None]
-    every_rows = np.broadcast_to(every[:, None] + agent_rows, (window, n_states, n, m))
-    cols = np.arange(m)
-    s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
+    every_rows = np.broadcast_to(every[:, None] + agent_rows, (window, n_states, n, total))
+    cols = np.arange(total)
+    s = np.searchsorted(np.cumsum(game.initial_dist), uniforms(), side="right")
     s = s.clip(0, n_states - 1)
     for t0 in range(0, horizon, window):
         w = min(window, horizon - t0)
-        u = rng.random((w, n + 1, m))  # per step one row per agent, then the transition
+        u = uniforms(w, n + 1)  # per step one row per agent, then the transition
         if window == 1:  # draw for the known states: (n, m) actions, (m,) successors
             cand, rows, u_act, u_next = s, s + agent_rows, u[0, :-1], u[0, -1]
         else:  # draw for every state: (w, S, n, m) actions, (w, S, m) successors
@@ -240,7 +259,7 @@ def rollout(
             yield s[None], acts[:, None], joint[None], succ[None]
             s = succ
             continue
-        path = np.empty((w + 1, m), dtype=np.int64)  # chase s_t through succ
+        path = np.empty((w + 1, total), dtype=np.int64)  # chase s_t through succ
         path[0] = s
         for t in range(w):
             path[t + 1] = succ[t, path[t], cols]

@@ -192,7 +192,8 @@ def _violations(game: MarkovGame) -> list[str]:
             violations.append(f"row-sum {where} sum={float(sums[s, ai])!r}")
         if unbounded[s, ai]:
             violations.append(
-                f"reward-bound {where} value={game.reward[s, ai]!r} beta={game.beta!r}"
+                f"reward-bound {where} value={float(game.reward[s, ai])!r}"
+                f" beta={game.beta!r}"
             )
     if np.any(game.initial_dist < 0):
         violations.append("initial-dist has negative entries")
@@ -319,7 +320,7 @@ def parse_game(text: str) -> MarkovGame:
         )
     except KeyError as exc:
         raise ValueError(f"game document missing entry {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"malformed game document: {exc}") from exc
     return MarkovGame(
         n_agents=n_agents,

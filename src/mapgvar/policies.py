@@ -216,7 +216,7 @@ def policy_from_dict(data: dict) -> JointPolicy:
             raise ValueError(f"unknown policy kind {kind!r}")
         try:
             agents.append(SoftmaxPolicy(np.array(entry["logits"], dtype=float)))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed softmax agent: {exc!r}") from exc
     return JointPolicy(tuple(agents))
 

@@ -22,6 +22,7 @@ gradients (mc_variance), which includes cross-timestep covariance.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ from .estimators import (
     others_prob_table,
     param_dim,
     rollout,
+    rollout_draws,
     scatter_scores,
     signal_table,
 )
@@ -499,8 +501,14 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
 # Monte-Carlo estimator variance over trajectory draws
 
 
+# mc_variance's cost rule. Kinds run side by side while their accumulators,
+# each kind's (m, dim) trajectory rows and (dim, dim) outer-product sum, hold
+# at most this many float64 entries (4 MiB) in all.
+MC_GROUP_ENTRIES = 1 << 19
+
+
 def mc_variance(
-    kind: EstimatorKind,
+    kinds: Sequence[EstimatorKind],
     game: MarkovGame,
     policy: JointPolicy,
     n_trajectories: int,
@@ -508,55 +516,123 @@ def mc_variance(
     rng: np.random.Generator,
     tables: ValueTables | None = None,
     chunk_size: int = 1 << 16,
-) -> tuple[float, float]:
-    """Sample variance of trajectory-gradient draws, with its standard error.
+) -> list[tuple[float, float]]:
+    """Sample variance of trajectory-gradient draws, with its standard
+    error, for each of ``kinds`` (all of one agent), in their order.
 
     Unlike the discounted per-step sum, this is the raw variance of full
-    trajectory draws and includes cross-timestep covariance. Rollouts are
-    vectorized in chunks; moment accumulators make the estimate independent
-    of chunking, and the SE comes from the sample variance of the squared
-    deviations (delta method).
+    trajectory draws and includes cross-timestep covariance. Each kind
+    samples ``n_trajectories`` trajectories in chunks of ``chunk_size`` and
+    sums their moments; the SE comes from the sample variance of the squared
+    deviations (delta method). The estimate does not depend on the chunking
+    beyond rounding, but its bits do, since the chunk boundaries fix the
+    order of the sums.
+
+    RNG contract: the result, and ``rng``'s state afterwards, are those of
+    one single-kind call per kind, made in order on the same ``rng``; kind j
+    draws the ``rollout_draws`` stretch that follows kind j - 1's.
+
+    Grouping: kinds run side by side, K·m trajectories per ``rollout`` pass
+    and one ``scatter_scores`` per step, in groups as large as
+    MC_GROUP_ENTRIES allows, where kind j draws from a copy of ``rng``
+    advanced to its stretch and ``rng`` then skips every kind's draws. Only
+    a PCG64 or PCG64DXSM generator can be advanced that way; on any other,
+    each group is one kind, drawing from ``rng`` itself.
     """
+    kinds = list(kinds)
     if n_trajectories < 2:
         raise ValueError("need at least 2 trajectories")
+    if len({kind.agent for kind in kinds}) != 1:
+        raise ValueError("mc_variance needs one or more kinds, all of one agent")
     if tables is None:
         tables = solve_values(game, policy)
-    i = kind.agent
-    k = game.action_counts[i]
+    i = kinds[0].agent
     dim = param_dim(game, i)
-    sig = signal_table(kind, game, policy, tables.q)
+    sigs = np.stack([signal_table(kind, game, policy, tables.q) for kind in kinds])
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
+    draws = rollout_draws(game.n_agents, n_trajectories, horizon)
+    entries = min(chunk_size, n_trajectories) * dim + dim * dim
+    group_size = 1
+    # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
+    # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
+    if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        group_size = max(1, min(len(kinds), MC_GROUP_ENTRIES // entries))
+
+    results = []
+    for g0 in range(0, len(kinds), group_size):
+        group = range(g0, min(g0 + group_size, len(kinds)))
+        rngs = [rng] if group_size == 1 else [_advanced(rng, j * draws) for j in group]
+        results += _group_estimates(
+            game, pi_tables, i, sigs[g0 : group.stop], n_trajectories, horizon,
+            rngs, chunk_size,
+        )
+    if group_size > 1:
+        _skip(rng, len(kinds) * draws)
+    return results
+
+
+def _group_estimates(
+    game, pi_tables, agent, sigs, n_trajectories, horizon, rngs, chunk_size
+) -> list[tuple[float, float]]:
+    """mc_variance's (estimate, se) for the K kinds whose (S, A) signal
+    tables ``sigs`` holds, kind j drawing from ``rngs[j]``: their
+    trajectories side by side, one rollout pass per chunk. Its buffers die
+    with it, before the next group's are made."""
+    n_kinds = len(sigs)
+    k = game.action_counts[agent]
+    dim = param_dim(game, agent)
     # gamma^t rounded as a running product, step by step, as a column
     discounts = np.cumprod(np.r_[1.0, np.full(horizon, game.gamma)])[:, None]
-
-    s1 = np.zeros(dim)
-    q1 = 0.0
-    q2 = 0.0
-    c_vec = np.zeros(dim)
-    p_mat = np.zeros((dim, dim))
-
+    s1 = np.zeros((n_kinds, dim))
+    q1 = np.zeros(n_kinds)
+    q2 = np.zeros(n_kinds)
+    c_vec = np.zeros((n_kinds, dim))
+    p_mat = np.zeros((n_kinds, dim, dim))
     remaining = n_trajectories
     while remaining > 0:
         m = min(chunk_size, remaining)
         remaining -= m
-        # (1, m), the shape of a one-step block, which adds without broadcasting
-        row_cells = np.arange(m)[None] * dim
-        flat = np.zeros(m * dim)
+        # (1, K·m), the shape of a one-step block, which adds without
+        # broadcasting; trajectory j·m + c is kind j's c-th of the chunk
+        row_cells = np.arange(n_kinds * m)[None] * dim
+        owner = np.repeat(np.arange(n_kinds), m)  # each trajectory's kind
+        flat = np.zeros(n_kinds * m * dim)
         t = 0
-        for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
-            val = discounts[t : t + len(s)] * sig[s, a_idx]
-            pi_rows = np.take(pi_tables[i], s, axis=0)
-            scatter_scores(flat, row_cells + s * k, actions[i], pi_rows, val)
+        for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rngs):
+            val = discounts[t : t + len(s)] * sigs[owner, s, a_idx]
+            pi_rows = np.take(pi_tables[agent], s, axis=0)
+            scatter_scores(flat, row_cells + s * k, actions[agent], pi_rows, val)
             t += len(s)
-        flat = flat.reshape(m, dim)
-        norm_sq = np.einsum("md,md->m", flat, flat)
-        s1 += flat.sum(axis=0)
-        q1 += float(norm_sq.sum())
-        q2 += float(norm_sq @ norm_sq)
-        c_vec += flat.T @ norm_sq
-        p_mat += flat.T @ flat
+        for j, rows in enumerate(flat.reshape(n_kinds, m, dim)):
+            norm_sq = np.einsum("md,md->m", rows, rows)
+            s1[j] += rows.sum(axis=0)
+            q1[j] += float(norm_sq.sum())
+            q2[j] += float(norm_sq @ norm_sq)
+            c_vec[j] += rows.T @ norm_sq
+            p_mat[j] += rows.T @ rows
+    sums = zip(s1, q1, q2, c_vec, p_mat)
+    return [_mc_estimate(n_trajectories, *kind_sums) for kind_sums in sums]
 
-    n = n_trajectories
+
+def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of ``rng`` that has skipped ``draws`` doubles."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    copy.bit_generator.advance(draws)
+    return copy
+
+
+def _skip(rng: np.random.Generator, draws: int) -> None:
+    """Skip ``draws`` doubles of ``rng`` in place. ``advance`` also drops a
+    buffered 32-bit half-draw, which drawing doubles keeps, so it is put back."""
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(draws)
+    buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
+    rng.bit_generator.state = {**rng.bit_generator.state, **buffered}
+
+
+def _mc_estimate(n, s1, q1, q2, c_vec, p_mat) -> tuple[float, float]:
+    """Sample variance and its SE from n trajectory gradients' moment sums."""
     mean = s1 / n
     mean_sq = float(mean @ mean)
     sum_w = q1 - n * mean_sq  # sum of ||g - mean||^2
@@ -717,16 +793,16 @@ def build_variance_report(
             if mc_horizon is not None
             else min(default_horizon(game.gamma, game.beta), 200)
         )
-        for tag in ALL_TAGS:
-            estimate, se = mc_variance(
-                EstimatorKind(tag, agent),
-                game,
-                policy,
-                mc_trajectories,
-                horizon,
-                rng,
-                tables=tables,
-            )
+        estimates = mc_variance(
+            [EstimatorKind(tag, agent) for tag in ALL_TAGS],
+            game,
+            policy,
+            mc_trajectories,
+            horizon,
+            rng,
+            tables=tables,
+        )
+        for tag, (estimate, se) in zip(ALL_TAGS, estimates):
             report.mc[tag.value] = {
                 "n": mc_trajectories,
                 "horizon": horizon,

@@ -355,19 +355,19 @@ def test_criterion_10_mc_consistency():
         exact = per_timestep_variances(
             step_moments(kind, game, policy, tables), dists
         )[0]
-        est, se = mc_variance(
-            kind, game, policy, 1_000_000, 1, np.random.default_rng(10),
+        [(est, se)] = mc_variance(
+            [kind], game, policy, 1_000_000, 1, np.random.default_rng(10),
             tables=tables,
         )
         assert abs(est - exact) <= 3 * se, (tag, est, exact, se)
         details.append(f"{tag.value} |z| = {abs(est - exact) / se:.2f}")
     # SE scaling: quadrupling n halves the standard error (+/- 20%)
     kind = EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, 0)
-    _, se_small = mc_variance(
-        kind, game, policy, 250_000, 1, np.random.default_rng(11), tables=tables
+    [(_, se_small)] = mc_variance(
+        [kind], game, policy, 250_000, 1, np.random.default_rng(11), tables=tables
     )
-    _, se_big = mc_variance(
-        kind, game, policy, 1_000_000, 1, np.random.default_rng(12), tables=tables
+    [(_, se_big)] = mc_variance(
+        [kind], game, policy, 1_000_000, 1, np.random.default_rng(12), tables=tables
     )
     ratio = se_small / se_big
     assert 1.6 <= ratio <= 2.4, ratio

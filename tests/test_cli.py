@@ -414,6 +414,16 @@ def _invalid_input_argv(tmp_path, case):
         path.write_text(json.dumps({"schema_version": 1, "agents": [policy] * 2}),
                         encoding="utf-8")
         return ["report", "--game", game_file, "--policy", str(path)]
+    elif case == "logit beyond float range":  # an integer float() overflows on
+        policy = {"kind": "softmax", "logits": [[10**400, 0], [0, 0]]}
+        path.write_text(json.dumps({"schema_version": 1, "agents": [policy] * 2}),
+                        encoding="utf-8")
+        return ["report", "--game", game_file, "--policy", str(path)]
+    elif case == "beta beyond float range":
+        with open(game_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path.write_text(json.dumps({**doc, "beta": 10**400}, indent=2) + "\n",
+                        encoding="utf-8")
     else:  # gamma = 1 has no finite default horizon; no such game can be built
         with open(game_file, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -437,6 +447,8 @@ def _invalid_input_argv(tmp_path, case):
         ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
         ("zero-width logits", "logits have shape (2, 0): a state has no action"),
+        ("beta beyond float range", "malformed game document: int too large"),
+        ("logit beyond float range", "malformed softmax agent: OverflowError"),
     ],
 )
 def test_invalid_input_is_one_error_line_and_exit_2(tmp_path, capsys, case, message):

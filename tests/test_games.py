@@ -133,8 +133,7 @@ def test_validate_flags_bad_rows():
     cases = [
         ("1 violation(s): row-sum state=s0 action=(1, 0) sum=0.5",
          dict(transition=bad_transition)),
-        # the value's repr depends on the numpy version
-        ("4 violation(s): reward-bound state=s0 action=(0, 0) value=",
+        ("4 violation(s): reward-bound state=s0 action=(0, 0) value=2.0 beta=1.0",
          dict(reward=np.full((1, 4), 2.0))),
         ("1 violation(s): gamma out of [0,1): 1.0", dict(gamma=1.0)),
         ("1 violation(s): gamma out of [0,1): -0.5", dict(gamma=-0.5)),

@@ -253,7 +253,7 @@ def test_rollout_stream_is_pinned(case):
     steps = [
         (s.tolist(), [a.tolist() for a in actions], a_idx.tolist(), s_next.tolist())
         for s, actions, a_idx, s_next in rollout_steps(
-            rollout(game, _pi_tables(policy), m, horizon, rng)
+            rollout(game, _pi_tables(policy), m, horizon, [rng])
         )
     ]
     assert (steps, _pcg_state(rng)) == ROLLOUTS[case]
@@ -264,7 +264,7 @@ def test_long_rollout_digest_is_pinned():
     policy = random_softmax_policy(game, np.random.default_rng(22), scale=3.0)
     rng = np.random.default_rng(23)
     digest = hashlib.sha256()
-    blocks = rollout(game, _pi_tables(policy), 200, 40, rng)
+    blocks = rollout(game, _pi_tables(policy), 200, 40, [rng])
     for s, actions, a_idx, s_next in rollout_steps(blocks):
         for x in (s, *actions, a_idx, s_next):
             digest.update(np.asarray(x, dtype="<i8").tobytes())
@@ -277,11 +277,17 @@ def test_mc_variance_is_pinned():
     rng = np.random.default_rng(5)
     got = {
         tag.value: mc_variance(
-            EstimatorKind(tag, 1), game, policy, 50, 12, rng, chunk_size=16
-        )
+            [EstimatorKind(tag, 1)], game, policy, 50, 12, rng, chunk_size=16
+        )[0]
         for tag in EstimatorTag
     }
     assert got == MC
+    assert _pcg_state(rng) == MC_STATE
+    # the four kinds in one call, side by side
+    rng = np.random.default_rng(5)
+    kinds = [EstimatorKind(tag, 1) for tag in EstimatorTag]
+    got = mc_variance(kinds, game, policy, 50, 12, rng, chunk_size=16)
+    assert dict(zip([tag.value for tag in EstimatorTag], got)) == MC
     assert _pcg_state(rng) == MC_STATE
 
 

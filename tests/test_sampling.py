@@ -4,6 +4,7 @@ Both kernels promise bit equality with the plain numpy idioms in
 ``oracles.py``, so every comparison here is ``array_equal``.
 """
 import numpy as np
+import pytest
 from conftest import rollout_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from mapgvar.estimators import (
     WINDOW_MAX_ELEMENTS,
     cdf_table,
     inverse_cdf,
+    rollout_draws,
     rollout_window,
     scatter_scores,
 )
@@ -106,7 +108,7 @@ def _assert_rollout_equals_oracle(game, pi_tables, m, horizon, draw_seed):
     equal the oracle's; returns the block lengths."""
     got_rng = np.random.default_rng(draw_seed)
     want_rng = np.random.default_rng(draw_seed)
-    blocks = list(rollout(game, pi_tables, m, horizon, got_rng))
+    blocks = list(rollout(game, pi_tables, m, horizon, [got_rng]))
     got = rollout_steps(blocks)
     want = rollout_oracle(game, pi_tables, m, horizon, want_rng)
     assert len(got) == len(want) == horizon
@@ -153,9 +155,45 @@ def test_no_block_is_longer_than_the_cap():
     pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
     horizon = 3 * WINDOW_CAP + 7
     for m in (1, 8, WINDOW_MAX_ELEMENTS // 9):  # the largest batch with windows
-        blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(4))
+        blocks = rollout(game, pi_tables, m, horizon, [np.random.default_rng(4)])
         lengths = [len(s) for s, _, _, _ in blocks]
         assert max(lengths) == WINDOW_CAP and sum(lengths) == horizon
+
+
+@pytest.mark.parametrize("m", [8, WINDOW_MAX_ELEMENTS // 9 + 1])  # windows, one step
+def test_rollout_draws_counts_the_doubles_a_rollout_takes(m):
+    rng = np.random.default_rng(3)
+    game = _random_game(rng, (2, 3), 3)
+    pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
+    horizon = WINDOW_CAP + 7
+    ran, skipped = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in rollout(game, pi_tables, m, horizon, [ran]):
+        pass
+    skipped.bit_generator.advance(rollout_draws(game.n_agents, m, horizon))
+    assert ran.bit_generator.state == skipped.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "m, horizon",
+    # K x m = 3 x 8 runs windows; 3 x 113 steps one at a time where each
+    # generator alone (113, the largest batch with windows) runs windows
+    [(8, WINDOW_CAP + 7), (WINDOW_MAX_ELEMENTS // 9, 20)],
+)
+def test_rollout_of_k_generators_is_k_rollouts_side_by_side(m, horizon):
+    rng = np.random.default_rng(6)
+    game = _random_game(rng, (2, 3), 3)
+    pi_tables = [_prob_rows(rng, (3, k), 0.3, 1.0) for k in (2, 3)]
+    seeds = (11, 12, 13)
+    alone = [np.random.default_rng(seed) for seed in seeds]
+    want = [rollout_steps(list(rollout(game, pi_tables, m, horizon, [g]))) for g in alone]
+    together = [np.random.default_rng(seed) for seed in seeds]
+    got = rollout_steps(list(rollout(game, pi_tables, m, horizon, together)))
+    assert len(got) == horizon
+    for t, step in enumerate(got):
+        for x, parts in zip(step, zip(*(steps[t] for steps in want))):
+            assert np.array_equal(x, np.concatenate(parts, axis=-1))
+    for g, h in zip(together, alone):
+        assert g.bit_generator.state == h.bit_generator.state
 
 
 def _trajectories(rng, n_states, k, steps, batch):

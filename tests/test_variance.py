@@ -30,6 +30,8 @@ from mapgvar import (
     ob_surrogate_discrete,
     per_timestep_variances,
     random_game,
+    random_softmax_policy,
+    rollout,
     softmax_probs,
     solve_values,
     state_distributions,
@@ -364,8 +366,8 @@ def test_mc_variance_on_the_toy_game():
         step_moments(kind, game, policy, tables),
         state_distributions(game, policy, 0),
     )[0]
-    est, se = mc_variance(
-        kind, game, policy, 60_000, 1, np.random.default_rng(42), tables=tables
+    [(est, se)] = mc_variance(
+        [kind], game, policy, 60_000, 1, np.random.default_rng(42), tables=tables
     )
     assert se > 0
     assert abs(est - exact) <= 4 * se
@@ -377,8 +379,8 @@ def test_mc_variance_multi_step_against_path_enumeration():
     tables = solve_values(game, policy)
     kind = EstimatorKind(EstimatorTag.COMA, 1)
     _, oracle_var = trajectory_variance_oracle(kind, game, policy, tables, horizon=2)
-    est, se = mc_variance(
-        kind, game, policy, 40_000, 2, np.random.default_rng(7), tables=tables
+    [(est, se)] = mc_variance(
+        [kind], game, policy, 40_000, 2, np.random.default_rng(7), tables=tables
     )
     assert abs(est - oracle_var) <= 4 * se + 1e-12
 
@@ -387,8 +389,8 @@ def test_mc_variance_is_deterministic():
     game = toy_game()
     policy = toy_policy()
     kind = EstimatorKind(EstimatorTag.OB_X, 0)
-    a = mc_variance(kind, game, policy, 5_000, 1, np.random.default_rng(3))
-    b = mc_variance(kind, game, policy, 5_000, 1, np.random.default_rng(3))
+    a = mc_variance([kind], game, policy, 5_000, 1, np.random.default_rng(3))
+    b = mc_variance([kind], game, policy, 5_000, 1, np.random.default_rng(3))
     assert a == b
 
 
@@ -396,13 +398,78 @@ def test_mc_variance_rejects_tiny_samples():
     game = toy_game()
     with pytest.raises(ValueError):
         mc_variance(
-            EstimatorKind(EstimatorTag.OB_X, 0),
+            [EstimatorKind(EstimatorTag.OB_X, 0)],
             game,
             toy_policy(),
             1,
             1,
             np.random.default_rng(0),
         )
+
+
+def test_mc_variance_rejects_kinds_of_two_agents():
+    game = toy_game()
+    for kinds in ([], [EstimatorKind(EstimatorTag.COMA, 0), EstimatorKind("coma", 1)]):
+        with pytest.raises(ValueError, match="all of one agent"):
+            mc_variance(kinds, game, toy_policy(), 10, 1, np.random.default_rng(0))
+
+
+def _bit_generator(name, seed):
+    """A generator on the named bit generator; the PCG64 one holds a buffered
+    32-bit half draw, which drawing doubles keeps."""
+    rng = np.random.Generator(getattr(np.random, name.split("+")[0])(seed))
+    if name.endswith("+buffered"):
+        rng.integers(2**32, dtype=np.uint32)
+    return rng
+
+
+@pytest.mark.parametrize(
+    "shape, agent, n, horizon, chunk_size, bit_generator, budget, groups",
+    [
+        # rollout's regime is set by (n_agents + 1) * S * (kinds x m): 3 x 2 x 64
+        # runs windows of steps, 3 x 2 x 1200 one step per block, and 4 x 3 x 160
+        # one step per block where each kind alone (4 x 3 x 40) runs windows
+        ((2, 2, 2, 3), 1, 50, 12, 16, "PCG64", None, [4]),
+        ((2, 2, 2, 3), 0, 300, 30, 1 << 16, "PCG64", None, [4]),
+        ((3, 3, 2, 5), 2, 90, 25, 40, "PCG64DXSM", None, [4]),
+        # (m, dim) = (1000, 160): two kinds fit in the budget
+        ((2, 40, 4, 1), 0, 1000, 3, 1 << 16, "PCG64+buffered", None, [2, 2]),
+        # a budget for three kinds: uneven groups
+        ((2, 3, 3, 1), 1, 60, 20, 1 << 16, "PCG64", 3 * (60 * 9 + 81), [3, 1]),
+        # no advance, or one that counts blocks of draws: one kind per group
+        ((2, 2, 2, 3), 1, 50, 12, 16, "MT19937", None, [1, 1, 1, 1]),
+        ((2, 3, 3, 1), 0, 40, 9, 1 << 16, "Philox", None, [1, 1, 1, 1]),
+    ],
+)
+def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
+    monkeypatch, shape, agent, n, horizon, chunk_size, bit_generator, budget, groups
+):
+    import mapgvar.variance as variance
+
+    n_agents, n_states, n_actions, seed = shape
+    game = random_game(n_agents, n_states, n_actions, seed=seed)
+    policy = random_softmax_policy(game, np.random.default_rng(seed + 1), 2.0)
+    kinds = [EstimatorKind(tag, agent) for tag in EstimatorTag]
+    one_by_one = _bit_generator(bit_generator, seed + 2)
+    want = [
+        mc_variance([kind], game, policy, n, horizon, one_by_one, chunk_size=chunk_size)[0]
+        for kind in kinds
+    ]
+    if budget is not None:
+        monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", budget)
+    passes = []  # kinds side by side in each rollout pass
+
+    def counted(game, pi_tables, m, horizon, rngs):
+        passes.append(len(rngs))
+        return rollout(game, pi_tables, m, horizon, rngs)
+
+    monkeypatch.setattr(variance, "rollout", counted)
+    together = _bit_generator(bit_generator, seed + 2)
+    got = mc_variance(kinds, game, policy, n, horizon, together, chunk_size=chunk_size)
+    assert got == want
+    assert repr(together.bit_generator.state) == repr(one_by_one.bit_generator.state)
+    chunks = -(-n // chunk_size)
+    assert passes == [size for size in groups for _ in range(chunks)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ come invalid inputs (malformed files, out-of-range flags, then wrongly
 typed game entries, games that break the contract and unusable policies),
 each run also recording its stderr with the temporary directory's path
 replaced by ``WORK``, so that two trees' error texts compare byte for byte.
+After them comes one ``report --mc`` run large enough that mc_variance
+splits the four estimator kinds into more than one group.
 """
 from __future__ import annotations
 
@@ -217,6 +219,11 @@ def _error_lines(main, work: str, game_file: str) -> list[str]:
                                policy_with("p-empty.json", [[[], []], [[], []]])]),
         ("logits-overflow", ["report", "--game", game_file, "--policy", policy_with(
             "p-huge.json", [[[1e308, -1e308], [0, 0]], [[0, 0], [0, 0]]])]),
+        # integers beyond the float range
+        ("beta-int-overflow",
+         ["report", "--game", game_with("beta-huge.json", beta=10**400)]),
+        ("logit-int-overflow", ["report", "--game", game_file, "--policy", policy_with(
+            "p-int-huge.json", [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]])]),
     )
     lines = []
     for label, argv in cases:
@@ -311,6 +318,11 @@ def digest_lines(work: str) -> list[str]:
                       ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
                        config_file], work)
     lines += _error_lines(main, work, game_files[(2, 2, 2, 0)])
+    # m * dim = 3000 * 45 puts three kinds in mc_variance's first group, one
+    # in its second; the --mc 300 runs above run all four in one group
+    lines += _run(main, "report-n2-s9-k5-seed6-a0-mc-groups",
+                  ["report", "--game", game_files[(2, 9, 5, 6)], "--agent", "0",
+                   "--mc", "3000", "--seed", "3", "--format", "json"], work)
     return lines
 
 
