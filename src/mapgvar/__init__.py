@@ -97,7 +97,6 @@ from .variance import (
     build_variance_report,
     centralized_gap_bound,
     coma_gap_bound,
-    excess_surrogate_variance,
     excess_variance_bounds,
     expected_score_norm_sq,
     gap_bounds,

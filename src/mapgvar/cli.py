@@ -175,9 +175,8 @@ def cmd_train(args) -> int:
         print(json.dumps(exc.report, sort_keys=True), file=sys.stderr)
         return 1
     history = result.history
-    header = ("iteration", "expected_return", "grad_variance", "grad_norm",
-              *(f"entropy_agent{i}" for i in range(game.n_agents)))
-    _write(os.path.join(out, "train_history.csv"), [header, *history.to_csv_rows()])
+    _write(os.path.join(out, "train_history.csv"),
+           [history.csv_header, *history.to_csv_rows()])
     _write(os.path.join(out, "train_summary.json"), history.to_json_dict())
     save_checkpoint(
         os.path.join(out, "checkpoint.json"),

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .games import MarkovGame
-from .policies import JointPolicy, x_measure_softmax
+from .policies import JointPolicy, _product_table, x_measure_softmax
 from .values import ValueTables, state_distributions
 
 IDENTITY_TOL = 1e-9  # identity/bound slack; relative tail a horizon leaves out
@@ -88,13 +88,8 @@ def unview_agent_axis(game: MarkovGame, rows: np.ndarray, agent: int) -> np.ndar
 
 def others_prob_table(game: MarkovGame, policy: JointPolicy, agent: int) -> np.ndarray:
     """(S, A_others) product distribution of the agents other than ``agent``."""
-    out = np.ones((game.n_states, 1))
-    for j in range(game.n_agents):
-        if j == agent:
-            continue
-        pj = policy.agents[j].all_probs()
-        out = (out[:, :, None] * pj[:, None, :]).reshape(game.n_states, -1)
-    return out
+    others = [policy.agents[j].all_probs() for j in range(game.n_agents) if j != agent]
+    return _product_table(game.n_states, others)
 
 
 def agent_prob_table(game: MarkovGame, policy: JointPolicy, agent: int) -> np.ndarray:
@@ -303,19 +298,17 @@ def exact_policy_gradient(
     game: MarkovGame,
     policy: JointPolicy,
     agent: int,
-    horizon: int | None = None,
 ) -> np.ndarray:
     """Exact discounted gradient of the expected return for one agent.
 
     Sum over t < H of gamma^t E_{s~d^t, a~pi}[ Q(s,a) * score ], with d^t
-    propagated exactly through the kernel. The default horizon puts the
-    documented truncation error below 1e-9.
+    propagated exactly through the kernel. The horizon H, ``default_horizon``,
+    puts the documented truncation error below 1e-9.
     """
     from .values import solve_values
 
     _check_agent(game, agent)
-    if horizon is None:
-        horizon = default_horizon(game.gamma, game.beta)
+    horizon = default_horizon(game.gamma, game.beta)
     tables = solve_values(game, policy)
     mean_by_state = mean_step_gradient_by_state(game, policy, tables, agent)
     dists = state_distributions(game, policy, horizon - 1)

@@ -210,15 +210,15 @@ def random_game(
     n_states: int,
     n_actions: int,
     seed: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MarkovGame:
     """Deterministic random game with gamma in [0.8, 0.99] and |reward| <= 1."""
     if min(n_agents, n_states, n_actions) < 1:
         raise ValueError("all sizes must be >= 1")
     n_joint = n_actions**n_agents
-    if n_states * n_joint > cap:
+    if n_states * n_joint > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{n_states * n_joint} table entries exceeds the cap of {cap}"
+            f"{n_states * n_joint} table entries exceeds the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     rng = np.random.default_rng(seed)
     transition = rng.dirichlet(np.ones(n_states), size=(n_states, n_joint))

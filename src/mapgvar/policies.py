@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGENERACY_TOL = 1e-10
-PROB_TOL = 1e-12
 
 
 class DegeneratePolicy(ValueError):
@@ -24,12 +23,14 @@ class DegeneratePolicy(ValueError):
 
 
 def softmax_probs(logits) -> np.ndarray:
+    """Softmax of one logit vector (k,), or of each row of a (..., k) stack."""
     logits = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    # a row spanning more than the float range gives -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def grad_log_softmax(probs, a: int) -> np.ndarray:
@@ -109,16 +110,11 @@ class SoftmaxPolicy:
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.logits, dtype=float)).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("logits must be finite")
         if arr.shape[-1] == 0:
             raise ValueError(f"logits have shape {arr.shape}: a state has no action")
+        table = softmax_probs(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "logits", arr)
-        # a row spanning more than the float range gives -inf, whose exp is 0
-        with np.errstate(over="ignore"):
-            e = np.exp(arr - arr.max(axis=1, keepdims=True))
-        table = e / e.sum(axis=1, keepdims=True)
         table.setflags(write=False)
         object.__setattr__(self, "_table", table)
 
@@ -165,13 +161,18 @@ def check_policy_fits(game, policy: JointPolicy) -> None:
             )
 
 
+def _product_table(n_states: int, tables) -> np.ndarray:
+    """(n_states, prod k_j) product distribution of (n_states, k_j) action
+    tables, in C order; no tables give one column of ones."""
+    out = np.ones((n_states, 1))
+    for p in tables:
+        out = (out[:, :, None] * p[:, None, :]).reshape(n_states, -1)
+    return out
+
+
 def joint_action_prob_table(game, policy: JointPolicy) -> np.ndarray:
     """(n_states, n_joint_actions) table of joint-action probabilities."""
-    out = np.ones((game.n_states, 1))
-    for i in range(game.n_agents):
-        pi_i = policy.agents[i].all_probs()
-        out = (out[:, :, None] * pi_i[:, None, :]).reshape(game.n_states, -1)
-    return out
+    return _product_table(game.n_states, [agent.all_probs() for agent in policy.agents])
 
 
 def uniform_policy(game) -> JointPolicy:

@@ -186,19 +186,15 @@ class TrainHistory:
     def __len__(self) -> int:
         return len(self.returns)
 
+    @property
+    def csv_header(self) -> tuple[str, ...]:
+        n_agents = len(self.entropies[0]) if self.entropies else 0
+        return ("iteration", "expected_return", "grad_variance", "grad_norm",
+                *(f"entropy_agent{i}" for i in range(n_agents)))
+
     def to_csv_rows(self) -> list[tuple]:
-        rows = []
-        for k in range(len(self.returns)):
-            rows.append(
-                (
-                    k,
-                    self.returns[k],
-                    self.grad_variance[k],
-                    self.grad_norm[k],
-                    *self.entropies[k],
-                )
-            )
-        return rows
+        columns = zip(self.returns, self.grad_variance, self.grad_norm, self.entropies)
+        return [(k, j, v, g, *e) for k, (j, v, g, e) in enumerate(columns)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,9 +236,9 @@ def td_learn_q(
     state: CriticState,
 ) -> CriticState:
     """One TD pass: batch=None does a full synchronous expected sweep over
-    every (s, joint action); otherwise batch is a sequence (or (N, 4) array)
-    of (s, joint_action_index, reward, next_state) transitions applied in
-    order.
+    every (s, joint action); otherwise batch is four equal-length arrays
+    (states, joint action indices, rewards, next states), the transitions in
+    the order they are applied.
 
     Targets bootstrap from the target table, which re-syncs every
     target_sync_interval sweeps. Full synchronous sweeps with interval 1
@@ -255,9 +251,9 @@ def td_learn_q(
         targets = game.reward + game.gamma * game.transition @ expected_next
         q += lr * (targets - q)
     else:
-        s, a_idx, r, s_next = np.asarray(batch, dtype=float).reshape(-1, 4).T
-        cells = np.ravel_multi_index((s.astype(int), a_idx.astype(int)), q.shape)
-        targets = r + game.gamma * expected_next[s_next.astype(int)]
+        s, a_idx, r, s_next = batch
+        cells = np.ravel_multi_index((s, a_idx), q.shape)
+        targets = r + game.gamma * expected_next[s_next]
         # in order on Python floats: the roundings of numpy scalar updates,
         # without their indexing cost
         flat = q.reshape(-1).tolist()
@@ -307,7 +303,8 @@ def train(
     Returns the final policy alongside the history so callers can checkpoint
     or evaluate; histories from identical (game, initial policy, config) are
     bit-identical. A batch of more than DEFAULT_ENUMERATION_CAP steps
-    (horizon x batch_size) raises EnumerationCapExceeded before allocating.
+    (horizon x batch_size), or more iterations than that many history rows,
+    raises EnumerationCapExceeded before any solve.
     """
     if initial_policy is None:
         initial_policy = uniform_policy(game)
@@ -321,6 +318,11 @@ def train(
         raise EnumerationCapExceeded(
             f"horizon {horizon} x batch_size {batch} steps per iteration exceeds "
             f"{DEFAULT_ENUMERATION_CAP}"
+        )
+    if config.iterations > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"iterations {config.iterations} exceed {DEFAULT_ENUMERATION_CAP} "
+            "history rows"
         )
     j_bound = 10.0 * game.beta / (1.0 - game.gamma)
     use_td = config.critic.mode == "td"
@@ -433,9 +435,9 @@ def train(
 
         if use_td:
             # transitions in trajectory order: all of trajectory 0, then 1, ...
-            columns = (states, joint_idx, game.reward[states, joint_idx], next_states)
-            transitions = np.stack(columns, axis=-1).swapaxes(0, 1).reshape(-1, 4)
-            critic = td_learn_q(game, policy, transitions, critic)
+            s, a_idx, s_next = (x.T.reshape(-1) for x in (states, joint_idx, next_states))
+            r = game.reward[s, a_idx]
+            critic = td_learn_q(game, policy, (s, a_idx, r, s_next), critic)
 
     final_policy = JointPolicy(tuple(SoftmaxPolicy(l) for l in logits))
     history = TrainHistory(
@@ -456,18 +458,15 @@ def train(
 # checkpointing
 
 
-def checkpoint_dict(config: TrainConfig, policy: JointPolicy, rng_state: dict) -> dict:
-    return {
+def save_checkpoint(path, config: TrainConfig, policy: JointPolicy, rng_state: dict):
+    doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": config_to_dict(config),
         "policy": policy_to_dict(policy),
         "rng_state": rng_state,
     }
-
-
-def save_checkpoint(path, config: TrainConfig, policy: JointPolicy, rng_state: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_dict(config, policy, rng_state), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

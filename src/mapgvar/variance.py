@@ -383,7 +383,6 @@ def centralized_gap_bound(
     game: MarkovGame,
     policy: JointPolicy,
     agent: int,
-    tables: ValueTables | None = None,
 ) -> BoundReport:
     """Discounted excess variance of the centralized estimator over the
     decentralized one, against its two closed-form bounds.
@@ -396,16 +395,13 @@ def centralized_gap_bound(
     advantage. The per-step gap is non-negative and at most the bound-1
     numerator, which gives the documented truncation tail.
     """
-    if tables is None:
-        tables = solve_values(game, policy)
-    return gap_bounds(game, policy, tables, (agent,))[0][0]
+    return gap_bounds(game, policy, solve_values(game, policy), (agent,))[0][0]
 
 
 def coma_gap_bound(
     game: MarkovGame,
     policy: JointPolicy,
     agent: int,
-    tables: ValueTables | None = None,
 ) -> BoundReport:
     """Discounted excess variance of the counterfactual-baseline estimator
     over the decentralized one: lhs <= (eps_i B_i)^2 / (1 - gamma^2).
@@ -414,9 +410,7 @@ def coma_gap_bound(
     B_i^2 max(eps_i, beta/(1-gamma))^2, which dominates either per-step
     variance.
     """
-    if tables is None:
-        tables = solve_values(game, policy)
-    return gap_bounds(game, policy, tables, (agent,))[0][1]
+    return gap_bounds(game, policy, solve_values(game, policy), (agent,))[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +424,11 @@ def expected_score_norm_sq(pi_i) -> float:
     return float(pi_i @ norm_sq)
 
 
-def excess_surrogate_variance(b: float, q_row, pi_i) -> float:
-    """Variance penalty of baseline b over the optimum on one Q-row.
-
-    Closed form (b - b*)^2 * E_pi[||score||^2]; equals the direct difference
-    local_variance(q - b) - local_variance(q - b*) exactly.
-    """
-    b_star = ob_surrogate_discrete(q_row, pi_i)
-    return baseline_excess_variance(b, b_star, expected_score_norm_sq(pi_i))
-
-
 def baseline_excess_variance(b: float, b_star: float, score_norm_sq: float) -> float:
-    """``excess_surrogate_variance`` from a row's b* and E_pi[||score||^2],
-    for a caller that scans many baselines on one row."""
+    """Variance penalty of baseline b over the optimum b* on one Q-row, from
+    the row's b* and E_pi[||score||^2] (``expected_score_norm_sq``): the closed
+    form (b - b*)^2 E_pi[||score||^2], which equals the direct difference
+    local_variance(q - b) - local_variance(q - b*)."""
     return (float(b) - b_star) ** 2 * score_norm_sq
 
 
@@ -742,7 +728,6 @@ def build_variance_report(
     agent: int,
     t_max: int = 20,
     mc_trajectories: int = 0,
-    mc_horizon: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> VarianceReport:
     tables = solve_values(game, policy)
@@ -788,11 +773,7 @@ def build_variance_report(
     if mc_trajectories > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        horizon = (
-            mc_horizon
-            if mc_horizon is not None
-            else min(default_horizon(game.gamma, game.beta), 200)
-        )
+        horizon = min(default_horizon(game.gamma, game.beta), 200)
         estimates = mc_variance(
             [EstimatorKind(tag, agent) for tag in ALL_TAGS],
             game,

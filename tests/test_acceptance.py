@@ -28,11 +28,12 @@ from mapgvar import (
     TrainConfig,
     advantage_variance_bound,
     advantage_variance_identity,
+    baseline_excess_variance,
     centralized_gap_bound,
     coma_gap_bound,
     exact_policy_gradient,
-    excess_surrogate_variance,
     excess_variance_bounds,
+    expected_score_norm_sq,
     gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,
@@ -210,9 +211,9 @@ def test_criterion_04_variance_bound(corpus500):
 def test_criterion_05_centralized_gap(corpus200):
     checks = 0
     worst_trunc = 0.0
-    for game, policy, tables in corpus200:
+    for game, policy, _ in corpus200:
         for i in range(game.n_agents):
-            report = centralized_gap_bound(game, policy, i, tables=tables)
+            report = centralized_gap_bound(game, policy, i)
             assert report.holds, (i, report)
             assert report.lhs <= report.bounds[0] + 1e-9
             assert report.bounds[0] <= report.bounds[1] + 1e-9
@@ -233,9 +234,9 @@ def test_criterion_05_centralized_gap(corpus200):
 def test_criterion_06_coma_gap(corpus200):
     checks = 0
     worst_trunc = 0.0
-    for game, policy, tables in corpus200:
+    for game, policy, _ in corpus200:
         for i in range(game.n_agents):
-            report = coma_gap_bound(game, policy, i, tables=tables)
+            report = coma_gap_bound(game, policy, i)
             assert report.holds, (i, report)
             worst_trunc = max(worst_trunc, report.truncation_error)
             checks += 1
@@ -256,10 +257,11 @@ def test_criterion_07_optimal_baseline_scan():
         q = rng.uniform(-20, 20, size=k)
         grads = [grad_log_softmax(pi, a) for a in range(k)]
         b_star = ob_surrogate_discrete(q, pi)
+        score_sq = expected_score_norm_sq(pi)
         base = local_variance(pi, q - b_star, grads)
         for b in b_star + np.linspace(-5.0, 5.0, 100):
             direct = local_variance(pi, q - b, grads) - base
-            closed = excess_surrogate_variance(float(b), q, pi)
+            closed = baseline_excess_variance(float(b), b_star, score_sq)
             worst_identity = max(worst_identity, abs(direct - closed))
             assert direct >= -1e-9
             if abs(b - b_star) > 1e-8:

@@ -419,6 +419,9 @@ def _invalid_input_argv(tmp_path, case):
         path.write_text(json.dumps({"schema_version": 1, "agents": [policy] * 2}),
                         encoding="utf-8")
         return ["report", "--game", game_file, "--policy", str(path)]
+    elif case == "train iterations over the cap":
+        path.write_text(json.dumps({"iterations": 10**400}), encoding="utf-8")
+        return ["train", "--game", game_file, "--config", str(path)]
     elif case == "beta beyond float range":
         with open(game_file, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -446,6 +449,8 @@ def _invalid_input_argv(tmp_path, case):
         # report's aggregate horizon is about 3.0e8 steps: a 288 GB table
         ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
+        # one history row per iteration, refused before the first solve
+        ("train iterations over the cap", "0 exceed 10000000 history rows"),
         ("zero-width logits", "logits have shape (2, 0): a state has no action"),
         ("beta beyond float range", "malformed game document: int too large"),
         ("logit beyond float range", "malformed softmax agent: OverflowError"),

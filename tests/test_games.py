@@ -79,8 +79,6 @@ def test_joint_action_index_range_check():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
-        random_game(3, 2, 3, seed=7, cap=10)  # 2 * 3^3 table entries
-    with pytest.raises(EnumerationCapExceeded):
         random_game(12, 3, 8, seed=0)  # 3 * 8^12 table entries
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,28 @@ def test_cached_probability_table_equals_softmax_probs_per_row(k):
             policy.probs(0)[0] = 1.0
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_states=st.integers(1, 6),
+    k=st.integers(1, 12),
+    scale=st.floats(0.0, 1e300),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.booleans(),
+)
+def test_softmax_policy_rows_are_softmax_probs_bit_for_bit(n_states, k, scale, seed, span):
+    logits = scale * np.random.default_rng(seed).standard_normal((n_states, k))
+    if span and k > 1:  # a row whose spread exceeds the float range
+        logits[-1, 0] = -1.5e308
+        logits[-1, -1] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = SoftmaxPolicy(logits).all_probs()
+        rows = [softmax_probs(logits[s]) for s in range(n_states)]
+    assert np.all(np.isfinite(table))
+    for s in range(n_states):
+        assert np.array_equal(table[s], rows[s])
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 17])

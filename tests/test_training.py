@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import one_step_game, rollout_steps, same_logits
 from oracles import compare_baselines, td_batch_oracle, trajectory_gradient
@@ -153,7 +153,7 @@ def test_td_transition_batch_updates_only_visited_entries():
     game = random_game(2, 2, 2, seed=10)
     policy = uniform_policy(game)
     state = init_critic(game, CriticConfig(mode="td", lr=0.5))
-    batch = [(0, 1, 0.25, 1)]
+    batch = (np.array([0]), np.array([1]), np.array([0.25]), np.array([1]))
     after = td_learn_q(game, policy, batch, state)
     # single transition: only (0, 1) moves, toward r + gamma * E[Q_tgt(s')] = 0.25
     assert after.q[0, 1] == pytest.approx(0.5 * 0.25)
@@ -170,6 +170,7 @@ def test_td_transition_batch_updates_only_visited_entries():
     lr=st.sampled_from([1.0, 0.5, 0.1, 0.03]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n_states=2, k=2, n_transitions=0, lr=0.5, seed=0)  # an empty batch
 def test_td_batch_equals_the_per_transition_loop(n_states, k, n_transitions, lr, seed):
     # few cells and many transitions, so every cell is revisited often
     rng = np.random.default_rng(seed)
@@ -181,18 +182,15 @@ def test_td_batch_equals_the_per_transition_loop(n_states, k, n_transitions, lr,
         q=rng.standard_normal(shape),
         target_q=rng.standard_normal(shape),
     )
-    transitions = list(
-        zip(
-            rng.integers(0, n_states, n_transitions).tolist(),
-            rng.integers(0, game.n_joint_actions, n_transitions).tolist(),
-            rng.uniform(-1.0, 1.0, n_transitions).tolist(),
-            rng.integers(0, n_states, n_transitions).tolist(),
-        )
+    batch = (
+        rng.integers(0, n_states, n_transitions),
+        rng.integers(0, game.n_joint_actions, n_transitions),
+        rng.uniform(-1.0, 1.0, n_transitions),
+        rng.integers(0, n_states, n_transitions),
     )
+    transitions = list(zip(*(column.tolist() for column in batch)))
     expected = td_batch_oracle(game, policy, transitions, state.q, state.target_q, lr)
-    assert np.array_equal(td_learn_q(game, policy, transitions, state).q, expected)
-    as_array = np.array(transitions, dtype=float).reshape(-1, 4)
-    assert np.array_equal(td_learn_q(game, policy, as_array, state).q, expected)
+    assert np.array_equal(td_learn_q(game, policy, batch, state).q, expected)
 
 def test_td_target_sync_interval():
     game = random_game(2, 2, 2, seed=11)

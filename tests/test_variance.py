@@ -20,7 +20,7 @@ from mapgvar import (
     build_variance_report,
     centralized_gap_bound,
     coma_gap_bound,
-    excess_surrogate_variance,
+    default_horizon,
     excess_variance_bounds,
     expected_score_norm_sq,
     gap_bounds,
@@ -203,9 +203,9 @@ def test_bound_constants_by_hand(corpus30):
 
 
 def test_centralized_gap_bound_chain(corpus30):
-    for game, policy, tables in corpus30:
+    for game, policy, _ in corpus30:
         for i in range(game.n_agents):
-            report = centralized_gap_bound(game, policy, i, tables=tables)
+            report = centralized_gap_bound(game, policy, i)
             assert report.holds
             assert report.truncation_error < 1e-9
             assert report.lhs <= report.bounds[0] + 1e-9
@@ -237,9 +237,9 @@ def test_centralized_per_step_gap_is_nonnegative(corpus30):
 
 
 def test_coma_gap_bound(corpus30):
-    for game, policy, tables in corpus30:
+    for game, policy, _ in corpus30:
         for i in range(game.n_agents):
-            report = coma_gap_bound(game, policy, i, tables=tables)
+            report = coma_gap_bound(game, policy, i)
             assert report.holds
             assert report.truncation_error < 1e-9
 
@@ -281,8 +281,8 @@ def test_shared_gap_path_equals_each_bound_computed_on_its_own(corpus30):
             )
             assert (_fields(centralized), _fields(coma)) == expect
             standalone = (
-                centralized_gap_bound(game, policy, agent, tables),
-                coma_gap_bound(game, policy, agent, tables),
+                centralized_gap_bound(game, policy, agent),
+                coma_gap_bound(game, policy, agent),
             )
             assert tuple(map(_fields, standalone)) == expect
             report = build_variance_report(game, policy, agent, t_max=3)
@@ -307,11 +307,12 @@ def test_excess_variance_closed_form_matches_direct():
         q = rng.uniform(-10, 10, size=k)
         grads = [grad_log_softmax(pi, a) for a in range(k)]
         b_star = ob_surrogate_discrete(q, pi)
+        score_sq = expected_score_norm_sq(pi)
         for b in rng.uniform(-15, 15, size=5):
             direct = local_variance(pi, q - b, grads) - local_variance(
                 pi, q - b_star, grads
             )
-            closed = excess_surrogate_variance(float(b), q, pi)
+            closed = baseline_excess_variance(float(b), b_star, score_sq)
             assert abs(direct - closed) < 1e-9
 
 
@@ -324,7 +325,9 @@ def test_excess_variance_from_b_star_equals_the_one_row_form():
         score_sq = expected_score_norm_sq(pi)
         for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
             assert baseline_excess_variance(b, b_star, score_sq) == (
-                excess_surrogate_variance(float(b), q, pi)
+                baseline_excess_variance(
+                    float(b), ob_surrogate_discrete(q, pi), expected_score_norm_sq(pi)
+                )
             )
 
 
@@ -515,10 +518,11 @@ def test_variance_report_with_mc(corpus30):
         agent=0,
         t_max=3,
         mc_trajectories=2_000,
-        mc_horizon=3,
         rng=np.random.default_rng(0),
     )
     assert set(report.mc) == {tag.value for tag in ALL_TAGS}
+    horizon = min(default_horizon(game.gamma, game.beta), 200)
+    assert all(entry["horizon"] == horizon for entry in report.mc.values())
     rows = report.to_csv_rows()
     labels = {r[2] for r in rows}
     assert "trajectory_draw_variance" in labels
