@@ -12,6 +12,7 @@ per-agent advantages chain into the joint one in any order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,26 @@ def agent_subset(indices, n_agents: int) -> tuple[int, ...]:
     return subset
 
 
+def _contract(a: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """``np.tensordot(a, p, axes=(axis, 0))`` for a 1-D ``p``, bit for bit: the
+    one product tensordot makes (axis moved last, rows dotted with a (k, 1) p),
+    without its argument handling."""
+    k = a.shape[axis]
+    if axis != a.ndim - 1:
+        a = a.transpose([*range(axis), *range(axis + 1, a.ndim), axis])
+    return np.dot(a.reshape(-1, k), p.reshape(k, 1)).reshape(a.shape[:-1])
+
+
+def _check_lattice_size(action_counts) -> None:
+    """Refuse a coalition lattice above DEFAULT_ENUMERATION_CAP entries."""
+    entries = math.prod(1 + k for k in action_counts)  # per state
+    if entries > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"the coalition lattice of {len(action_counts)} agents holds "
+            f"{entries} entries per state, above {DEFAULT_ENUMERATION_CAP}"
+        )
+
+
 def marginal_q_lattice(
     game: MarkovGame,
     policy: JointPolicy,
@@ -119,16 +140,19 @@ def marginal_q_lattice(
     contracted against pi_e(s), e being K's smallest excluded agent, so
     the excluded agents are integrated out from the highest index down and
     each of the 2^n tensors is built once. Tensor axes follow ascending agent
-    index; the empty coalition's 0-d tensor is V(s).
+    index; the empty coalition's 0-d tensor is V(s). Above
+    DEFAULT_ENUMERATION_CAP entries, prod_j (1 + k_j), it builds none and
+    raises EnumerationCapExceeded.
     """
     n = game.n_agents
+    _check_lattice_size(game.action_counts)
     out = {tuple(range(n)): tables.q[s].reshape(game.action_counts)}
     for mask in range((1 << n) - 2, -1, -1):  # every superset comes first
         coalition = tuple(j for j in range(n) if mask >> j & 1)
         e = next(j for j in range(n) if not mask >> j & 1)
         parent = tuple(sorted(coalition + (e,)))
         # all agents below e are kept, so e's axis in the parent is e
-        out[coalition] = np.tensordot(out[parent], policy.probs(e, s), axes=(e, 0))
+        out[coalition] = _contract(out[parent], policy.probs(e, s), e)
     return out
 
 
@@ -171,17 +195,23 @@ def lattice_advantage_decomposition(
         raise ValueError("one action per agent in `order` required")
     if not 0 <= prefix_len <= len(order):
         raise ValueError("prefix_len out of range")
+    return _decompositions(marginals, order, actions, (prefix_len,))[0]
 
-    def q(j: int) -> float:
-        # Q^{order[:j]} at the first j actions; tensor axes ascend by agent
+
+def _decompositions(marginals, order, actions, prefix_lens) -> list:
+    """``lattice_advantage_decomposition``'s (lhs, rhs) for each of
+    ``prefix_lens``, from one read of the chain's len(order) + 1 values."""
+    values = []  # Q^{order[:j]} at the first j actions; axes ascend by agent
+    for j in range(len(order) + 1):
         idx = tuple(a for _, a in sorted(zip(order[:j], actions[:j])))
-        return float(marginals[tuple(sorted(order[:j]))][idx])
-
-    lhs = q(len(order)) - q(prefix_len)
-    rhs = 0.0
-    for j in range(prefix_len, len(order)):
-        rhs += q(j + 1) - q(j)
-    return lhs, rhs
+        values.append(float(marginals[tuple(sorted(order[:j]))][idx]))
+    out = []
+    for prefix_len in prefix_lens:
+        rhs = 0.0
+        for j in range(prefix_len, len(order)):
+            rhs += values[j + 1] - values[j]
+        out.append((values[-1] - values[prefix_len], rhs))
+    return out
 
 
 def state_distributions(

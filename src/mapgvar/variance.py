@@ -45,7 +45,7 @@ from .estimators import (
 )
 from .games import MarkovGame
 from .policies import JointPolicy
-from .values import ValueTables, solve_values, state_distributions
+from .values import ValueTables, _contract, solve_values, state_distributions
 
 SCHEMA_VERSION = 1
 
@@ -80,8 +80,13 @@ def step_moments(
     policy: JointPolicy,
     tables: ValueTables,
 ) -> StepMoments:
-    i = kind.agent
-    sig_rows = agent_axis_view(game, signal_table(kind, game, policy, tables.q), i)
+    sig = signal_table(kind, game, policy, tables.q)
+    return _step_moments(game, policy, kind.agent, sig)
+
+
+def _step_moments(game: MarkovGame, policy: JointPolicy, i: int, sig) -> StepMoments:
+    """``step_moments`` of agent i's kind from its (S, A) signal table."""
+    sig_rows = agent_axis_view(game, sig, i)
     p_others = others_prob_table(game, policy, i)  # (S, M)
     pi_i = agent_prob_table(game, policy, i)  # (S, k)
     pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
@@ -123,10 +128,16 @@ def local_variance(pi_i, signal_row, grad_vectors) -> float:
     grads = np.asarray(grad_vectors, dtype=float)
     if pi_i.shape != signal_row.shape or grads.shape[0] != pi_i.shape[0]:
         raise ValueError("pi_i, signal_row, grad_vectors must agree on length")
-    v = signal_row[:, None] * grads  # (k, dim)
+    return float(_local_variances(pi_i, signal_row[None], grads)[0])
+
+
+def _local_variances(pi_i, signal_rows, grads) -> np.ndarray:
+    """``local_variance`` of each row of a (B, k) stack of signal rows."""
+    v = signal_rows[:, :, None] * grads  # (B, k, dim)
     first = pi_i @ v
     second = pi_i @ v**2
-    return float(second.sum() - first @ first)
+    # a (1, dim) @ (dim, 1) product per row rounds like the 1-D dot product
+    return second.sum(axis=-1) - (first[:, None, :] @ first[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +147,9 @@ def local_variance(pi_i, signal_row, grad_vectors) -> float:
 def _joint_draw(
     game: MarkovGame, policy: JointPolicy, tables: ValueTables, s: int, order, prefix
 ):
-    """What the identity and the bound share, for the non-prefix agents' joint
-    draw at s: the tensor t of q(s, .) with the prefix actions fixed and axes
-    in ``order`` (default ascending), the agents' probability rows, the joint
-    weight tensor w and lhs, the variance of q under the draw.
-
-    Returns (t, probs, w, lhs).
-    """
+    """The non-prefix agents' joint draw at s: the tensor t of q(s, .) with
+    the prefix actions fixed and axes in ``order`` (default ascending), and
+    the agents' probability rows in that order. Returns (t, probs)."""
     prefix = tuple((int(a), int(x)) for a, x in prefix)
     fixed = [a for a, _ in prefix]
     if len(set(fixed)) != len(fixed):
@@ -157,13 +164,41 @@ def _joint_draw(
     t = tables.q[s].reshape(game.action_counts)[tuple(idx)]
     if order:
         t = np.transpose(t, [rest.index(a) for a in order])
-    probs = [policy.probs(a, s) for a in order]
-    w = np.ones(())
-    for p in probs:
+    return t, [policy.probs(a, s) for a in order]
+
+
+def _draw_variances(t, probs) -> tuple[np.ndarray, float, float]:
+    """The identity for the joint draw of q-tensor t, whose axes follow the
+    probability rows ``probs``: returns the joint weight tensor w, lhs (the
+    variance of t under w) and rhs (the chained per-agent form)."""
+    # partials[j] is t with the agents after axis j integrated out; built
+    # from the back, each contraction runs once
+    partials = [t]
+    for r in range(len(probs) - 1, 0, -1):
+        partials.append(_contract(partials[-1], probs[r], r))
+    partials.reverse()
+    rhs = 0.0
+    w = np.ones(())  # the weights of the axes before j
+    for j, (partial, p) in enumerate(zip(partials, probs)):
+        # weighted variance along axis j, then expectation over the earlier axes
+        e1 = _contract(partial, p, j)
+        e2 = _contract(partial**2, p, j)
+        rhs += float((w * (e2 - e1**2)).sum())
         w = np.multiply.outer(w, p)
     mean = float((w * t).sum())
     lhs = float((w * t**2).sum()) - mean**2
-    return t, probs, w, lhs
+    return w, lhs, rhs
+
+
+def _bound_rhs(t, probs, w) -> float:
+    """The bound's rhs for the joint draw of ``_draw_variances`` with its
+    weight tensor w: per axis, the variance of that agent's advantage."""
+    rhs = 0.0
+    for j, p in enumerate(probs):
+        adv = t - np.expand_dims(_contract(t, p, j), axis=j)
+        m1 = float((w * adv).sum())
+        rhs += float((w * adv**2).sum()) - m1**2
+    return rhs
 
 
 def advantage_variance_identity(
@@ -183,22 +218,7 @@ def advantage_variance_identity(
     equal for every ordering; fixing a nonempty prefix gives the conditional
     version of the same identity.
     """
-    t, probs, _, lhs = _joint_draw(game, policy, tables, s, order, prefix)
-
-    # partials[j] is t with the agents after order[j] integrated out; built
-    # from the back, each contraction runs once
-    partials = [t]
-    for r in range(len(probs) - 1, 0, -1):
-        partials.append(np.tensordot(partials[-1], probs[r], axes=(r, 0)))
-    partials.reverse()
-    rhs = 0.0
-    w_before = np.ones(())
-    for j, (partial, p) in enumerate(zip(partials, probs)):
-        # weighted variance along axis j, then expectation over the earlier axes
-        e1 = np.tensordot(partial, p, axes=(j, 0))
-        e2 = np.tensordot(partial**2, p, axes=(j, 0))
-        rhs += float((w_before * (e2 - e1**2)).sum())
-        w_before = np.multiply.outer(w_before, p)
+    _, lhs, rhs = _draw_variances(*_joint_draw(game, policy, tables, s, order, prefix))
     return lhs, rhs
 
 
@@ -216,15 +236,9 @@ def advantage_variance_bound(
     actions; the sum takes every such agent, so no order enters it. lhs <=
     rhs always; the caller asserts the slack.
     """
-    t, probs, w, lhs = _joint_draw(game, policy, tables, s, None, prefix)
-
-    rhs = 0.0
-    for j in range(len(probs)):
-        cond_mean = np.tensordot(t, probs[j], axes=(j, 0))
-        adv = t - np.expand_dims(cond_mean, axis=j)
-        m1 = float((w * adv).sum())
-        rhs += float((w * adv**2).sum()) - m1**2
-    return lhs, rhs
+    t, probs = _joint_draw(game, policy, tables, s, None, prefix)
+    w, lhs, _ = _draw_variances(t, probs)
+    return lhs, _bound_rhs(t, probs, w)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +262,23 @@ class BoundConstants:
 def bound_constants(
     game: MarkovGame, policy: JointPolicy, tables: ValueTables
 ) -> BoundConstants:
+    return _bound_constants(game, policy, _coma_tables(game, policy, tables))
+
+
+def _coma_tables(game: MarkovGame, policy: JointPolicy, tables: ValueTables) -> list:
+    """Each agent's COMA signal table, its local advantage A^i(s, a)."""
+    coma = (EstimatorKind(EstimatorTag.COMA, i) for i in range(game.n_agents))
+    return [signal_table(kind, game, policy, tables.q) for kind in coma]
+
+
+def _bound_constants(game, policy, coma_tables) -> BoundConstants:
+    """``bound_constants`` from the agents' ``_coma_tables``."""
     score = np.empty(game.n_agents)
     adv = np.empty(game.n_agents)
-    for i in range(game.n_agents):
+    for i, local_adv in enumerate(coma_tables):
         pi_i = agent_prob_table(game, policy, i)
         norm_sq = 1.0 + np.einsum("sk,sk->s", pi_i, pi_i)[:, None] - 2.0 * pi_i
         score[i] = math.sqrt(float(norm_sq.max()))
-        local_adv = signal_table(
-            EstimatorKind(EstimatorTag.COMA, i), game, policy, tables.q
-        )
         adv[i] = float(np.abs(local_adv).max())
     return BoundConstants(
         score_norm_max=score,
@@ -328,23 +350,29 @@ def gap_bounds(
 ) -> list[tuple[BoundReport, BoundReport]]:
     """The (centralized, COMA) gap reports of each agent in ``agents``.
 
-    Every input is computed once: one ``bound_constants`` for all agents,
-    one ``state_distributions`` run to the longest horizon (row t depends
-    only on the rows before it, so each bound reads a prefix), and per agent
-    one ``step_moments`` per kind, the DECENTRALIZED one serving both
-    bounds. A caller that holds step moments passes them in ``moments``,
-    a map from EstimatorKind to StepMoments.
+    Every input is computed once: each agent's COMA signal table, serving
+    both ``bound_constants`` and the COMA step moments; one
+    ``state_distributions`` run and one row of gamma^{2t} weights to the
+    longest horizon (row t depends only on the rows before it, so each
+    bound reads a prefix); and per agent one ``step_moments`` per kind, the
+    DECENTRALIZED one serving both bounds. A caller that holds step moments
+    passes them in ``moments``, a map from EstimatorKind to StepMoments.
     """
-    consts = bound_constants(game, policy, tables)
+    coma_tables = _coma_tables(game, policy, tables)
+    consts = _bound_constants(game, policy, coma_tables)
     specs = {agent: _gap_specs(game, consts, agent) for agent in agents}
     longest = max(spec.horizon for pair in specs.values() for spec in pair)
     dists = state_distributions(game, policy, longest - 1)
+    all_weights = game.gamma ** (2.0 * np.arange(longest))
     moments = dict(moments or {})
 
     def moments_of(tag: EstimatorTag, agent: int) -> StepMoments:
         kind = EstimatorKind(tag, agent)
         if kind not in moments:
-            moments[kind] = step_moments(kind, game, policy, tables)
+            if tag is EstimatorTag.COMA:
+                moments[kind] = _step_moments(game, policy, agent, coma_tables[agent])
+            else:
+                moments[kind] = step_moments(kind, game, policy, tables)
         return moments[kind]
 
     out = []
@@ -357,8 +385,7 @@ def gap_bounds(
             var_b = per_timestep_variances(
                 moments_of(EstimatorTag.DECENTRALIZED, agent), d
             )
-            weights = game.gamma ** (2.0 * np.arange(spec.horizon))
-            lhs = float(weights @ (var_a - var_b))
+            lhs = float(all_weights[: spec.horizon] @ (var_a - var_b))
             # the chain lhs <= bounds[0] <= bounds[1] <= ... within IDENTITY_TOL
             chain = (lhs, *spec.bounds)
             reports.append(

@@ -16,16 +16,11 @@ from .baselines import ob_surrogate_discrete
 from .estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
 from .games import random_game
 from .policies import random_softmax_policy
-from .values import lattice_advantage_decomposition, marginal_q_lattice, solve_values
-from .variance import (
-    advantage_variance_bound,
-    advantage_variance_identity,
-    baseline_excess_variance,
-    excess_variance_bounds,
-    expected_score_norm_sq,
-    gap_bounds,
-    local_variance,
-)
+from .values import _check_lattice_size, _decompositions, marginal_q_lattice
+from .values import solve_values
+from .variance import _bound_rhs, _draw_variances, _local_variances, gap_bounds
+from .variance import baseline_excess_variance, excess_variance_bounds
+from .variance import expected_score_norm_sq
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +67,7 @@ def check_game(
     Draws from ``rng`` one joint action per state, then one state and one
     other-agents' action row per agent. ``sabotage`` corrupts the two
     identities' right-hand sides, so their suites must report violations.
+    Each state's q tensor, probability rows and lattice serve every suite.
     """
     n = game.n_agents
     orders = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
@@ -80,35 +76,29 @@ def check_game(
 
     for s in range(game.n_states):
         marginals = marginal_q_lattice(game, policy, tables, s)
+        q_s = marginals[tuple(range(n))]  # axes in ascending agent order
+        probs = [policy.probs(i, s) for i in range(n)]
         actions = tuple(int(rng.integers(k)) for k in game.action_counts)
         for order in orders:
-            acts = tuple(actions[i] for i in order)
-            for prefix_len in range(min(n, 2)):
-                lhs, rhs = lattice_advantage_decomposition(
-                    marginals, order, acts, prefix_len
-                )
+            acts = [actions[i] for i in order]
+            for lhs, rhs in _decompositions(marginals, order, acts, range(min(n, 2))):
                 if sabotage:
                     rhs = rhs + 1.0
                 err = abs(lhs - rhs)
                 found["advantage_decomposition"].append((err > tol, err))
 
-    for s in range(game.n_states):
-        cases = [(order, ()) for order in orders]
+        draws = [(np.transpose(q_s, o), [probs[i] for i in o]) for o in orders]
         if n >= 2:  # the conditional form: agent 0's action fixed to 0
-            cases.append((None, ((0, 0),)))
-        for order, prefix in cases:
-            lhs, rhs = advantage_variance_identity(
-                game, policy, tables, s, order, prefix
-            )
+            draws.append((q_s[0], probs[1:]))
+        for j, (t, draw_probs) in enumerate(draws):
+            w, lhs, rhs = _draw_variances(t, draw_probs)
+            if j == 0:  # the ascending order's draw is also the bound's
+                slack = _bound_rhs(t, draw_probs, w) - lhs
+                found["advantage_variance_bound"].append((slack < -tol, slack))
             if sabotage:
                 rhs = -rhs
             err = abs(lhs - rhs)
             found["advantage_variance_identity"].append((err > tol, err))
-
-    for s in range(game.n_states):
-        lhs, rhs = advantage_variance_bound(game, policy, tables, s)
-        slack = rhs - lhs
-        found["advantage_variance_bound"].append((slack < -tol, slack))
 
     for pair in gap_bounds(game, policy, tables, range(n)):
         for name, rep in zip(("centralized_gap_bound", "coma_gap_bound"), pair):
@@ -124,10 +114,13 @@ def check_game(
         pi_row = pi_i[s]
         grads = np.eye(len(pi_row)) - pi_row  # row a is the score e_a - pi
         b_star = ob_surrogate_discrete(q_row, pi_row)
-        base_var = local_variance(pi_row, q_row - b_star, grads)
         score_sq = expected_score_norm_sq(pi_row)
-        for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
-            direct = local_variance(pi_row, q_row - b, grads) - base_var
+        # the variance at b* first, then at each b of the scan, in one product
+        scan = np.linspace(b_star - 5.0, b_star + 5.0, 21)
+        signals = q_row - np.r_[b_star, scan][:, None]
+        base_var, *variances = _local_variances(pi_row, signals, grads).tolist()
+        for b, var in zip(scan, variances):
+            direct = var - base_var
             err = abs(direct - baseline_excess_variance(b, b_star, score_sq))
             found["optimal_baseline_identity"].append((err > tol, err))
             found["optimal_baseline_scan"].append((direct < -tol, direct))
@@ -148,6 +141,8 @@ def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -
         n_states = int(rng.integers(1, 4))
         n_actions = int(rng.integers(2, 4))
         game_seed = int(rng.integers(0, 2**31 - 1))
+        # refuse a lattice above the cap before building a game that large
+        _check_lattice_size((n_actions,) * n_agents)
         game = random_game(n_agents, n_states, n_actions, seed=game_seed)
         policy = random_softmax_policy(game, rng)
         check_game(tallies, game, policy, solve_values(game, policy), rng, sabotage)

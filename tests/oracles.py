@@ -456,3 +456,155 @@ def compare_baselines(
             }
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# verify's suites one call at a time: the per-call forms that check_game's
+# per-state kernels replace, kept as the bit-for-bit reference
+
+
+def _joint_draw_oracle(game, policy, tables, s, order, prefix):
+    """(t, probs, w, lhs) of the non-prefix agents' joint draw at s, axes in
+    ``order`` (default ascending)."""
+    idx = [slice(None)] * game.n_agents
+    for agent, action in prefix:
+        idx[agent] = action
+    rest = sorted(set(range(game.n_agents)) - {a for a, _ in prefix})
+    order = tuple(rest) if order is None else tuple(order)
+    t = tables.q[s].reshape(game.action_counts)[tuple(idx)]
+    if order:
+        t = np.transpose(t, [rest.index(a) for a in order])
+    probs = [policy.probs(a, s) for a in order]
+    w = np.ones(())
+    for p in probs:
+        w = np.multiply.outer(w, p)
+    mean = float((w * t).sum())
+    lhs = float((w * t**2).sum()) - mean**2
+    return t, probs, w, lhs
+
+
+def variance_identity_oracle(game, policy, tables, s, order=None, prefix=()):
+    """The advantage-variance identity's (lhs, rhs), through np.tensordot."""
+    t, probs, _, lhs = _joint_draw_oracle(game, policy, tables, s, order, prefix)
+    partials = [t]
+    for r in range(len(probs) - 1, 0, -1):
+        partials.append(np.tensordot(partials[-1], probs[r], axes=(r, 0)))
+    partials.reverse()
+    rhs = 0.0
+    w_before = np.ones(())
+    for j, (partial, p) in enumerate(zip(partials, probs)):
+        e1 = np.tensordot(partial, p, axes=(j, 0))
+        e2 = np.tensordot(partial**2, p, axes=(j, 0))
+        rhs += float((w_before * (e2 - e1**2)).sum())
+        w_before = np.multiply.outer(w_before, p)
+    return lhs, rhs
+
+
+def variance_bound_oracle(game, policy, tables, s):
+    """The advantage-variance bound's (lhs, rhs), through np.tensordot."""
+    t, probs, w, lhs = _joint_draw_oracle(game, policy, tables, s, None, ())
+    rhs = 0.0
+    for j in range(len(probs)):
+        cond_mean = np.tensordot(t, probs[j], axes=(j, 0))
+        adv = t - np.expand_dims(cond_mean, axis=j)
+        m1 = float((w * adv).sum())
+        rhs += float((w * adv**2).sum()) - m1**2
+    return lhs, rhs
+
+
+def decomposition_oracle(game, policy, tables, s, order, actions, prefix_len):
+    """The advantage decomposition's (lhs, rhs), one marginal per term."""
+
+    def q(j):
+        return marginal_q(game, policy, tables, order[:j], actions[:j], s)
+
+    lhs = q(len(order)) - q(prefix_len)
+    rhs = 0.0
+    for j in range(prefix_len, len(order)):
+        rhs += q(j + 1) - q(j)
+    return lhs, rhs
+
+
+def _local_variance(pi_i, signal_row, grads):
+    """``local_variance`` of one signal row through 1-D products."""
+    v = signal_row[:, None] * grads
+    first = pi_i @ v
+    second = pi_i @ v**2
+    return float(second.sum() - first @ first)
+
+
+def check_game_oracle(tallies, game, policy, tables, rng, sabotage=False):
+    """``verify.check_game`` with every suite run one call at a time: the
+    same draws from ``rng``, the same checks and the same bits."""
+    from mapgvar import (
+        EstimatorTag,
+        baseline_excess_variance,
+        excess_variance_bounds,
+        expected_score_norm_sq,
+        ob_surrogate_discrete,
+    )
+    from mapgvar.estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
+    from mapgvar.verify import SUITES, _record
+
+    n = game.n_agents
+    orders = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
+    tol = IDENTITY_TOL
+    found = {name: [] for name in SUITES}
+
+    for s in range(game.n_states):
+        actions = tuple(int(rng.integers(k)) for k in game.action_counts)
+        for order in orders:
+            acts = tuple(actions[i] for i in order)
+            for prefix_len in range(min(n, 2)):
+                lhs, rhs = decomposition_oracle(
+                    game, policy, tables, s, order, acts, prefix_len
+                )
+                if sabotage:
+                    rhs = rhs + 1.0
+                err = abs(lhs - rhs)
+                found["advantage_decomposition"].append((err > tol, err))
+
+    for s in range(game.n_states):
+        cases = [(order, ()) for order in orders]
+        if n >= 2:
+            cases.append((None, ((0, 0),)))
+        for order, prefix in cases:
+            lhs, rhs = variance_identity_oracle(game, policy, tables, s, order, prefix)
+            if sabotage:
+                rhs = -rhs
+            err = abs(lhs - rhs)
+            found["advantage_variance_identity"].append((err > tol, err))
+
+    for s in range(game.n_states):
+        lhs, rhs = variance_bound_oracle(game, policy, tables, s)
+        slack = rhs - lhs
+        found["advantage_variance_bound"].append((slack < -tol, slack))
+
+    for agent in range(n):
+        for name, tag in (("centralized_gap_bound", EstimatorTag.CENTRALIZED_VANILLA),
+                          ("coma_gap_bound", EstimatorTag.COMA)):
+            report = gap_bound_oracle(game, policy, agent, tables, tag)
+            lhs, bounds, _, _, holds = report
+            found[name].append((not holds, min(b - lhs for b in bounds)))
+
+    for agent in range(n):
+        rows = agent_axis_view(game, tables.q, agent)
+        pi_i = agent_prob_table(game, policy, agent)
+        s = int(rng.integers(0, game.n_states))
+        m = int(rng.integers(0, rows.shape[1]))
+        q_row = rows[s, m]
+        pi_row = pi_i[s]
+        grads = np.eye(len(pi_row)) - pi_row
+        b_star = ob_surrogate_discrete(q_row, pi_row)
+        base_var = _local_variance(pi_row, q_row - b_star, grads)
+        score_sq = expected_score_norm_sq(pi_row)
+        for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
+            direct = _local_variance(pi_row, q_row - b, grads) - base_var
+            err = abs(direct - baseline_excess_variance(b, b_star, score_sq))
+            found["optimal_baseline_identity"].append((err > tol, err))
+            found["optimal_baseline_scan"].append((direct < -tol, direct))
+        bounds = excess_variance_bounds(q_row, pi_row)
+        found["excess_variance_bounds"].append((not bounds.holds, None))
+
+    for name, checks in found.items():
+        _record(tallies[name], SUITES[name], checks)

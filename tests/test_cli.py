@@ -400,6 +400,8 @@ def _invalid_input_argv(tmp_path, case):
         return ["report", "--game", game_file, "--agent", "5"]
     if case == "t-max over the cap":
         return ["report", "--game", game_file, "--t-max", "100000000"]
+    if case == "verify lattice over the cap":
+        return ["verify", "--games", "1", "--agents", "20", "--seed", "3"]
     path = tmp_path / "bad.json"
     if case == "malformed json":
         path.write_text('{"states": ["s0",', encoding="utf-8")
@@ -449,6 +451,8 @@ def _invalid_input_argv(tmp_path, case):
         # report's aggregate horizon is about 3.0e8 steps: a 288 GB table
         ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
+        # 3^20 coalition-tensor entries per state, refused before the game is built
+        ("verify lattice over the cap", "20 agents holds 3486784401 entries per state"),
         # one history row per iteration, refused before the first solve
         ("train iterations over the cap", "0 exceed 10000000 history rows"),
         ("zero-width logits", "logits have shape (2, 0): a state has no action"),

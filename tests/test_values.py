@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from mapgvar import (
+    EnumerationCapExceeded,
     JointPolicy,
     MarkovGame,
     SingularSystem,
@@ -194,6 +195,26 @@ def test_marginal_q_lattice_equals_each_marginal_tensor(corpus30):
                 for subset in itertools.combinations(range(n), size):
                     expect = marginal_q_tensor(game, policy, tables, subset, s)
                     assert np.array_equal(lattice[subset], expect)
+
+
+def test_marginal_q_lattice_refuses_a_lattice_above_the_cap():
+    # 15 agents of two actions: 2^15 joint actions, 3^15 lattice entries
+    game = MarkovGame(
+        n_agents=15,
+        states=("s0",),
+        action_spaces=(("a", "b"),) * 15,
+        transition=np.ones((1, 2**15, 1)),
+        reward=np.zeros((1, 2**15)),
+        beta=1.0,
+        gamma=0.5,
+        initial_dist=np.ones(1),
+    )
+    policy = uniform_policy(game)
+    tables = solve_values(game, policy)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded, match="holds 14348907 entries"):
+        marginal_q_lattice(game, policy, tables, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):

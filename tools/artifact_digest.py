@@ -25,7 +25,9 @@ typed game entries, games that break the contract and unusable policies),
 each run also recording its stderr with the temporary directory's path
 replaced by ``WORK``, so that two trees' error texts compare byte for byte.
 After them comes one ``report --mc`` run large enough that mc_variance
-splits the four estimator kinds into more than one group.
+splits the four estimator kinds into more than one group, and last a
+30-game ``verify`` at 2 agents, which with the 3-agent one above covers the
+bench corpus's verify runs.
 """
 from __future__ import annotations
 
@@ -323,6 +325,9 @@ def digest_lines(work: str) -> list[str]:
     lines += _run(main, "report-n2-s9-k5-seed6-a0-mc-groups",
                   ["report", "--game", game_files[(2, 9, 5, 6)], "--agent", "0",
                    "--mc", "3000", "--seed", "3", "--format", "json"], work)
+    # verify at the two agent counts the bench corpus runs, 30 games each
+    lines += _run(main, "verify-n2-games30", ["verify", "--games", "30", "--agents",
+                                              "2", "--format", "json"], work)
     return lines
 
 
