@@ -78,7 +78,6 @@ from .values import (
     ValueTables,
     advantage_decomposition,
     agent_subset,
-    lattice_advantage_decomposition,
     marginal_q_lattice,
     policy_transition,
     solve_values,

@@ -176,31 +176,20 @@ def advantage_decomposition(
 
     Exact for every ordering, which is why the identity is permutation-free.
     """
-    return lattice_advantage_decomposition(
-        marginal_q_lattice(game, policy, tables, s), order, actions, prefix_len
-    )
-
-
-def lattice_advantage_decomposition(
-    marginals, order, actions, prefix_len: int = 0
-) -> tuple[float, float]:
-    """``advantage_decomposition`` read from one state's ``marginal_q_lattice``.
-
-    A caller checking many orders at one state builds the lattice once and
-    passes it here; the state is the lattice's.
-    """
-    order = agent_subset(order, max(map(len, marginals)))
+    order = agent_subset(order, game.n_agents)
     actions = tuple(int(a) for a in actions)
     if len(actions) != len(order):
         raise ValueError("one action per agent in `order` required")
     if not 0 <= prefix_len <= len(order):
         raise ValueError("prefix_len out of range")
-    return _decompositions(marginals, order, actions, (prefix_len,))[0]
+    lattice = marginal_q_lattice(game, policy, tables, s)
+    return _decompositions(lattice, order, actions, (prefix_len,))[0]
 
 
 def _decompositions(marginals, order, actions, prefix_lens) -> list:
-    """``lattice_advantage_decomposition``'s (lhs, rhs) for each of
-    ``prefix_lens``, from one read of the chain's len(order) + 1 values."""
+    """``advantage_decomposition``'s (lhs, rhs) for each of ``prefix_lens``,
+    read from one state's ``marginal_q_lattice``: one read of the chain's
+    len(order) + 1 values."""
     values = []  # Q^{order[:j]} at the first j actions; axes ascend by agent
     for j in range(len(order) + 1):
         idx = tuple(a for _, a in sorted(zip(order[:j], actions[:j])))

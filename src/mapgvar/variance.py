@@ -49,6 +49,14 @@ from .values import ValueTables, _contract, solve_values, state_distributions
 
 SCHEMA_VERSION = 1
 
+ALL_TAGS = (
+    EstimatorTag.CENTRALIZED_VANILLA,
+    EstimatorTag.DECENTRALIZED,
+    EstimatorTag.COMA,
+    EstimatorTag.OB_X,
+)
+_GAP_TAGS = ALL_TAGS[:3]  # the kinds the gap bounds compare
+
 
 # ---------------------------------------------------------------------------
 # per-state moments and per-timestep variances
@@ -81,39 +89,42 @@ def step_moments(
     tables: ValueTables,
 ) -> StepMoments:
     sig = signal_table(kind, game, policy, tables.q)
-    return _step_moments(game, policy, kind.agent, sig)
+    return _step_moments(game, policy, kind.agent, [sig])[0]
 
 
-def _step_moments(game: MarkovGame, policy: JointPolicy, i: int, sig) -> StepMoments:
-    """``step_moments`` of agent i's kind from its (S, A) signal table."""
-    sig_rows = agent_axis_view(game, sig, i)
+def _step_moments(game: MarkovGame, policy: JointPolicy, i: int, sigs) -> list:
+    """``step_moments`` of each of agent i's (S, A) signal tables ``sigs``;
+    the agent's probability tables and score norms are built once."""
     p_others = others_prob_table(game, policy, i)  # (S, M)
     pi_i = agent_prob_table(game, policy, i)  # (S, k)
     pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
     score_norm_sq = 1.0 + pi_norm_sq[:, None] - 2.0 * pi_i  # (S, k)
+    out = []
+    for sig in sigs:
+        sig_rows = agent_axis_view(game, sig, i)
+        m2_rows = np.einsum("sk,smk,sk->sm", pi_i, sig_rows**2, score_norm_sq)
+        m2 = np.einsum("sm,sm->s", p_others, m2_rows)
 
-    m2_rows = np.einsum("sk,smk,sk->sm", pi_i, sig_rows**2, score_norm_sq)
-    m2 = np.einsum("sm,sm->s", p_others, m2_rows)
+        # nu(s, m) = E_{a_i}[signal * score]; with w = pi_i * signal it equals
+        # w - (sum w) pi, whose squared norm expands without forming vectors.
+        w = pi_i[:, None, :] * sig_rows  # (S, M, k)
+        c = w.sum(axis=2)  # (S, M)
+        w_norm_sq = np.einsum("smk,smk->sm", w, w)
+        w_dot_pi = np.einsum("smk,sk->sm", w, pi_i)
+        nu_sq = w_norm_sq - 2.0 * c * w_dot_pi + c**2 * pi_norm_sq[:, None]
 
-    # nu(s, m) = E_{a_i}[signal * score]; with w = pi_i * signal it equals
-    # w - (sum w) pi, whose squared norm expands without forming vectors.
-    w = pi_i[:, None, :] * sig_rows  # (S, M, k)
-    c = w.sum(axis=2)  # (S, M)
-    w_norm_sq = np.einsum("smk,smk->sm", w, w)
-    w_dot_pi = np.einsum("smk,sk->sm", w, pi_i)
-    nu_sq = w_norm_sq - 2.0 * c * w_dot_pi + c**2 * pi_norm_sq[:, None]
+        own = np.einsum("sm,sm->s", p_others, m2_rows - nu_sq)
 
-    own = np.einsum("sm,sm->s", p_others, m2_rows - nu_sq)
-
-    big_w = np.einsum("sm,smk->sk", p_others, w)  # (S, k)
-    big_c = np.einsum("sm,sm->s", p_others, c)
-    mean_sq = (
-        np.einsum("sk,sk->s", big_w, big_w)
-        - 2.0 * big_c * np.einsum("sk,sk->s", big_w, pi_i)
-        + big_c**2 * pi_norm_sq
-    )
-    others = np.einsum("sm,sm->s", p_others, nu_sq) - mean_sq
-    return StepMoments(m2=m2, mean_sq=mean_sq, own=own, others=others)
+        big_w = np.einsum("sm,smk->sk", p_others, w)  # (S, k)
+        big_c = np.einsum("sm,sm->s", p_others, c)
+        mean_sq = (
+            np.einsum("sk,sk->s", big_w, big_w)
+            - 2.0 * big_c * np.einsum("sk,sk->s", big_w, pi_i)
+            + big_c**2 * pi_norm_sq
+        )
+        others = np.einsum("sm,sm->s", p_others, nu_sq) - mean_sq
+        out.append(StepMoments(m2=m2, mean_sq=mean_sq, own=own, others=others))
+    return out
 
 
 def per_timestep_variances(moments: StepMoments, dists: np.ndarray) -> np.ndarray:
@@ -341,68 +352,63 @@ def _gap_specs(
     )
 
 
+def _agent_moments(game, policy, tables, coma_tables, agent, tags) -> dict:
+    """The agent's step moments for each of ``tags``, keyed by tag, from one
+    ``_step_moments`` call; the COMA table is the agent's ``_coma_tables``
+    entry. The first tag is not COMA, so its ``signal_table`` checks the
+    agent before ``coma_tables`` is indexed by it."""
+    sigs = [
+        coma_tables[agent] if tag is EstimatorTag.COMA
+        else signal_table(EstimatorKind(tag, agent), game, policy, tables.q)
+        for tag in tags
+    ]
+    return dict(zip(tags, _step_moments(game, policy, agent, sigs)))
+
+
+def _gap_reports(game, consts, specs, moments, dists, weights) -> tuple:
+    """One agent's (centralized, COMA) reports from its ``_gap_specs``, its
+    step moments by tag, and the state distributions and gamma^{2t} weights,
+    each at least as long as the longest spec horizon; each bound reads a
+    prefix of them (row t depends only on the rows before it)."""
+    reports = []
+    for spec in specs:
+        # sum_t gamma^{2t} (Var_t[kind] - Var_t[decentralized]) over the horizon
+        d = dists[: spec.horizon]
+        var_a = per_timestep_variances(moments[spec.tag], d)
+        var_b = per_timestep_variances(moments[EstimatorTag.DECENTRALIZED], d)
+        lhs = float(weights[: spec.horizon] @ (var_a - var_b))
+        # the chain lhs <= bounds[0] <= bounds[1] <= ... within IDENTITY_TOL
+        chain = (lhs, *spec.bounds)
+        holds = all(a <= b + IDENTITY_TOL for a, b in zip(chain, chain[1:]))
+        tail = _tail_bound(game.gamma, spec.tail_scale, spec.horizon)
+        reports.append(BoundReport(lhs, spec.bounds, consts, spec.horizon, tail, holds))
+    return tuple(reports)
+
+
 def gap_bounds(
     game: MarkovGame,
     policy: JointPolicy,
     tables: ValueTables,
     agents,
-    moments: dict | None = None,
 ) -> list[tuple[BoundReport, BoundReport]]:
     """The (centralized, COMA) gap reports of each agent in ``agents``.
 
     Every input is computed once: each agent's COMA signal table, serving
     both ``bound_constants`` and the COMA step moments; one
     ``state_distributions`` run and one row of gamma^{2t} weights to the
-    longest horizon (row t depends only on the rows before it, so each
-    bound reads a prefix); and per agent one ``step_moments`` per kind, the
-    DECENTRALIZED one serving both bounds. A caller that holds step moments
-    passes them in ``moments``, a map from EstimatorKind to StepMoments.
+    longest horizon; and per agent one ``_step_moments`` call for the three
+    kinds, the DECENTRALIZED moments serving both bounds.
     """
     coma_tables = _coma_tables(game, policy, tables)
     consts = _bound_constants(game, policy, coma_tables)
     specs = {agent: _gap_specs(game, consts, agent) for agent in agents}
     longest = max(spec.horizon for pair in specs.values() for spec in pair)
     dists = state_distributions(game, policy, longest - 1)
-    all_weights = game.gamma ** (2.0 * np.arange(longest))
-    moments = dict(moments or {})
-
-    def moments_of(tag: EstimatorTag, agent: int) -> StepMoments:
-        kind = EstimatorKind(tag, agent)
-        if kind not in moments:
-            if tag is EstimatorTag.COMA:
-                moments[kind] = _step_moments(game, policy, agent, coma_tables[agent])
-            else:
-                moments[kind] = step_moments(kind, game, policy, tables)
-        return moments[kind]
-
+    weights = game.gamma ** (2.0 * np.arange(longest))
     out = []
     for agent, pair in specs.items():
-        reports = []
-        for spec in pair:
-            # sum_t gamma^{2t} (Var_t[kind] - Var_t[decentralized]) over the horizon
-            d = dists[: spec.horizon]
-            var_a = per_timestep_variances(moments_of(spec.tag, agent), d)
-            var_b = per_timestep_variances(
-                moments_of(EstimatorTag.DECENTRALIZED, agent), d
-            )
-            lhs = float(all_weights[: spec.horizon] @ (var_a - var_b))
-            # the chain lhs <= bounds[0] <= bounds[1] <= ... within IDENTITY_TOL
-            chain = (lhs, *spec.bounds)
-            reports.append(
-                BoundReport(
-                    lhs=lhs,
-                    bounds=spec.bounds,
-                    constants=consts,
-                    horizon=spec.horizon,
-                    truncation_error=_tail_bound(
-                        game.gamma, spec.tail_scale, spec.horizon
-                    ),
-                    holds=all(
-                        a <= b + IDENTITY_TOL for a, b in zip(chain, chain[1:])
-                    ),
-                )
-            )
-        out.append(tuple(reports))
+        moments = _agent_moments(game, policy, tables, coma_tables, agent, _GAP_TAGS)
+        out.append(_gap_reports(game, consts, pair, moments, dists, weights))
     return out
 
 
@@ -741,14 +747,6 @@ def _bound_report_dict(report: BoundReport) -> dict:
     }
 
 
-ALL_TAGS = (
-    EstimatorTag.CENTRALIZED_VANILLA,
-    EstimatorTag.DECENTRALIZED,
-    EstimatorTag.COMA,
-    EstimatorTag.OB_X,
-)
-
-
 def build_variance_report(
     game: MarkovGame,
     policy: JointPolicy,
@@ -758,19 +756,24 @@ def build_variance_report(
     rng: np.random.Generator | None = None,
 ) -> VarianceReport:
     tables = solve_values(game, policy)
-    moments = {
-        tag: step_moments(EstimatorKind(tag, agent), game, policy, tables)
-        for tag in ALL_TAGS
-    }
+    coma_tables = _coma_tables(game, policy, tables)
+    moments = _agent_moments(game, policy, tables, coma_tables, agent, ALL_TAGS)
     tail_scale = max(float(m.m2.max()) for m in moments.values())
     agg_horizon = _gap_horizon(game.gamma, tail_scale)
-    dists = state_distributions(game, policy, max(t_max, agg_horizon - 1))
-    weights = game.gamma ** (2.0 * np.arange(agg_horizon))
+    consts = _bound_constants(game, policy, coma_tables)
+    specs = _gap_specs(game, consts, agent)
+    # one state-distribution table, as long as the longest read below; each
+    # product runs on the rows a table of its own would hold (the per-t
+    # variances on max(t_max, agg_horizon - 1) + 1, each gap on its horizon)
+    longest = max(agg_horizon, *(spec.horizon for spec in specs))
+    dists = state_distributions(game, policy, max(t_max, longest - 1))
+    weights = game.gamma ** (2.0 * np.arange(longest))
+    var_rows = dists[: max(t_max, agg_horizon - 1) + 1]
+    d = dists[: t_max + 1]
     per_t = {}
     aggregates = {}
     for tag, m in moments.items():
-        var_all = per_timestep_variances(m, dists)
-        d = dists[: t_max + 1]
+        var_all = per_timestep_variances(m, var_rows)
         state_terms = d @ m.mean_sq - (d**2) @ m.mean_sq
         per_t[tag.value] = {
             "variance": var_all[: t_max + 1],
@@ -778,13 +781,9 @@ def build_variance_report(
             "others": d @ m.others,
             "own": d @ m.own,
         }
-        aggregates[tag.value] = float(weights @ var_all[:agg_horizon])
-    [(centralized_gap, coma_gap)] = gap_bounds(
-        game,
-        policy,
-        tables,
-        (agent,),
-        moments={EstimatorKind(tag, agent): m for tag, m in moments.items()},
+        aggregates[tag.value] = float(weights[:agg_horizon] @ var_all[:agg_horizon])
+    centralized_gap, coma_gap = _gap_reports(
+        game, consts, specs, moments, dists, weights
     )
     report = VarianceReport(
         agent=agent,
@@ -793,7 +792,7 @@ def build_variance_report(
         discounted_per_step_sum=aggregates,
         aggregate_horizon=agg_horizon,
         aggregate_tail_bound=_tail_bound(game.gamma, tail_scale, agg_horizon),
-        constants=centralized_gap.constants,
+        constants=consts,
         centralized_gap=centralized_gap,
         coma_gap=coma_gap,
     )

@@ -448,8 +448,9 @@ def _invalid_input_argv(tmp_path, case):
         ("gamma near one", "Bellman residual"),
         # the default horizon is about 4.1e10 steps, refused before allocating
         ("train gamma near one", "horizon 41446532854 x batch_size 32"),
-        # report's aggregate horizon is about 3.0e8 steps: a 288 GB table
-        ("120 states gamma near one", "299530766 rows x 120 states exceed 10000000"),
+        # report's one table runs to its longest horizon, the COMA gap's, about
+        # 3.4e8 steps: a 325 GB table
+        ("120 states gamma near one", "338456276 rows x 120 states exceed 10000000"),
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
         # 3^20 coalition-tensor entries per state, refused before the game is built
         ("verify lattice over the cap", "20 agents holds 3486784401 entries per state"),

@@ -22,7 +22,6 @@ from mapgvar import (
     advantage_decomposition,
     agent_subset,
     joint_action_prob_table,
-    lattice_advantage_decomposition,
     marginal_q_lattice,
     policy_transition,
     random_game,
@@ -221,7 +220,6 @@ def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
     for game, policy, tables in corpus30[:10]:
         n = game.n_agents
         for s in range(game.n_states):
-            lattice = marginal_q_lattice(game, policy, tables, s)
             for order in itertools.permutations(range(n)):
                 acts = tuple(j % game.action_counts[i] for j, i in enumerate(order))
                 for p in range(n + 1):
@@ -235,10 +233,6 @@ def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
                             game, policy, tables, s,
                             order[:j], acts[:j], (order[j],), (acts[j],),
                         )
-                    assert lattice_advantage_decomposition(lattice, order, acts, p) == (
-                        lhs,
-                        rhs,
-                    )
                     assert advantage_decomposition(
                         game, policy, tables, s, order, acts, p
                     ) == (lhs, rhs)
@@ -251,9 +245,8 @@ def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
 def test_advantage_rejects_overlap(corpus30):
     # an agent both given and acting is a repeated agent in the order
     game, policy, tables = corpus30[0]
-    lattice = marginal_q_lattice(game, policy, tables, 0)
     with pytest.raises(ValueError, match="distinct"):
-        lattice_advantage_decomposition(lattice, (0, 0), (0, 0), 1)
+        advantage_decomposition(game, policy, tables, 0, (0, 0), (0, 0), 1)
 
 
 def test_advantage_has_zero_policy_mean(corpus30):
@@ -269,11 +262,10 @@ def test_advantage_has_zero_policy_mean(corpus30):
         given_actions = tuple(
             int(rng.integers(game.action_counts[j])) for j in given
         )
-        lattice = marginal_q_lattice(game, policy, tables, s)
         total = 0.0
         for a in range(game.action_counts[i]):
-            adv, _ = lattice_advantage_decomposition(
-                lattice, given + (i,), given_actions + (a,), len(given)
+            adv, _ = advantage_decomposition(
+                game, policy, tables, s, given + (i,), given_actions + (a,), len(given)
             )
             total += float(policy.probs(i, s)[a]) * adv
         assert abs(total) < 1e-9
@@ -283,10 +275,9 @@ def test_advantage_bounded(corpus30):
     for game, policy, tables in corpus30[:10]:
         bound = 2.0 * game.beta / (1.0 - game.gamma) + 1e-9
         for s in range(game.n_states):
-            lattice = marginal_q_lattice(game, policy, tables, s)
             for i in range(game.n_agents):
                 for a in range(game.action_counts[i]):
-                    adv, _ = lattice_advantage_decomposition(lattice, (i,), (a,))
+                    adv, _ = advantage_decomposition(game, policy, tables, s, (i,), (a,))
                     assert abs(adv) <= bound
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     gap_bound_oracle,
     local_variance_oracle,
@@ -32,6 +35,7 @@ from mapgvar import (
     random_game,
     random_softmax_policy,
     rollout,
+    signal_table,
     softmax_probs,
     solve_values,
     state_distributions,
@@ -40,6 +44,8 @@ from mapgvar import (
     toy_policy,
     uniform_policy,
 )
+import mapgvar.estimators as estimators
+import mapgvar.variance as variance
 from mapgvar.estimators import agent_prob_table
 from mapgvar.variance import ALL_TAGS
 
@@ -295,6 +301,66 @@ def test_shared_gap_path_equals_each_bound_computed_on_its_own(corpus30):
                     )
 
 
+def _counting(monkeypatch, module, name, counts):
+    """Replace ``module.name`` by a wrapper that counts its calls in ``counts``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_a_report_builds_each_table_once(monkeypatch, corpus30):
+    # one state-distribution run, one signal table per kind of the agent and
+    # one COMA table per agent, the agent's serving both the bound constants
+    # and its COMA moments; gap_bounds builds each agent's others' table once
+    # for its DECENTRALIZED signal and once for its moments
+    counts = {}
+    for module, name in ((variance, "state_distributions"), (variance, "signal_table"),
+                         (variance, "others_prob_table"),
+                         (estimators, "others_prob_table")):
+        _counting(monkeypatch, module, name, counts)
+    for game, policy, tables in corpus30[:6]:
+        n = game.n_agents
+        for agent in range(n):
+            counts.clear()
+            build_variance_report(game, policy, agent, t_max=3)
+            assert counts["state_distributions"] == 1
+            assert counts["signal_table"] == n + 3
+        counts.clear()
+        gap_bounds(game, policy, tables, range(n))
+        assert counts["state_distributions"] == 1
+        assert counts["others_prob_table"] == 2 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    n_states=st.integers(1, 4),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    one_step=st.booleans(),
+)
+def test_batched_moments_equal_each_kind_computed_alone(n, n_states, k, seed, one_step):
+    # _step_moments shares the agent's probability tables and score norms
+    # between kinds; every field must keep the bits of a one-kind call
+    game = random_game(n, n_states, k, seed=seed)
+    if one_step:
+        game = dataclasses.replace(game, gamma=0.0)
+    policy = random_softmax_policy(game, np.random.default_rng(seed), 2.0)
+    tables = solve_values(game, policy)
+    for agent in range(n):
+        kinds = [EstimatorKind(tag, agent) for tag in ALL_TAGS]
+        sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
+        batched = variance._step_moments(game, policy, agent, sigs)
+        for kind, got in zip(kinds, batched):
+            alone = step_moments(kind, game, policy, tables)
+            for name in ("m2", "mean_sq", "own", "others"):
+                assert np.array_equal(getattr(got, name), getattr(alone, name))
+
+
 # ---------------------------------------------------------------------------
 # excess variance of suboptimal baselines
 
@@ -447,8 +513,6 @@ def _bit_generator(name, seed):
 def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
     monkeypatch, shape, agent, n, horizon, chunk_size, bit_generator, budget, groups
 ):
-    import mapgvar.variance as variance
-
     n_agents, n_states, n_actions, seed = shape
     game = random_game(n_agents, n_states, n_actions, seed=seed)
     policy = random_softmax_policy(game, np.random.default_rng(seed + 1), 2.0)

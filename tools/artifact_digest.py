@@ -25,9 +25,11 @@ typed game entries, games that break the contract and unusable policies),
 each run also recording its stderr with the temporary directory's path
 replaced by ``WORK``, so that two trees' error texts compare byte for byte.
 After them comes one ``report --mc`` run large enough that mc_variance
-splits the four estimator kinds into more than one group, and last a
-30-game ``verify`` at 2 agents, which with the 3-agent one above covers the
-bench corpus's verify runs.
+splits the four estimator kinds into more than one group, then a 30-game
+``verify`` at 2 agents, which with the 3-agent one above covers the bench
+corpus's verify runs, and last reports on the edges of the report's paths
+(Monte Carlo rows in CSV, gamma = 0, one-action agents, and a ``--t-max``
+past every horizon).
 """
 from __future__ import annotations
 
@@ -44,8 +46,8 @@ import traceback
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # (n_agents, n_states, n_actions, seed): a one-state game and 3-agent games
-# beside plain 2-agent ones. One-action agents are left out, so that trees
-# whose report refused them (x-measure undefined) still compare equal.
+# beside plain 2-agent ones. A game of one-action agents comes last, in
+# _edge_report_lines.
 GAMES = ((2, 2, 2, 0), (2, 3, 3, 1), (3, 2, 2, 2), (2, 4, 4, 3), (2, 1, 3, 4),
          (3, 3, 2, 5), (2, 9, 5, 6))
 TRAIN_GAMES = GAMES[:3]
@@ -328,6 +330,35 @@ def digest_lines(work: str) -> list[str]:
     # verify at the two agent counts the bench corpus runs, 30 games each
     lines += _run(main, "verify-n2-games30", ["verify", "--games", "30", "--agents",
                                               "2", "--format", "json"], work)
+    lines += _edge_report_lines(main, work, game_files)
+    return lines
+
+
+def _edge_report_lines(main, work: str, game_files: dict) -> list[str]:
+    """Reports on the edges of the report's paths: Monte Carlo rows in CSV,
+    a gamma = 0 game, one-action agents, and a --t-max past every horizon."""
+    from dataclasses import replace
+
+    from mapgvar import random_game, save_game
+
+    lines = _run(main, "report-n2-s3-k3-seed1-a1-mc-csv",
+                 ["report", "--game", game_files[(2, 3, 3, 1)], "--agent", "1",
+                  "--mc", "50", "--seed", "3", "--format", "csv"], work)
+    one_step = os.path.join(work, "gamma-zero.json")
+    save_game(replace(random_game(2, 3, 2, seed=9), gamma=0.0), one_step)
+    lines += _run(main, "report-gamma-zero-mc",
+                  ["report", "--game", one_step, "--mc", "50", "--format", "json"], work)
+    label = "gen-n2-s3-k1-seed2"
+    lines += _run(main, label, ["gen", "--agents", "2", "--states", "3", "--actions",
+                                "1", "--seed", "2"], work)
+    out = os.path.join(work, "runs", label)
+    lines += _run(main, "report-n2-s3-k1-seed2-mc",
+                  ["report", "--game", os.path.join(out, os.listdir(out)[0]),
+                   "--mc", "50", "--format", "json"], work)
+    # t_max, not a horizon (129, 111 and 155 here), sets the table's length
+    lines += _run(main, "report-n2-s2-k2-seed0-t-max-3000",
+                  ["report", "--game", game_files[(2, 2, 2, 0)], "--t-max", "3000",
+                   "--format", "json"], work)
     return lines
 
 
