@@ -25,7 +25,7 @@ import numpy as np
 
 from .games import MarkovGame
 from .policies import JointPolicy, _product_table, x_measure_softmax
-from .values import ValueTables, state_distributions
+from .values import ValueTables, solve_values, state_distributions
 
 IDENTITY_TOL = 1e-9  # identity/bound slack; relative tail a horizon leaves out
 
@@ -305,8 +305,6 @@ def exact_policy_gradient(
     propagated exactly through the kernel. The horizon H, ``default_horizon``,
     puts the documented truncation error below 1e-9.
     """
-    from .values import solve_values
-
     _check_agent(game, agent)
     horizon = default_horizon(game.gamma, game.beta)
     tables = solve_values(game, policy)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import coma_baseline, ob_surrogate_discrete
-from .estimators import EstimatorKind, EstimatorTag
+from .estimators import EstimatorKind, EstimatorTag, signal_table
 from .games import MarkovGame
 from .policies import (
     JointPolicy,
@@ -31,11 +31,7 @@ from .policies import (
     x_measure_softmax,
 )
 from .values import solve_values
-from .variance import (
-    expected_score_norm_sq,
-    local_variance,
-    step_moments,
-)
+from .variance import expected_score_norm_sq, local_variance, step_moments
 
 TOY_Q = (2.0, 1.0, 100.0)
 TOY_LOGITS = (math.log(8.0), 0.0, 0.0)
@@ -206,8 +202,9 @@ def run_toy() -> ToyReport:
     variances = {}
     variances_direct = {}
     signals = {"none": q_row, "coma": advantage, "ob": x_exact}
-    for name, tag in _KIND_BY_NAME.items():
-        m = step_moments(EstimatorKind(tag, 0), game, policy, tables)
+    kinds = [EstimatorKind(tag, 0) for tag in _KIND_BY_NAME.values()]
+    sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
+    for name, m in zip(_KIND_BY_NAME, step_moments(game, policy, 0, sigs)):
         variances[name] = float(m.m2[0] - m.mean_sq[0])
         variances_direct[name] = local_variance(pi, signals[name], grads)
     ob_replay = local_variance(pi, q_row - round(b_star_rounded, 2), grads)

@@ -22,7 +22,6 @@ gradients (mc_variance), which includes cross-timestep covariance.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,6 +32,7 @@ from .estimators import (
     EstimatorKind,
     EstimatorTag,
     IDENTITY_TOL,
+    _check_agent,
     agent_axis_view,
     agent_prob_table,
     default_horizon,
@@ -82,26 +82,27 @@ class StepMoments:
     others: np.ndarray
 
 
+def _check_tables(game: MarkovGame, tables) -> None:
+    shape = (game.n_states, game.n_joint_actions)
+    if len(tables) == 0 or any(np.shape(t) != shape for t in tables):
+        raise ValueError(f"need one or more signal tables of shape {shape}")
+
+
 def step_moments(
-    kind: EstimatorKind,
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-) -> StepMoments:
-    sig = signal_table(kind, game, policy, tables.q)
-    return _step_moments(game, policy, kind.agent, [sig])[0]
-
-
-def _step_moments(game: MarkovGame, policy: JointPolicy, i: int, sigs) -> list:
-    """``step_moments`` of each of agent i's (S, A) signal tables ``sigs``;
-    the agent's probability tables and score norms are built once."""
-    p_others = others_prob_table(game, policy, i)  # (S, M)
-    pi_i = agent_prob_table(game, policy, i)  # (S, k)
+    game: MarkovGame, policy: JointPolicy, agent: int, sigs
+) -> list[StepMoments]:
+    """The ``StepMoments`` of each of the agent's (S, A) signal tables
+    ``sigs``, in order; the agent's probability tables and score norms are
+    built once."""
+    _check_agent(game, agent)
+    _check_tables(game, sigs)
+    p_others = others_prob_table(game, policy, agent)  # (S, M)
+    pi_i = agent_prob_table(game, policy, agent)  # (S, k)
     pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
     score_norm_sq = 1.0 + pi_norm_sq[:, None] - 2.0 * pi_i  # (S, k)
     out = []
     for sig in sigs:
-        sig_rows = agent_axis_view(game, sig, i)
+        sig_rows = agent_axis_view(game, sig, agent)
         m2_rows = np.einsum("sk,smk,sk->sm", pi_i, sig_rows**2, score_norm_sq)
         m2 = np.einsum("sm,sm->s", p_others, m2_rows)
 
@@ -132,23 +133,20 @@ def per_timestep_variances(moments: StepMoments, dists: np.ndarray) -> np.ndarra
     return dists @ moments.m2 - (dists**2) @ moments.mean_sq
 
 
-def local_variance(pi_i, signal_row, grad_vectors) -> float:
-    """Total variance over one agent's action of signal(a) * score-vector(a)."""
+def local_variance(pi_i, signal_rows, grad_vectors):
+    """Total variance over one agent's action of signal(a) * score-vector(a):
+    a float for a (k,) signal row, an array for each row of a (B, k) stack."""
     pi_i = np.asarray(pi_i, dtype=float)
-    signal_row = np.asarray(signal_row, dtype=float)
+    rows = np.asarray(signal_rows, dtype=float)
     grads = np.asarray(grad_vectors, dtype=float)
-    if pi_i.shape != signal_row.shape or grads.shape[0] != pi_i.shape[0]:
-        raise ValueError("pi_i, signal_row, grad_vectors must agree on length")
-    return float(_local_variances(pi_i, signal_row[None], grads)[0])
-
-
-def _local_variances(pi_i, signal_rows, grads) -> np.ndarray:
-    """``local_variance`` of each row of a (B, k) stack of signal rows."""
-    v = signal_rows[:, :, None] * grads  # (B, k, dim)
+    if rows.ndim > 2 or rows.shape[-1:] != pi_i.shape or grads.shape[:1] != pi_i.shape:
+        raise ValueError("pi_i, signal_rows, grad_vectors must agree on length")
+    v = np.atleast_2d(rows)[:, :, None] * grads  # (B, k, dim)
     first = pi_i @ v
     second = pi_i @ v**2
     # a (1, dim) @ (dim, 1) product per row rounds like the 1-D dot product
-    return second.sum(axis=-1) - (first[:, None, :] @ first[:, :, None])[:, 0, 0]
+    out = second.sum(axis=-1) - (first[:, None, :] @ first[:, :, None])[:, 0, 0]
+    return float(out[0]) if rows.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +268,20 @@ class BoundConstants:
     adv_abs_max_overall: float
 
 
-def bound_constants(
-    game: MarkovGame, policy: JointPolicy, tables: ValueTables
-) -> BoundConstants:
-    return _bound_constants(game, policy, _coma_tables(game, policy, tables))
-
-
 def _coma_tables(game: MarkovGame, policy: JointPolicy, tables: ValueTables) -> list:
     """Each agent's COMA signal table, its local advantage A^i(s, a)."""
     coma = (EstimatorKind(EstimatorTag.COMA, i) for i in range(game.n_agents))
     return [signal_table(kind, game, policy, tables.q) for kind in coma]
 
 
-def _bound_constants(game, policy, coma_tables) -> BoundConstants:
-    """``bound_constants`` from the agents' ``_coma_tables``."""
+def bound_constants(
+    game: MarkovGame, policy: JointPolicy, coma_tables
+) -> BoundConstants:
+    """The constants from ``coma_tables``, each agent's (S, A) COMA signal
+    table in agent order (see ``_coma_tables``)."""
+    if len(coma_tables) != game.n_agents:
+        raise ValueError(f"need one COMA table per agent, {game.n_agents} in all")
+    _check_tables(game, coma_tables)
     score = np.empty(game.n_agents)
     adv = np.empty(game.n_agents)
     for i, local_adv in enumerate(coma_tables):
@@ -352,17 +350,15 @@ def _gap_specs(
     )
 
 
-def _agent_moments(game, policy, tables, coma_tables, agent, tags) -> dict:
-    """The agent's step moments for each of ``tags``, keyed by tag, from one
-    ``_step_moments`` call; the COMA table is the agent's ``_coma_tables``
-    entry. The first tag is not COMA, so its ``signal_table`` checks the
-    agent before ``coma_tables`` is indexed by it."""
-    sigs = [
+def _agent_signals(game, policy, tables, coma_tables, agent, tags) -> list:
+    """The agent's (S, A) signal table for each of ``tags``, the COMA one
+    being its ``_coma_tables`` entry. The first tag is not COMA, so its
+    ``signal_table`` checks the agent before ``coma_tables`` is indexed by it."""
+    return [
         coma_tables[agent] if tag is EstimatorTag.COMA
         else signal_table(EstimatorKind(tag, agent), game, policy, tables.q)
         for tag in tags
     ]
-    return dict(zip(tags, _step_moments(game, policy, agent, sigs)))
 
 
 def _gap_reports(game, consts, specs, moments, dists, weights) -> tuple:
@@ -396,18 +392,19 @@ def gap_bounds(
     Every input is computed once: each agent's COMA signal table, serving
     both ``bound_constants`` and the COMA step moments; one
     ``state_distributions`` run and one row of gamma^{2t} weights to the
-    longest horizon; and per agent one ``_step_moments`` call for the three
+    longest horizon; and per agent one ``step_moments`` call for the three
     kinds, the DECENTRALIZED moments serving both bounds.
     """
     coma_tables = _coma_tables(game, policy, tables)
-    consts = _bound_constants(game, policy, coma_tables)
+    consts = bound_constants(game, policy, coma_tables)
     specs = {agent: _gap_specs(game, consts, agent) for agent in agents}
     longest = max(spec.horizon for pair in specs.values() for spec in pair)
     dists = state_distributions(game, policy, longest - 1)
     weights = game.gamma ** (2.0 * np.arange(longest))
     out = []
     for agent, pair in specs.items():
-        moments = _agent_moments(game, policy, tables, coma_tables, agent, _GAP_TAGS)
+        sigs = _agent_signals(game, policy, tables, coma_tables, agent, _GAP_TAGS)
+        moments = dict(zip(_GAP_TAGS, step_moments(game, policy, agent, sigs)))
         out.append(_gap_reports(game, consts, pair, moments, dists, weights))
     return out
 
@@ -489,10 +486,10 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
     pi_i = np.asarray(pi_i, dtype=float)
     q_bar = coma_baseline(q_row, pi_i)
     b_star = ob_surrogate_discrete(q_row, pi_i)
-    score_sq = expected_score_norm_sq(pi_i)
+    norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
+    score_sq = float(pi_i @ norm_sq)  # expected_score_norm_sq, from norm_sq
     delta_vanilla = baseline_excess_variance(0.0, b_star, score_sq)
     delta_coma = baseline_excess_variance(q_bar, b_star, score_sq)
-    norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
     d_max = math.sqrt(float(norm_sq.max()))
     adv = q_row - q_bar
     var_adv = float(pi_i @ adv**2)
@@ -527,17 +524,12 @@ MC_GROUP_ENTRIES = 1 << 19
 
 
 def mc_variance(
-    kinds: Sequence[EstimatorKind],
-    game: MarkovGame,
-    policy: JointPolicy,
-    n_trajectories: int,
-    horizon: int,
-    rng: np.random.Generator,
-    tables: ValueTables | None = None,
-    chunk_size: int = 1 << 16,
+    game: MarkovGame, policy: JointPolicy, agent: int, sigs, n_trajectories: int,
+    horizon: int, rng: np.random.Generator, chunk_size: int = 1 << 16,
 ) -> list[tuple[float, float]]:
     """Sample variance of trajectory-gradient draws, with its standard
-    error, for each of ``kinds`` (all of one agent), in their order.
+    error, for each of the agent's (S, A) signal tables ``sigs`` (one per
+    estimator kind), in their order.
 
     Unlike the discounted per-step sum, this is the raw variance of full
     trajectory draws and includes cross-timestep covariance. Each kind
@@ -558,16 +550,12 @@ def mc_variance(
     a PCG64 or PCG64DXSM generator can be advanced that way; on any other,
     each group is one kind, drawing from ``rng`` itself.
     """
-    kinds = list(kinds)
     if n_trajectories < 2:
         raise ValueError("need at least 2 trajectories")
-    if len({kind.agent for kind in kinds}) != 1:
-        raise ValueError("mc_variance needs one or more kinds, all of one agent")
-    if tables is None:
-        tables = solve_values(game, policy)
-    i = kinds[0].agent
-    dim = param_dim(game, i)
-    sigs = np.stack([signal_table(kind, game, policy, tables.q) for kind in kinds])
+    _check_agent(game, agent)
+    _check_tables(game, sigs)
+    dim = param_dim(game, agent)
+    sigs = np.stack(sigs)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     draws = rollout_draws(game.n_agents, n_trajectories, horizon)
     entries = min(chunk_size, n_trajectories) * dim + dim * dim
@@ -575,18 +563,18 @@ def mc_variance(
     # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
     # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
     if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        group_size = max(1, min(len(kinds), MC_GROUP_ENTRIES // entries))
+        group_size = max(1, min(len(sigs), MC_GROUP_ENTRIES // entries))
 
     results = []
-    for g0 in range(0, len(kinds), group_size):
-        group = range(g0, min(g0 + group_size, len(kinds)))
+    for g0 in range(0, len(sigs), group_size):
+        group = range(g0, min(g0 + group_size, len(sigs)))
         rngs = [rng] if group_size == 1 else [_advanced(rng, j * draws) for j in group]
         results += _group_estimates(
-            game, pi_tables, i, sigs[g0 : group.stop], n_trajectories, horizon,
+            game, pi_tables, agent, sigs[g0 : group.stop], n_trajectories, horizon,
             rngs, chunk_size,
         )
     if group_size > 1:
-        _skip(rng, len(kinds) * draws)
+        _skip(rng, len(sigs) * draws)
     return results
 
 
@@ -757,10 +745,11 @@ def build_variance_report(
 ) -> VarianceReport:
     tables = solve_values(game, policy)
     coma_tables = _coma_tables(game, policy, tables)
-    moments = _agent_moments(game, policy, tables, coma_tables, agent, ALL_TAGS)
+    sigs = _agent_signals(game, policy, tables, coma_tables, agent, ALL_TAGS)
+    moments = dict(zip(ALL_TAGS, step_moments(game, policy, agent, sigs)))
     tail_scale = max(float(m.m2.max()) for m in moments.values())
     agg_horizon = _gap_horizon(game.gamma, tail_scale)
-    consts = _bound_constants(game, policy, coma_tables)
+    consts = bound_constants(game, policy, coma_tables)
     specs = _gap_specs(game, consts, agent)
     # one state-distribution table, as long as the longest read below; each
     # product runs on the rows a table of its own would hold (the per-t
@@ -801,19 +790,10 @@ def build_variance_report(
             rng = np.random.default_rng(0)
         horizon = min(default_horizon(game.gamma, game.beta), 200)
         estimates = mc_variance(
-            [EstimatorKind(tag, agent) for tag in ALL_TAGS],
-            game,
-            policy,
-            mc_trajectories,
-            horizon,
-            rng,
-            tables=tables,
+            game, policy, agent, sigs, mc_trajectories, horizon, rng
         )
         for tag, (estimate, se) in zip(ALL_TAGS, estimates):
-            report.mc[tag.value] = {
-                "n": mc_trajectories,
-                "horizon": horizon,
-                "estimate": estimate,
-                "se": se,
-            }
+            report.mc[tag.value] = dict(
+                n=mc_trajectories, horizon=horizon, estimate=estimate, se=se
+            )
     return report

@@ -18,7 +18,7 @@ from .games import random_game
 from .policies import random_softmax_policy
 from .values import _check_lattice_size, _decompositions, marginal_q_lattice
 from .values import solve_values
-from .variance import _bound_rhs, _draw_variances, _local_variances, gap_bounds
+from .variance import _bound_rhs, _draw_variances, gap_bounds, local_variance
 from .variance import baseline_excess_variance, excess_variance_bounds
 from .variance import expected_score_norm_sq
 
@@ -118,7 +118,7 @@ def check_game(
         # the variance at b* first, then at each b of the scan, in one product
         scan = np.linspace(b_star - 5.0, b_star + 5.0, 21)
         signals = q_row - np.r_[b_star, scan][:, None]
-        base_var, *variances = _local_variances(pi_row, signals, grads).tolist()
+        base_var, *variances = local_variance(pi_row, signals, grads).tolist()
         for b, var in zip(scan, variances):
             direct = var - base_var
             err = abs(direct - baseline_excess_variance(b, b_star, score_sq))

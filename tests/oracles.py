@@ -12,13 +12,49 @@ import numpy as np
 from mapgvar import (
     BaselineKind,
     BaselineTag,
+    EstimatorKind,
+    EstimatorTag,
     agent_subset,
     joint_action_prob_table,
+    mc_variance,
     policy_transition,
     signal_table,
+    solve_values,
+    step_moments,
     train,
 )
 from mapgvar.estimators import param_dim
+
+
+# ---------------------------------------------------------------------------
+# the variance kernels by estimator kind: step_moments, mc_variance and
+# bound_constants take signal tables, which these build from ``tables.q``
+
+
+def moments_of(kind, game, policy, tables):
+    """The ``StepMoments`` of one estimator kind."""
+    sig = signal_table(kind, game, policy, tables.q)
+    [moments] = step_moments(game, policy, kind.agent, [sig])
+    return moments
+
+
+def mc_of(kinds, game, policy, n_trajectories, horizon, rng, tables=None,
+          chunk_size=1 << 16):
+    """``mc_variance`` of ``kinds``, all of one agent, in their order; the
+    values are solved here when ``tables`` is None."""
+    if tables is None:
+        tables = solve_values(game, policy)
+    sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
+    return mc_variance(
+        game, policy, kinds[0].agent, sigs, n_trajectories, horizon, rng, chunk_size
+    )
+
+
+def coma_tables_of(game, policy, tables):
+    """Each agent's COMA signal table in agent order, as ``bound_constants``
+    takes them."""
+    coma = [EstimatorKind(EstimatorTag.COMA, i) for i in range(game.n_agents)]
+    return [signal_table(kind, game, policy, tables.q) for kind in coma]
 
 
 def joint_probs_oracle(game, policy):
@@ -261,10 +297,9 @@ def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
     Returns (lhs, bounds, horizon, truncation_error, holds)."""
     import math
 
-    from mapgvar import EstimatorKind, EstimatorTag, bound_constants, step_moments
-    from mapgvar import per_timestep_variances, state_distributions
+    from mapgvar import bound_constants, per_timestep_variances, state_distributions
 
-    consts = bound_constants(game, policy, tables)
+    consts = bound_constants(game, policy, coma_tables_of(game, policy, tables))
     gamma = game.gamma
     inv = 1.0 if gamma == 0.0 else 1.0 / (1.0 - gamma**2)
     b_i = float(consts.score_norm_max[agent])
@@ -289,7 +324,7 @@ def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
     dists = state_distributions(game, policy, horizon - 1)
     var = [
         per_timestep_variances(
-            step_moments(EstimatorKind(t, agent), game, policy, tables), dists
+            moments_of(EstimatorKind(t, agent), game, policy, tables), dists
         )
         for t in (tag, EstimatorTag.DECENTRALIZED)
     ]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import one_step_game
 from oracles import compare_baselines, expected_per_step_gradient, fd_policy_gradient
+from oracles import mc_of, moments_of
 
 from mapgvar import (
     BaselineKind,
@@ -38,7 +39,6 @@ from mapgvar import (
     gaussian_log_prob_grad,
     grad_log_softmax,
     local_variance,
-    mc_variance,
     ob_surrogate_discrete,
     ob_surrogate_gaussian,
     per_timestep_variances,
@@ -46,7 +46,6 @@ from mapgvar import (
     softmax_probs,
     solve_values,
     state_distributions,
-    step_moments,
     toy_game,
     toy_policy,
 )
@@ -355,9 +354,9 @@ def test_criterion_10_mc_consistency():
     ):
         kind = EstimatorKind(tag, 0)
         exact = per_timestep_variances(
-            step_moments(kind, game, policy, tables), dists
+            moments_of(kind, game, policy, tables), dists
         )[0]
-        [(est, se)] = mc_variance(
+        [(est, se)] = mc_of(
             [kind], game, policy, 1_000_000, 1, np.random.default_rng(10),
             tables=tables,
         )
@@ -365,10 +364,10 @@ def test_criterion_10_mc_consistency():
         details.append(f"{tag.value} |z| = {abs(est - exact) / se:.2f}")
     # SE scaling: quadrupling n halves the standard error (+/- 20%)
     kind = EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, 0)
-    [(_, se_small)] = mc_variance(
+    [(_, se_small)] = mc_of(
         [kind], game, policy, 250_000, 1, np.random.default_rng(11), tables=tables
     )
-    [(_, se_big)] = mc_variance(
+    [(_, se_big)] = mc_of(
         [kind], game, policy, 1_000_000, 1, np.random.default_rng(12), tables=tables
     )
     ratio = se_small / se_big

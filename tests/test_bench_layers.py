@@ -1,9 +1,16 @@
 """The traced bench run wraps library functions named in ``bench/run.py``'s
 ``LAYERS``; a name that no longer resolves breaks that run, so check each
-one here, reading the list with ``ast`` rather than importing the bench."""
+one here, reading the list with ``ast`` rather than importing the bench.
+A layer also reads zero when the program runs a private twin of the function
+it names, so the variance layers are checked to be reached."""
 import ast
 import importlib
 import os
+import sys
+
+import numpy as np
+
+from mapgvar import random_game, random_softmax_policy, solve_values, variance, verify
 
 RUN_PY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "run.py"
@@ -35,3 +42,28 @@ def test_every_bench_layer_names_a_library_function():
         )
     ]
     assert not missing, missing
+
+
+def test_the_traced_variance_layers_see_the_program(monkeypatch):
+    # wrapped as the traced run wraps them: every module attribute bound to
+    # the function; one report with --mc and one verify game reach all four
+    counts = {}
+    names = ("step_moments", "bound_constants", "local_variance", "mc_variance")
+    modules = [m for key, m in sys.modules.items() if key.startswith("mapgvar") and m]
+    for name in names:
+        inner = getattr(variance, name)
+
+        def wrapper(*args, _inner=inner, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is inner:
+                    monkeypatch.setattr(module, attr, wrapper)
+    game = random_game(2, 2, 2, seed=4)
+    policy = random_softmax_policy(game, np.random.default_rng(4))
+    variance.build_variance_report(game, policy, 0, t_max=2, mc_trajectories=2)
+    rng = np.random.default_rng(4)
+    verify.check_game(verify.new_tallies(), game, policy, solve_values(game, policy), rng)
+    assert all(counts.get(name, 0) > 0 for name in names), counts

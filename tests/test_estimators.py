@@ -7,6 +7,7 @@ from oracles import (
     expected_contribution_oracle,
     expected_per_step_gradient,
     fd_policy_gradient,
+    moments_of,
     per_step_gradient,
     trajectory_gradient,
 )
@@ -19,7 +20,6 @@ from mapgvar import (
     ob_surrogate_discrete,
     rollout,
     signal_table,
-    step_moments,
 )
 from mapgvar.estimators import (
     agent_axis_view,
@@ -227,7 +227,7 @@ def test_all_kinds_share_the_expected_contribution(corpus30):
             k = game.action_counts[i]
             for tag in ALL_TAGS:
                 kind = EstimatorKind(tag, i)
-                mean_sq = step_moments(kind, game, policy, tables).mean_sq
+                mean_sq = moments_of(kind, game, policy, tables).mean_sq
                 for s in range(game.n_states):
                     vec = expected_per_step_gradient(kind, game, policy, tables, s)
                     oracle = expected_contribution_oracle(

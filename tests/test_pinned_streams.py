@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 from conftest import rollout_steps
+from oracles import mc_of
 
 from mapgvar import (
     BaselineKind,
@@ -23,7 +24,6 @@ from mapgvar import (
     EstimatorTag,
     PPOConfig,
     TrainConfig,
-    mc_variance,
     random_game,
     random_softmax_policy,
     rollout,
@@ -276,7 +276,7 @@ def test_mc_variance_is_pinned():
     policy = random_softmax_policy(game, np.random.default_rng(4))
     rng = np.random.default_rng(5)
     got = {
-        tag.value: mc_variance(
+        tag.value: mc_of(
             [EstimatorKind(tag, 1)], game, policy, 50, 12, rng, chunk_size=16
         )[0]
         for tag in EstimatorTag
@@ -286,7 +286,7 @@ def test_mc_variance_is_pinned():
     # the four kinds in one call, side by side
     rng = np.random.default_rng(5)
     kinds = [EstimatorKind(tag, 1) for tag in EstimatorTag]
-    got = mc_variance(kinds, game, policy, 50, 12, rng, chunk_size=16)
+    got = mc_of(kinds, game, policy, 50, 12, rng, chunk_size=16)
     assert dict(zip([tag.value for tag in EstimatorTag], got)) == MC
     assert _pcg_state(rng) == MC_STATE
 

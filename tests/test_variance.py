@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    coma_tables_of,
     gap_bound_oracle,
     local_variance_oracle,
+    mc_of,
+    moments_of,
     per_t_variance_oracle,
     trajectory_variance_oracle,
 )
@@ -61,7 +64,7 @@ def test_per_timestep_variance_matches_enumeration(corpus30):
             for tag in ALL_TAGS:
                 kind = EstimatorKind(tag, i)
                 fast = per_timestep_variances(
-                    step_moments(kind, game, policy, tables), dists
+                    moments_of(kind, game, policy, tables), dists
                 )
                 for t in (0, 2):
                     slow = per_t_variance_oracle(
@@ -75,7 +78,7 @@ def test_variances_are_nonnegative(corpus100):
         dists = state_distributions(game, policy, 5)
         for tag in ALL_TAGS:
             kind = EstimatorKind(tag, 0)
-            v = per_timestep_variances(step_moments(kind, game, policy, tables), dists)
+            v = per_timestep_variances(moments_of(kind, game, policy, tables), dists)
             assert np.all(v >= -1e-12)
 
 
@@ -86,7 +89,7 @@ def test_decomposition_terms_sum_to_total(corpus30):
         for tag in ALL_TAGS:
             kind = EstimatorKind(tag, 0)
             total = per_timestep_variances(
-                step_moments(kind, game, policy, tables), dists
+                moments_of(kind, game, policy, tables), dists
             )
             terms = per_t[tag.value]
             for t in (0, 4):
@@ -196,7 +199,7 @@ def test_single_agent_identity_collapses():
 
 def test_bound_constants_by_hand(corpus30):
     game, policy, tables = corpus30[8]
-    consts = bound_constants(game, policy, tables)
+    consts = bound_constants(game, policy, coma_tables_of(game, policy, tables))
     for i in range(game.n_agents):
         pi_rows = agent_prob_table(game, policy, i)
         worst_score = 0.0
@@ -225,7 +228,7 @@ def test_centralized_per_step_gap_is_nonnegative(corpus30):
         dists = state_distributions(game, policy, 8)
         for i in range(game.n_agents):
             var_c = per_timestep_variances(
-                step_moments(
+                moments_of(
                     EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, i),
                     game,
                     policy,
@@ -234,7 +237,7 @@ def test_centralized_per_step_gap_is_nonnegative(corpus30):
                 dists,
             )
             var_d = per_timestep_variances(
-                step_moments(
+                moments_of(
                     EstimatorKind(EstimatorTag.DECENTRALIZED, i), game, policy, tables
                 ),
                 dists,
@@ -293,7 +296,7 @@ def test_shared_gap_path_equals_each_bound_computed_on_its_own(corpus30):
             assert tuple(map(_fields, standalone)) == expect
             report = build_variance_report(game, policy, agent, t_max=3)
             assert (_fields(report.centralized_gap), _fields(report.coma_gap)) == expect
-            consts = bound_constants(game, policy, tables)
+            consts = bound_constants(game, policy, coma_tables_of(game, policy, tables))
             for rep in (centralized, coma, report.coma_gap):
                 for name in ("score_norm_max", "adv_abs_max"):
                     assert np.array_equal(
@@ -314,24 +317,30 @@ def _counting(monkeypatch, module, name, counts):
 
 def test_a_report_builds_each_table_once(monkeypatch, corpus30):
     # one state-distribution run, one signal table per kind of the agent and
-    # one COMA table per agent, the agent's serving both the bound constants
-    # and its COMA moments; gap_bounds builds each agent's others' table once
-    # for its DECENTRALIZED signal and once for its moments
+    # one COMA table per agent, the agent's serving the bound constants, its
+    # COMA moments and, with --mc, its Monte Carlo draws; one step_moments
+    # call per agent; gap_bounds builds each agent's others' table once for
+    # its DECENTRALIZED signal and once for its moments
     counts = {}
     for module, name in ((variance, "state_distributions"), (variance, "signal_table"),
-                         (variance, "others_prob_table"),
+                         (variance, "step_moments"), (variance, "others_prob_table"),
                          (estimators, "others_prob_table")):
         _counting(monkeypatch, module, name, counts)
     for game, policy, tables in corpus30[:6]:
         n = game.n_agents
         for agent in range(n):
-            counts.clear()
-            build_variance_report(game, policy, agent, t_max=3)
-            assert counts["state_distributions"] == 1
-            assert counts["signal_table"] == n + 3
+            for mc_trajectories in (0, 2):
+                counts.clear()
+                build_variance_report(
+                    game, policy, agent, t_max=3, mc_trajectories=mc_trajectories
+                )
+                assert counts["state_distributions"] == 1
+                assert counts["signal_table"] == n + 3
+                assert counts["step_moments"] == 1
         counts.clear()
         gap_bounds(game, policy, tables, range(n))
         assert counts["state_distributions"] == 1
+        assert counts["step_moments"] == n
         assert counts["others_prob_table"] == 2 * n
 
 
@@ -344,8 +353,8 @@ def test_a_report_builds_each_table_once(monkeypatch, corpus30):
     one_step=st.booleans(),
 )
 def test_batched_moments_equal_each_kind_computed_alone(n, n_states, k, seed, one_step):
-    # _step_moments shares the agent's probability tables and score norms
-    # between kinds; every field must keep the bits of a one-kind call
+    # step_moments shares the agent's probability tables and score norms
+    # between tables; every field must keep the bits of a one-table call
     game = random_game(n, n_states, k, seed=seed)
     if one_step:
         game = dataclasses.replace(game, gamma=0.0)
@@ -354,9 +363,9 @@ def test_batched_moments_equal_each_kind_computed_alone(n, n_states, k, seed, on
     for agent in range(n):
         kinds = [EstimatorKind(tag, agent) for tag in ALL_TAGS]
         sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
-        batched = variance._step_moments(game, policy, agent, sigs)
-        for kind, got in zip(kinds, batched):
-            alone = step_moments(kind, game, policy, tables)
+        batched = step_moments(game, policy, agent, sigs)
+        for sig, got in zip(sigs, batched):
+            [alone] = step_moments(game, policy, agent, [sig])
             for name in ("m2", "mean_sq", "own", "others"):
                 assert np.array_equal(getattr(got, name), getattr(alone, name))
 
@@ -432,10 +441,10 @@ def test_mc_variance_on_the_toy_game():
     tables = solve_values(game, policy)
     kind = EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, 0)
     exact = per_timestep_variances(
-        step_moments(kind, game, policy, tables),
+        moments_of(kind, game, policy, tables),
         state_distributions(game, policy, 0),
     )[0]
-    [(est, se)] = mc_variance(
+    [(est, se)] = mc_of(
         [kind], game, policy, 60_000, 1, np.random.default_rng(42), tables=tables
     )
     assert se > 0
@@ -448,7 +457,7 @@ def test_mc_variance_multi_step_against_path_enumeration():
     tables = solve_values(game, policy)
     kind = EstimatorKind(EstimatorTag.COMA, 1)
     _, oracle_var = trajectory_variance_oracle(kind, game, policy, tables, horizon=2)
-    [(est, se)] = mc_variance(
+    [(est, se)] = mc_of(
         [kind], game, policy, 40_000, 2, np.random.default_rng(7), tables=tables
     )
     assert abs(est - oracle_var) <= 4 * se + 1e-12
@@ -458,15 +467,15 @@ def test_mc_variance_is_deterministic():
     game = toy_game()
     policy = toy_policy()
     kind = EstimatorKind(EstimatorTag.OB_X, 0)
-    a = mc_variance([kind], game, policy, 5_000, 1, np.random.default_rng(3))
-    b = mc_variance([kind], game, policy, 5_000, 1, np.random.default_rng(3))
+    a = mc_of([kind], game, policy, 5_000, 1, np.random.default_rng(3))
+    b = mc_of([kind], game, policy, 5_000, 1, np.random.default_rng(3))
     assert a == b
 
 
 def test_mc_variance_rejects_tiny_samples():
     game = toy_game()
     with pytest.raises(ValueError):
-        mc_variance(
+        mc_of(
             [EstimatorKind(EstimatorTag.OB_X, 0)],
             game,
             toy_policy(),
@@ -476,11 +485,22 @@ def test_mc_variance_rejects_tiny_samples():
         )
 
 
-def test_mc_variance_rejects_kinds_of_two_agents():
-    game = toy_game()
-    for kinds in ([], [EstimatorKind(EstimatorTag.COMA, 0), EstimatorKind("coma", 1)]):
-        with pytest.raises(ValueError, match="all of one agent"):
-            mc_variance(kinds, game, toy_policy(), 10, 1, np.random.default_rng(0))
+def test_kernels_reject_a_bad_agent_or_table():
+    # the kernels take raw tables, so each checks its agent and their shapes
+    game = random_game(2, 2, 2, seed=8)  # S = 2, A = 4
+    policy = random_softmax_policy(game, np.random.default_rng(8))
+    tables = solve_values(game, policy)
+    coma = coma_tables_of(game, policy, tables)
+    assert step_moments(game, policy, 1, coma) and bound_constants(game, policy, coma)
+    bad_tables = ([], [coma[0].T], [coma[0][:, :2]], [coma[0].reshape(-1)])
+    for agent, sigs in [(-1, coma), (2, coma), *((0, sigs) for sigs in bad_tables)]:
+        with pytest.raises(ValueError):
+            step_moments(game, policy, agent, sigs)
+        with pytest.raises(ValueError):
+            mc_variance(game, policy, agent, sigs, 10, 1, np.random.default_rng(0))
+    for tables_given in (coma[:1], coma * 2, [coma[0], coma[1].T]):
+        with pytest.raises(ValueError):
+            bound_constants(game, policy, tables_given)
 
 
 def _bit_generator(name, seed):
@@ -519,7 +539,7 @@ def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
     kinds = [EstimatorKind(tag, agent) for tag in EstimatorTag]
     one_by_one = _bit_generator(bit_generator, seed + 2)
     want = [
-        mc_variance([kind], game, policy, n, horizon, one_by_one, chunk_size=chunk_size)[0]
+        mc_of([kind], game, policy, n, horizon, one_by_one, chunk_size=chunk_size)[0]
         for kind in kinds
     ]
     if budget is not None:
@@ -532,7 +552,7 @@ def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
 
     monkeypatch.setattr(variance, "rollout", counted)
     together = _bit_generator(bit_generator, seed + 2)
-    got = mc_variance(kinds, game, policy, n, horizon, together, chunk_size=chunk_size)
+    got = mc_of(kinds, game, policy, n, horizon, together, chunk_size=chunk_size)
     assert got == want
     assert repr(together.bit_generator.state) == repr(one_by_one.bit_generator.state)
     chunks = -(-n // chunk_size)
