@@ -61,40 +61,22 @@ def ob_surrogate_discrete(q_row, pi_i) -> float:
     return float(x_measure_softmax(pi_i) @ q_row)
 
 
-def ob_surrogate_gaussian(
-    q_fn,
-    mean,
-    std,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Sampled optimal baseline for a diagonal Gaussian actor.
-
-    Draws n_samples actions from N(mean, std), queries q_fn once with the
-    (n_samples, d) batch, and returns the score-norm-weighted average of the
-    q-values (see ``gaussian_ob_rows``).
-    """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    std = np.atleast_1d(np.asarray(std, dtype=float))
-    if np.any(std <= 0):
-        raise ValueError("std must be strictly positive")
-    actions = mean + std * rng.standard_normal((n_samples, mean.shape[0]))
-    q_vals = np.asarray(q_fn(actions), dtype=float).reshape(-1)
-    if q_vals.shape[0] != n_samples:
-        raise ValueError("q_fn must return one value per sampled action")
-    return float(gaussian_ob_rows(actions, mean, std, q_vals))
-
-
-def gaussian_ob_rows(actions, mean, std, q_vals):
-    """Score-norm-weighted mean of q over each row of sampled actions.
+def ob_surrogate_gaussian(actions, mean, std, q_vals):
+    """Sampled optimal baseline for a diagonal Gaussian actor: the
+    score-norm-weighted mean of q over each row of sampled actions.
 
     ``actions`` is (..., n, d), drawn from N(mean, std), and ``q_vals`` its
     (..., n) q-values; returns one baseline per row. The score norm covers the
     whole (mean, std) output layer (the reference pseudocode is silent on
     whether the std components count).
     """
+    if np.any(std <= 0):
+        raise ValueError("std must be strictly positive")
+    if np.shape(q_vals) != np.shape(actions)[:-1]:
+        raise ValueError(
+            f"q_vals of shape {np.shape(q_vals)} does not hold one value per "
+            f"sampled action of {np.shape(actions)}"
+        )
     diff = actions - mean
     norms = np.sum((diff / std**2) ** 2, axis=-1) + np.sum(
         ((diff**2 - std**2) / std**3) ** 2, axis=-1

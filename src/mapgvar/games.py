@@ -8,6 +8,7 @@ indexing is unambiguous.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -94,11 +95,12 @@ class MarkovGame:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    # computed once per game: the hot loops read these thousands of times
+    @functools.cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.action_spaces)
 
-    @property
+    @functools.cached_property
     def n_joint_actions(self) -> int:
         return int(np.prod(self.action_counts))
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import BaselineKind, BaselineTag, gaussian_ob_rows
+from .baselines import BaselineKind, BaselineTag, ob_surrogate_gaussian
 from .estimators import (
     EstimatorKind,
     EstimatorTag,
@@ -565,7 +565,7 @@ def train_gaussian(
                 joint = np.repeat(samples, n_ob, axis=0)
                 joint[:, offsets[i] : offsets[i + 1]] = actions.reshape(len(joint), -1)
                 q_cf = np.asarray(task.payoff(joint), dtype=float).reshape(batch, n_ob)
-                baselines = gaussian_ob_rows(actions, mean, std, q_cf)
+                baselines = ob_surrogate_gaussian(actions, mean, std, q_cf)
             per_traj.append((q_vals - baselines)[:, None] * score)
         steps, grad_var, grad_norm = _batch_statistics(per_traj)
         grad_vars.append(grad_var)

@@ -157,39 +157,35 @@ def marginal_q_lattice(
 
 
 def advantage_decomposition(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-    order,
-    actions,
-    prefix_len: int = 0,
-) -> tuple[float, float]:
-    """Coalition advantage vs. its telescoped per-agent chain; returns (lhs, rhs).
+    game: MarkovGame, marginals, order, actions, prefix_lens
+) -> list[tuple[float, float]]:
+    """Coalition advantage vs. its telescoped per-agent chain, read from one
+    state's ``marginal_q_lattice``; returns one (lhs, rhs) per prefix length.
 
     ``order`` is any sequence of distinct agents; ``actions`` their actions in
-    the same order. The first ``prefix_len`` agents are held fixed as the
-    conditioning coalition on both sides. lhs is the advantage of the
-    remaining agents acting jointly; rhs peels them off one at a time:
+    the same order. For each prefix length p in ``prefix_lens``, the first p
+    agents are held fixed as the conditioning coalition on both sides. lhs is
+    the advantage of the remaining agents acting jointly; rhs peels them off
+    one at a time:
 
         A^{rest}(s, prefix, a_rest) = sum_j A^{order[j]}(s, order[:j], a_j)
 
     Exact for every ordering, which is why the identity is permutation-free.
+    The chain's len(order) + 1 values are read once for every prefix length.
     """
     order = agent_subset(order, game.n_agents)
     actions = tuple(int(a) for a in actions)
     if len(actions) != len(order):
         raise ValueError("one action per agent in `order` required")
-    if not 0 <= prefix_len <= len(order):
+    counts = game.action_counts
+    for agent, a in zip(order, actions):
+        if not 0 <= a < counts[agent]:
+            raise ValueError(
+                f"action {a} of agent {agent} out of range [0, {counts[agent]})"
+            )
+    prefix_lens = tuple(prefix_lens)
+    if not all(0 <= p <= len(order) for p in prefix_lens):
         raise ValueError("prefix_len out of range")
-    lattice = marginal_q_lattice(game, policy, tables, s)
-    return _decompositions(lattice, order, actions, (prefix_len,))[0]
-
-
-def _decompositions(marginals, order, actions, prefix_lens) -> list:
-    """``advantage_decomposition``'s (lhs, rhs) for each of ``prefix_lens``,
-    read from one state's ``marginal_q_lattice``: one read of the chain's
-    len(order) + 1 values."""
     values = []  # Q^{order[:j]} at the first j actions; axes ascend by agent
     for j in range(len(order) + 1):
         idx = tuple(a for _, a in sorted(zip(order[:j], actions[:j])))

@@ -150,36 +150,31 @@ def local_variance(pi_i, signal_rows, grad_vectors):
 
 
 # ---------------------------------------------------------------------------
-# advantage-variance identity and bound (with optional fixed prefix)
+# advantage-variance identity and bound over one joint draw
 
 
-def _joint_draw(
-    game: MarkovGame, policy: JointPolicy, tables: ValueTables, s: int, order, prefix
-):
-    """The non-prefix agents' joint draw at s: the tensor t of q(s, .) with
-    the prefix actions fixed and axes in ``order`` (default ascending), and
-    the agents' probability rows in that order. Returns (t, probs)."""
-    prefix = tuple((int(a), int(x)) for a, x in prefix)
-    fixed = [a for a, _ in prefix]
-    if len(set(fixed)) != len(fixed):
-        raise ValueError("prefix agents must be distinct")
-    rest = sorted(set(range(game.n_agents)) - set(fixed))
-    order = tuple(rest) if order is None else tuple(int(a) for a in order)
-    if sorted(order) != rest:
-        raise ValueError("order must enumerate exactly the non-prefix agents")
-    idx = [slice(None)] * game.n_agents
-    for agent, action in prefix:
-        idx[agent] = action
-    t = tables.q[s].reshape(game.action_counts)[tuple(idx)]
-    if order:
-        t = np.transpose(t, [rest.index(a) for a in order])
-    return t, [policy.probs(a, s) for a in order]
+def _check_draw(t, probs) -> None:
+    """Refuse a q tensor whose axes do not match the probability rows."""
+    lengths = tuple(map(len, probs))
+    if np.shape(t) != lengths:
+        raise ValueError(
+            f"q tensor of shape {np.shape(t)} does not match probability rows "
+            f"of lengths {lengths}"
+        )
 
 
-def _draw_variances(t, probs) -> tuple[np.ndarray, float, float]:
-    """The identity for the joint draw of q-tensor t, whose axes follow the
-    probability rows ``probs``: returns the joint weight tensor w, lhs (the
-    variance of t under w) and rhs (the chained per-agent form)."""
+def advantage_variance_identity(t, probs) -> tuple[float, float]:
+    """Joint-advantage variance vs. its chained per-agent form; returns (lhs, rhs).
+
+    ``t`` is the q tensor of the drawn agents at one state (any other agents'
+    actions fixed), its axes following the probability rows ``probs``, one
+    row per axis. lhs is the variance of t under the agents' joint draw. rhs
+    peels the agents off in axis order: each term is the expected own-action
+    variance of that agent's advantage conditioned on the earlier agents'
+    draws. The two are equal for every ordering of the axes; a tensor with
+    some agents' actions fixed gives the conditional version of the identity.
+    """
+    _check_draw(t, probs)
     # partials[j] is t with the agents after axis j integrated out; built
     # from the back, each contraction runs once
     partials = [t]
@@ -196,58 +191,30 @@ def _draw_variances(t, probs) -> tuple[np.ndarray, float, float]:
         w = np.multiply.outer(w, p)
     mean = float((w * t).sum())
     lhs = float((w * t**2).sum()) - mean**2
-    return w, lhs, rhs
+    return lhs, rhs
 
 
-def _bound_rhs(t, probs, w) -> float:
-    """The bound's rhs for the joint draw of ``_draw_variances`` with its
-    weight tensor w: per axis, the variance of that agent's advantage."""
+def advantage_variance_bound(t, probs) -> tuple[float, float]:
+    """Joint-advantage variance vs. the independent-row sum; returns (lhs, rhs).
+
+    Takes the draw of ``advantage_variance_identity`` and returns the same
+    lhs, bit for bit. rhs sums, per axis, the variance (over the full joint
+    draw) of that agent's advantage given everyone else's sampled actions;
+    the sum takes every axis, so no order enters it. lhs <= rhs always; the
+    caller asserts the slack.
+    """
+    _check_draw(t, probs)
+    w = np.ones(())
+    for p in probs:
+        w = np.multiply.outer(w, p)
+    mean = float((w * t).sum())
+    lhs = float((w * t**2).sum()) - mean**2
     rhs = 0.0
     for j, p in enumerate(probs):
         adv = t - np.expand_dims(_contract(t, p, j), axis=j)
         m1 = float((w * adv).sum())
         rhs += float((w * adv**2).sum()) - m1**2
-    return rhs
-
-
-def advantage_variance_identity(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-    order=None,
-    prefix=(),
-) -> tuple[float, float]:
-    """Joint-advantage variance vs. its chained per-agent form; returns (lhs, rhs).
-
-    lhs is the variance (over the non-prefix agents' joint draw) of the
-    coalition advantage at state s given the prefix actions. rhs peels agents
-    off in ``order``: each term is the expected own-action variance of that
-    agent's advantage conditioned on the earlier agents' draws. The two are
-    equal for every ordering; fixing a nonempty prefix gives the conditional
-    version of the same identity.
-    """
-    _, lhs, rhs = _draw_variances(*_joint_draw(game, policy, tables, s, order, prefix))
     return lhs, rhs
-
-
-def advantage_variance_bound(
-    game: MarkovGame,
-    policy: JointPolicy,
-    tables: ValueTables,
-    s: int,
-    prefix=(),
-) -> tuple[float, float]:
-    """Joint-advantage variance vs. the independent-row sum; returns (lhs, rhs).
-
-    rhs sums, per non-prefix agent, the variance (over the full non-prefix
-    joint draw) of that agent's advantage given everyone else's sampled
-    actions; the sum takes every such agent, so no order enters it. lhs <=
-    rhs always; the caller asserts the slack.
-    """
-    t, probs = _joint_draw(game, policy, tables, s, None, prefix)
-    w, lhs, _ = _draw_variances(t, probs)
-    return lhs, _bound_rhs(t, probs, w)
 
 
 # ---------------------------------------------------------------------------

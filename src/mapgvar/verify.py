@@ -16,11 +16,11 @@ from .baselines import ob_surrogate_discrete
 from .estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
 from .games import random_game
 from .policies import random_softmax_policy
-from .values import _check_lattice_size, _decompositions, marginal_q_lattice
-from .values import solve_values
-from .variance import _bound_rhs, _draw_variances, gap_bounds, local_variance
-from .variance import baseline_excess_variance, excess_variance_bounds
-from .variance import expected_score_norm_sq
+from .values import _check_lattice_size, advantage_decomposition
+from .values import marginal_q_lattice, solve_values
+from .variance import advantage_variance_bound, advantage_variance_identity
+from .variance import baseline_excess_variance, excess_variance_bounds, gap_bounds
+from .variance import expected_score_norm_sq, local_variance
 
 SCHEMA_VERSION = 1
 
@@ -81,7 +81,9 @@ def check_game(
         actions = tuple(int(rng.integers(k)) for k in game.action_counts)
         for order in orders:
             acts = [actions[i] for i in order]
-            for lhs, rhs in _decompositions(marginals, order, acts, range(min(n, 2))):
+            for lhs, rhs in advantage_decomposition(
+                game, marginals, order, acts, range(min(n, 2))
+            ):
                 if sabotage:
                     rhs = rhs + 1.0
                 err = abs(lhs - rhs)
@@ -91,9 +93,10 @@ def check_game(
         if n >= 2:  # the conditional form: agent 0's action fixed to 0
             draws.append((q_s[0], probs[1:]))
         for j, (t, draw_probs) in enumerate(draws):
-            w, lhs, rhs = _draw_variances(t, draw_probs)
+            lhs, rhs = advantage_variance_identity(t, draw_probs)
             if j == 0:  # the ascending order's draw is also the bound's
-                slack = _bound_rhs(t, draw_probs, w) - lhs
+                bound_lhs, bound_rhs = advantage_variance_bound(t, draw_probs)
+                slack = bound_rhs - bound_lhs
                 found["advantage_variance_bound"].append((slack < -tol, slack))
             if sabotage:
                 rhs = -rhs

@@ -14,9 +14,14 @@ from mapgvar import (
     BaselineTag,
     EstimatorKind,
     EstimatorTag,
+    advantage_decomposition,
+    advantage_variance_bound,
+    advantage_variance_identity,
     agent_subset,
     joint_action_prob_table,
+    marginal_q_lattice,
     mc_variance,
+    ob_surrogate_gaussian,
     policy_transition,
     signal_table,
     solve_values,
@@ -55,6 +60,61 @@ def coma_tables_of(game, policy, tables):
     takes them."""
     coma = [EstimatorKind(EstimatorTag.COMA, i) for i in range(game.n_agents)]
     return [signal_table(kind, game, policy, tables.q) for kind in coma]
+
+
+# ---------------------------------------------------------------------------
+# the identity kernels and the Gaussian baseline take the tensors and samples
+# their caller built; these build them from a solved game or a payoff
+
+
+def decomposition_of(game, policy, tables, s, order, actions, prefix_len=0):
+    """``advantage_decomposition``'s (lhs, rhs) at state s for one prefix length."""
+    lattice = marginal_q_lattice(game, policy, tables, s)
+    [pair] = advantage_decomposition(game, lattice, order, actions, (prefix_len,))
+    return pair
+
+
+def joint_draw(game, policy, tables, s, order=None, prefix=()):
+    """The non-prefix agents' joint draw at s: the q tensor with the prefix
+    actions fixed and axes in ``order`` (default ascending), and the agents'
+    probability rows in that order. Returns (t, probs)."""
+    prefix = tuple((int(a), int(x)) for a, x in prefix)
+    fixed = [a for a, _ in prefix]
+    if len(set(fixed)) != len(fixed):
+        raise ValueError("prefix agents must be distinct")
+    rest = sorted(set(range(game.n_agents)) - set(fixed))
+    order = tuple(rest) if order is None else tuple(int(a) for a in order)
+    if sorted(order) != rest:
+        raise ValueError("order must enumerate exactly the non-prefix agents")
+    idx = [slice(None)] * game.n_agents
+    for agent, action in prefix:
+        idx[agent] = action
+    t = tables.q[s].reshape(game.action_counts)[tuple(idx)]
+    if order:
+        t = np.transpose(t, [rest.index(a) for a in order])
+    return t, [policy.probs(a, s) for a in order]
+
+
+def identity_of(game, policy, tables, s, order=None, prefix=()):
+    """``advantage_variance_identity`` of one joint draw at s."""
+    t, probs = joint_draw(game, policy, tables, s, order, prefix)
+    return advantage_variance_identity(t, probs)
+
+
+def bound_of(game, policy, tables, s, prefix=()):
+    """``advantage_variance_bound`` of the ascending joint draw at s."""
+    t, probs = joint_draw(game, policy, tables, s, None, prefix)
+    return advantage_variance_bound(t, probs)
+
+
+def sampled_ob_gaussian(q_fn, mean, std, n_samples, rng):
+    """``ob_surrogate_gaussian`` of n_samples actions drawn from N(mean, std),
+    with q_fn queried once on the (n_samples, d) batch."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    std = np.atleast_1d(np.asarray(std, dtype=float))
+    actions = mean + std * rng.standard_normal((n_samples, mean.shape[0]))
+    q_vals = np.asarray(q_fn(actions), dtype=float).reshape(-1)
+    return float(ob_surrogate_gaussian(actions, mean, std, q_vals))
 
 
 def joint_probs_oracle(game, policy):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from conftest import one_step_game
 from oracles import compare_baselines, expected_per_step_gradient, fd_policy_gradient
-from oracles import mc_of, moments_of
+from oracles import bound_of, identity_of, mc_of, moments_of, sampled_ob_gaussian
 
 from mapgvar import (
     BaselineKind,
@@ -27,8 +27,6 @@ from mapgvar import (
     EstimatorKind,
     EstimatorTag,
     TrainConfig,
-    advantage_variance_bound,
-    advantage_variance_identity,
     baseline_excess_variance,
     centralized_gap_bound,
     coma_gap_bound,
@@ -40,7 +38,6 @@ from mapgvar import (
     grad_log_softmax,
     local_variance,
     ob_surrogate_discrete,
-    ob_surrogate_gaussian,
     per_timestep_variances,
     run_toy,
     softmax_probs,
@@ -155,16 +152,14 @@ def test_criterion_03_variance_identity(corpus200):
         n = game.n_agents
         for s in range(game.n_states):
             for order in itertools.permutations(range(n)):
-                lhs, rhs = advantage_variance_identity(
-                    game, policy, tables, s, order=order
-                )
+                lhs, rhs = identity_of(game, policy, tables, s, order=order)
                 worst = max(worst, abs(lhs - rhs))
                 checks += 1
             # conditional (strong) version with a fixed prefix action
             p_agent = int(rng.integers(n))
             p_action = int(rng.integers(game.action_counts[p_agent]))
             order = tuple(j for j in range(n) if j != p_agent)
-            lhs, rhs = advantage_variance_identity(
+            lhs, rhs = identity_of(
                 game, policy, tables, s, order=order,
                 prefix=((p_agent, p_action),),
             )
@@ -185,14 +180,12 @@ def test_criterion_04_variance_bound(corpus500):
     for game, policy, tables in corpus500:
         n = game.n_agents
         for s in range(game.n_states):
-            lhs, rhs = advantage_variance_bound(game, policy, tables, s)
+            lhs, rhs = bound_of(game, policy, tables, s)
             min_slack = min(min_slack, rhs - lhs)
             checks += 1
         p_agent = int(rng.integers(n))
         p_action = int(rng.integers(game.action_counts[p_agent]))
-        lhs, rhs = advantage_variance_bound(
-            game, policy, tables, 0, prefix=((p_agent, p_action),)
-        )
+        lhs, rhs = bound_of(game, policy, tables, 0, prefix=((p_agent, p_action),))
         min_slack = min(min_slack, rhs - lhs)
         checks += 1
     assert min_slack >= -1e-9, min_slack
@@ -448,7 +441,7 @@ def test_criterion_12_gaussian():
 
     # a constant q-row is returned exactly
     for seed in (0, 1):
-        val = ob_surrogate_gaussian(
+        val = sampled_ob_gaussian(
             lambda a: np.full(len(a), -1.75),
             np.zeros(2),
             np.ones(2),
@@ -463,7 +456,7 @@ def test_criterion_12_gaussian():
 
     runs = np.array(
         [
-            ob_surrogate_gaussian(
+            sampled_ob_gaussian(
                 payoff, np.zeros(1), np.ones(1), 2_000,
                 np.random.default_rng(1200 + s),
             )
@@ -471,7 +464,7 @@ def test_criterion_12_gaussian():
         ]
     )
     se = runs.std(ddof=1) / np.sqrt(len(runs))
-    big = ob_surrogate_gaussian(
+    big = sampled_ob_gaussian(
         payoff, np.zeros(1), np.ones(1), 500_000, np.random.default_rng(999)
     )
     assert abs(runs.mean() - big) <= 3 * se

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ob_exact
+from oracles import ob_exact, sampled_ob_gaussian
 
 from mapgvar import (
     BaselineKind,
     BaselineTag,
     EstimatorKind,
+    TrainConfig,
     coma_baseline,
     grad_log_softmax,
     local_variance,
@@ -20,7 +21,6 @@ from mapgvar import (
     toy_game,
     toy_policy,
 )
-from mapgvar.baselines import gaussian_ob_rows
 from mapgvar.training import _SIGNAL_FOR_BASELINE
 
 q_rows = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=6)
@@ -103,7 +103,7 @@ def test_ob_exact_rejects_all_zero_grads():
 
 def test_gaussian_ob_constant_q_is_exact():
     rng = np.random.default_rng(0)
-    val = ob_surrogate_gaussian(
+    val = sampled_ob_gaussian(
         lambda a: np.full(len(a), 3.25),
         mean=np.zeros(2),
         std=np.ones(2),
@@ -120,7 +120,7 @@ def test_gaussian_ob_rows_equal_the_one_row_formula():
     actions = mean + std * rng.standard_normal((4, 64, 2))
     q_vals = np.minimum(actions[..., 0] ** 3 - actions[..., 1], 1.5)
     q_vals[2] = 1.5
-    got = gaussian_ob_rows(actions, mean, std, q_vals)
+    got = ob_surrogate_gaussian(actions, mean, std, q_vals)
     for row, q, b in zip(actions, q_vals, got):
         diff = row - mean
         norms = np.sum((diff / std**2) ** 2, axis=1)
@@ -139,25 +139,20 @@ def test_gaussian_ob_linear_q_self_oracle():
     for seed in range(40):
         rng = np.random.default_rng(100 + seed)
         runs.append(
-            ob_surrogate_gaussian(payoff, np.zeros(1), np.ones(1), 2_000, rng)
+            sampled_ob_gaussian(payoff, np.zeros(1), np.ones(1), 2_000, rng)
         )
     runs = np.array(runs)
     se = runs.std(ddof=1) / np.sqrt(len(runs))
-    big = ob_surrogate_gaussian(
+    big = sampled_ob_gaussian(
         payoff, np.zeros(1), np.ones(1), 400_000, np.random.default_rng(999)
     )
     assert abs(runs.mean() - big) <= 3 * se + 5e-3
 
 
 def test_gaussian_ob_requires_two_samples():
-    with pytest.raises(ValueError):
-        ob_surrogate_gaussian(
-            lambda a: np.zeros(len(a)),
-            np.zeros(1),
-            np.ones(1),
-            1,
-            np.random.default_rng(0),
-        )
+    # one sample would make the sampled baseline that sample's own q-value
+    with pytest.raises(ValueError, match="ob_n_samples"):
+        TrainConfig(ob_n_samples=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    decomposition_of,
     discounted_state_occupancy,
     marginal_q,
     marginal_q_oracle,
@@ -19,7 +20,6 @@ from mapgvar import (
     MarkovGame,
     SingularSystem,
     SoftmaxPolicy,
-    advantage_decomposition,
     agent_subset,
     joint_action_prob_table,
     marginal_q_lattice,
@@ -233,7 +233,7 @@ def test_decomposition_on_a_lattice_equals_the_direct_one(corpus30):
                             game, policy, tables, s,
                             order[:j], acts[:j], (order[j],), (acts[j],),
                         )
-                    assert advantage_decomposition(
+                    assert decomposition_of(
                         game, policy, tables, s, order, acts, p
                     ) == (lhs, rhs)
 
@@ -246,7 +246,7 @@ def test_advantage_rejects_overlap(corpus30):
     # an agent both given and acting is a repeated agent in the order
     game, policy, tables = corpus30[0]
     with pytest.raises(ValueError, match="distinct"):
-        advantage_decomposition(game, policy, tables, 0, (0, 0), (0, 0), 1)
+        decomposition_of(game, policy, tables, 0, (0, 0), (0, 0), 1)
 
 
 def test_advantage_has_zero_policy_mean(corpus30):
@@ -264,7 +264,7 @@ def test_advantage_has_zero_policy_mean(corpus30):
         )
         total = 0.0
         for a in range(game.action_counts[i]):
-            adv, _ = advantage_decomposition(
+            adv, _ = decomposition_of(
                 game, policy, tables, s, given + (i,), given_actions + (a,), len(given)
             )
             total += float(policy.probs(i, s)[a]) * adv
@@ -277,7 +277,7 @@ def test_advantage_bounded(corpus30):
         for s in range(game.n_states):
             for i in range(game.n_agents):
                 for a in range(game.action_counts[i]):
-                    adv, _ = advantage_decomposition(game, policy, tables, s, (i,), (a,))
+                    adv, _ = decomposition_of(game, policy, tables, s, (i,), (a,))
                     assert abs(adv) <= bound
 
 
@@ -295,9 +295,7 @@ def test_decomposition_all_orders(corpus30):
             )
             for order in itertools.permutations(range(n)):
                 acts = tuple(actions[i] for i in order)
-                lhs, rhs = advantage_decomposition(
-                    game, policy, tables, s, order, acts
-                )
+                lhs, rhs = decomposition_of(game, policy, tables, s, order, acts)
                 assert abs(lhs - rhs) < 1e-9
 
 
@@ -309,7 +307,7 @@ def test_decomposition_with_prefix(corpus30):
         order = tuple(rng.permutation(n).tolist())
         acts = tuple(int(rng.integers(game.action_counts[i])) for i in order)
         for prefix_len in range(n):
-            lhs, rhs = advantage_decomposition(
+            lhs, rhs = decomposition_of(
                 game, policy, tables, s, order, acts, prefix_len=prefix_len
             )
             assert abs(lhs - rhs) < 1e-9
@@ -320,11 +318,14 @@ def test_decomposition_argument_validation(corpus30):
     n = game.n_agents
     order = tuple(range(n))
     with pytest.raises(ValueError, match="one action per agent"):
-        advantage_decomposition(game, policy, tables, 0, order, (0,) * (n + 1))
+        decomposition_of(game, policy, tables, 0, order, (0,) * (n + 1))
     with pytest.raises(ValueError, match="prefix_len"):
-        advantage_decomposition(
-            game, policy, tables, 0, order, (0,) * n, prefix_len=n + 1
-        )
+        decomposition_of(game, policy, tables, 0, order, (0,) * n, prefix_len=n + 1)
+    # an action outside [0, k) would wrap or overrun the lattice index
+    k = game.action_counts[0]
+    for bad in (-1, k):
+        with pytest.raises(ValueError, match="out of range"):
+            decomposition_of(game, policy, tables, 0, order, (bad,) + (0,) * (n - 1))
 
 
 # ---------------------------------------------------------------------------

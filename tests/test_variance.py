@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    bound_of,
     coma_tables_of,
     gap_bound_oracle,
+    identity_of,
     local_variance_oracle,
     mc_of,
     moments_of,
@@ -34,6 +36,7 @@ from mapgvar import (
     local_variance,
     mc_variance,
     ob_surrogate_discrete,
+    ob_surrogate_gaussian,
     per_timestep_variances,
     random_game,
     random_softmax_policy,
@@ -142,16 +145,14 @@ def test_identity_all_orders_and_prefixes(corpus30):
         n = game.n_agents
         for s in range(game.n_states):
             for order in itertools.permutations(range(n)):
-                lhs, rhs = advantage_variance_identity(
-                    game, policy, tables, s, order=order
-                )
+                lhs, rhs = identity_of(game, policy, tables, s, order=order)
                 assert abs(lhs - rhs) < 1e-9
         # conditional version: fix one random agent's action
         s = int(rng.integers(game.n_states))
         p_agent = int(rng.integers(n))
         p_action = int(rng.integers(game.action_counts[p_agent]))
         order = tuple(j for j in range(n) if j != p_agent)
-        lhs, rhs = advantage_variance_identity(
+        lhs, rhs = identity_of(
             game, policy, tables, s, order=order, prefix=((p_agent, p_action),)
         )
         assert abs(lhs - rhs) < 1e-9
@@ -162,34 +163,39 @@ def test_bound_never_violated_and_conditional(corpus30):
     for game, policy, tables in corpus30:
         n = game.n_agents
         for s in range(game.n_states):
-            lhs, rhs = advantage_variance_bound(game, policy, tables, s)
+            lhs, rhs = bound_of(game, policy, tables, s)
             assert lhs <= rhs + 1e-9
         p_agent = int(rng.integers(n))
         p_action = int(rng.integers(game.action_counts[p_agent]))
-        lhs, rhs = advantage_variance_bound(
-            game, policy, tables, 0, prefix=((p_agent, p_action),)
-        )
+        lhs, rhs = bound_of(game, policy, tables, 0, prefix=((p_agent, p_action),))
         assert lhs <= rhs + 1e-9
 
 
-def test_identity_argument_validation(corpus30):
-    game, policy, tables = corpus30[0]
-    n = game.n_agents
-    with pytest.raises(ValueError):
-        advantage_variance_identity(game, policy, tables, 0, order=(0, 0))
-    with pytest.raises(ValueError):
-        advantage_variance_identity(
-            game, policy, tables, 0, order=tuple(range(n)), prefix=((0, 0),)
-        )  # prefix agent repeated in order
+def test_identity_kernels_reject_a_bad_draw():
+    t = np.zeros((2, 3))
+    rows = [np.full(2, 0.5), np.full(3, 1 / 3)]
+    for kernel in (advantage_variance_identity, advantage_variance_bound):
+        assert kernel(t, rows) == (0.0, 0.0)
+        for probs in (rows[::-1], rows[:1], rows + [np.ones(1)]):
+            with pytest.raises(ValueError, match="does not match"):
+                kernel(t, probs)
+    # the Gaussian baseline's sampled draw: std > 0 and one q per action
+    actions, mean = np.zeros((4, 2)), np.zeros(2)
+    for std in (np.array([1.0, 0.0]), np.array([1.0, -1.0])):
+        with pytest.raises(ValueError, match="std"):
+            ob_surrogate_gaussian(actions, mean, std, np.zeros(4))
+    for q_vals in (np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="one value per"):
+            ob_surrogate_gaussian(actions, mean, np.ones(2), q_vals)
 
 
 def test_single_agent_identity_collapses():
     game = toy_game()
     policy = toy_policy()
     tables = solve_values(game, policy)
-    lhs, rhs = advantage_variance_identity(game, policy, tables, 0)
+    lhs, rhs = identity_of(game, policy, tables, 0)
     assert abs(lhs - rhs) < 1e-12
-    bl, br = advantage_variance_bound(game, policy, tables, 0)
+    bl, br = bound_of(game, policy, tables, 0)
     assert abs(bl - br) < 1e-12  # one agent: the sum has a single term
 
 
