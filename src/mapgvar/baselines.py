@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .policies import x_measure_softmax
+from .policies import gaussian_std_powers, x_measure_softmax
 
 
 class BaselineTag(str, Enum):
@@ -61,6 +61,31 @@ def ob_surrogate_discrete(q_row, pi_i) -> float:
     return float(x_measure_softmax(pi_i) @ q_row)
 
 
+def _last_axis_sum(planes):
+    """``np.sum(np.stack(planes, axis=-1), axis=-1)`` bit for bit, one plane
+    at a time, summing into the planes it is given: numpy's pairwise order,
+    a left fold below 8 terms, 8 running partial sums up to 128 terms and
+    two halves above that. For nonnegative planes, whose sum starts at 0."""
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _last_axis_sum(planes[:half]) + _last_axis_sum(planes[half:])
+    if n < 8:
+        total, rest = planes[0], planes[1:]
+    else:
+        end = n - n % 8
+        part = planes[:8]
+        for i in range(8, end):
+            part[i % 8] += planes[i]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+            (part[4] + part[5]) + (part[6] + part[7])
+        )
+        rest = planes[end:]
+    for plane in rest:
+        total += plane
+    return total
+
+
 def ob_surrogate_gaussian(actions, mean, std, q_vals):
     """Sampled optimal baseline for a diagonal Gaussian actor: the
     score-norm-weighted mean of q over each row of sampled actions.
@@ -68,22 +93,34 @@ def ob_surrogate_gaussian(actions, mean, std, q_vals):
     ``actions`` is (..., n, d), drawn from N(mean, std), and ``q_vals`` its
     (..., n) q-values; returns one baseline per row. The score norm covers the
     whole (mean, std) output layer (the reference pseudocode is silent on
-    whether the std components count).
+    whether the std components count). The std is checked by
+    ``gaussian_std_powers``.
     """
-    if np.any(std <= 0):
-        raise ValueError("std must be strictly positive")
-    if np.shape(q_vals) != np.shape(actions)[:-1]:
+    s2, s3 = gaussian_std_powers(std)
+    actions = np.asarray(actions, dtype=float)
+    if np.shape(q_vals) != actions.shape[:-1]:
         raise ValueError(
             f"q_vals of shape {np.shape(q_vals)} does not hold one value per "
-            f"sampled action of {np.shape(actions)}"
+            f"sampled action of {actions.shape}"
         )
-    diff = actions - mean
-    norms = np.sum((diff / std**2) ** 2, axis=-1) + np.sum(
-        ((diff**2 - std**2) / std**3) ** 2, axis=-1
-    )
+    d = actions.shape[-1]
+    mean = np.asarray(mean, dtype=float)
+    mean, s2, s3 = (np.broadcast_to(x, (d,)) for x in (mean, s2, s3))
+    # one (..., n) plane per action component: over a last axis of d entries
+    # numpy would enter its inner loop once per d elements
+    mean_terms, std_terms = [], []
+    for j in range(d):
+        diff = actions[..., j] - mean[j]
+        sq = np.square(diff)
+        np.divide(diff, s2[j], out=diff)
+        mean_terms.append(np.square(diff, out=diff))
+        sq -= s2[j]
+        sq /= s3[j]
+        std_terms.append(np.square(sq, out=sq))
+    # with std**2 and std**3 normal floats, each norm is at least about
+    # 0.75 / std**2 > 0, so no row's denominator vanishes
+    norms = _last_axis_sum(mean_terms) + _last_axis_sum(std_terms)
     denom = norms.sum(axis=-1)
-    if np.any(denom <= 0.0):
-        raise ZeroDivisionError("all sampled score norms vanish; baseline undefined")
     # a (1, n) @ (n, 1) product per row rounds like the 1-D dot product
     weighted = (norms[..., None, :] @ q_vals[..., :, None])[..., 0, 0] / denom
     # a weighted mean of identical values is that value; skip the rounding

@@ -270,13 +270,19 @@ def scatter_scores(flat, cells, own, pi_rows, val) -> None:
     For each entry of ``cells`` (the flat offset of a state's k-action
     block), in C order, applies flat[cells + a] -= pi_rows[..., a] * val
     for every action a, then flat[cells + own] += val: the same sequence of
-    roundings as those two updates made one step at a time.
+    roundings as those two updates made one step at a time. The interleaved
+    (..., k + 1) index and value buffers are filled one action column at a
+    time, each column one long plane, then added in one in-order
+    ``np.add.at``.
     """
     k = pi_rows.shape[-1]
-    idx = cells[..., None] + np.arange(k + 1)
-    np.add(cells, own, out=idx[..., k])
+    idx = np.empty((*cells.shape, k + 1), dtype=np.intp)
     vals = np.empty(idx.shape)
-    np.multiply(pi_rows, -val[..., None], out=vals[..., :k])
+    neg = np.negative(val)
+    for a in range(k):
+        np.add(cells, a, out=idx[..., a])
+        np.multiply(pi_rows[..., a], neg, out=vals[..., a])
+    np.add(cells, own, out=idx[..., k])
     vals[..., k] = val
     np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
 

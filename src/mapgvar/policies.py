@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGENERACY_TOL = 1e-10
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 class DegeneratePolicy(ValueError):
@@ -78,21 +79,37 @@ def gaussian_log_prob(mean, std, action) -> float:
     return float(-0.5 * z @ z - np.log(std).sum() - 0.5 * len(z) * np.log(2 * np.pi))
 
 
+def gaussian_std_powers(std) -> tuple[np.ndarray, np.ndarray]:
+    """(std**2, std**3) of a diagonal Gaussian's std, the powers its score
+    divides by. Raises ValueError unless every std is positive and both
+    powers are normal floats: a power that overflows or underflows turns the
+    score into inf or NaN."""
+    std = np.atleast_1d(np.asarray(std, dtype=float))
+    if np.any(std <= 0):
+        raise ValueError("std must be strictly positive")
+    with np.errstate(over="ignore", under="ignore"):
+        s2, s3 = std**2, std**3
+    if not all(_TINY <= p <= _HUGE for p in (*s2.tolist(), *s3.tolist())):
+        raise ValueError(
+            f"std {std.tolist()} puts std**2 or std**3 outside the normal float range"
+        )
+    return s2, s3
+
+
 def gaussian_log_prob_grad(mean, std, action) -> np.ndarray:
     """Gradient of log N(action; mean, std) w.r.t. (mean, std), concatenated.
 
     d/dmean = (a - mean)/std^2 and d/dstd = ((a - mean)^2 - std^2)/std^3,
     componentwise; the returned vector is [mean components..., std components...].
-    ``action`` may be an (m, d) stack, giving one such row per action.
+    ``action`` may be an (m, d) stack, giving one such row per action. The
+    std is checked by ``gaussian_std_powers``.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    std = np.atleast_1d(np.asarray(std, dtype=float))
     action = np.atleast_1d(np.asarray(action, dtype=float))
-    if np.any(std <= 0):
-        raise ValueError("std must be strictly positive")
+    s2, s3 = gaussian_std_powers(std)
     diff = action - mean
-    d_mean = diff / std**2
-    d_std = (diff**2 - std**2) / std**3
+    d_mean = diff / s2
+    d_std = (diff**2 - s2) / s3
     return np.concatenate([d_mean, d_std], axis=-1)
 
 

@@ -524,6 +524,11 @@ def train_gaussian(
     ]
     if len(params) != task.n_agents:
         raise ValueError("one (mean, std) pair per agent required")
+    for i, (mean, std) in enumerate(params):
+        if mean.shape != (task.dims[i],) or std.shape != (task.dims[i],):
+            raise ValueError(
+                f"agent {i}'s mean and std must each hold {task.dims[i]} components"
+            )
     rng = np.random.default_rng(config.seed)
     offsets = np.concatenate(([0], np.cumsum(task.dims))).astype(int)
     batch, n_ob = config.batch_size, config.ob_n_samples
@@ -553,17 +558,21 @@ def train_gaussian(
         )
         per_traj = []
         for i, (mean, std) in enumerate(params):
-            own = samples[:, offsets[i] : offsets[i + 1]]
-            score = gaussian_log_prob_grad(mean, std, own)  # (batch, 2d)
+            cols = slice(offsets[i], offsets[i + 1])
+            score = gaussian_log_prob_grad(mean, std, samples[:, cols])  # (batch, 2d)
             if config.baseline.tag is BaselineTag.NONE:
                 baselines = np.zeros(batch)
             elif config.baseline.tag is BaselineTag.COMA:
                 baselines = np.full(batch, j_val)
             else:
-                # n_samples fresh own actions per batch row, the others held fixed
-                actions = mean + std * rng.standard_normal((batch, n_ob, task.dims[i]))
+                # n_samples fresh own actions per batch row, the others held
+                # fixed, each component written straight into its column
+                z = rng.standard_normal((batch, n_ob, task.dims[i]))
                 joint = np.repeat(samples, n_ob, axis=0)
-                joint[:, offsets[i] : offsets[i + 1]] = actions.reshape(len(joint), -1)
+                actions = joint.reshape(batch, n_ob, -1)[..., cols]
+                for j in range(task.dims[i]):
+                    np.multiply(std[j], z[..., j], out=actions[..., j])
+                    actions[..., j] += mean[j]
                 q_cf = np.asarray(task.payoff(joint), dtype=float).reshape(batch, n_ob)
                 baselines = ob_surrogate_gaussian(actions, mean, std, q_cf)
             per_traj.append((q_vals - baselines)[:, None] * score)

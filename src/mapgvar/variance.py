@@ -553,7 +553,8 @@ def _group_estimates(
     trajectories side by side, one rollout pass per chunk. Its buffers die
     with it, before the next group's are made."""
     n_kinds = len(sigs)
-    k = game.action_counts[agent]
+    k, n_joint = game.action_counts[agent], game.n_joint_actions
+    flat_sigs = sigs.reshape(-1)
     dim = param_dim(game, agent)
     # gamma^t rounded as a running product, step by step, as a column
     discounts = np.cumprod(np.r_[1.0, np.full(horizon, game.gamma)])[:, None]
@@ -569,11 +570,13 @@ def _group_estimates(
         # (1, K·m), the shape of a one-step block, which adds without
         # broadcasting; trajectory j·m + c is kind j's c-th of the chunk
         row_cells = np.arange(n_kinds * m)[None] * dim
-        owner = np.repeat(np.arange(n_kinds), m)  # each trajectory's kind
+        # each trajectory's offset into flat_sigs: its kind's (S, A) table
+        owner = np.repeat(np.arange(n_kinds) * (game.n_states * n_joint), m)
         flat = np.zeros(n_kinds * m * dim)
         t = 0
         for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rngs):
-            val = discounts[t : t + len(s)] * sigs[owner, s, a_idx]
+            at = owner + s * n_joint + a_idx
+            val = discounts[t : t + len(s)] * np.take(flat_sigs, at)
             pi_rows = np.take(pi_tables[agent], s, axis=0)
             scatter_scores(flat, row_cells + s * k, actions[agent], pi_rows, val)
             t += len(s)

@@ -117,6 +117,18 @@ def sampled_ob_gaussian(q_fn, mean, std, n_samples, rng):
     return float(ob_surrogate_gaussian(actions, mean, std, q_vals))
 
 
+def ob_surrogate_gaussian_oracle(actions, mean, std, q_vals):
+    """``ob_surrogate_gaussian``'s formula over the whole (..., n, d) stack,
+    each score norm one ``np.sum`` over the last axis of d components."""
+    diff = actions - mean
+    norms = np.sum((diff / std**2) ** 2, axis=-1) + np.sum(
+        ((diff**2 - std**2) / std**3) ** 2, axis=-1
+    )
+    weighted = (norms[..., None, :] @ q_vals[..., :, None])[..., 0, 0] / norms.sum(axis=-1)
+    lo = q_vals.min(axis=-1)
+    return np.where(lo == q_vals.max(axis=-1), lo, weighted)
+
+
 def joint_probs_oracle(game, policy):
     """(S, A) joint action probabilities by explicit product over agents."""
     out = np.empty((game.n_states, game.n_joint_actions))
@@ -288,6 +300,16 @@ def score_step_oracle(grads, states, own, pi_table, val):
     rows = np.arange(len(states))
     grads[rows, states] -= pi_table[states] * val[:, None]
     grads[rows, states, own] += val
+
+
+def scatter_scores_oracle(flat, cells, own, pi_rows, val):
+    """``scatter_scores`` with its (..., k + 1) index and value buffers each
+    filled over the whole stack at once, then one in-order ``np.add.at``."""
+    k = pi_rows.shape[-1]
+    idx = cells[..., None] + np.arange(k + 1)
+    idx[..., k] = cells + own
+    vals = np.concatenate([pi_rows * -val[..., None], val[..., None]], axis=-1)
+    np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
 
 
 def rollout_oracle(game, pi_tables, m, horizon, rng):

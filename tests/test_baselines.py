@@ -1,9 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ob_exact, sampled_ob_gaussian
+from oracles import ob_exact, ob_surrogate_gaussian_oracle, sampled_ob_gaussian
 
 from mapgvar import (
     BaselineKind,
@@ -11,6 +14,7 @@ from mapgvar import (
     EstimatorKind,
     TrainConfig,
     coma_baseline,
+    gaussian_log_prob_grad,
     grad_log_softmax,
     local_variance,
     ob_surrogate_discrete,
@@ -128,6 +132,44 @@ def test_gaussian_ob_rows_equal_the_one_row_formula():
         flat = q.min() == q.max()
         assert b == (q[0] if flat else float(norms @ q) / float(norms.sum()))
     assert got[2] == 1.5
+
+
+@pytest.mark.parametrize("d", [*range(1, 10), 16, 130])
+def test_gaussian_ob_equals_the_last_axis_formula(d):
+    # the kernel sums its d component planes in numpy's last-axis order:
+    # a left fold below 8 terms, pairwise above; stds spanning a decade and
+    # more make the terms differ in magnitude, so another order would show
+    rng = np.random.default_rng(d)
+    mean, std = rng.normal(size=d), rng.uniform(0.05, 3.0, size=d)
+    for lead in ((64,), (5, 64)):
+        actions = mean + std * rng.standard_normal((*lead, d))
+        q_vals = np.minimum(actions[..., 0] ** 3 - actions[..., -1], 1.5)
+        expected = ob_surrogate_gaussian_oracle(actions, mean, std, q_vals)
+        assert np.array_equal(ob_surrogate_gaussian(actions, mean, std, q_vals), expected)
+    # columns of a wider matrix, the strided view train_gaussian passes
+    joint = np.zeros((5 * 64, d + 3))
+    view = joint.reshape(5, 64, -1)[..., 1 : d + 1]
+    view[...] = actions
+    assert np.array_equal(ob_surrogate_gaussian(view, mean, std, q_vals), expected)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-170, 1e-110])
+def test_gaussian_kernels_reject_a_std_whose_powers_leave_the_float_range(scale):
+    # std**2 overflows at 1e155 and underflows at 1e-170; std**3 underflows
+    # at 1e-110. Each must raise, with no RuntimeWarning on the way.
+    actions, mean, std = np.zeros((4, 2)), np.zeros(2), np.full(2, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"std [{scale!r}, {scale!r}]")):
+            ob_surrogate_gaussian(actions, mean, std, np.arange(4.0))
+        with pytest.raises(ValueError, match=re.escape(f"std [{scale!r}, {scale!r}]")):
+            gaussian_log_prob_grad(mean, std, actions)
+        # inside the range, the same draw gives a finite baseline and score
+        for inside in (1e-100, 1e100):
+            std = np.full(2, inside)
+            assert np.isfinite(ob_surrogate_gaussian(actions, mean, std, np.arange(4.0)))
+            assert np.all(np.isfinite(gaussian_log_prob_grad(mean, std, actions)))
+
 
 def test_gaussian_ob_linear_q_self_oracle():
     # q(a) = a in one dimension: compare a small-sample mean of the

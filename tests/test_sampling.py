@@ -8,7 +8,12 @@ import pytest
 from conftest import rollout_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import inverse_cdf_oracle, rollout_oracle, score_step_oracle
+from oracles import (
+    inverse_cdf_oracle,
+    rollout_oracle,
+    scatter_scores_oracle,
+    score_step_oracle,
+)
 
 from mapgvar import MarkovGame, rollout
 from mapgvar.estimators import (
@@ -236,3 +241,20 @@ def test_scatter_scores_equals_the_per_step_fancy_index_update(
 
     assert np.array_equal(per_step.reshape(expected.shape), expected)
     assert np.array_equal(stacked.reshape(expected.shape), expected)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("steps", [1, 7])
+def test_scatter_scores_equals_the_one_buffer_formula(k, steps):
+    # cells of shape (1, m), mc_variance's one-step block, and (w, m), a
+    # window or a train batch; flat starts nonzero, so every rounding counts
+    rng = np.random.default_rng(10 * k + steps)
+    n_states, batch = 3, 50
+    states, own, pi, val = _trajectories(rng, n_states, k, steps, batch)
+    dim = n_states * k
+    cells = np.arange(batch)[None] * dim + states * k
+    start = rng.standard_normal(batch * dim)
+    got, expected = start.copy(), start.copy()
+    scatter_scores(got, cells, own, pi[states], val)
+    scatter_scores_oracle(expected, cells, own, pi[states], val)
+    assert np.array_equal(got, expected)

@@ -505,3 +505,9 @@ def test_train_gaussian_validates_params():
             [(np.zeros(1), np.ones(1)), (np.zeros(1), np.ones(1))],
             TrainConfig(batch_size=8, iterations=2, seed=0),
         )
+    # each agent's mean and std hold one entry per action component
+    task = ContinuousOneStepTask(payoff=lambda x: -np.sum(x**2, axis=1), dims=(2,), beta=1.0)
+    for mean, std in ((np.zeros(1), np.ones(2)), (np.zeros(2), np.ones(1)),
+                      (np.zeros(2), 1.0), (np.zeros((1, 2)), np.ones(2))):
+        with pytest.raises(ValueError, match="must each hold 2 components"):
+            train_gaussian(task, [(mean, std)], TrainConfig(batch_size=8, iterations=2))

@@ -29,7 +29,8 @@ splits the four estimator kinds into more than one group, then a 30-game
 ``verify`` at 2 agents, which with the 3-agent one above covers the bench
 corpus's verify runs, and last reports on the edges of the report's paths
 (Monte Carlo rows in CSV, gamma = 0, one-action agents, and a ``--t-max``
-past every horizon).
+past every horizon), then ``train_gaussian`` again for agents of 3 and 5
+action components and for one agent of 9.
 """
 from __future__ import annotations
 
@@ -123,21 +124,24 @@ PARTIAL_CONFIGS = (
 )
 
 
-def _gaussian_lines() -> list[str]:
-    """One line per baseline: train_gaussian on a clipped quadratic payoff."""
+def _gaussian_lines(dims=(2, 1), cap=3.0) -> list[str]:
+    """One line per baseline: train_gaussian on a quadratic payoff clipped
+    at -``cap``, for agents of action dims ``dims``; labels name the dims
+    unless they are (2, 1)."""
     import numpy as np
 
     from mapgvar import BaselineKind, BaselineTag, TrainConfig
     from mapgvar.training import ContinuousOneStepTask, train_gaussian
 
-    target = np.array([0.4, -0.3, 1.2])
+    target = np.resize([0.4, -0.3, 1.2], sum(dims))
 
     def payoff(x):
         cost = ((x - target) ** 2).sum(axis=1) + 0.5 * x[:, 0] * x[:, 2]
-        return -np.minimum(cost, 3.0)
+        return -np.minimum(cost, cap)
 
-    task = ContinuousOneStepTask(payoff=payoff, dims=(2, 1), beta=3.0)
-    init = [(np.zeros(2), np.full(2, 0.8)), (np.zeros(1), np.full(1, 0.8))]
+    task = ContinuousOneStepTask(payoff=payoff, dims=dims, beta=cap)
+    init = [(np.zeros(d), np.full(d, 0.8)) for d in dims]
+    tag = "" if dims == (2, 1) else "-d" + "x".join(map(str, dims))
     lines = []
     for baseline in ("none", "coma", "ob_surrogate"):
         config = TrainConfig(baseline=BaselineKind(BaselineTag(baseline)),
@@ -152,7 +156,7 @@ def _gaussian_lines() -> list[str]:
         except Exception as exc:
             result = f"raised {type(exc).__name__}: {exc}"
         digest = hashlib.sha256(result.encode()).hexdigest()
-        lines.append(f"{digest}  train_gaussian-{baseline}/result")
+        lines.append(f"{digest}  train_gaussian{tag}-{baseline}/result")
     return lines
 
 
@@ -331,6 +335,10 @@ def digest_lines(work: str) -> list[str]:
     lines += _run(main, "verify-n2-games30", ["verify", "--games", "30", "--agents",
                                               "2", "--format", "json"], work)
     lines += _edge_report_lines(main, work, game_files)
+    # the Gaussian baseline's score norms sum over 3, 5 and 9 action
+    # components, the last past numpy's 8-term pairwise block; the cap
+    # leaves most of these larger costs unclipped, so q varies
+    lines += _gaussian_lines((3, 5), cap=30.0) + _gaussian_lines((9,), cap=30.0)
     return lines
 
 
