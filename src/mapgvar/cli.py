@@ -59,8 +59,7 @@ def _write(path: str, data) -> None:
         if isinstance(data, str):
             fh.write(data)
         elif isinstance(data, dict):
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
         else:
             csv.writer(fh, lineterminator="\n").writerows(data)
 
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="deterministic seed (default 0; for train, the config file wins "
         "unless this is given)",

@@ -146,16 +146,15 @@ def cdf_table(probs: np.ndarray, width: int = 1) -> np.ndarray:
     return table
 
 
-def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def inverse_cdf(table: np.ndarray, base: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Draw by each uniform ``u`` from its row of a ``cdf_table``: the count of
     entries below u by branchless binary search, which equals
     (u[:, None] > cdf[rows]).sum(axis=1).clip(0, w - 1) on the full rows.
-    ``rows`` holds one row index per draw, and ``u`` broadcasts to its shape."""
-    width = table.shape[1]
+    ``base`` holds one row's flat offset per draw, rows * table.shape[1], and
+    ``u`` broadcasts to its shape."""
     flat = table.reshape(-1)
-    base = rows * width
     idx = base.copy()
-    step = (width + 1) >> 1
+    step = (table.shape[1] + 1) >> 1
     while step:
         idx += step * (flat[step - 1 :][idx] < u)
         step >>= 1
@@ -210,11 +209,13 @@ def rollout(
 
     A block takes its w steps' uniforms in one draw, which is the same
     stream as w draws of one step. With ``rollout_window`` steps per block,
-    each step's actions and successor are drawn for every state, and the
-    visited states are chased through those successor maps; with one step
-    per block, they are drawn for the known current state only. Either way
-    each draw compares the same uniform with the same table row, so the
-    blocks hold the same bits.
+    each step's actions and successor are drawn for every state. Each
+    successor is then written as its flat position in the next step's
+    table, so the visited states are chased one 1-D gather per step, and
+    the block is read at the positions visited. With one step per block,
+    they are drawn for the known current state only. Either way each draw
+    compares the same uniform with the same table row, so the blocks hold
+    the same bits.
     """
     def uniforms(*lead: int) -> np.ndarray:
         """(*lead, K·m) uniforms: generator j's (*lead, m) draw in columns
@@ -232,35 +233,54 @@ def rollout(
     agent_rows = np.arange(n)[:, None] * n_states
     strides = np.cumprod((1,) + counts[:0:-1])[::-1]  # C-order joint index
     trans_table = cdf_table(game.transition)
+    a_width, t_width = agent_table.shape[1], trans_table.shape[1]
     total = len(rngs) * m
     window = rollout_window(n, n_states, total)
     every = np.arange(n_states)[:, None]
-    every_rows = np.broadcast_to(every[:, None] + agent_rows, (window, n_states, n, total))
     cols = np.arange(total)
+    if window > 1:
+        # every window searches the same rows, every state's for every agent
+        agent_base = np.broadcast_to(
+            (every[:, None] + agent_rows) * a_width, (window, n_states, n, total)
+        ).copy()
+        # a window's (w, S, K·m) tables hold step t, state s, column c at
+        # flat position p = (t·S + s)·K·m + c: step t's successor sits at
+        # succ·K·m + next_step[t] of step t + 1, and agent j's action for p
+        # in the (w, S, n, K·m) actions at n·p + act_offsets[j]
+        next_step = np.arange(1, window + 1)[:, None, None] * (n_states * total) + cols
+        step_states = np.arange(window + 1)[:, None] * n_states
+        act_offsets = np.arange(n)[:, None, None] * total - (n - 1) * cols
     s = np.searchsorted(np.cumsum(game.initial_dist), uniforms(), side="right")
     s = s.clip(0, n_states - 1)
     for t0 in range(0, horizon, window):
         w = min(window, horizon - t0)
         u = uniforms(w, n + 1)  # per step one row per agent, then the transition
         if window == 1:  # draw for the known states: (n, m) actions, (m,) successors
-            cand, rows, u_act, u_next = s, s + agent_rows, u[0, :-1], u[0, -1]
+            cand, base = s, (s + agent_rows) * a_width
+            u_act, u_next = u[0, :-1], u[0, -1]
         else:  # draw for every state: (w, S, n, m) actions, (w, S, m) successors
-            cand, rows = every, every_rows[:w]
+            cand, base = every, agent_base[:w]
             u_act, u_next = u[:, None, :-1], u[:, -1:]
-        acts = inverse_cdf(agent_table, rows, u_act)
+        acts = inverse_cdf(agent_table, base, u_act)
         joint = strides @ acts
-        succ = inverse_cdf(trans_table, cand * n_joint + joint, u_next)
+        succ = inverse_cdf(trans_table, (cand * n_joint + joint) * t_width, u_next)
         if window == 1:
             yield s[None], acts[:, None], joint[None], succ[None]
             s = succ
             continue
-        path = np.empty((w + 1, total), dtype=np.int64)  # chase s_t through succ
-        path[0] = s
-        for t in range(w):
-            path[t + 1] = succ[t, path[t], cols]
-        t_at, s_at = np.arange(w)[:, None], path[:-1]
-        actions = acts[t_at, s_at, :, cols].transpose(2, 0, 1)
-        yield s_at, actions, joint[t_at, s_at, cols], path[1:]
+        succ *= total  # each successor as its flat position in the next step
+        succ += next_step[:w]
+        succ = succ.reshape(-1)
+        p = s * total + cols
+        chase = [p]  # s_t's position, one 1-D gather per step
+        for _ in range(w):
+            p = succ[p]
+            chase.append(p)
+        pos = np.concatenate(chase).reshape(w + 1, total)
+        path = pos // total - step_states[: w + 1]  # p // K·m = t·S + s
+        pos = pos[:-1]
+        actions = acts.reshape(-1)[n * pos + act_offsets]
+        yield path[:-1], actions, joint.reshape(-1)[pos], path[1:]
         s = path[-1]
 
 

@@ -241,8 +241,7 @@ def policy_from_dict(data: dict) -> JointPolicy:
 
 def save_policy(path, policy: JointPolicy) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_dict(policy), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(policy_to_dict(policy), indent=2) + "\n")
 
 
 def load_policy(path) -> JointPolicy:

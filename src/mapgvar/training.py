@@ -111,6 +111,8 @@ class TrainConfig:
             raise ValueError("horizon must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ob_n_samples < 2:
             raise ValueError("ob_n_samples must be >= 2")
         if not self.entropy_coef >= 0.0:
@@ -369,9 +371,10 @@ def train(
 
         # per-trajectory gradients, plus per-sample signals for clipped epochs
         grads, signals = [], []
+        joint_cells = states * game.n_joint_actions + joint_idx  # one index, every agent
         for i in range(n):
             kind = EstimatorKind(signal_tag, i)
-            sig = signal_table(kind, game, policy, q_table)[states, joint_idx]
+            sig = np.take(signal_table(kind, game, policy, q_table), joint_cells)
             signals.append(sig)
             dim = param_dim(game, i)
             grads.append(np.zeros(batch * dim))
@@ -398,18 +401,22 @@ def train(
             gamma_pow = game.gamma ** np.arange(horizon)
             # flat cells in trajectory order, the order the epochs sum samples in
             s_flat = states.T.reshape(-1)
-            own, row_cells, adv, old_logp = [], [], [], []
+            own, row_cells, adv = [], [], []
             for i in range(n):
                 cells = s_flat * counts[i]
                 own.append(cells + actions[i].T.reshape(-1))
                 row_cells.append((cells[:, None] + np.arange(counts[i])).reshape(-1))
                 adv.append((signals[i] * gamma_pow[:, None]).T.reshape(-1))
-                old_logp.append(np.log(np.take(pi_tables[i], own[i])))
+            # one ratio per (state, action) cell, read per sample; a cell of
+            # probability 0 has log -inf, and no sample reads its ratio
+            with np.errstate(divide="ignore", invalid="ignore"):
+                old_logp = [np.log(p) for p in pi_tables]
             for _ in range(config.ppo.epochs):
                 new_tables = [SoftmaxPolicy(l).all_probs() for l in logits]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = [np.exp(np.log(p) - lp) for p, lp in zip(new_tables, old_logp)]
                 for i in range(n):
-                    logp = np.log(np.take(new_tables[i], own[i]))
-                    ratio = np.exp(logp - old_logp[i])
+                    ratio = np.take(ratios[i], own[i])
                     clipped_out = (
                         (adv[i] > 0) & (ratio > 1.0 + config.ppo.eps_clip)
                     ) | ((adv[i] < 0) & (ratio < 1.0 - config.ppo.eps_clip))
@@ -466,8 +473,7 @@ def save_checkpoint(path, config: TrainConfig, policy: JointPolicy, rng_state: d
         "rng_state": rng_state,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, JointPolicy, dict]:

@@ -374,10 +374,15 @@ def test_format_is_a_usage_error_for_train_and_gen(tmp_path, capsys, command):
         (["verify", "--games", "0"], "--games"),
         (["verify", "--agents", "0"], "--agents"),
         (["gen", "--states", "0"], "--states"),
+        # a negative seed is refused by its flag, not by numpy's generator
+        (["report", "--seed", "-1"], "--seed"),
+        (["gen", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["train", "--seed", "-1"], "--seed"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, flag):
-    if argv[0] == "report":
+    if argv[0] in ("report", "train"):
         argv = argv + ["--game", make_game_file(tmp_path)]
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -597,6 +602,7 @@ def test_report_rejects_a_policy_that_does_not_fit_the_game(
          "config entry 'critic.lr' must be a real number"),
         ({**SMALL_TRAIN_CONFIG, "ppo": {"eps_clip": "0.1", "epochs": 2}},
          "config entry 'ppo.eps_clip' must be a real number"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_train_rejects_a_malformed_config(tmp_path, capsys, doc, message):

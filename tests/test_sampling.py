@@ -6,7 +6,7 @@ Both kernels promise bit equality with the plain numpy idioms in
 import numpy as np
 import pytest
 from conftest import rollout_steps
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     inverse_cdf_oracle,
@@ -58,7 +58,8 @@ def test_inverse_cdf_equals_compare_count_clip(width, lead, zero_frac, scale, se
             np.nextafter(cdf[rows[88:], -1], 0.0),
         )
     )
-    got = inverse_cdf(cdf_table(probs), rows, u)
+    table = cdf_table(probs)
+    got = inverse_cdf(table, rows * table.shape[1], u)
     assert np.array_equal(got, inverse_cdf_oracle(cdf[rows], u))
 
 
@@ -152,6 +153,49 @@ def test_rollout_blocks_equal_the_oracle_in_both_regimes(
     )
     full, rest = divmod(horizon, window)
     assert lengths == [window] * full + [rest] * (rest > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n_states=st.integers(40, 100),
+    size=st.sampled_from(["largest window", "one"]),
+    horizon=st.sampled_from([WINDOW_CAP - 1, WINDOW_CAP + 1, 2 * WINDOW_CAP + 3]),
+    n_rngs=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_plane_windows_equal_the_oracle(
+    widths, n_states, size, horizon, n_rngs, seed
+):
+    # windows over 40-100 states, where each step's successor plane is wide
+    # and the chase follows K·m trajectories through it
+    n = len(widths)
+    largest = WINDOW_MAX_ELEMENTS // ((n + 1) * n_states * n_rngs)
+    m = {"largest window": largest, "one": 1}[size]
+    assume(m >= 1)
+    window = rollout_window(n, n_states, n_rngs * m)
+    assert window == (WINDOW_CAP if m <= largest else 1)
+    rng = np.random.default_rng(seed)
+    game = _random_game(rng, widths, n_states)
+    pi_tables = [_prob_rows(rng, (n_states, k), 0.3, 1.0) for k in widths]
+    draw_seeds = rng.integers(2**32, size=n_rngs)
+    got_rngs = [np.random.default_rng(s) for s in draw_seeds]
+    want_rngs = [np.random.default_rng(s) for s in draw_seeds]
+    blocks = list(rollout(game, pi_tables, m, horizon, got_rngs))
+    for s, actions, joint, s_next in blocks:
+        w = len(s)
+        assert s.shape == joint.shape == s_next.shape == (w, n_rngs * m)
+        assert actions.shape == (n, w, n_rngs * m)
+    full, rest = divmod(horizon, window)
+    assert [len(block[0]) for block in blocks] == [window] * full + [rest] * (rest > 0)
+    want = [rollout_oracle(game, pi_tables, m, horizon, g) for g in want_rngs]
+    got = rollout_steps(blocks)
+    assert len(got) == horizon
+    for t, step in enumerate(got):
+        for x, parts in zip(step, zip(*(steps[t] for steps in want))):
+            assert np.array_equal(x, np.concatenate(parts, axis=-1))
+    for g, h in zip(got_rngs, want_rngs):
+        assert g.bit_generator.state == h.bit_generator.state
 
 
 def test_no_block_is_longer_than_the_cap():

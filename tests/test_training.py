@@ -70,6 +70,8 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError):
         CriticConfig(mode="sarsa")
     with pytest.raises(ValueError):

@@ -30,7 +30,8 @@ splits the four estimator kinds into more than one group, then a 30-game
 corpus's verify runs, and last reports on the edges of the report's paths
 (Monte Carlo rows in CSV, gamma = 0, one-action agents, and a ``--t-max``
 past every horizon), then ``train_gaussian`` again for agents of 3 and 5
-action components and for one agent of 9.
+action components and for one agent of 9, and last trains on a 60-state
+game whose small batch still samples windows of steps.
 """
 from __future__ import annotations
 
@@ -339,6 +340,30 @@ def digest_lines(work: str) -> list[str]:
     # components, the last past numpy's 8-term pairwise block; the cap
     # leaves most of these larger costs unclipped, so q varies
     lines += _gaussian_lines((3, 5), cap=30.0) + _gaussian_lines((9,), cap=30.0)
+    lines += _wide_plane_train_lines(main, work)
+    return lines
+
+
+def _wide_plane_train_lines(main, work: str) -> list[str]:
+    """Trains on a 60-state game whose batch of 3 still samples windows of
+    steps, (2 + 1) * 60 * 3 <= 1024, so each window chases its trajectories
+    through a 60-row successor plane; exact and TD critic, PPO off and on."""
+    from mapgvar import random_game, save_game
+
+    game_file = os.path.join(work, "wide-plane.json")
+    save_game(random_game(2, 60, 2, seed=10), game_file)
+    lines = []
+    for critic in ("exact", "td"):
+        for ppo in (None, {"eps_clip": 0.2, "epochs": 3}):
+            config = {"baseline": "ob_surrogate", "critic": {"mode": critic},
+                      "ppo": ppo, "batch_size": 3, "horizon": 300, "iterations": 3,
+                      "actor_lr": 2.0, "seed": 12}
+            label = f"train-n2-s60-k2-seed10-{critic}-{'ppo' if ppo else 'plain'}"
+            config_file = os.path.join(work, f"train-config-{label}.json")
+            with open(config_file, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            lines += _run(main, label, ["train", "--game", game_file, "--config",
+                                        config_file], work)
     return lines
 
 
