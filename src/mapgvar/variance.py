@@ -22,6 +22,9 @@ gradients (mc_variance), which includes cross-timestep covariance.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -486,7 +489,8 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
 
 # mc_variance's cost rule. Kinds run side by side while their accumulators,
 # each kind's (m, dim) trajectory rows and (dim, dim) outer-product sum, hold
-# at most this many float64 entries (4 MiB) in all.
+# at most this many float64 entries (4 MiB) in all. Each process holds one
+# group at a time, so the bound is per process (see mc_variance).
 MC_GROUP_ENTRIES = 1 << 19
 
 
@@ -516,9 +520,19 @@ def mc_variance(
     advanced to its stretch and ``rng`` then skips every kind's draws. Only
     a PCG64 or PCG64DXSM generator can be advanced that way; on any other,
     each group is one kind, drawing from ``rng`` itself.
+
+    Processes: the groups are spread over W processes, W the smaller of the
+    group count and the CPUs the process may run on (its affinity mask; 1
+    where the platform has none, and 1 for a generator that cannot be
+    advanced). Group g runs in process g mod W: process 0 is the caller,
+    each other one a forked child that pipes back its results. So
+    MC_GROUP_ENTRIES bounds each process's buffers, a one-group call never
+    forks, and the results and ``rng``'s end state do not depend on W.
     """
     if n_trajectories < 2:
         raise ValueError("need at least 2 trajectories")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     _check_agent(game, agent)
     _check_tables(game, sigs)
     dim = param_dim(game, agent)
@@ -526,23 +540,90 @@ def mc_variance(
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     draws = rollout_draws(game.n_agents, n_trajectories, horizon)
     entries = min(chunk_size, n_trajectories) * dim + dim * dim
-    group_size = 1
     # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
     # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
-    if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        group_size = max(1, min(len(sigs), MC_GROUP_ENTRIES // entries))
+    advanceable = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+    group_size = max(1, min(len(sigs), MC_GROUP_ENTRIES // entries)) if advanceable else 1
+    groups = [range(g0, min(g0 + group_size, len(sigs)))
+              for g0 in range(0, len(sigs), group_size)]
+    workers = min(len(groups), _cpu_count()) if advanceable else 1
 
-    results = []
-    for g0 in range(0, len(sigs), group_size):
-        group = range(g0, min(g0 + group_size, len(sigs)))
-        rngs = [rng] if group_size == 1 else [_advanced(rng, j * draws) for j in group]
-        results += _group_estimates(
-            game, pi_tables, agent, sigs[g0 : group.stop], n_trajectories, horizon,
-            rngs, chunk_size,
-        )
-    if group_size > 1:
+    def share(w: int) -> list:
+        estimates = []
+        for group in groups[w::workers]:
+            rngs = [_advanced(rng, j * draws) for j in group] if advanceable else [rng]
+            estimates.append(_group_estimates(
+                game, pi_tables, agent, sigs[group.start : group.stop], n_trajectories,
+                horizon, rngs, chunk_size,
+            ))
+        return estimates
+
+    shares = _in_processes(share, workers)
+    if advanceable:
         _skip(rng, len(sigs) * draws)
+    return [pair for g in range(len(groups)) for pair in shares[g % workers][g // workers]]
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask's size, or 1 where
+    the platform has no affinity mask."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _in_processes(share, workers: int) -> list:
+    """``[share(w) for w in range(workers)]``, share 0 run here and each
+    other one in a forked child that pipes back a pickle of its result, or
+    of the exception it raised, and leaves by ``os._exit``, so no exit
+    handler runs and no inherited stdio buffer is flushed. Each child's
+    exception re-raises here; a child that writes nothing raises
+    RuntimeError. No child outlives the call: each pipe is read to its end
+    and its child reaped, and if anything here raises, every child left is
+    killed and reaped."""
+    children, outputs, done = [], [], False  # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(share, w, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [share(0)]
+        outputs = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for data, status in zip(outputs, statuses):
+        if not data:
+            raise RuntimeError(f"mc_variance worker exited with status {status} "
+                               "and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
     return results
+
+
+def _child(share, w: int, write_fd: int) -> None:
+    """A forked child's life: run ``share(w)``, write the pickled outcome to
+    ``write_fd`` and leave without returning to the caller's code."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, share(w)))
+        except BaseException as exc:  # the caller re-raises it
+            payload = pickle.dumps((False, exc))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _group_estimates(

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
@@ -518,7 +520,7 @@ def _bit_generator(name, seed):
     return rng
 
 
-@pytest.mark.parametrize(
+MC_GROUPINGS = pytest.mark.parametrize(
     "shape, agent, n, horizon, chunk_size, bit_generator, budget, groups",
     [
         # rollout's regime is set by (n_agents + 1) * S * (kinds x m): 3 x 2 x 64
@@ -531,14 +533,26 @@ def _bit_generator(name, seed):
         ((2, 40, 4, 1), 0, 1000, 3, 1 << 16, "PCG64+buffered", None, [2, 2]),
         # a budget for three kinds: uneven groups
         ((2, 3, 3, 1), 1, 60, 20, 1 << 16, "PCG64", 3 * (60 * 9 + 81), [3, 1]),
-        # no advance, or one that counts blocks of draws: one kind per group
+        # no advance, or one that counts blocks of draws: one kind per group,
+        # drawing from the generator itself, in the calling process
         ((2, 2, 2, 3), 1, 50, 12, 16, "MT19937", None, [1, 1, 1, 1]),
         ((2, 3, 3, 1), 0, 40, 9, 1 << 16, "Philox", None, [1, 1, 1, 1]),
+        # a budget for one kind: one kind per group, each from an advanced copy
+        ((2, 3, 3, 1), 0, 60, 20, 1 << 16, "PCG64DXSM", 60 * 9 + 81, [1, 1, 1, 1]),
     ],
 )
-def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
-    monkeypatch, shape, agent, n, horizon, chunk_size, bit_generator, budget, groups
-):
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_grouping(monkeypatch, cpus, shape, agent, n, horizon, chunk_size,
+                    bit_generator, budget, groups):
+    """mc_variance of all four kinds with ``cpus`` CPUs against one call per
+    kind: equal results and end states, and the calling process makes the
+    rollout passes of groups[0::W] only."""
     n_agents, n_states, n_actions, seed = shape
     game = random_game(n_agents, n_states, n_actions, seed=seed)
     policy = random_softmax_policy(game, np.random.default_rng(seed + 1), 2.0)
@@ -550,7 +564,11 @@ def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
     ]
     if budget is not None:
         monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", budget)
-    passes = []  # kinds side by side in each rollout pass
+    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    workers = 1 if bit_generator in ("MT19937", "Philox") else min(len(groups), cpus)
+    if workers == 1:
+        monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    passes = []  # kinds side by side in each rollout pass of this process
 
     def counted(game, pi_tables, m, horizon, rngs):
         passes.append(len(rngs))
@@ -562,7 +580,85 @@ def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
     assert got == want
     assert repr(together.bit_generator.state) == repr(one_by_one.bit_generator.state)
     chunks = -(-n // chunk_size)
-    assert passes == [size for size in groups for _ in range(chunks)]
+    assert passes == [size for size in groups[::workers] for _ in range(chunks)]
+    _assert_no_child_left()
+
+
+@MC_GROUPINGS
+def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
+    monkeypatch, shape, agent, n, horizon, chunk_size, bit_generator, budget, groups
+):
+    _check_grouping(monkeypatch, 1, shape, agent, n, horizon, chunk_size,
+                    bit_generator, budget, groups)
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+@MC_GROUPINGS
+def test_mc_variance_results_do_not_depend_on_the_process_count(
+    monkeypatch, cpus, shape, agent, n, horizon, chunk_size, bit_generator, budget,
+    groups,
+):
+    _check_grouping(monkeypatch, cpus, shape, agent, n, horizon, chunk_size,
+                    bit_generator, budget, groups)
+
+
+def test_mc_variance_rejects_a_chunk_size_below_one(monkeypatch):
+    game = random_game(2, 3, 3, seed=1)
+    policy = uniform_policy(game)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", 1)
+    monkeypatch.setattr(os, "fork", None)
+    kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            mc_of(kinds, game, policy, 10, 5, np.random.default_rng(0),
+                  chunk_size=chunk_size)
+
+
+def _mc_with_hooks(monkeypatch, in_caller, in_child):
+    """Four one-kind groups over two processes, where each group runs
+    ``in_caller()`` first in the calling process and ``in_child()`` first in
+    the child."""
+    caller = os.getpid()
+    group_estimates = variance._group_estimates
+
+    def hooked(*args):
+        (in_caller if os.getpid() == caller else in_child)()
+        return group_estimates(*args)
+
+    monkeypatch.setattr(variance, "_group_estimates", hooked)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", 1)
+    game = random_game(2, 3, 3, seed=1)
+    kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
+    mc_of(kinds, game, uniform_policy(game), 20, 5, np.random.default_rng(0))
+
+
+def test_a_child_exception_reraises_in_the_caller(monkeypatch):
+    def boom():
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="^boom$"):
+        _mc_with_hooks(monkeypatch, lambda: None, boom)
+    _assert_no_child_left()
+
+
+def test_a_child_that_writes_nothing_raises(monkeypatch):
+    with pytest.raises(RuntimeError, match="status 3"):
+        _mc_with_hooks(monkeypatch, lambda: None, lambda: os._exit(3))
+    _assert_no_child_left()
+
+
+def test_the_callers_exception_kills_every_child(monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        # the child would work for a minute: the caller kills it
+        _mc_with_hooks(monkeypatch, interrupt, lambda: time.sleep(60))
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ corpus's verify runs, and last reports on the edges of the report's paths
 (Monte Carlo rows in CSV, gamma = 0, one-action agents, and a ``--t-max``
 past every horizon), then ``train_gaussian`` again for agents of 3 and 5
 action components and for one agent of 9, and last trains on a 60-state
-game whose small batch still samples windows of steps.
+game whose small batch still samples windows of steps. Last come two
+``report --mc`` runs on a 100-state game whose four kinds split into
+groups of three and one, and into four groups of one, the groups that
+mc_variance spreads over processes.
 """
 from __future__ import annotations
 
@@ -341,6 +344,7 @@ def digest_lines(work: str) -> list[str]:
     # leaves most of these larger costs unclipped, so q varies
     lines += _gaussian_lines((3, 5), cap=30.0) + _gaussian_lines((9,), cap=30.0)
     lines += _wide_plane_train_lines(main, work)
+    lines += _mc_group_lines(main, work)
     return lines
 
 
@@ -364,6 +368,24 @@ def _wide_plane_train_lines(main, work: str) -> list[str]:
                 json.dump(config, fh)
             lines += _run(main, label, ["train", "--game", game_file, "--config",
                                         config_file], work)
+    return lines
+
+
+def _mc_group_lines(main, work: str) -> list[str]:
+    """Reports whose Monte Carlo runs in more than one kind group on a
+    300-wide agent: at --mc 200, 200 * 300 + 300**2 entries per kind put
+    three kinds in the first group and one in the second; at --mc 1000 each
+    kind is a group of its own. The groups run in as many processes as the
+    CPU affinity mask allows, so these bytes must not depend on it."""
+    from mapgvar import random_game, save_game
+
+    game_file = os.path.join(work, "mc-groups.json")
+    save_game(random_game(2, 100, 3, seed=11), game_file)
+    lines = []
+    for n_trajectories, groups in (("200", "3-1"), ("1000", "1-1-1-1")):
+        lines += _run(main, f"report-n2-s100-k3-seed11-a0-mc-groups-{groups}",
+                      ["report", "--game", game_file, "--agent", "0", "--mc",
+                       n_trajectories, "--seed", "5", "--format", "json"], work)
     return lines
 
 
