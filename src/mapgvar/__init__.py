@@ -41,7 +41,6 @@ from .policies import (
     JointPolicy,
     SoftmaxPolicy,
     check_policy_fits,
-    gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,
     joint_action_prob_table,

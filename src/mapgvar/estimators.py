@@ -191,21 +191,19 @@ def rollout(
     pi_tables: Sequence[np.ndarray],
     m: int,
     horizon: int,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Sample K·m trajectories side by side, m from each of the K generators
-    ``rngs``, yielding blocks of consecutive steps.
+    """Sample m trajectories side by side, yielding blocks of consecutive
+    steps.
 
     ``pi_tables`` holds each agent's (S, k) action probabilities. A block of
     w steps is t-major (states, actions, joint action index, next states):
-    actions is (n_agents, w, K·m), the rest are (w, K·m). The blocks' steps,
-    in order, are the whole horizon, and no block is longer than WINDOW_CAP.
-    The draw order is fixed, so seeded generators reproduce the batch: each
+    actions is (n_agents, w, m), the rest are (w, m). The blocks' steps, in
+    order, are the whole horizon, and no block is longer than WINDOW_CAP.
+    The draw order is fixed, so a seeded ``rng`` reproduces the batch: it
     draws one uniform batch for the initial states, then per step one batch
     per agent in agent order and one for the transition, ``rollout_draws``
-    doubles in all. Columns j·m to (j + 1)·m are the m trajectories a
-    rollout of generator j alone would give, and generator j ends where that
-    rollout would leave it.
+    doubles in all.
 
     A block takes its w steps' uniforms in one draw, which is the same
     stream as w draws of one step. With ``rollout_window`` steps per block,
@@ -217,14 +215,6 @@ def rollout(
     compares the same uniform with the same table row, so the blocks hold
     the same bits.
     """
-    def uniforms(*lead: int) -> np.ndarray:
-        """(*lead, K·m) uniforms: generator j's (*lead, m) draw in columns
-        j·m to (j + 1)·m, each drawn contiguously, then one transpose."""
-        out = np.empty((len(rngs), *lead, m))
-        for g, part in zip(rngs, out):
-            g.random(out=part)
-        return np.moveaxis(out, 0, -2).reshape(*lead, -1)
-
     n, n_states = game.n_agents, game.n_states
     counts, n_joint = game.action_counts, game.n_joint_actions
     # every agent's table in one, agent j's row for state s at s + j * S;
@@ -234,27 +224,26 @@ def rollout(
     strides = np.cumprod((1,) + counts[:0:-1])[::-1]  # C-order joint index
     trans_table = cdf_table(game.transition)
     a_width, t_width = agent_table.shape[1], trans_table.shape[1]
-    total = len(rngs) * m
-    window = rollout_window(n, n_states, total)
+    window = rollout_window(n, n_states, m)
     every = np.arange(n_states)[:, None]
-    cols = np.arange(total)
+    cols = np.arange(m)
     if window > 1:
         # every window searches the same rows, every state's for every agent
         agent_base = np.broadcast_to(
-            (every[:, None] + agent_rows) * a_width, (window, n_states, n, total)
+            (every[:, None] + agent_rows) * a_width, (window, n_states, n, m)
         ).copy()
-        # a window's (w, S, K·m) tables hold step t, state s, column c at
-        # flat position p = (t·S + s)·K·m + c: step t's successor sits at
-        # succ·K·m + next_step[t] of step t + 1, and agent j's action for p
-        # in the (w, S, n, K·m) actions at n·p + act_offsets[j]
-        next_step = np.arange(1, window + 1)[:, None, None] * (n_states * total) + cols
+        # a window's (w, S, m) tables hold step t, state s, column c at
+        # flat position p = (t·S + s)·m + c: step t's successor sits at
+        # succ·m + next_step[t] of step t + 1, and agent j's action for p
+        # in the (w, S, n, m) actions at n·p + act_offsets[j]
+        next_step = np.arange(1, window + 1)[:, None, None] * (n_states * m) + cols
         step_states = np.arange(window + 1)[:, None] * n_states
-        act_offsets = np.arange(n)[:, None, None] * total - (n - 1) * cols
-    s = np.searchsorted(np.cumsum(game.initial_dist), uniforms(), side="right")
+        act_offsets = np.arange(n)[:, None, None] * m - (n - 1) * cols
+    s = np.searchsorted(np.cumsum(game.initial_dist), rng.random(m), side="right")
     s = s.clip(0, n_states - 1)
     for t0 in range(0, horizon, window):
         w = min(window, horizon - t0)
-        u = uniforms(w, n + 1)  # per step one row per agent, then the transition
+        u = rng.random((w, n + 1, m))  # per step one row per agent, then the transition
         if window == 1:  # draw for the known states: (n, m) actions, (m,) successors
             cand, base = s, (s + agent_rows) * a_width
             u_act, u_next = u[0, :-1], u[0, -1]
@@ -268,16 +257,16 @@ def rollout(
             yield s[None], acts[:, None], joint[None], succ[None]
             s = succ
             continue
-        succ *= total  # each successor as its flat position in the next step
+        succ *= m  # each successor as its flat position in the next step
         succ += next_step[:w]
         succ = succ.reshape(-1)
-        p = s * total + cols
+        p = s * m + cols
         chase = [p]  # s_t's position, one 1-D gather per step
         for _ in range(w):
             p = succ[p]
             chase.append(p)
-        pos = np.concatenate(chase).reshape(w + 1, total)
-        path = pos // total - step_states[: w + 1]  # p // K·m = t·S + s
+        pos = np.concatenate(chase).reshape(w + 1, m)
+        path = pos // m - step_states[: w + 1]  # p // m = t·S + s
         pos = pos[:-1]
         actions = acts.reshape(-1)[n * pos + act_offsets]
         yield path[:-1], actions, joint.reshape(-1)[pos], path[1:]

@@ -69,16 +69,6 @@ def x_measure_softmax(probs) -> np.ndarray:
     return probs * weights / denom
 
 
-def gaussian_log_prob(mean, std, action) -> float:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    std = np.atleast_1d(np.asarray(std, dtype=float))
-    action = np.atleast_1d(np.asarray(action, dtype=float))
-    if np.any(std <= 0):
-        raise ValueError("std must be strictly positive")
-    z = (action - mean) / std
-    return float(-0.5 * z @ z - np.log(std).sum() - 0.5 * len(z) * np.log(2 * np.pi))
-
-
 def gaussian_std_powers(std) -> tuple[np.ndarray, np.ndarray]:
     """(std**2, std**3) of a diagonal Gaussian's std, the powers its score
     divides by. Raises ValueError unless every std is positive and both

@@ -364,7 +364,7 @@ def train(
         states, joint_idx, next_states = np.empty((3, horizon, batch), dtype=np.int64)
         actions = np.empty((n, horizon, batch), dtype=np.int64)
         t = 0
-        for block in rollout(game, pi_tables, batch, horizon, [rng]):
+        for block in rollout(game, pi_tables, batch, horizon, rng):
             at = slice(t, t + len(block[0]))
             states[at], actions[:, at], joint_idx[at], next_states[at] = block
             t = at.stop

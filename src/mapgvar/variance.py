@@ -25,6 +25,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -487,16 +488,14 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
 # Monte-Carlo estimator variance over trajectory draws
 
 
-# mc_variance's cost rule. Kinds run side by side while their accumulators,
-# each kind's (m, dim) trajectory rows and (dim, dim) outer-product sum, hold
-# at most this many float64 entries (4 MiB) in all. Each process holds one
-# group at a time, so the bound is per process (see mc_variance).
-MC_GROUP_ENTRIES = 1 << 19
+# Trajectories per rollout pass of mc_variance: a pass holds one kind's
+# (min(n, MC_CHUNK), dim) trajectory rows beside its (dim, dim) sum.
+MC_CHUNK = 1 << 16
 
 
 def mc_variance(
     game: MarkovGame, policy: JointPolicy, agent: int, sigs, n_trajectories: int,
-    horizon: int, rng: np.random.Generator, chunk_size: int = 1 << 16,
+    horizon: int, rng: np.random.Generator,
 ) -> list[tuple[float, float]]:
     """Sample variance of trajectory-gradient draws, with its standard
     error, for each of the agent's (S, A) signal tables ``sigs`` (one per
@@ -504,8 +503,8 @@ def mc_variance(
 
     Unlike the discounted per-step sum, this is the raw variance of full
     trajectory draws and includes cross-timestep covariance. Each kind
-    samples ``n_trajectories`` trajectories in chunks of ``chunk_size`` and
-    sums their moments; the SE comes from the sample variance of the squared
+    samples ``n_trajectories`` trajectories in chunks of MC_CHUNK and sums
+    their moments; the SE comes from the sample variance of the squared
     deviations (delta method). The estimate does not depend on the chunking
     beyond rounding, but its bits do, since the chunk boundaries fix the
     order of the sums.
@@ -514,54 +513,41 @@ def mc_variance(
     one single-kind call per kind, made in order on the same ``rng``; kind j
     draws the ``rollout_draws`` stretch that follows kind j - 1's.
 
-    Grouping: kinds run side by side, K·m trajectories per ``rollout`` pass
-    and one ``scatter_scores`` per step, in groups as large as
-    MC_GROUP_ENTRIES allows, where kind j draws from a copy of ``rng``
-    advanced to its stretch and ``rng`` then skips every kind's draws. Only
-    a PCG64 or PCG64DXSM generator can be advanced that way; on any other,
-    each group is one kind, drawing from ``rng`` itself.
-
-    Processes: the groups are spread over W processes, W the smaller of the
-    group count and the CPUs the process may run on (its affinity mask; 1
-    where the platform has none, and 1 for a generator that cannot be
-    advanced). Group g runs in process g mod W: process 0 is the caller,
-    each other one a forked child that pipes back its results. So
-    MC_GROUP_ENTRIES bounds each process's buffers, a one-group call never
-    forks, and the results and ``rng``'s end state do not depend on W.
+    Processes: the kinds run one at a time in W processes, kind j in process
+    j mod W: process 0 is the caller, each other one a forked child that
+    pipes back its results. W is the smaller of the kind count and the CPUs
+    the process may run on (its affinity mask; 1 where the platform has
+    none). With W > 1, kind j draws from a copy of ``rng`` advanced to its
+    stretch and ``rng`` then skips every kind's draws; only a PCG64 or
+    PCG64DXSM generator can be advanced that way. So W is 1, the kinds
+    drawing from ``rng`` itself in order, for any other generator, and also
+    while other Python threads run, since a forked child could inherit a
+    lock one of them holds. The results and ``rng``'s end state do not
+    depend on W.
     """
     if n_trajectories < 2:
         raise ValueError("need at least 2 trajectories")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     _check_agent(game, agent)
     _check_tables(game, sigs)
-    dim = param_dim(game, agent)
-    sigs = np.stack(sigs)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     draws = rollout_draws(game.n_agents, n_trajectories, horizon)
-    entries = min(chunk_size, n_trajectories) * dim + dim * dim
     # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
     # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
     advanceable = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-    group_size = max(1, min(len(sigs), MC_GROUP_ENTRIES // entries)) if advanceable else 1
-    groups = [range(g0, min(g0 + group_size, len(sigs)))
-              for g0 in range(0, len(sigs), group_size)]
-    workers = min(len(groups), _cpu_count()) if advanceable else 1
+    forkable = advanceable and threading.active_count() == 1
+    workers = min(len(sigs), _cpu_count()) if forkable else 1
 
     def share(w: int) -> list:
-        estimates = []
-        for group in groups[w::workers]:
-            rngs = [_advanced(rng, j * draws) for j in group] if advanceable else [rng]
-            estimates.append(_group_estimates(
-                game, pi_tables, agent, sigs[group.start : group.stop], n_trajectories,
-                horizon, rngs, chunk_size,
-            ))
-        return estimates
+        return [
+            _kind_estimate(game, pi_tables, agent, sigs[j], n_trajectories, horizon,
+                           _advanced(rng, j * draws) if workers > 1 else rng)
+            for j in range(w, len(sigs), workers)
+        ]
 
     shares = _in_processes(share, workers)
-    if advanceable:
+    if workers > 1:
         _skip(rng, len(sigs) * draws)
-    return [pair for g in range(len(groups)) for pair in shares[g % workers][g // workers]]
+    return [shares[j % workers][j // workers] for j in range(len(sigs))]
 
 
 def _cpu_count() -> int:
@@ -626,50 +612,38 @@ def _child(share, w: int, write_fd: int) -> None:
         os._exit(status)
 
 
-def _group_estimates(
-    game, pi_tables, agent, sigs, n_trajectories, horizon, rngs, chunk_size
-) -> list[tuple[float, float]]:
-    """mc_variance's (estimate, se) for the K kinds whose (S, A) signal
-    tables ``sigs`` holds, kind j drawing from ``rngs[j]``: their
-    trajectories side by side, one rollout pass per chunk. Its buffers die
-    with it, before the next group's are made."""
-    n_kinds = len(sigs)
+def _kind_estimate(
+    game, pi_tables, agent, sig, n_trajectories, horizon, rng
+) -> tuple[float, float]:
+    """mc_variance's (estimate, se) for one kind's (S, A) signal table
+    ``sig``, drawing from ``rng``: one rollout pass per chunk."""
     k, n_joint = game.action_counts[agent], game.n_joint_actions
-    flat_sigs = sigs.reshape(-1)
+    flat_sig = np.ravel(sig)
     dim = param_dim(game, agent)
     # gamma^t rounded as a running product, step by step, as a column
     discounts = np.cumprod(np.r_[1.0, np.full(horizon, game.gamma)])[:, None]
-    s1 = np.zeros((n_kinds, dim))
-    q1 = np.zeros(n_kinds)
-    q2 = np.zeros(n_kinds)
-    c_vec = np.zeros((n_kinds, dim))
-    p_mat = np.zeros((n_kinds, dim, dim))
+    s1, c_vec, p_mat = np.zeros(dim), np.zeros(dim), np.zeros((dim, dim))
+    q1 = q2 = 0.0
     remaining = n_trajectories
     while remaining > 0:
-        m = min(chunk_size, remaining)
+        m = min(MC_CHUNK, remaining)
         remaining -= m
-        # (1, K·m), the shape of a one-step block, which adds without
-        # broadcasting; trajectory j·m + c is kind j's c-th of the chunk
-        row_cells = np.arange(n_kinds * m)[None] * dim
-        # each trajectory's offset into flat_sigs: its kind's (S, A) table
-        owner = np.repeat(np.arange(n_kinds) * (game.n_states * n_joint), m)
-        flat = np.zeros(n_kinds * m * dim)
+        row_cells = np.arange(m)[None] * dim  # (1, m), the shape of a one-step block
+        flat = np.zeros(m * dim)
         t = 0
-        for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rngs):
-            at = owner + s * n_joint + a_idx
-            val = discounts[t : t + len(s)] * np.take(flat_sigs, at)
+        for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
+            val = discounts[t : t + len(s)] * np.take(flat_sig, s * n_joint + a_idx)
             pi_rows = np.take(pi_tables[agent], s, axis=0)
             scatter_scores(flat, row_cells + s * k, actions[agent], pi_rows, val)
             t += len(s)
-        for j, rows in enumerate(flat.reshape(n_kinds, m, dim)):
-            norm_sq = np.einsum("md,md->m", rows, rows)
-            s1[j] += rows.sum(axis=0)
-            q1[j] += float(norm_sq.sum())
-            q2[j] += float(norm_sq @ norm_sq)
-            c_vec[j] += rows.T @ norm_sq
-            p_mat[j] += rows.T @ rows
-    sums = zip(s1, q1, q2, c_vec, p_mat)
-    return [_mc_estimate(n_trajectories, *kind_sums) for kind_sums in sums]
+        rows = flat.reshape(m, dim)
+        norm_sq = np.einsum("md,md->m", rows, rows)
+        s1 += rows.sum(axis=0)
+        q1 += float(norm_sq.sum())
+        q2 += float(norm_sq @ norm_sq)
+        c_vec += rows.T @ norm_sq
+        p_mat += rows.T @ rows
+    return _mc_estimate(n_trajectories, s1, q1, q2, c_vec, p_mat)
 
 
 def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:

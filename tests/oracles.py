@@ -43,16 +43,13 @@ def moments_of(kind, game, policy, tables):
     return moments
 
 
-def mc_of(kinds, game, policy, n_trajectories, horizon, rng, tables=None,
-          chunk_size=1 << 16):
+def mc_of(kinds, game, policy, n_trajectories, horizon, rng, tables=None):
     """``mc_variance`` of ``kinds``, all of one agent, in their order; the
     values are solved here when ``tables`` is None."""
     if tables is None:
         tables = solve_values(game, policy)
     sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
-    return mc_variance(
-        game, policy, kinds[0].agent, sigs, n_trajectories, horizon, rng, chunk_size
-    )
+    return mc_variance(game, policy, kinds[0].agent, sigs, n_trajectories, horizon, rng)
 
 
 def coma_tables_of(game, policy, tables):
@@ -276,6 +273,15 @@ def fd_policy_gradient(game, policy, agent, h=1e-5):
         dn[j] -= h
         grad[j] = (j_of(up) - j_of(dn)) / (2.0 * h)
     return grad
+
+
+def gaussian_log_prob(mean, std, action):
+    """log N(action; mean, diag std^2), the function whose finite differences
+    check ``gaussian_log_prob_grad``."""
+    mean, std, action = (np.atleast_1d(np.asarray(x, dtype=float))
+                         for x in (mean, std, action))
+    z = (action - mean) / std
+    return float(-0.5 * z @ z - np.log(std).sum() - 0.5 * len(z) * np.log(2 * np.pi))
 
 
 def local_variance_oracle(pi_i, signal_row, grad_vectors):

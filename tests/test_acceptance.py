@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import one_step_game
 from oracles import compare_baselines, expected_per_step_gradient, fd_policy_gradient
+from oracles import gaussian_log_prob
 from oracles import bound_of, identity_of, mc_of, moments_of, sampled_ob_gaussian
 
 from mapgvar import (
@@ -33,7 +34,6 @@ from mapgvar import (
     exact_policy_gradient,
     excess_variance_bounds,
     expected_score_norm_sq,
-    gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,
     local_variance,

@@ -186,7 +186,7 @@ def test_trajectory_gradient_is_discounted_sum(corpus30):
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     sig = signal_table(kind, game, policy, tables.q)
     flat = np.zeros(m * dim)
-    blocks = rollout(game, pi_tables, m, horizon, [np.random.default_rng(8)])
+    blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(8))
     steps = rollout_steps(blocks)
     scale = 1.0
     for s, actions, a_idx, _ in steps:

@@ -30,6 +30,7 @@ from mapgvar import (
     train,
     train_gaussian,
 )
+import mapgvar.variance as variance
 
 # (n_agents, n_states, n_actions, game seed, policy seed, m, horizon, draw seed)
 # -> ([(states, actions per agent, joint index, next states) per step],
@@ -253,7 +254,7 @@ def test_rollout_stream_is_pinned(case):
     steps = [
         (s.tolist(), [a.tolist() for a in actions], a_idx.tolist(), s_next.tolist())
         for s, actions, a_idx, s_next in rollout_steps(
-            rollout(game, _pi_tables(policy), m, horizon, [rng])
+            rollout(game, _pi_tables(policy), m, horizon, rng)
         )
     ]
     assert (steps, _pcg_state(rng)) == ROLLOUTS[case]
@@ -264,29 +265,28 @@ def test_long_rollout_digest_is_pinned():
     policy = random_softmax_policy(game, np.random.default_rng(22), scale=3.0)
     rng = np.random.default_rng(23)
     digest = hashlib.sha256()
-    blocks = rollout(game, _pi_tables(policy), 200, 40, [rng])
+    blocks = rollout(game, _pi_tables(policy), 200, 40, rng)
     for s, actions, a_idx, s_next in rollout_steps(blocks):
         for x in (s, *actions, a_idx, s_next):
             digest.update(np.asarray(x, dtype="<i8").tobytes())
     assert (digest.hexdigest(), _pcg_state(rng)) == LONG_ROLLOUT
 
 
-def test_mc_variance_is_pinned():
+def test_mc_variance_is_pinned(monkeypatch):
+    monkeypatch.setattr(variance, "MC_CHUNK", 16)
     game = random_game(2, 2, 2, seed=3)
     policy = random_softmax_policy(game, np.random.default_rng(4))
     rng = np.random.default_rng(5)
     got = {
-        tag.value: mc_of(
-            [EstimatorKind(tag, 1)], game, policy, 50, 12, rng, chunk_size=16
-        )[0]
+        tag.value: mc_of([EstimatorKind(tag, 1)], game, policy, 50, 12, rng)[0]
         for tag in EstimatorTag
     }
     assert got == MC
     assert _pcg_state(rng) == MC_STATE
-    # the four kinds in one call, side by side
+    # the four kinds in one call
     rng = np.random.default_rng(5)
     kinds = [EstimatorKind(tag, 1) for tag in EstimatorTag]
-    got = mc_of(kinds, game, policy, 50, 12, rng, chunk_size=16)
+    got = mc_of(kinds, game, policy, 50, 12, rng)
     assert dict(zip([tag.value for tag in EstimatorTag], got)) == MC
     assert _pcg_state(rng) == MC_STATE
 

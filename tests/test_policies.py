@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import same_logits
+from oracles import gaussian_log_prob
 
 from mapgvar import (
     DegeneratePolicy,
     SoftmaxPolicy,
-    gaussian_log_prob,
     gaussian_log_prob_grad,
     grad_log_softmax,
     joint_action_prob_table,

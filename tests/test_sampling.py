@@ -6,7 +6,7 @@ Both kernels promise bit equality with the plain numpy idioms in
 import numpy as np
 import pytest
 from conftest import rollout_steps
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     inverse_cdf_oracle,
@@ -114,7 +114,7 @@ def _assert_rollout_equals_oracle(game, pi_tables, m, horizon, draw_seed):
     equal the oracle's; returns the block lengths."""
     got_rng = np.random.default_rng(draw_seed)
     want_rng = np.random.default_rng(draw_seed)
-    blocks = list(rollout(game, pi_tables, m, horizon, [got_rng]))
+    blocks = list(rollout(game, pi_tables, m, horizon, got_rng))
     got = rollout_steps(blocks)
     want = rollout_oracle(game, pi_tables, m, horizon, want_rng)
     assert len(got) == len(want) == horizon
@@ -161,41 +161,23 @@ def test_rollout_blocks_equal_the_oracle_in_both_regimes(
     n_states=st.integers(40, 100),
     size=st.sampled_from(["largest window", "one"]),
     horizon=st.sampled_from([WINDOW_CAP - 1, WINDOW_CAP + 1, 2 * WINDOW_CAP + 3]),
-    n_rngs=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_wide_plane_windows_equal_the_oracle(
-    widths, n_states, size, horizon, n_rngs, seed
-):
+def test_wide_plane_windows_equal_the_oracle(widths, n_states, size, horizon, seed):
     # windows over 40-100 states, where each step's successor plane is wide
-    # and the chase follows K·m trajectories through it
+    # and the chase follows m trajectories through it
     n = len(widths)
-    largest = WINDOW_MAX_ELEMENTS // ((n + 1) * n_states * n_rngs)
+    largest = WINDOW_MAX_ELEMENTS // ((n + 1) * n_states)
     m = {"largest window": largest, "one": 1}[size]
-    assume(m >= 1)
-    window = rollout_window(n, n_states, n_rngs * m)
-    assert window == (WINDOW_CAP if m <= largest else 1)
+    assert rollout_window(n, n_states, m) == WINDOW_CAP
     rng = np.random.default_rng(seed)
     game = _random_game(rng, widths, n_states)
     pi_tables = [_prob_rows(rng, (n_states, k), 0.3, 1.0) for k in widths]
-    draw_seeds = rng.integers(2**32, size=n_rngs)
-    got_rngs = [np.random.default_rng(s) for s in draw_seeds]
-    want_rngs = [np.random.default_rng(s) for s in draw_seeds]
-    blocks = list(rollout(game, pi_tables, m, horizon, got_rngs))
-    for s, actions, joint, s_next in blocks:
-        w = len(s)
-        assert s.shape == joint.shape == s_next.shape == (w, n_rngs * m)
-        assert actions.shape == (n, w, n_rngs * m)
-    full, rest = divmod(horizon, window)
-    assert [len(block[0]) for block in blocks] == [window] * full + [rest] * (rest > 0)
-    want = [rollout_oracle(game, pi_tables, m, horizon, g) for g in want_rngs]
-    got = rollout_steps(blocks)
-    assert len(got) == horizon
-    for t, step in enumerate(got):
-        for x, parts in zip(step, zip(*(steps[t] for steps in want))):
-            assert np.array_equal(x, np.concatenate(parts, axis=-1))
-    for g, h in zip(got_rngs, want_rngs):
-        assert g.bit_generator.state == h.bit_generator.state
+    lengths = _assert_rollout_equals_oracle(
+        game, pi_tables, m, horizon, int(rng.integers(2**32))
+    )
+    full, rest = divmod(horizon, WINDOW_CAP)
+    assert lengths == [WINDOW_CAP] * full + [rest] * (rest > 0)
 
 
 def test_no_block_is_longer_than_the_cap():
@@ -204,7 +186,7 @@ def test_no_block_is_longer_than_the_cap():
     pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
     horizon = 3 * WINDOW_CAP + 7
     for m in (1, 8, WINDOW_MAX_ELEMENTS // 9):  # the largest batch with windows
-        blocks = rollout(game, pi_tables, m, horizon, [np.random.default_rng(4)])
+        blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(4))
         lengths = [len(s) for s, _, _, _ in blocks]
         assert max(lengths) == WINDOW_CAP and sum(lengths) == horizon
 
@@ -216,33 +198,10 @@ def test_rollout_draws_counts_the_doubles_a_rollout_takes(m):
     pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
     horizon = WINDOW_CAP + 7
     ran, skipped = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in rollout(game, pi_tables, m, horizon, [ran]):
+    for _ in rollout(game, pi_tables, m, horizon, ran):
         pass
     skipped.bit_generator.advance(rollout_draws(game.n_agents, m, horizon))
     assert ran.bit_generator.state == skipped.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "m, horizon",
-    # K x m = 3 x 8 runs windows; 3 x 113 steps one at a time where each
-    # generator alone (113, the largest batch with windows) runs windows
-    [(8, WINDOW_CAP + 7), (WINDOW_MAX_ELEMENTS // 9, 20)],
-)
-def test_rollout_of_k_generators_is_k_rollouts_side_by_side(m, horizon):
-    rng = np.random.default_rng(6)
-    game = _random_game(rng, (2, 3), 3)
-    pi_tables = [_prob_rows(rng, (3, k), 0.3, 1.0) for k in (2, 3)]
-    seeds = (11, 12, 13)
-    alone = [np.random.default_rng(seed) for seed in seeds]
-    want = [rollout_steps(list(rollout(game, pi_tables, m, horizon, [g]))) for g in alone]
-    together = [np.random.default_rng(seed) for seed in seeds]
-    got = rollout_steps(list(rollout(game, pi_tables, m, horizon, together)))
-    assert len(got) == horizon
-    for t, step in enumerate(got):
-        for x, parts in zip(step, zip(*(steps[t] for steps in want))):
-            assert np.array_equal(x, np.concatenate(parts, axis=-1))
-    for g, h in zip(together, alone):
-        assert g.bit_generator.state == h.bit_generator.state
 
 
 def _trajectories(rng, n_states, k, steps, batch):

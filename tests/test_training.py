@@ -289,7 +289,7 @@ def test_train_step_matches_the_per_trajectory_reference(baseline, signal):
     tables = solve_values(game, initial)
     pi_tables = [agent.all_probs() for agent in initial.agents]
     steps = rollout_steps(rollout(game, pi_tables, cfg.batch_size, cfg.horizon,
-                                  [np.random.default_rng(cfg.seed)]))
+                                  np.random.default_rng(cfg.seed)))
     flat = np.stack([
         np.concatenate([
             trajectory_gradient(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import threading
 import time
 
 import numpy as np
@@ -520,25 +521,22 @@ def _bit_generator(name, seed):
     return rng
 
 
-MC_GROUPINGS = pytest.mark.parametrize(
-    "shape, agent, n, horizon, chunk_size, bit_generator, budget, groups",
+MC_CASES = pytest.mark.parametrize(
+    "shape, agent, n, horizon, chunk, bit_generator, advanceable",
     [
-        # rollout's regime is set by (n_agents + 1) * S * (kinds x m): 3 x 2 x 64
-        # runs windows of steps, 3 x 2 x 1200 one step per block, and 4 x 3 x 160
-        # one step per block where each kind alone (4 x 3 x 40) runs windows
-        ((2, 2, 2, 3), 1, 50, 12, 16, "PCG64", None, [4]),
-        ((2, 2, 2, 3), 0, 300, 30, 1 << 16, "PCG64", None, [4]),
-        ((3, 3, 2, 5), 2, 90, 25, 40, "PCG64DXSM", None, [4]),
-        # (m, dim) = (1000, 160): two kinds fit in the budget
-        ((2, 40, 4, 1), 0, 1000, 3, 1 << 16, "PCG64+buffered", None, [2, 2]),
-        # a budget for three kinds: uneven groups
-        ((2, 3, 3, 1), 1, 60, 20, 1 << 16, "PCG64", 3 * (60 * 9 + 81), [3, 1]),
-        # no advance, or one that counts blocks of draws: one kind per group,
-        # drawing from the generator itself, in the calling process
-        ((2, 2, 2, 3), 1, 50, 12, 16, "MT19937", None, [1, 1, 1, 1]),
-        ((2, 3, 3, 1), 0, 40, 9, 1 << 16, "Philox", None, [1, 1, 1, 1]),
-        # a budget for one kind: one kind per group, each from an advanced copy
-        ((2, 3, 3, 1), 0, 60, 20, 1 << 16, "PCG64DXSM", 60 * 9 + 81, [1, 1, 1, 1]),
+        # rollout's regime is set by (n_agents + 1) * S * m: 3 x 2 x 16 runs
+        # windows of steps, 3 x 2 x 300 one step per block
+        ((2, 2, 2, 3), 1, 50, 12, 16, "PCG64", True),
+        ((2, 2, 2, 3), 0, 300, 30, 1 << 16, "PCG64", True),
+        ((3, 3, 2, 5), 2, 90, 25, 40, "PCG64DXSM", True),
+        # a 160-wide agent; the generator holds a buffered 32-bit half draw
+        ((2, 40, 4, 1), 0, 1000, 3, 1 << 16, "PCG64+buffered", True),
+        ((2, 3, 3, 1), 1, 60, 20, 1 << 16, "PCG64", True),
+        # no advance, or one that counts blocks of draws: every kind in the
+        # calling process, drawing from the generator itself
+        ((2, 2, 2, 3), 1, 50, 12, 16, "MT19937", False),
+        ((2, 3, 3, 1), 0, 40, 9, 1 << 16, "Philox", False),
+        ((2, 3, 3, 1), 0, 60, 20, 1 << 16, "PCG64DXSM", True),
     ],
 )
 
@@ -548,87 +546,101 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _check_grouping(monkeypatch, cpus, shape, agent, n, horizon, chunk_size,
-                    bit_generator, budget, groups):
-    """mc_variance of all four kinds with ``cpus`` CPUs against one call per
-    kind: equal results and end states, and the calling process makes the
-    rollout passes of groups[0::W] only."""
+def _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
+                     bit_generator, advanceable):
+    """mc_variance of all four kinds with ``cpus`` CPUs, in chunks of
+    ``chunk``, against one call per kind: equal results and end states, and
+    the calling process runs kinds 0, W, 2W, ..., one generator per pass."""
     n_agents, n_states, n_actions, seed = shape
     game = random_game(n_agents, n_states, n_actions, seed=seed)
     policy = random_softmax_policy(game, np.random.default_rng(seed + 1), 2.0)
     kinds = [EstimatorKind(tag, agent) for tag in EstimatorTag]
+    tables = solve_values(game, policy)
+    sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
+    monkeypatch.setattr(variance, "MC_CHUNK", chunk)
     one_by_one = _bit_generator(bit_generator, seed + 2)
     want = [
-        mc_of([kind], game, policy, n, horizon, one_by_one, chunk_size=chunk_size)[0]
+        mc_of([kind], game, policy, n, horizon, one_by_one, tables=tables)[0]
         for kind in kinds
     ]
-    if budget is not None:
-        monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", budget)
     monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
-    workers = 1 if bit_generator in ("MT19937", "Philox") else min(len(groups), cpus)
+    workers = min(len(kinds), cpus) if advanceable else 1
     if workers == 1:
         monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
-    passes = []  # kinds side by side in each rollout pass of this process
+    running, passes = [], []  # the kind each rollout pass of this process draws for
+    kind_estimate = variance._kind_estimate
 
-    def counted(game, pi_tables, m, horizon, rngs):
-        passes.append(len(rngs))
-        return rollout(game, pi_tables, m, horizon, rngs)
+    def traced(game, pi_tables, agent, sig, *args):
+        running.append(next(j for j, t in enumerate(sigs) if np.array_equal(t, sig)))
+        return kind_estimate(game, pi_tables, agent, sig, *args)
 
+    def counted(game, pi_tables, m, horizon, rng):
+        assert isinstance(rng, np.random.Generator)
+        passes.append(running[-1])
+        return rollout(game, pi_tables, m, horizon, rng)
+
+    monkeypatch.setattr(variance, "_kind_estimate", traced)
     monkeypatch.setattr(variance, "rollout", counted)
     together = _bit_generator(bit_generator, seed + 2)
-    got = mc_of(kinds, game, policy, n, horizon, together, chunk_size=chunk_size)
+    got = mc_of(kinds, game, policy, n, horizon, together, tables=tables)
     assert got == want
     assert repr(together.bit_generator.state) == repr(one_by_one.bit_generator.state)
-    chunks = -(-n // chunk_size)
-    assert passes == [size for size in groups[::workers] for _ in range(chunks)]
+    chunks = -(-n // chunk)
+    assert passes == [j for j in range(0, len(kinds), workers) for _ in range(chunks)]
     _assert_no_child_left()
 
 
-@MC_GROUPINGS
+@MC_CASES
 def test_mc_variance_of_all_kinds_equals_one_call_per_kind(
-    monkeypatch, shape, agent, n, horizon, chunk_size, bit_generator, budget, groups
+    monkeypatch, shape, agent, n, horizon, chunk, bit_generator, advanceable
 ):
-    _check_grouping(monkeypatch, 1, shape, agent, n, horizon, chunk_size,
-                    bit_generator, budget, groups)
+    _check_processes(monkeypatch, 1, shape, agent, n, horizon, chunk,
+                     bit_generator, advanceable)
 
 
-@pytest.mark.parametrize("cpus", [2, 5])
-@MC_GROUPINGS
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@MC_CASES
 def test_mc_variance_results_do_not_depend_on_the_process_count(
-    monkeypatch, cpus, shape, agent, n, horizon, chunk_size, bit_generator, budget,
-    groups,
+    monkeypatch, cpus, shape, agent, n, horizon, chunk, bit_generator, advanceable
 ):
-    _check_grouping(monkeypatch, cpus, shape, agent, n, horizon, chunk_size,
-                    bit_generator, budget, groups)
+    _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
+                     bit_generator, advanceable)
 
 
-def test_mc_variance_rejects_a_chunk_size_below_one(monkeypatch):
+def test_mc_variance_never_forks_while_other_threads_run(monkeypatch):
     game = random_game(2, 3, 3, seed=1)
     policy = uniform_policy(game)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", 1)
-    monkeypatch.setattr(os, "fork", None)
     kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
-    for chunk_size in (0, -1):
-        with pytest.raises(ValueError, match="chunk_size"):
-            mc_of(kinds, game, policy, 10, 5, np.random.default_rng(0),
-                  chunk_size=chunk_size)
+    threadless = np.random.default_rng(4)
+    want = mc_of(kinds, game, policy, 40, 9, threadless)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        threaded = np.random.default_rng(4)
+        got = mc_of(kinds, game, policy, 40, 9, threaded)
+    finally:
+        parked.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == want
+    assert repr(threaded.bit_generator.state) == repr(threadless.bit_generator.state)
 
 
 def _mc_with_hooks(monkeypatch, in_caller, in_child):
-    """Four one-kind groups over two processes, where each group runs
-    ``in_caller()`` first in the calling process and ``in_child()`` first in
-    the child."""
+    """Four kinds over two processes, where each kind runs ``in_caller()``
+    first in the calling process and ``in_child()`` first in the child."""
     caller = os.getpid()
-    group_estimates = variance._group_estimates
+    kind_estimate = variance._kind_estimate
 
     def hooked(*args):
         (in_caller if os.getpid() == caller else in_child)()
-        return group_estimates(*args)
+        return kind_estimate(*args)
 
-    monkeypatch.setattr(variance, "_group_estimates", hooked)
+    monkeypatch.setattr(variance, "_kind_estimate", hooked)
     monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(variance, "MC_GROUP_ENTRIES", 1)
     game = random_game(2, 3, 3, seed=1)
     kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
     mc_of(kinds, game, uniform_policy(game), 20, 5, np.random.default_rng(0))

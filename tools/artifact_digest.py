@@ -24,17 +24,19 @@ come invalid inputs (malformed files, out-of-range flags, then wrongly
 typed game entries, games that break the contract and unusable policies),
 each run also recording its stderr with the temporary directory's path
 replaced by ``WORK``, so that two trees' error texts compare byte for byte.
-After them comes one ``report --mc`` run large enough that mc_variance
-splits the four estimator kinds into more than one group, then a 30-game
+After them comes one ``report --mc`` run of 3000 trajectories on a
+45-wide agent, then a 30-game
 ``verify`` at 2 agents, which with the 3-agent one above covers the bench
 corpus's verify runs, and last reports on the edges of the report's paths
 (Monte Carlo rows in CSV, gamma = 0, one-action agents, and a ``--t-max``
 past every horizon), then ``train_gaussian`` again for agents of 3 and 5
 action components and for one agent of 9, and last trains on a 60-state
 game whose small batch still samples windows of steps. Last come two
-``report --mc`` runs on a 100-state game whose four kinds split into
-groups of three and one, and into four groups of one, the groups that
-mc_variance spreads over processes.
+``report --mc`` runs on a 100-state game, 300 parameters wide, whose four
+kinds mc_variance spreads over processes. The labels of these three
+``report --mc`` runs say ``mc-groups``: they name the kind groups that an
+earlier mc_variance made, and they stay, so that the digests of older and
+newer trees compare line for line.
 """
 from __future__ import annotations
 
@@ -330,8 +332,7 @@ def digest_lines(work: str) -> list[str]:
                       ["train", "--game", game_files[(2, 3, 3, 1)], "--config",
                        config_file], work)
     lines += _error_lines(main, work, game_files[(2, 2, 2, 0)])
-    # m * dim = 3000 * 45 puts three kinds in mc_variance's first group, one
-    # in its second; the --mc 300 runs above run all four in one group
+    # 3000 trajectories of a 45-wide agent, ten times the --mc 300 runs above
     lines += _run(main, "report-n2-s9-k5-seed6-a0-mc-groups",
                   ["report", "--game", game_files[(2, 9, 5, 6)], "--agent", "0",
                    "--mc", "3000", "--seed", "3", "--format", "json"], work)
@@ -344,7 +345,7 @@ def digest_lines(work: str) -> list[str]:
     # leaves most of these larger costs unclipped, so q varies
     lines += _gaussian_lines((3, 5), cap=30.0) + _gaussian_lines((9,), cap=30.0)
     lines += _wide_plane_train_lines(main, work)
-    lines += _mc_group_lines(main, work)
+    lines += _wide_mc_lines(main, work)
     return lines
 
 
@@ -371,19 +372,18 @@ def _wide_plane_train_lines(main, work: str) -> list[str]:
     return lines
 
 
-def _mc_group_lines(main, work: str) -> list[str]:
-    """Reports whose Monte Carlo runs in more than one kind group on a
-    300-wide agent: at --mc 200, 200 * 300 + 300**2 entries per kind put
-    three kinds in the first group and one in the second; at --mc 1000 each
-    kind is a group of its own. The groups run in as many processes as the
-    CPU affinity mask allows, so these bytes must not depend on it."""
+def _wide_mc_lines(main, work: str) -> list[str]:
+    """Reports at --mc 200 and --mc 1000 on a 300-wide agent. Its four kinds
+    run in as many processes as the CPU affinity mask allows, so these bytes
+    must not depend on it. The labels' group sizes are those of an earlier
+    mc_variance, kept so that the lines compare across trees."""
     from mapgvar import random_game, save_game
 
     game_file = os.path.join(work, "mc-groups.json")
     save_game(random_game(2, 100, 3, seed=11), game_file)
     lines = []
-    for n_trajectories, groups in (("200", "3-1"), ("1000", "1-1-1-1")):
-        lines += _run(main, f"report-n2-s100-k3-seed11-a0-mc-groups-{groups}",
+    for n_trajectories, suffix in (("200", "3-1"), ("1000", "1-1-1-1")):
+        lines += _run(main, f"report-n2-s100-k3-seed11-a0-mc-groups-{suffix}",
                       ["report", "--game", game_file, "--agent", "0", "--mc",
                        n_trajectories, "--seed", "5", "--format", "json"], work)
     return lines
