@@ -534,8 +534,7 @@ def mc_variance(
     # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
     # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
     advanceable = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-    forkable = advanceable and threading.active_count() == 1
-    workers = min(len(sigs), _cpu_count()) if forkable else 1
+    workers = _workers(len(sigs)) if advanceable else 1
 
     def share(w: int) -> list:
         return [
@@ -555,6 +554,15 @@ def _cpu_count() -> int:
     the platform has no affinity mask."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
+
+
+def _workers(tasks: int) -> int:
+    """How many processes share ``tasks`` independent tasks: one per task up
+    to the CPUs this process may run on, and one while other Python threads
+    run, since a forked child could inherit a lock one of them holds."""
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(tasks, _cpu_count()))
 
 
 def _in_processes(share, workers: int) -> list:
@@ -587,7 +595,7 @@ def _in_processes(share, workers: int) -> list:
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for data, status in zip(outputs, statuses):
         if not data:
-            raise RuntimeError(f"mc_variance worker exited with status {status} "
+            raise RuntimeError(f"worker process exited with status {status} "
                                "and no result")
         ok, value = pickle.loads(data)
         if not ok:

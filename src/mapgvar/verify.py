@@ -3,12 +3,14 @@ bounds of the analysis, checked on solved games.
 
 ``check_game`` runs all eight suites on one game, adding to one tally per
 suite (checks, violations and at most one statistic); ``run_suites`` draws
-random games and returns the report ``verify`` writes.
+random games, checks them in as many processes as the CPUs allow and
+returns the report ``verify`` writes.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .values import _check_lattice_size, advantage_decomposition
 from .values import marginal_q_lattice, solve_values
 from .variance import advantage_variance_bound, advantage_variance_identity
 from .variance import baseline_excess_variance, excess_variance_bounds, gap_bounds
-from .variance import expected_score_norm_sq, local_variance
+from .variance import _in_processes, _workers, expected_score_norm_sq, local_variance
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +61,30 @@ def _record(entry: dict, stat, checks: list) -> None:
         entry[key] = fold(entry[key], fold(values))
 
 
+class _Shape(NamedTuple):
+    """A game's sizes: all that ``random_softmax_policy`` and ``_check_draws``
+    read of a game, so that run_suites can draw before it builds one."""
+
+    n_states: int
+    action_counts: tuple
+
+
+def _check_draws(game, rng) -> tuple:
+    """check_game's draws from ``rng``, which depend only on the game's
+    sizes: one joint action per state, then one (state, other-agents' action
+    row) cell per agent."""
+    actions = [
+        tuple(int(rng.integers(k)) for k in game.action_counts)
+        for _ in range(game.n_states)
+    ]
+    n_joint = math.prod(game.action_counts)
+    cells = [
+        (int(rng.integers(0, game.n_states)), int(rng.integers(0, n_joint // k)))
+        for k in game.action_counts
+    ]
+    return actions, cells
+
+
 def check_game(
     tallies: dict, game, policy, tables, rng, sabotage: bool = False
 ) -> None:
@@ -69,6 +95,20 @@ def check_game(
     identities' right-hand sides, so their suites must report violations.
     Each state's q tensor, probability rows and lattice serve every suite.
     """
+    _fold(tallies, _checks(game, policy, tables, _check_draws(game, rng), sabotage))
+
+
+def _fold(tallies: dict, found: dict) -> None:
+    """Add one game's checks, a (violated, statistic) list per suite, to
+    ``tallies``."""
+    for name, checks in found.items():
+        _record(tallies[name], SUITES[name], checks)
+
+
+def _checks(game, policy, tables, drawn, sabotage: bool) -> dict:
+    """Every suite's (violated, statistic) checks on one game, taking the
+    joint actions and cells ``_check_draws`` drew."""
+    state_actions, cells = drawn
     n = game.n_agents
     orders = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
     tol = IDENTITY_TOL
@@ -78,7 +118,7 @@ def check_game(
         marginals = marginal_q_lattice(game, policy, tables, s)
         q_s = marginals[tuple(range(n))]  # axes in ascending agent order
         probs = [policy.probs(i, s) for i in range(n)]
-        actions = tuple(int(rng.integers(k)) for k in game.action_counts)
+        actions = state_actions[s]
         for order in orders:
             acts = [actions[i] for i in order]
             for lhs, rhs in advantage_decomposition(
@@ -111,8 +151,7 @@ def check_game(
     for agent in range(n):
         rows = agent_axis_view(game, tables.q, agent)
         pi_i = agent_prob_table(game, policy, agent)
-        s = int(rng.integers(0, game.n_states))
-        m = int(rng.integers(0, rows.shape[1]))
+        s, m = cells[agent]
         q_row = rows[s, m]
         pi_row = pi_i[s]
         grads = np.eye(len(pi_row)) - pi_row  # row a is the score e_a - pi
@@ -129,26 +168,63 @@ def check_game(
             found["optimal_baseline_scan"].append((direct < -tol, direct))
         bounds = excess_variance_bounds(q_row, pi_row)
         found["excess_variance_bounds"].append((not bounds.holds, None))
-
-    for name, checks in found.items():
-        _record(tallies[name], SUITES[name], checks)
+    return found
 
 
 def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -> dict:
     """Every suite over ``n_games`` random games of ``n_agents`` agents (1-3
     states, 2-3 actions each, a random softmax policy), as the JSON-ready
-    report ``mapgvar verify`` writes, with an infinite statistic as None."""
+    report ``mapgvar verify`` writes, with an infinite statistic as None.
+
+    Processes: the caller draws every game's sizes and seed, its policy and
+    its check draws from one stream, game after game; then the games are
+    built, solved and checked in W processes, game g in process g mod W:
+    process 0 is the caller, each other one a forked child that pipes back
+    its checks. W is the smaller of the game count and the CPUs the
+    process may run on, and 1 while other Python threads run. The report
+    does not depend on W, and a failure raises the lowest-index failing
+    game's exception, as one loop over the games would.
+    """
     rng = np.random.default_rng(seed)
+    plans, failures = [], []  # failures: (game index, exception)
+    try:
+        for _ in range(n_games):
+            n_states = int(rng.integers(1, 4))
+            n_actions = int(rng.integers(2, 4))
+            game_seed = int(rng.integers(0, 2**31 - 1))
+            # refuse a lattice above the cap before building a game that large
+            _check_lattice_size((n_actions,) * n_agents)
+            # the draws read only the game's sizes; the game itself is built
+            # where it is checked, so planning holds no game
+            shape = _Shape(n_states, (n_actions,) * n_agents)
+            policy = random_softmax_policy(shape, rng)
+            game_args = (n_agents, n_states, n_actions, game_seed)
+            plans.append((game_args, policy, _check_draws(shape, rng)))
+    except Exception as exc:  # raised only if no earlier game fails its check
+        failures.append((len(plans), exc))
+    workers = _workers(len(plans))
+
+    def share(w: int) -> tuple:
+        found = []
+        for game_args, policy, drawn in plans[w::workers]:
+            try:
+                game = random_game(*game_args)
+                tables = solve_values(game, policy)
+                found.append(_checks(game, policy, tables, drawn, sabotage))
+            except Exception as exc:  # this share's later games come after it
+                return found, exc
+        return found, None
+
+    shares = _in_processes(share, workers)
+    failures += [
+        (w + workers * len(found), exc)
+        for w, (found, exc) in enumerate(shares) if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     tallies = new_tallies()
-    for _ in range(n_games):
-        n_states = int(rng.integers(1, 4))
-        n_actions = int(rng.integers(2, 4))
-        game_seed = int(rng.integers(0, 2**31 - 1))
-        # refuse a lattice above the cap before building a game that large
-        _check_lattice_size((n_actions,) * n_agents)
-        game = random_game(n_agents, n_states, n_actions, seed=game_seed)
-        policy = random_softmax_policy(game, rng)
-        check_game(tallies, game, policy, solve_values(game, policy), rng, sabotage)
+    for g in range(n_games):
+        _fold(tallies, shares[g % workers][0][g // workers])
     for entry in tallies.values():
         for key, value in entry.items():
             if isinstance(value, float) and math.isinf(value):

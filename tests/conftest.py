@@ -3,6 +3,8 @@
 Sizes stay within n_agents <= 4, n_states <= 3, n_actions <= 3 so exhaustive
 enumeration (all permutations, all joint actions) is always affordable.
 """
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,12 @@ def one_step_game(action_spaces, payoff):
         gamma=0.0,
         initial_dist=np.array([1.0]),
     )
+
+
+def assert_no_child_left():
+    """Every child process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def same_logits(policy, other):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import assert_no_child_left
 from oracles import (
     bound_of,
     coma_tables_of,
@@ -541,11 +542,6 @@ MC_CASES = pytest.mark.parametrize(
 )
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
                      bit_generator, advanceable):
     """mc_variance of all four kinds with ``cpus`` CPUs, in chunks of
@@ -587,7 +583,7 @@ def _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
     assert repr(together.bit_generator.state) == repr(one_by_one.bit_generator.state)
     chunks = -(-n // chunk)
     assert passes == [j for j in range(0, len(kinds), workers) for _ in range(chunks)]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @MC_CASES
@@ -652,13 +648,13 @@ def test_a_child_exception_reraises_in_the_caller(monkeypatch):
 
     with pytest.raises(ValueError, match="^boom$"):
         _mc_with_hooks(monkeypatch, lambda: None, boom)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_child_that_writes_nothing_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="status 3"):
         _mc_with_hooks(monkeypatch, lambda: None, lambda: os._exit(3))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_the_callers_exception_kills_every_child(monkeypatch):
@@ -670,7 +666,7 @@ def test_the_callers_exception_kills_every_child(monkeypatch):
         # the child would work for a minute: the caller kills it
         _mc_with_hooks(monkeypatch, interrupt, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 """``verify.check_game`` against its one-call-at-a-time reference: the
-per-state kernels must give every tally the same bits."""
+per-state kernels must give every tally the same bits. ``run_suites``
+against one ``check_game`` call per game: its report, and the error it
+raises, must not depend on how many processes check the games."""
 import dataclasses
+import json
+import math
+import os
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import assert_no_child_left
 from oracles import check_game_oracle
 
-from mapgvar import MarkovGame, random_softmax_policy, solve_values
-from mapgvar.verify import check_game, new_tallies
+from mapgvar import MarkovGame, random_game, random_softmax_policy, solve_values
+from mapgvar import variance, verify
+from mapgvar.verify import check_game, new_tallies, run_suites
 
 
 def _game(widths, n_states, seed):
@@ -51,3 +60,128 @@ def test_check_game_matches_the_per_call_suites_bit_for_bit(
     check_game_oracle(want, game, policy, tables, want_rng, sabotage)
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _serial_suites(n_games, n_agents, seed, sabotage):
+    """run_suites' tallies as one check_game call per game, in game order,
+    in this process, with an infinite statistic as None."""
+    rng = np.random.default_rng(seed)
+    tallies = new_tallies()
+    for _ in range(n_games):
+        n_states, n_actions = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        game_seed = int(rng.integers(0, 2**31 - 1))
+        game = random_game(n_agents, n_states, n_actions, seed=game_seed)
+        policy = random_softmax_policy(game, rng)
+        check_game(tallies, game, policy, solve_values(game, policy), rng, sabotage)
+    return {
+        name: {key: None if value == math.inf else value for key, value in entry.items()}
+        for name, entry in tallies.items()
+    }
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("sabotage", [False, True])
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_run_suites_does_not_depend_on_the_process_count(
+    monkeypatch, cpus, n_agents, sabotage
+):
+    n_games, seed = 7, 10 * n_agents + sabotage
+    want = _serial_suites(n_games, n_agents, seed, sabotage)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    forks = _counting_forks(monkeypatch)
+    got = run_suites(n_games, n_agents, seed, sabotage)
+    assert len(forks) == min(n_games, cpus) - 1
+    assert_no_child_left()
+    assert json.dumps(got["suites"]) == json.dumps(want)
+
+
+def test_run_suites_never_forks_while_other_threads_run(monkeypatch):
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    threadless = run_suites(6, 2, 3)
+    monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        threaded = run_suites(6, 2, 3)
+    finally:
+        parked.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert json.dumps(threaded) == json.dumps(threadless)
+
+
+def test_one_game_is_checked_in_the_caller(monkeypatch):
+    want = run_suites(1, 3, 4)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    assert json.dumps(run_suites(1, 3, 4)) == json.dumps(want)
+
+
+def _failing_games(monkeypatch, failing) -> list:
+    """Make ``solve_values`` raise ValueError("game g") on each game g of
+    ``failing``, in whichever process checks it. Returns the policies drawn,
+    in game order."""
+    policies = []
+    draw, solve = verify.random_softmax_policy, verify.solve_values
+
+    def recorded(*args):
+        policies.append(draw(*args))
+        return policies[-1]
+
+    def failing_solve(game, policy):
+        g = next(g for g, drawn in enumerate(policies) if drawn is policy)
+        if g in failing:
+            raise ValueError(f"game {g}")
+        return solve(game, policy)
+
+    monkeypatch.setattr(verify, "random_softmax_policy", recorded)
+    monkeypatch.setattr(verify, "solve_values", failing_solve)
+    return policies
+
+
+# with two processes the caller checks the even games and a child the odd ones
+@pytest.mark.parametrize(
+    "failing, first",
+    [({1, 2, 3}, 1), ({2, 3, 5}, 2), ({7}, 7)],
+    ids=["in-a-child", "in-the-caller", "last"],
+)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_lowest_failing_game_raises(monkeypatch, cpus, failing, first):
+    _failing_games(monkeypatch, failing)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    with pytest.raises(ValueError, match=f"^game {first}$"):
+        run_suites(8, 2, 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, message", [({1}, "game 1"), (set(), "refused")])
+def test_a_refused_draw_raises_after_the_games_before_it(monkeypatch, failing, message):
+    policies = _failing_games(monkeypatch, failing)
+    check = verify._check_lattice_size
+
+    def refuse_the_fourth(shape):
+        if len(policies) == 3:
+            raise ValueError("refused")
+        check(shape)
+
+    monkeypatch.setattr(verify, "_check_lattice_size", refuse_the_fourth)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suites(8, 2, 0)
+    assert len(policies) == 3
+    assert_no_child_left()
