@@ -21,6 +21,7 @@ gradients (mc_variance), which includes cross-timestep covariance.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 import pickle
@@ -513,40 +514,29 @@ def mc_variance(
     one single-kind call per kind, made in order on the same ``rng``; kind j
     draws the ``rollout_draws`` stretch that follows kind j - 1's.
 
-    Processes: the kinds run one at a time in W processes, kind j in process
-    j mod W: process 0 is the caller, each other one a forked child that
-    pipes back its results. W is the smaller of the kind count and the CPUs
-    the process may run on (its affinity mask; 1 where the platform has
-    none). With W > 1, kind j draws from a copy of ``rng`` advanced to its
-    stretch and ``rng`` then skips every kind's draws; only a PCG64 or
-    PCG64DXSM generator can be advanced that way. So W is 1, the kinds
-    drawing from ``rng`` itself in order, for any other generator, and also
-    while other Python threads run, since a forked child could inherit a
-    lock one of them holds. The results and ``rng``'s end state do not
-    depend on W.
+    Processes: for a PCG64 or PCG64DXSM generator, kind j draws from a copy
+    of ``rng`` advanced to its stretch (``_split``; ``rng`` then skips every
+    kind's draws) and the kinds are ``_in_processes`` tasks. Any other
+    generator cannot be advanced so, and its kinds run here in order on
+    ``rng`` itself. Neither the results nor ``rng``'s end state depend on
+    the process count.
     """
     if n_trajectories < 2:
         raise ValueError("need at least 2 trajectories")
     _check_agent(game, agent)
     _check_tables(game, sigs)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
-    draws = rollout_draws(game.n_agents, n_trajectories, horizon)
+
+    def estimate(sig, draws_from):
+        return _kind_estimate(game, pi_tables, agent, sig, n_trajectories, horizon,
+                              draws_from)
+
     # PCG64's and PCG64DXSM's advance(d) skips exactly d doubles of random();
     # Philox's counts blocks of four draws, and MT19937 and SFC64 have none
-    advanceable = isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-    workers = _workers(len(sigs)) if advanceable else 1
-
-    def share(w: int) -> list:
-        return [
-            _kind_estimate(game, pi_tables, agent, sigs[j], n_trajectories, horizon,
-                           _advanced(rng, j * draws) if workers > 1 else rng)
-            for j in range(w, len(sigs), workers)
-        ]
-
-    shares = _in_processes(share, workers)
-    if workers > 1:
-        _skip(rng, len(sigs) * draws)
-    return [shares[j % workers][j // workers] for j in range(len(sigs))]
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        return [estimate(sig, rng) for sig in sigs]
+    copies = _split(rng, rollout_draws(game.n_agents, n_trajectories, horizon), len(sigs))
+    return _in_processes(lambda j: estimate(sigs[j], copies[j]), range(len(sigs)))
 
 
 def _cpu_count() -> int:
@@ -556,34 +546,53 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _workers(tasks: int) -> int:
-    """How many processes share ``tasks`` independent tasks: one per task up
-    to the CPUs this process may run on, and one while other Python threads
-    run, since a forked child could inherit a lock one of them holds."""
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(tasks, _cpu_count()))
+def _in_processes(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]``, the tasks run in W processes. W is the
+    smaller of the task count and the CPUs this process may run on, at least
+    1, and 1 while other Python threads run, since a forked child could
+    inherit a lock one of them holds. Task g runs in process g mod W, each
+    process taking its tasks in order: process 0 is the caller, each other
+    one a forked child that pipes back a pickle of its (results, exception
+    or None) pair and leaves by ``os._exit``, so no exit handler runs and no
+    inherited stdio buffer is flushed. A process stops at its first task
+    that raises an Exception; once all are done, the lowest-index failing
+    task's exception re-raises here, as one loop over the tasks would raise
+    it. A child that writes nothing (it died, or a task raised a
+    BaseException that is not an Exception) raises RuntimeError. No child
+    outlives the call: each pipe is read to its end and its child reaped,
+    and if anything here raises first, every child left is killed and
+    reaped."""
+    workers = 1 if threading.active_count() > 1 else max(1, min(len(tasks), _cpu_count()))
 
+    def share(w: int) -> tuple:
+        results = []
+        try:
+            for task in tasks[w::workers]:
+                results.append(fn(task))
+        except Exception as exc:  # this share's later tasks come after it
+            return results, exc
+        return results, None
 
-def _in_processes(share, workers: int) -> list:
-    """``[share(w) for w in range(workers)]``, share 0 run here and each
-    other one in a forked child that pipes back a pickle of its result, or
-    of the exception it raised, and leaves by ``os._exit``, so no exit
-    handler runs and no inherited stdio buffer is flushed. Each child's
-    exception re-raises here; a child that writes nothing raises
-    RuntimeError. No child outlives the call: each pipe is read to its end
-    and its child reaped, and if anything here raises, every child left is
-    killed and reaped."""
     children, outputs, done = [], [], False  # (pid, read end of its pipe)
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
-                _child(share, w, write_fd)
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(share(w)))
+                    os._exit(0)
+                finally:  # reached only when the write did not happen
+                    os._exit(1)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [share(0)]
+        shares = [share(0)]
         outputs = [pipe.read() for _, pipe in children]
         done = True
     finally:
@@ -597,27 +606,12 @@ def _in_processes(share, workers: int) -> list:
         if not data:
             raise RuntimeError(f"worker process exited with status {status} "
                                "and no result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _child(share, w: int, write_fd: int) -> None:
-    """A forked child's life: run ``share(w)``, write the pickled outcome to
-    ``write_fd`` and leave without returning to the caller's code."""
-    status = 1
-    try:
-        try:
-            payload = pickle.dumps((True, share(w)))
-        except BaseException as exc:  # the caller re-raises it
-            payload = pickle.dumps((False, exc))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+        shares.append(pickle.loads(data))
+    failures = [(w + workers * len(results), exc)
+                for w, (results, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[g % workers][0][g // workers] for g in range(len(tasks))]
 
 
 def _kind_estimate(
@@ -654,21 +648,18 @@ def _kind_estimate(
     return _mc_estimate(n_trajectories, s1, q1, q2, c_vec, p_mat)
 
 
-def _advanced(rng: np.random.Generator, draws: int) -> np.random.Generator:
-    """A copy of ``rng`` that has skipped ``draws`` doubles."""
-    copy = np.random.Generator(type(rng.bit_generator)())
-    copy.bit_generator.state = rng.bit_generator.state
-    copy.bit_generator.advance(draws)
-    return copy
-
-
-def _skip(rng: np.random.Generator, draws: int) -> None:
-    """Skip ``draws`` doubles of ``rng`` in place. ``advance`` also drops a
-    buffered 32-bit half-draw, which drawing doubles keeps, so it is put back."""
+def _split(rng: np.random.Generator, draws: int, parts: int) -> list:
+    """``parts`` copies of ``rng``, copy j advanced by j * ``draws`` doubles;
+    ``rng`` itself skips all parts * draws. ``advance`` also drops a buffered
+    32-bit half-draw, which drawing doubles keeps, so ``rng`` gets it back."""
     state = rng.bit_generator.state
-    rng.bit_generator.advance(draws)
+    copies = [copy.deepcopy(rng) for _ in range(parts)]
+    for j, part in enumerate(copies):
+        part.bit_generator.advance(j * draws)
+    rng.bit_generator.advance(parts * draws)
     buffered = {key: state[key] for key in ("has_uint32", "uinteger")}
     rng.bit_generator.state = {**rng.bit_generator.state, **buffered}
+    return copies
 
 
 def _mc_estimate(n, s1, q1, q2, c_vec, p_mat) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from .values import _check_lattice_size, advantage_decomposition
 from .values import marginal_q_lattice, solve_values
 from .variance import advantage_variance_bound, advantage_variance_identity
 from .variance import baseline_excess_variance, excess_variance_bounds, gap_bounds
-from .variance import _in_processes, _workers, expected_score_norm_sq, local_variance
+from .variance import _in_processes, expected_score_norm_sq, local_variance
 
 SCHEMA_VERSION = 1
 
@@ -177,16 +177,15 @@ def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -
     report ``mapgvar verify`` writes, with an infinite statistic as None.
 
     Processes: the caller draws every game's sizes and seed, its policy and
-    its check draws from one stream, game after game; then the games are
-    built, solved and checked in W processes, game g in process g mod W:
-    process 0 is the caller, each other one a forked child that pipes back
-    its checks. W is the smaller of the game count and the CPUs the
-    process may run on, and 1 while other Python threads run. The report
-    does not depend on W, and a failure raises the lowest-index failing
-    game's exception, as one loop over the games would.
+    its check draws from one stream, game after game, and builds no game;
+    then each game is built, solved and checked as one ``_in_processes``
+    task, and the caller folds the checks in game order. The report does
+    not depend on the process count, and a failure raises the lowest-index
+    failing game's exception, as one loop over the games would; a refused
+    draw raises only if no game before it fails.
     """
     rng = np.random.default_rng(seed)
-    plans, failures = [], []  # failures: (game index, exception)
+    plans, refused = [], None
     try:
         for _ in range(n_games):
             n_states = int(rng.integers(1, 4))
@@ -200,31 +199,20 @@ def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -
             policy = random_softmax_policy(shape, rng)
             game_args = (n_agents, n_states, n_actions, game_seed)
             plans.append((game_args, policy, _check_draws(shape, rng)))
-    except Exception as exc:  # raised only if no earlier game fails its check
-        failures.append((len(plans), exc))
-    workers = _workers(len(plans))
+    except Exception as exc:  # raised only if no planned game fails its check
+        refused = exc
 
-    def share(w: int) -> tuple:
-        found = []
-        for game_args, policy, drawn in plans[w::workers]:
-            try:
-                game = random_game(*game_args)
-                tables = solve_values(game, policy)
-                found.append(_checks(game, policy, tables, drawn, sabotage))
-            except Exception as exc:  # this share's later games come after it
-                return found, exc
-        return found, None
+    def check(plan) -> dict:
+        game_args, policy, drawn = plan
+        game = random_game(*game_args)
+        return _checks(game, policy, solve_values(game, policy), drawn, sabotage)
 
-    shares = _in_processes(share, workers)
-    failures += [
-        (w + workers * len(found), exc)
-        for w, (found, exc) in enumerate(shares) if exc is not None
-    ]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    found = _in_processes(check, plans)
+    if refused is not None:
+        raise refused
     tallies = new_tallies()
-    for g in range(n_games):
-        _fold(tallies, shares[g % workers][0][g // workers])
+    for checks in found:
+        _fold(tallies, checks)
     for entry in tallies.values():
         for key, value in entry.items():
             if isinstance(value, float) and math.isinf(value):

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import itertools
 import os
+import sys
 import threading
 import time
 
@@ -651,9 +653,29 @@ def test_a_child_exception_reraises_in_the_caller(monkeypatch):
     assert_no_child_left()
 
 
-def test_a_child_that_writes_nothing_raises(monkeypatch):
-    with pytest.raises(RuntimeError, match="status 3"):
-        _mc_with_hooks(monkeypatch, lambda: None, lambda: os._exit(3))
+def test_the_lowest_failing_kind_raises(monkeypatch):
+    calls = []
+
+    def kind_2():  # the caller runs kinds 0 and 2
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("kind 2")
+
+    def kind_1():  # the child runs kinds 1 and 3
+        raise ValueError("kind 1")
+
+    with pytest.raises(ValueError, match="^kind 1$"):
+        _mc_with_hooks(monkeypatch, kind_2, kind_1)
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "in_child, status", [(lambda: os._exit(3), 3), (sys.exit, 1)], ids=["exit-3", "SystemExit"]
+)
+def test_a_child_that_writes_nothing_raises(monkeypatch, in_child, status):
+    with pytest.raises(RuntimeError, match=f"^worker process exited with status {status} "):
+        _mc_with_hooks(monkeypatch, lambda: None, in_child)
     assert_no_child_left()
 
 
@@ -666,6 +688,53 @@ def test_the_callers_exception_kills_every_child(monkeypatch):
         # the child would work for a minute: the caller kills it
         _mc_with_hooks(monkeypatch, interrupt, lambda: time.sleep(60))
     assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("cpus, real_forks", [(2, 0), (3, 1)])
+def test_a_failed_fork_leaks_no_pipe_and_no_child(monkeypatch, cpus, real_forks):
+    fork, forks = os.fork, []
+
+    def failing():
+        forks.append(None)
+        if len(forks) > real_forks:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    game = random_game(2, 3, 3, seed=1)
+    policy = uniform_policy(game)
+    kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
+    tables = solve_values(game, policy)
+    monkeypatch.setattr(os, "fork", failing)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        forks.clear()
+        with pytest.raises(BlockingIOError):
+            mc_of(kinds, game, policy, 20, 5, np.random.default_rng(0), tables=tables)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_tasks", [0, 1, 4, 7])
+def test_in_processes_maps_the_tasks_in_order(monkeypatch, cpus, n_tasks):
+    fork, forks = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    caller = os.getpid()
+    got = variance._in_processes(lambda t: (t * t, os.getpid() == caller), range(n_tasks))
+    workers = max(1, min(n_tasks, cpus))
+    assert got == [(t * t, t % workers == 0) for t in range(n_tasks)]
+    assert len(forks) == max(0, min(n_tasks, cpus) - 1)
     assert_no_child_left()
 
 
