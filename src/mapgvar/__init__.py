@@ -42,7 +42,6 @@ from .policies import (
     SoftmaxPolicy,
     check_policy_fits,
     gaussian_log_prob_grad,
-    grad_log_softmax,
     joint_action_prob_table,
     load_policy,
     policy_from_dict,

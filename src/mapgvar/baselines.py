@@ -9,7 +9,9 @@ row:
                 local advantage)
   ob_exact      b* = sum_a pi(a) Q(a) ||g_a||^2 / sum_a pi(a) ||g_a||^2, the
                 variance-minimizing choice for arbitrary score vectors g_a;
-                for softmax scores it equals ob_surrogate
+                for softmax scores it equals ob_surrogate, and for Gaussian
+                actors train_gaussian runs the same sampled surrogate as
+                ob_surrogate, so there it is an estimate, not the exact b*
   ob_surrogate  the same optimum specialized to output-layer scores; for
                 softmax it is the x-measure expectation of Q, and for Gaussian
                 policies it is estimated from freshly sampled actions.
@@ -62,26 +64,14 @@ def ob_surrogate_discrete(q_row, pi_i) -> float:
 
 
 def _last_axis_sum(planes):
-    """``np.sum(np.stack(planes, axis=-1), axis=-1)`` bit for bit, one plane
-    at a time, summing into the planes it is given: numpy's pairwise order,
-    a left fold below 8 terms, 8 running partial sums up to 128 terms and
-    two halves above that. For nonnegative planes, whose sum starts at 0."""
-    n = len(planes)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _last_axis_sum(planes[:half]) + _last_axis_sum(planes[half:])
-    if n < 8:
-        total, rest = planes[0], planes[1:]
-    else:
-        end = n - n % 8
-        part = planes[:8]
-        for i in range(8, end):
-            part[i % 8] += planes[i]
-        total = ((part[0] + part[1]) + (part[2] + part[3])) + (
-            (part[4] + part[5]) + (part[6] + part[7])
-        )
-        rest = planes[end:]
-    for plane in rest:
+    """``np.sum(np.stack(planes, axis=-1), axis=-1)`` bit for bit. Below 8
+    planes numpy's order is a left fold, made here one plane at a time,
+    summing into the planes it is given; from 8 on it is that formula. For
+    nonnegative planes, whose sum starts at 0."""
+    if len(planes) >= 8:
+        return np.stack(planes, axis=-1).sum(axis=-1)
+    total = planes[0]
+    for plane in planes[1:]:
         total += plane
     return total
 

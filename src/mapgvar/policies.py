@@ -34,16 +34,6 @@ def softmax_probs(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def grad_log_softmax(probs, a: int) -> np.ndarray:
-    """Score of the softmax output layer: e_a - pi. Entries sum to 0."""
-    probs = np.asarray(probs, dtype=float)
-    if not 0 <= a < probs.shape[0]:
-        raise IndexError(f"action index {a} out of range")
-    g = -probs.copy()
-    g[a] += 1.0
-    return g
-
-
 def x_measure_softmax(probs) -> np.ndarray:
     """Score-norm-weighted action measure x(a) = pi(a) ||e_a - pi||^2 / (1 - ||pi||^2).
 

@@ -24,12 +24,7 @@ import numpy as np
 from .baselines import coma_baseline, ob_surrogate_discrete
 from .estimators import EstimatorKind, EstimatorTag, signal_table
 from .games import MarkovGame
-from .policies import (
-    JointPolicy,
-    SoftmaxPolicy,
-    grad_log_softmax,
-    x_measure_softmax,
-)
+from .policies import JointPolicy, SoftmaxPolicy, x_measure_softmax
 from .values import solve_values
 from .variance import expected_score_norm_sq, local_variance, step_moments
 
@@ -187,7 +182,6 @@ def run_toy() -> ToyReport:
     tables = solve_values(game, policy)
     q_row = tables.q[0]
     pi = policy.probs(0, 0)
-    grads = np.stack([grad_log_softmax(pi, a) for a in range(3)])
 
     x = x_measure_softmax(pi)
     coma_b = coma_baseline(q_row, pi)
@@ -206,8 +200,8 @@ def run_toy() -> ToyReport:
     sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
     for name, m in zip(_KIND_BY_NAME, step_moments(game, policy, 0, sigs)):
         variances[name] = float(m.m2[0] - m.mean_sq[0])
-        variances_direct[name] = local_variance(pi, signals[name], grads)
-    ob_replay = local_variance(pi, q_row - round(b_star_rounded, 2), grads)
+        variances_direct[name] = local_variance(pi, signals[name])
+    ob_replay = local_variance(pi, q_row - round(b_star_rounded, 2))
 
     report = ToyReport(
         pi=pi,

@@ -477,11 +477,17 @@ def save_checkpoint(path, config: TrainConfig, policy: JointPolicy, rng_state: d
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, JointPolicy, dict]:
+    """Invert save_checkpoint. A malformed document raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a checkpoint must be a JSON object")
     version = data.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema_version {version!r}")
+    missing = [key for key in ("config", "policy", "rng_state") if key not in data]
+    if missing:
+        raise ValueError(f"a checkpoint needs {', '.join(missing)}")
     return (
         config_from_dict(data["config"]),
         policy_from_dict(data["policy"]),

@@ -138,18 +138,18 @@ def per_timestep_variances(moments: StepMoments, dists: np.ndarray) -> np.ndarra
     return dists @ moments.m2 - (dists**2) @ moments.mean_sq
 
 
-def local_variance(pi_i, signal_rows, grad_vectors):
-    """Total variance over one agent's action of signal(a) * score-vector(a):
-    a float for a (k,) signal row, an array for each row of a (B, k) stack."""
+def local_variance(pi_i, signal_rows):
+    """Total variance over one agent's action of signal(a) * score(a), the
+    softmax score e_a - pi: a float for a (k,) signal row, an array for each
+    row of a (B, k) stack."""
     pi_i = np.asarray(pi_i, dtype=float)
     rows = np.asarray(signal_rows, dtype=float)
-    grads = np.asarray(grad_vectors, dtype=float)
-    if rows.ndim > 2 or rows.shape[-1:] != pi_i.shape or grads.shape[:1] != pi_i.shape:
-        raise ValueError("pi_i, signal_rows, grad_vectors must agree on length")
-    v = np.atleast_2d(rows)[:, :, None] * grads  # (B, k, dim)
+    if pi_i.ndim != 1 or rows.ndim > 2 or rows.shape[-1:] != pi_i.shape:
+        raise ValueError("pi_i and signal_rows must agree on length")
+    v = np.atleast_2d(rows)[:, :, None] * (np.eye(len(pi_i)) - pi_i)  # (B, k, k)
     first = pi_i @ v
     second = pi_i @ v**2
-    # a (1, dim) @ (dim, 1) product per row rounds like the 1-D dot product
+    # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
     out = second.sum(axis=-1) - (first[:, None, :] @ first[:, :, None])[:, 0, 0]
     return float(out[0]) if rows.ndim == 1 else out
 

@@ -1,10 +1,10 @@
 """The enumeration suites behind ``mapgvar verify``: the identities and
 bounds of the analysis, checked on solved games.
 
-``check_game`` runs all eight suites on one game, adding to one tally per
-suite (checks, violations and at most one statistic); ``run_suites`` draws
-random games, checks them in as many processes as the CPUs allow and
-returns the report ``verify`` writes.
+``check_game`` runs all eight suites on one game and returns its checks;
+``tally`` folds every game's checks into the report's suite entries;
+``run_suites`` draws random games, checks them in as many processes as the
+CPUs allow and returns the report ``verify`` writes.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .variance import _in_processes, expected_score_norm_sq, local_variance
 
 SCHEMA_VERSION = 1
 
-# suite -> (statistic, how a check folds into it, its value before any check)
+# suite -> (statistic, how the checks fold into it, its value before any check)
 SUITES = {
     "advantage_decomposition": ("max_abs_error", max, 0.0),
     "advantage_variance_identity": ("max_abs_error", max, 0.0),
@@ -39,26 +39,22 @@ SUITES = {
 }
 
 
-def new_tallies() -> dict:
-    """One empty tally per suite, in report order."""
-    tallies = {}
+def tally(found) -> dict:
+    """The report's suite entries, in report order, from every game's checks
+    (``check_game``'s dicts, in game order): each suite's checks, violations
+    and statistic, None where it is infinite. No statistic is NaN, so the
+    fold picks the element a per-check fold would, ties included."""
+    suites = {}
     for name, stat in SUITES.items():
-        tallies[name] = {"checks": 0, "violations": 0}
+        checks = [check for game in found for check in game[name]]
+        # a numpy comparison gives np.bool_, and a sum of those is no JSON int
+        entry = {"checks": len(checks), "violations": sum(bool(v) for v, _ in checks)}
         if stat is not None:
-            tallies[name][stat[0]] = stat[2]
-    return tallies
-
-
-def _record(entry: dict, stat, checks: list) -> None:
-    """Add a batch of (violated, statistic) checks to one suite's tally; the
-    statistic comes out as if the checks were folded in one at a time."""
-    violated, values = zip(*checks)
-    entry["checks"] += len(checks)
-    # a numpy comparison gives np.bool_, and a sum of those is no JSON int
-    entry["violations"] += sum(map(bool, violated))
-    if stat is not None:
-        key, fold, _ = stat
-        entry[key] = fold(entry[key], fold(values))
+            key, fold, start = stat
+            value = fold([start, *(x for _, x in checks)])
+            entry[key] = None if math.isinf(value) else value
+        suites[name] = entry
+    return suites
 
 
 class _Shape(NamedTuple):
@@ -85,24 +81,16 @@ def _check_draws(game, rng) -> tuple:
     return actions, cells
 
 
-def check_game(
-    tallies: dict, game, policy, tables, rng, sabotage: bool = False
-) -> None:
-    """Run every suite on one game, adding to ``tallies``.
+def check_game(game, policy, tables, rng, sabotage: bool = False) -> dict:
+    """Every suite's (violated, statistic) checks on one game, a list per
+    suite in report order.
 
     Draws from ``rng`` one joint action per state, then one state and one
     other-agents' action row per agent. ``sabotage`` corrupts the two
     identities' right-hand sides, so their suites must report violations.
     Each state's q tensor, probability rows and lattice serve every suite.
     """
-    _fold(tallies, _checks(game, policy, tables, _check_draws(game, rng), sabotage))
-
-
-def _fold(tallies: dict, found: dict) -> None:
-    """Add one game's checks, a (violated, statistic) list per suite, to
-    ``tallies``."""
-    for name, checks in found.items():
-        _record(tallies[name], SUITES[name], checks)
+    return _checks(game, policy, tables, _check_draws(game, rng), sabotage)
 
 
 def _checks(game, policy, tables, drawn, sabotage: bool) -> dict:
@@ -154,13 +142,12 @@ def _checks(game, policy, tables, drawn, sabotage: bool) -> dict:
         s, m = cells[agent]
         q_row = rows[s, m]
         pi_row = pi_i[s]
-        grads = np.eye(len(pi_row)) - pi_row  # row a is the score e_a - pi
         b_star = ob_surrogate_discrete(q_row, pi_row)
         score_sq = expected_score_norm_sq(pi_row)
         # the variance at b* first, then at each b of the scan, in one product
         scan = np.linspace(b_star - 5.0, b_star + 5.0, 21)
         signals = q_row - np.r_[b_star, scan][:, None]
-        base_var, *variances = local_variance(pi_row, signals, grads).tolist()
+        base_var, *variances = local_variance(pi_row, signals).tolist()
         for b, var in zip(scan, variances):
             direct = var - base_var
             err = abs(direct - baseline_excess_variance(b, b_star, score_sq))
@@ -177,53 +164,42 @@ def run_suites(n_games: int, n_agents: int, seed: int, sabotage: bool = False) -
     report ``mapgvar verify`` writes, with an infinite statistic as None.
 
     Processes: the caller draws every game's sizes and seed, its policy and
-    its check draws from one stream, game after game, and builds no game;
-    then each game is built, solved and checked as one ``_in_processes``
-    task, and the caller folds the checks in game order. The report does
-    not depend on the process count, and a failure raises the lowest-index
-    failing game's exception, as one loop over the games would; a refused
-    draw raises only if no game before it fails.
+    its check draws from one stream, game after game, and builds no game; a
+    draw whose lattice exceeds the cap raises there, before any game is
+    checked. Then each game is built, solved and checked as one
+    ``_in_processes`` task, and ``tally`` folds the checks in game order.
+    The report does not depend on the process count, and a failure raises
+    the lowest-index failing game's exception, as one loop over the games
+    would.
     """
     rng = np.random.default_rng(seed)
-    plans, refused = [], None
-    try:
-        for _ in range(n_games):
-            n_states = int(rng.integers(1, 4))
-            n_actions = int(rng.integers(2, 4))
-            game_seed = int(rng.integers(0, 2**31 - 1))
-            # refuse a lattice above the cap before building a game that large
-            _check_lattice_size((n_actions,) * n_agents)
-            # the draws read only the game's sizes; the game itself is built
-            # where it is checked, so planning holds no game
-            shape = _Shape(n_states, (n_actions,) * n_agents)
-            policy = random_softmax_policy(shape, rng)
-            game_args = (n_agents, n_states, n_actions, game_seed)
-            plans.append((game_args, policy, _check_draws(shape, rng)))
-    except Exception as exc:  # raised only if no planned game fails its check
-        refused = exc
+    plans = []
+    for _ in range(n_games):
+        n_states = int(rng.integers(1, 4))
+        n_actions = int(rng.integers(2, 4))
+        game_seed = int(rng.integers(0, 2**31 - 1))
+        # refuse a lattice above the cap before building a game that large
+        _check_lattice_size((n_actions,) * n_agents)
+        # the draws read only the game's sizes; the game itself is built
+        # where it is checked, so planning holds no game
+        shape = _Shape(n_states, (n_actions,) * n_agents)
+        policy = random_softmax_policy(shape, rng)
+        game_args = (n_agents, n_states, n_actions, game_seed)
+        plans.append((game_args, policy, _check_draws(shape, rng)))
 
     def check(plan) -> dict:
         game_args, policy, drawn = plan
         game = random_game(*game_args)
         return _checks(game, policy, solve_values(game, policy), drawn, sabotage)
 
-    found = _in_processes(check, plans)
-    if refused is not None:
-        raise refused
-    tallies = new_tallies()
-    for checks in found:
-        _fold(tallies, checks)
-    for entry in tallies.values():
-        for key, value in entry.items():
-            if isinstance(value, float) and math.isinf(value):
-                entry[key] = None
-    total = sum(entry["violations"] for entry in tallies.values())
+    suites = tally(_in_processes(check, plans))
+    total = sum(entry["violations"] for entry in suites.values())
     return {
         "schema_version": SCHEMA_VERSION,
         "games": n_games,
         "agents": n_agents,
         "seed": seed,
-        "suites": tallies,
+        "suites": suites,
         "total_violations": total,
         "ok": total == 0,
     }

@@ -5,6 +5,7 @@ value iteration instead of a linear solve, full path enumeration instead of
 moment algebra. Keep these dumb.
 """
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,29 @@ def sampled_ob_gaussian(q_fn, mean, std, n_samples, rng):
     actions = mean + std * rng.standard_normal((n_samples, mean.shape[0]))
     q_vals = np.asarray(q_fn(actions), dtype=float).reshape(-1)
     return float(ob_surrogate_gaussian(actions, mean, std, q_vals))
+
+
+def ob_quadrature_gaussian(q_fn, mean, std, n_nodes):
+    """The diagonal Gaussian actor's optimal baseline E[||s||^2 q] / E[||s||^2]
+    over a ~ N(mean, diag std^2), s the score of the whole (mean, std) output
+    layer, by a tensor Gauss-Hermite rule of ``n_nodes`` nodes per component.
+
+    ||s||^2 has degree 4 in a - mean, and an n-node rule integrates degree
+    2n - 1 exactly, so the result is exact for a q that is a polynomial of
+    degree at most 2 * n_nodes - 5 in the action; q_fn is queried once on
+    the (n_nodes**d, d) grid."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    std = np.atleast_1d(np.asarray(std, dtype=float))
+    nodes, weights = hermegauss(n_nodes)  # weight exp(-x^2 / 2)
+    d = len(mean)
+    z = np.array(list(itertools.product(nodes, repeat=d))).reshape(-1, d)
+    w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
+    diff = std * z
+    norms = ((diff / std**2) ** 2 + ((diff**2 - std**2) / std**3) ** 2).sum(axis=1)
+    q_vals = np.asarray(q_fn(mean + diff), dtype=float).reshape(-1)
+    return float((w * norms) @ q_vals / (w @ norms))
 
 
 def ob_surrogate_gaussian_oracle(actions, mean, std, q_vals):
@@ -282,6 +306,13 @@ def gaussian_log_prob(mean, std, action):
                          for x in (mean, std, action))
     z = (action - mean) / std
     return float(-0.5 * z @ z - np.log(std).sum() - 0.5 * len(z) * np.log(2 * np.pi))
+
+
+def grad_log_softmax(probs, a: int) -> np.ndarray:
+    """Score of the softmax output layer at action a: e_a - pi."""
+    g = -np.asarray(probs, dtype=float)
+    g[a] += 1.0
+    return g
 
 
 def local_variance_oracle(pi_i, signal_row, grad_vectors):
@@ -656,7 +687,7 @@ def _local_variance(pi_i, signal_row, grads):
     return float(second.sum() - first @ first)
 
 
-def check_game_oracle(tallies, game, policy, tables, rng, sabotage=False):
+def check_game_oracle(game, policy, tables, rng, sabotage=False):
     """``verify.check_game`` with every suite run one call at a time: the
     same draws from ``rng``, the same checks and the same bits."""
     from mapgvar import (
@@ -667,7 +698,7 @@ def check_game_oracle(tallies, game, policy, tables, rng, sabotage=False):
         ob_surrogate_discrete,
     )
     from mapgvar.estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
-    from mapgvar.verify import SUITES, _record
+    from mapgvar.verify import SUITES
 
     n = game.n_agents
     orders = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
@@ -729,5 +760,31 @@ def check_game_oracle(tallies, game, policy, tables, rng, sabotage=False):
         bounds = excess_variance_bounds(q_row, pi_row)
         found["excess_variance_bounds"].append((not bounds.holds, None))
 
-    for name, checks in found.items():
-        _record(tallies[name], SUITES[name], checks)
+    return found
+
+
+def tally_oracle(found):
+    """``verify.tally`` as the fold it replaced: one running tally per
+    suite, each game's checks folded into it in turn, game after game, and
+    an infinite statistic turned into None at the end."""
+    from mapgvar.verify import SUITES
+
+    tallies = {}
+    for name, stat in SUITES.items():
+        tallies[name] = {"checks": 0, "violations": 0}
+        if stat is not None:
+            tallies[name][stat[0]] = stat[2]
+    for game in found:
+        for name, checks in game.items():
+            entry, stat = tallies[name], SUITES[name]
+            violated, values = zip(*checks)
+            entry["checks"] += len(checks)
+            entry["violations"] += sum(map(bool, violated))
+            if stat is not None:
+                key, fold, _ = stat
+                entry[key] = fold(entry[key], fold(values))
+    for entry in tallies.values():
+        for key, value in entry.items():
+            if isinstance(value, float) and math.isinf(value):
+                entry[key] = None
+    return tallies

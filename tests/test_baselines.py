@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ob_exact, ob_surrogate_gaussian_oracle, sampled_ob_gaussian
+from oracles import grad_log_softmax, ob_exact, ob_quadrature_gaussian
+from oracles import ob_surrogate_gaussian_oracle, sampled_ob_gaussian
 
 from mapgvar import (
     BaselineKind,
@@ -15,7 +16,6 @@ from mapgvar import (
     TrainConfig,
     coma_baseline,
     gaussian_log_prob_grad,
-    grad_log_softmax,
     local_variance,
     ob_surrogate_discrete,
     ob_surrogate_gaussian,
@@ -73,10 +73,9 @@ def test_surrogate_equals_exact_for_softmax(q, logits):
 )
 def test_ob_minimizes_local_variance(q, logits, offset):
     q, pi = _pair(q, logits)
-    grads = [grad_log_softmax(pi, a) for a in range(len(pi))]
     b_star = ob_surrogate_discrete(q, pi)
-    at_star = local_variance(pi, q - b_star, grads)
-    at_other = local_variance(pi, q - (b_star + offset), grads)
+    at_star = local_variance(pi, q - b_star)
+    at_other = local_variance(pi, q - (b_star + offset))
     assert at_star <= at_other + 1e-9
     # strictly worse away from the optimum
     assert at_other - at_star > 1e-9 * offset**2
@@ -189,6 +188,73 @@ def test_gaussian_ob_linear_q_self_oracle():
         payoff, np.zeros(1), np.ones(1), 400_000, np.random.default_rng(999)
     )
     assert abs(runs.mean() - big) <= 3 * se + 5e-3
+
+
+# With z = (a - mean) / std, the score norm is sum_j (z_j^4 - z_j^2 + 1) / std_j^2,
+# of mean sum_j 3 / std_j^2. The standard normal's moments E z^2, z^4, z^6,
+# z^8 = 1, 3, 15, 105 give E[norm * z_j^2] = 13 / std_j^2 + (the other
+# components' 3 / std_i^2) and E[norm * z_j^4] = 93 / std_j^2 + 3 * (the
+# others'), and odd powers of z average to 0.
+_M1, _S1 = np.array([0.3]), np.array([0.7])
+_M2, _S2 = np.array([0.3, -1.2]), np.array([0.7, 1.5])
+_N2 = 3 / _S2[0] ** 2 + 3 / _S2[1] ** 2  # E[norm] for (_M2, _S2)
+
+
+@pytest.mark.parametrize(
+    "mean, std, q_fn, degree, want",
+    [
+        (_M1, _S1, lambda a: np.full(len(a), 5.0), 0, 5.0),
+        (_M1, _S1, lambda a: a[:, 0], 1, 0.3),
+        (_M1, _S1, lambda a: (a[:, 0] - 0.3) ** 2, 2, 13 * 0.7**2 / 3),
+        (_M1, _S1, lambda a: (a[:, 0] - 0.3) ** 3, 3, 0.0),
+        (_M1, _S1, lambda a: (a[:, 0] - 0.3) ** 4, 4, 31 * 0.7**4),
+        (_M2, _S2, lambda a: (a[:, 0] - 0.3) ** 2, 2,
+         0.7**2 * (13 / 0.7**2 + 3 / 1.5**2) / _N2),
+        (_M2, _S2, lambda a: (a[:, 0] - 0.3) * (a[:, 1] + 1.2), 2, 0.0),
+        (_M2, _S2, lambda a: ((a[:, 0] - 0.3) * (a[:, 1] + 1.2)) ** 2, 4,
+         0.7**2 * 1.5**2 * (13 / 0.7**2 + 13 / 1.5**2) / _N2),
+    ],
+    ids=["constant", "linear", "square", "cube", "fourth", "d2-square", "d2-cross",
+         "d2-square-product"],
+)
+def test_gaussian_ob_quadrature_equals_the_hand_moments(mean, std, q_fn, degree, want):
+    # exact from (degree + 5) / 2 nodes per component, rounded up, and on
+    for n_nodes in range((degree + 6) // 2, 9):
+        got = ob_quadrature_gaussian(q_fn, mean, std, n_nodes)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), n_nodes
+
+
+def test_gaussian_ob_quadrature_is_not_exact_below_its_node_count():
+    # 4 nodes integrate degree 7 exactly; norm * (a - mean)^4 has degree 8
+    fourth = ob_quadrature_gaussian(lambda a: (a[:, 0] - 0.3) ** 4, _M1, _S1, 4)
+    assert abs(fourth - 31 * 0.7**4) > 1e-3
+
+
+def _quadratic_payoff(d, seed):
+    """q = 2 - (a - c)^T A (a - c) with A a random positive semidefinite
+    matrix: degree 2, so 4 Gauss-Hermite nodes per component are exact."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d))
+    a_mat, c = m @ m.T / d, rng.normal(size=d)
+
+    def payoff(x):
+        diff = x - c
+        return 2.0 - np.einsum("...i,ij,...j->...", diff, a_mat, diff)
+
+    return payoff
+
+
+@pytest.mark.parametrize("d, n_samples", [(1, 500), (2, 2_000), (3, 5_000)])
+def test_gaussian_ob_surrogate_is_within_3_se_of_the_quadrature(d, n_samples):
+    rng = np.random.default_rng(40 + d)
+    mean, std = rng.normal(size=d), rng.uniform(0.5, 1.5, size=d)
+    payoff = _quadratic_payoff(d, d)
+    want = ob_quadrature_gaussian(payoff, mean, std, 4)
+    rows = 40
+    actions = mean + std * rng.standard_normal((rows, n_samples, d))
+    got = ob_surrogate_gaussian(actions, mean, std, payoff(actions))
+    se = got.std(ddof=1) / np.sqrt(rows)
+    assert abs(got.mean() - want) <= 3 * se, (got.mean(), want, se)
 
 
 def test_gaussian_ob_requires_two_samples():

@@ -85,7 +85,7 @@ def test_the_traced_variance_layers_see_the_program(monkeypatch):
     policy = random_softmax_policy(game, np.random.default_rng(4))
     variance.build_variance_report(game, policy, 0, t_max=2, mc_trajectories=2)
     rng = np.random.default_rng(4)
-    verify.check_game(verify.new_tallies(), game, policy, solve_values(game, policy), rng)
+    verify.check_game(game, policy, solve_values(game, policy), rng)
     task = ContinuousOneStepTask(
         payoff=lambda x: -np.minimum((x**2).sum(axis=1), 1.0), dims=(1, 1), beta=1.0
     )

@@ -407,6 +407,8 @@ def _invalid_input_argv(tmp_path, case):
         return ["report", "--game", game_file, "--t-max", "100000000"]
     if case == "verify lattice over the cap":
         return ["verify", "--games", "1", "--agents", "20", "--seed", "3"]
+    if case == "verify lattice over the cap after a planned game":
+        return ["verify", "--games", "5", "--agents", "13", "--seed", "2"]
     path = tmp_path / "bad.json"
     if case == "malformed json":
         path.write_text('{"states": ["s0",', encoding="utf-8")
@@ -459,6 +461,10 @@ def _invalid_input_argv(tmp_path, case):
         ("t-max over the cap", "100000001 rows x 2 states exceed 10000000"),
         # 3^20 coalition-tensor entries per state, refused before the game is built
         ("verify lattice over the cap", "20 agents holds 3486784401 entries per state"),
+        # game 0's lattice holds 3^13 entries per state, under the cap; game
+        # 1's 4^13 is refused when drawn, before game 0 is checked
+        ("verify lattice over the cap after a planned game",
+         "13 agents holds 67108864 entries per state"),
         # one history row per iteration, refused before the first solve
         ("train iterations over the cap", "0 exceed 10000000 history rows"),
         ("zero-width logits", "logits have shape (2, 0): a state has no action"),

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import same_logits
-from oracles import gaussian_log_prob
+from oracles import gaussian_log_prob, grad_log_softmax
 
 from mapgvar import (
     DegeneratePolicy,
     SoftmaxPolicy,
     gaussian_log_prob_grad,
-    grad_log_softmax,
     joint_action_prob_table,
     load_policy,
     policy_from_dict,

@@ -451,6 +451,30 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "drop, text, message",
+    [
+        (None, "[]", "must be a JSON object"),
+        (None, '"checkpoint"', "must be a JSON object"),
+        (("config",), None, "needs config"),
+        (("policy",), None, "needs policy"),
+        (("rng_state",), None, "needs rng_state"),
+        (("config", "rng_state"), None, "needs config, rng_state"),
+    ],
+    ids=["list", "string", "no-config", "no-policy", "no-rng-state", "two-missing"],
+)
+def test_checkpoint_rejects_a_malformed_document(tmp_path, drop, text, message):
+    path = tmp_path / "ckpt.json"
+    if text is None:
+        cfg = quick_config(iterations=1)
+        save_checkpoint(path, cfg, train(coordination_game(), None, cfg).policy, {})
+        doc = json.loads(path.read_text())
+        text = json.dumps({k: v for k, v in doc.items() if k not in drop})
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian actors on a continuous task
 

@@ -15,6 +15,7 @@ from oracles import (
     bound_of,
     coma_tables_of,
     gap_bound_oracle,
+    grad_log_softmax,
     identity_of,
     local_variance_oracle,
     mc_of,
@@ -38,7 +39,6 @@ from mapgvar import (
     excess_variance_bounds,
     expected_score_norm_sq,
     gap_bounds,
-    grad_log_softmax,
     local_variance,
     mc_variance,
     ob_surrogate_discrete,
@@ -136,9 +136,15 @@ def test_local_variance_matches_two_pass(corpus30):
         pi = softmax_probs(rng.normal(size=k))
         sig = rng.uniform(-5, 5, size=k)
         grads = [grad_log_softmax(pi, a) for a in range(k)]
-        fast = local_variance(pi, sig, grads)
+        fast = local_variance(pi, sig)
         slow = local_variance_oracle(pi, sig, grads)
         assert abs(fast - slow) < 1e-10
+        stacked = local_variance(pi, np.stack([sig, 2.0 * sig]))
+        assert stacked[0] == fast and abs(stacked[1] - 4.0 * slow) < 1e-9
+    for pi, rows in (([0.5, 0.5], [1.0, 2.0, 3.0]), ([[0.5, 0.5]], [1.0, 2.0]),
+                     (0.5, 1.0), ([0.5, 0.5], np.ones((1, 1, 2)))):
+        with pytest.raises(ValueError, match="must agree on length"):
+            local_variance(pi, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +398,10 @@ def test_excess_variance_closed_form_matches_direct():
         k = int(rng.integers(2, 6))
         pi = softmax_probs(rng.normal(size=k))
         q = rng.uniform(-10, 10, size=k)
-        grads = [grad_log_softmax(pi, a) for a in range(k)]
         b_star = ob_surrogate_discrete(q, pi)
         score_sq = expected_score_norm_sq(pi)
         for b in rng.uniform(-15, 15, size=5):
-            direct = local_variance(pi, q - b, grads) - local_variance(
-                pi, q - b_star, grads
-            )
+            direct = local_variance(pi, q - b) - local_variance(pi, q - b_star)
             closed = baseline_excess_variance(float(b), b_star, score_sq)
             assert abs(direct - closed) < 1e-9
 

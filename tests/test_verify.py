@@ -1,7 +1,8 @@
 """``verify.check_game`` against its one-call-at-a-time reference: the
-per-state kernels must give every tally the same bits. ``run_suites``
-against one ``check_game`` call per game: its report, and the error it
-raises, must not depend on how many processes check the games."""
+per-state kernels must give every check the same bits. ``verify.tally``
+against the per-game fold it replaced. ``run_suites`` against one
+``check_game`` call per game: its report, and the error it raises, must
+not depend on how many processes check the games."""
 import dataclasses
 import json
 import math
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import assert_no_child_left
-from oracles import check_game_oracle
+from oracles import check_game_oracle, tally_oracle
 
 from mapgvar import MarkovGame, random_game, random_softmax_policy, solve_values
 from mapgvar import variance, verify
-from mapgvar.verify import check_game, new_tallies, run_suites
+from mapgvar.verify import SUITES, check_game, run_suites, tally
 
 
 def _game(widths, n_states, seed):
@@ -54,29 +55,63 @@ def test_check_game_matches_the_per_call_suites_bit_for_bit(
         game = dataclasses.replace(game, gamma=0.0)
     policy = random_softmax_policy(game, np.random.default_rng(seed + 1))
     tables = solve_values(game, policy)
-    got, want = new_tallies(), new_tallies()
     got_rng, want_rng = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
-    check_game(got, game, policy, tables, got_rng, sabotage)
-    check_game_oracle(want, game, policy, tables, want_rng, sabotage)
-    assert got == want
+    got = check_game(game, policy, tables, got_rng, sabotage)
+    want = check_game_oracle(game, policy, tables, want_rng, sabotage)
+    assert list(got) == list(SUITES)
+    assert _bits(got) == _bits(want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _bits(found: dict) -> dict:
+    """Each check as (violated, the statistic's exact bits or None)."""
+    return {
+        name: [(bool(v), None if x is None else float(x).hex()) for v, x in checks]
+        for name, checks in found.items()
+    }
+
+
+# ties, both zeros and the start values, so that which equal element a fold
+# keeps shows in the JSON
+_STATISTICS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, 1e-300])
+
+
+@st.composite
+def _games_checks(draw):
+    """Check lists of 0-4 games, each suite with 1-3 checks per game."""
+    return [
+        {
+            name: [
+                (draw(st.sampled_from([False, True, np.False_, np.True_])),
+                 None if stat is None else draw(_STATISTICS))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+            for name, stat in SUITES.items()
+        }
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(found=_games_checks())
+def test_tally_equals_the_per_game_fold(found):
+    got = tally(found)
+    assert json.dumps(got) == json.dumps(tally_oracle(found))
+    assert all(type(entry["violations"]) is int for entry in got.values())
+
+
 def _serial_suites(n_games, n_agents, seed, sabotage):
-    """run_suites' tallies as one check_game call per game, in game order,
-    in this process, with an infinite statistic as None."""
+    """run_suites' suite entries from one check_game call per game, in game
+    order, in this process, folded by the per-game reference fold."""
     rng = np.random.default_rng(seed)
-    tallies = new_tallies()
+    found = []
     for _ in range(n_games):
         n_states, n_actions = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         game_seed = int(rng.integers(0, 2**31 - 1))
         game = random_game(n_agents, n_states, n_actions, seed=game_seed)
         policy = random_softmax_policy(game, rng)
-        check_game(tallies, game, policy, solve_values(game, policy), rng, sabotage)
-    return {
-        name: {key: None if value == math.inf else value for key, value in entry.items()}
-        for name, entry in tallies.items()
-    }
+        found.append(check_game(game, policy, solve_values(game, policy), rng, sabotage))
+    return tally_oracle(found)
 
 
 def _counting_forks(monkeypatch) -> list:
@@ -169,8 +204,8 @@ def test_the_lowest_failing_game_raises(monkeypatch, cpus, failing, first):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing, message", [({1}, "game 1"), (set(), "refused")])
-def test_a_refused_draw_raises_after_the_games_before_it(monkeypatch, failing, message):
+@pytest.mark.parametrize("failing", [{1}, set()], ids=["game-1-fails", "none-fails"])
+def test_a_refused_draw_raises_before_any_game_is_checked(monkeypatch, failing):
     policies = _failing_games(monkeypatch, failing)
     check = verify._check_lattice_size
 
@@ -181,7 +216,9 @@ def test_a_refused_draw_raises_after_the_games_before_it(monkeypatch, failing, m
 
     monkeypatch.setattr(verify, "_check_lattice_size", refuse_the_fourth)
     monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    forks = _counting_forks(monkeypatch)
+    with pytest.raises(ValueError, match="^refused$"):
         run_suites(8, 2, 0)
     assert len(policies) == 3
+    assert forks == []
     assert_no_child_left()

@@ -36,7 +36,9 @@ game whose small batch still samples windows of steps. Last come two
 kinds mc_variance spreads over processes. The labels of these three
 ``report --mc`` runs say ``mc-groups``: they name the kind groups that an
 earlier mc_variance made, and they stay, so that the digests of older and
-newer trees compare line for line.
+newer trees compare line for line. Last of all, a 13-agent ``verify`` whose
+second draw exceeds the coalition-lattice cap must fail with its error
+message, after a first draw under the cap.
 """
 from __future__ import annotations
 
@@ -346,6 +348,11 @@ def digest_lines(work: str) -> list[str]:
     lines += _gaussian_lines((3, 5), cap=30.0) + _gaussian_lines((9,), cap=30.0)
     lines += _wide_plane_train_lines(main, work)
     lines += _wide_mc_lines(main, work)
+    # the first game's lattice holds 3**13 entries per state, under the cap,
+    # and the second's 4**13
+    lines += _run(main, "error-verify-n13-second-draw-refused",
+                  ["verify", "--agents", "13", "--games", "5", "--seed", "2"], work,
+                  stderr=True)
     return lines
 
 
