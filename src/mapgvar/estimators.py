@@ -170,14 +170,30 @@ WINDOW_MAX_ELEMENTS = 1024
 # Steps per window. It bounds each of a window's temporaries at
 # WINDOW_CAP * WINDOW_MAX_ELEMENTS int64 entries (1 MiB).
 WINDOW_CAP = 128
+# Steps times trajectories per block of the per-step path: w = this // m
+# steps, at least 1 and at most WINDOW_CAP, so a consumer's per-block work
+# (mc_variance's signal and probability gathers and its scatter) runs once per
+# w steps. One kind's mc_variance pass over the bench's eight report-mc shapes
+# (m = 1000, horizon 200, one core, 21 interleaved repeats) took 0.96, 0.90,
+# 0.90, 0.99 and 1.41 times its one-step-block time at 2048, 4096, 8192, 16384
+# and 65536; at 65536 the scatter's (w, m, k + 1) buffers outgrow a 2 MiB L2.
+# Each (w, m) plane of a block holds at most max(this, m) entries.
+STEP_BLOCK_ELEMENTS = 8192
 
 
 def rollout_window(n_agents: int, n_states: int, m: int) -> int:
-    """Steps per block of ``rollout``: WINDOW_CAP when a step over every
-    state costs at most WINDOW_MAX_ELEMENTS search elements, else 1."""
-    if (n_agents + 1) * n_states * m <= WINDOW_MAX_ELEMENTS:
+    """Steps per block of ``rollout``: WINDOW_CAP for a window, when a step
+    over every state costs at most WINDOW_MAX_ELEMENTS search elements, else
+    the per-step path's STEP_BLOCK_ELEMENTS // m, at least 1 and at most
+    WINDOW_CAP."""
+    if _draws_every_state(n_agents, n_states, m):
         return WINDOW_CAP
-    return 1
+    return min(WINDOW_CAP, max(1, STEP_BLOCK_ELEMENTS // m))
+
+
+def _draws_every_state(n_agents: int, n_states: int, m: int) -> bool:
+    """Whether ``rollout`` runs windows: the cost rule on WINDOW_MAX_ELEMENTS."""
+    return (n_agents + 1) * n_states * m <= WINDOW_MAX_ELEMENTS
 
 
 def rollout_draws(n_agents: int, m: int, horizon: int) -> int:
@@ -205,15 +221,16 @@ def rollout(
     per agent in agent order and one for the transition, ``rollout_draws``
     doubles in all.
 
-    A block takes its w steps' uniforms in one draw, which is the same
-    stream as w draws of one step. With ``rollout_window`` steps per block,
+    A block of ``rollout_window`` steps takes its w steps' uniforms in one
+    draw, which is the same stream as w draws of one step. In a window,
     each step's actions and successor are drawn for every state. Each
     successor is then written as its flat position in the next step's
     table, so the visited states are chased one 1-D gather per step, and
-    the block is read at the positions visited. With one step per block,
-    they are drawn for the known current state only. Either way each draw
-    compares the same uniform with the same table row, so the blocks hold
-    the same bits.
+    the block is read at the positions visited. On the per-step path they
+    are drawn step by step for the known current states only, each step
+    written into the block's arrays. Either way each draw compares the
+    same uniform with the same table row, so the blocks hold the same bits
+    whatever their length.
     """
     n, n_states = game.n_agents, game.n_states
     counts, n_joint = game.action_counts, game.n_joint_actions
@@ -225,9 +242,10 @@ def rollout(
     trans_table = cdf_table(game.transition)
     a_width, t_width = agent_table.shape[1], trans_table.shape[1]
     window = rollout_window(n, n_states, m)
+    windowed = _draws_every_state(n, n_states, m)
     every = np.arange(n_states)[:, None]
     cols = np.arange(m)
-    if window > 1:
+    if windowed:
         # every window searches the same rows, every state's for every agent
         agent_base = np.broadcast_to(
             (every[:, None] + agent_rows) * a_width, (window, n_states, n, m)
@@ -244,19 +262,25 @@ def rollout(
     for t0 in range(0, horizon, window):
         w = min(window, horizon - t0)
         u = rng.random((w, n + 1, m))  # per step one row per agent, then the transition
-        if window == 1:  # draw for the known states: (n, m) actions, (m,) successors
-            cand, base = s, (s + agent_rows) * a_width
-            u_act, u_next = u[0, :-1], u[0, -1]
-        else:  # draw for every state: (w, S, n, m) actions, (w, S, m) successors
-            cand, base = every, agent_base[:w]
-            u_act, u_next = u[:, None, :-1], u[:, -1:]
-        acts = inverse_cdf(agent_table, base, u_act)
-        joint = strides @ acts
-        succ = inverse_cdf(trans_table, (cand * n_joint + joint) * t_width, u_next)
-        if window == 1:
-            yield s[None], acts[:, None], joint[None], succ[None]
-            s = succ
+        if not windowed:  # draw for the known states, one step at a time
+            path = np.empty((w + 1, m), dtype=np.intp)
+            actions = np.empty((n, w, m), dtype=np.intp)
+            joint = np.empty((w, m), dtype=np.intp)
+            path[0] = s
+            for t in range(w):
+                s = path[t]
+                acts = inverse_cdf(agent_table, (s + agent_rows) * a_width, u[t, :-1])
+                actions[:, t] = acts
+                joint[t] = strides @ acts
+                base = (s * n_joint + joint[t]) * t_width
+                path[t + 1] = inverse_cdf(trans_table, base, u[t, -1])
+            yield path[:-1], actions, joint, path[1:]
+            s = path[-1]
             continue
+        # draw for every state: (w, S, n, m) actions, (w, S, m) successors
+        acts = inverse_cdf(agent_table, agent_base[:w], u[:, None, :-1])
+        joint = strides @ acts
+        succ = inverse_cdf(trans_table, (every * n_joint + joint) * t_width, u[:, -1:])
         succ *= m  # each successor as its flat position in the next step
         succ += next_step[:w]
         succ = succ.reshape(-1)
@@ -278,11 +302,13 @@ def scatter_scores(flat, cells, own, pi_rows, val) -> None:
 
     For each entry of ``cells`` (the flat offset of a state's k-action
     block), in C order, applies flat[cells + a] -= pi_rows[..., a] * val
-    for every action a, then flat[cells + own] += val: the same sequence of
-    roundings as those two updates made one step at a time. The interleaved
-    (..., k + 1) index and value buffers are filled one action column at a
-    time, each column one long plane, then added in one in-order
-    ``np.add.at``.
+    for every action a, then flat[cells + own] += val. ``cells`` is one
+    step's (m,) offsets or a t-major (w, m) stack of steps: a ``rollout``
+    block in ``mc_variance``, the whole horizon in ``train``. Either way it
+    makes the same sequence of roundings as those two updates made one step
+    at a time. The interleaved (..., k + 1) index and value buffers are
+    filled one action column at a time, each column one long plane, then
+    added in one in-order ``np.add.at``.
     """
     k = pi_rows.shape[-1]
     idx = np.empty((*cells.shape, k + 1), dtype=np.intp)

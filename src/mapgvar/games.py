@@ -217,10 +217,11 @@ def random_game(
     if min(n_agents, n_states, n_actions) < 1:
         raise ValueError("all sizes must be >= 1")
     n_joint = n_actions**n_agents
-    if n_states * n_joint > DEFAULT_ENUMERATION_CAP:
+    # the transition table, the largest, holds S * J * S entries
+    if n_states * n_joint * n_states > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{n_states * n_joint} table entries exceeds the cap of "
-            f"{DEFAULT_ENUMERATION_CAP}"
+            f"{n_states * n_joint * n_states} transition entries exceeds the cap "
+            f"of {DEFAULT_ENUMERATION_CAP}"
         )
     rng = np.random.default_rng(seed)
     transition = rng.dirichlet(np.ones(n_states), size=(n_states, n_joint))

@@ -103,8 +103,10 @@ class TrainConfig:
     entropy_coef: float = 0.0
 
     def __post_init__(self):
-        if not self.actor_lr > 0.0:  # NaN fails too
-            raise ValueError("actor_lr must be positive")
+        if not 0.0 < self.actor_lr < math.inf:  # NaN fails too
+            raise ValueError(
+                f"actor_lr must be positive and finite, got {self.actor_lr}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.horizon is not None and self.horizon < 1:
@@ -115,8 +117,10 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ob_n_samples < 2:
             raise ValueError("ob_n_samples must be >= 2")
-        if not self.entropy_coef >= 0.0:
-            raise ValueError("entropy_coef must be >= 0")
+        if not 0.0 <= self.entropy_coef < math.inf:
+            raise ValueError(
+                f"entropy_coef must be >= 0 and finite, got {self.entropy_coef}"
+            )
 
 
 def config_to_dict(config: TrainConfig) -> dict:

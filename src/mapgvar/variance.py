@@ -630,7 +630,7 @@ def _kind_estimate(
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         remaining -= m
-        row_cells = np.arange(m)[None] * dim  # (1, m), the shape of a one-step block
+        row_cells = np.arange(m)[None] * dim  # (1, m), broadcast over a block's steps
         flat = np.zeros(m * dim)
         t = 0
         for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):

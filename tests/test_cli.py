@@ -409,6 +409,8 @@ def _invalid_input_argv(tmp_path, case):
         return ["verify", "--games", "1", "--agents", "20", "--seed", "3"]
     if case == "verify lattice over the cap after a planned game":
         return ["verify", "--games", "5", "--agents", "13", "--seed", "2"]
+    if case == "gen transition over the cap":
+        return ["gen", "--states", "100000", "--actions", "1"]
     path = tmp_path / "bad.json"
     if case == "malformed json":
         path.write_text('{"states": ["s0",', encoding="utf-8")
@@ -465,6 +467,9 @@ def _invalid_input_argv(tmp_path, case):
         # 1's 4^13 is refused when drawn, before game 0 is checked
         ("verify lattice over the cap after a planned game",
          "13 agents holds 67108864 entries per state"),
+        # S * J * S transition entries, refused before any table is drawn
+        ("gen transition over the cap",
+         "10000000000 transition entries exceeds the cap of 10000000"),
         # one history row per iteration, refused before the first solve
         ("train iterations over the cap", "0 exceed 10000000 history rows"),
         ("zero-width logits", "logits have shape (2, 0): a state has no action"),
@@ -600,6 +605,10 @@ def test_report_rejects_a_policy_that_does_not_fit_the_game(
         ({"batch_size": None}, "malformed train config"),
         ({"entropy_coef": float("nan")}, "entropy_coef must be >= 0"),
         ({"actor_lr": float("nan")}, "actor_lr must be positive"),
+        # JSON's Infinity, refused when the config is read, not after an update
+        ({"actor_lr": float("inf")}, "actor_lr must be positive and finite, got inf"),
+        ({"entropy_coef": float("inf")},
+         "entropy_coef must be >= 0 and finite, got inf"),
         ({**SMALL_TRAIN_CONFIG, "actor_lr": True},
          "config entry 'actor_lr' must be a real number"),
         ({**SMALL_TRAIN_CONFIG, "entropy_coef": "0.5"},

@@ -17,6 +17,7 @@ from oracles import (
 
 from mapgvar import MarkovGame, rollout
 from mapgvar.estimators import (
+    STEP_BLOCK_ELEMENTS,
     WINDOW_CAP,
     WINDOW_MAX_ELEMENTS,
     cdf_table,
@@ -144,7 +145,8 @@ def test_rollout_blocks_equal_the_oracle_in_both_regimes(
     m = {"small": 3, "largest window": largest, "smallest per-step": largest + 1,
          "per-step": 2 * largest}[size]
     window = rollout_window(len(widths), n_states, m)
-    assert window == (WINDOW_CAP if m <= largest else 1)
+    per_step = min(WINDOW_CAP, max(1, STEP_BLOCK_ELEMENTS // m))
+    assert window == (WINDOW_CAP if m <= largest else per_step)
     rng = np.random.default_rng(seed)
     game = _random_game(rng, widths, n_states)
     pi_tables = [_prob_rows(rng, (n_states, k), 0.3, 1.0) for k in widths]
@@ -180,18 +182,46 @@ def test_wide_plane_windows_equal_the_oracle(widths, n_states, size, horizon, se
     assert lengths == [WINDOW_CAP] * full + [rest] * (rest > 0)
 
 
+@pytest.mark.parametrize(
+    "widths, n_states, m, horizon, window",
+    [
+        # per-step batches whose blocks are 1, 2 and WINDOW_CAP steps long;
+        # the last two horizons leave a short last block
+        ((2, 3), 3, STEP_BLOCK_ELEMENTS // 2 + 1, 3, 1),
+        ((2, 3), 3, STEP_BLOCK_ELEMENTS // 2, 5, 2),
+        ((2,), 40, STEP_BLOCK_ELEMENTS // WINDOW_CAP, 2 * WINDOW_CAP + 3, WINDOW_CAP),
+    ],
+)
+def test_per_step_blocks_of_one_two_and_cap_steps_equal_the_oracle(
+    widths, n_states, m, horizon, window
+):
+    assert (len(widths) + 1) * n_states * m > WINDOW_MAX_ELEMENTS  # no windows
+    assert rollout_window(len(widths), n_states, m) == window
+    rng = np.random.default_rng(window)
+    game = _random_game(rng, widths, n_states)
+    pi_tables = [_prob_rows(rng, (n_states, k), 0.3, 1.0) for k in widths]
+    lengths = _assert_rollout_equals_oracle(
+        game, pi_tables, m, horizon, int(rng.integers(2**32))
+    )
+    full, rest = divmod(horizon, window)
+    assert lengths == [window] * full + [rest] * (rest > 0)
+
+
 def test_no_block_is_longer_than_the_cap():
     rng = np.random.default_rng(3)
     game = _random_game(rng, (2, 3), 3)
     pi_tables = [_prob_rows(rng, (3, k), 0.0, 1.0) for k in (2, 3)]
     horizon = 3 * WINDOW_CAP + 7
-    for m in (1, 8, WINDOW_MAX_ELEMENTS // 9):  # the largest batch with windows
+    # up to the largest batch with windows, then two per-step batches,
+    # whose blocks are shorter than WINDOW_CAP
+    for m in (1, 8, WINDOW_MAX_ELEMENTS // 9, WINDOW_MAX_ELEMENTS // 9 + 1, 300):
         blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(4))
         lengths = [len(s) for s, _, _, _ in blocks]
-        assert max(lengths) == WINDOW_CAP and sum(lengths) == horizon
+        assert max(lengths) == rollout_window(game.n_agents, 3, m) <= WINDOW_CAP
+        assert sum(lengths) == horizon
 
 
-@pytest.mark.parametrize("m", [8, WINDOW_MAX_ELEMENTS // 9 + 1])  # windows, one step
+@pytest.mark.parametrize("m", [8, WINDOW_MAX_ELEMENTS // 9 + 1])  # windows, per-step
 def test_rollout_draws_counts_the_doubles_a_rollout_takes(m):
     rng = np.random.default_rng(3)
     game = _random_game(rng, (2, 3), 3)
@@ -249,8 +279,8 @@ def test_scatter_scores_equals_the_per_step_fancy_index_update(
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("steps", [1, 7])
 def test_scatter_scores_equals_the_one_buffer_formula(k, steps):
-    # cells of shape (1, m), mc_variance's one-step block, and (w, m), a
-    # window or a train batch; flat starts nonzero, so every rounding counts
+    # cells of shape (1, m), a one-step block, and (w, m), a block of w
+    # steps or a train batch; flat starts nonzero, so every rounding counts
     rng = np.random.default_rng(10 * k + steps)
     n_states, batch = 3, 50
     states, own, pi, val = _trajectories(rng, n_states, k, steps, batch)

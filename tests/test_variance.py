@@ -531,7 +531,7 @@ MC_CASES = pytest.mark.parametrize(
     "shape, agent, n, horizon, chunk, bit_generator, advanceable",
     [
         # rollout's regime is set by (n_agents + 1) * S * m: 3 x 2 x 16 runs
-        # windows of steps, 3 x 2 x 300 one step per block
+        # windows of steps, 3 x 2 x 300 the per-step path
         ((2, 2, 2, 3), 1, 50, 12, 16, "PCG64", True),
         ((2, 2, 2, 3), 0, 300, 30, 1 << 16, "PCG64", True),
         ((3, 3, 2, 5), 2, 90, 25, 40, "PCG64DXSM", True),
@@ -606,6 +606,41 @@ def test_mc_variance_results_do_not_depend_on_the_process_count(
 ):
     _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
                      bit_generator, advanceable)
+
+
+def _mc_at_block_size(monkeypatch, block_elements, shape, agent, n, horizon,
+                      chunk, bit_generator):
+    """mc_variance of all four kinds in chunks of ``chunk``, with per-step
+    blocks of STEP_BLOCK_ELEMENTS = ``block_elements``: the results and the
+    generator's end state."""
+    n_agents, n_states, n_actions, seed = shape
+    game = random_game(n_agents, n_states, n_actions, seed=seed)
+    policy = random_softmax_policy(game, np.random.default_rng(seed + 1), 2.0)
+    kinds = [EstimatorKind(tag, agent) for tag in EstimatorTag]
+    monkeypatch.setattr(variance, "MC_CHUNK", chunk)
+    monkeypatch.setattr(estimators, "STEP_BLOCK_ELEMENTS", block_elements)
+    rng = _bit_generator(bit_generator, seed + 2)
+    return mc_of(kinds, game, policy, n, horizon, rng), repr(rng.bit_generator.state)
+
+
+@MC_CASES
+def test_mc_variance_equals_its_one_step_block_run(
+    monkeypatch, shape, agent, n, horizon, chunk, bit_generator, advanceable
+):
+    case = (shape, agent, n, horizon, chunk, bit_generator)
+    default = _mc_at_block_size(monkeypatch, estimators.STEP_BLOCK_ELEMENTS, *case)
+    assert _mc_at_block_size(monkeypatch, 1, *case) == default
+
+
+def test_mc_variance_chunks_equal_their_one_step_block_run(monkeypatch):
+    # chunks of 1000 trajectories and a short last one of 300, every one on
+    # the per-step path, the last in longer blocks than the others
+    case = ((2, 40, 2, 6), 0, 2300, 20, 1000, "PCG64")
+    full, last = (estimators.rollout_window(2, 40, m) for m in (1000, 300))
+    assert 1 < full < last
+    assert (2 + 1) * 40 * 300 > estimators.WINDOW_MAX_ELEMENTS
+    default = _mc_at_block_size(monkeypatch, estimators.STEP_BLOCK_ELEMENTS, *case)
+    assert _mc_at_block_size(monkeypatch, 1, *case) == default
 
 
 def test_mc_variance_never_forks_while_other_threads_run(monkeypatch):
