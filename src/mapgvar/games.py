@@ -17,8 +17,17 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .processes import _in_processes
+
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DIST_TOL = 1e-12
+# Transition entries per range of serialize_game's transition map, at least:
+# a range is whole states, and a map of fewer than two ranges is one task, so
+# it never forks. Two ranges on two CPUs of a 2-vCPU VM (2-agent, 3-action
+# games, 31-61 interleaved repeats) took 1.73, 1.16-1.35, 0.76-1.20 and
+# 0.71-0.89 times the one-range time at 1 800, 7 200, 10 000-14 000 and
+# 16 000-36 000 entries per range; a fork, pipe and reap cost about 4 ms.
+TRANSITION_RANGE_ENTRIES = 12_000
 
 
 class EnumerationCapExceeded(ValueError):
@@ -258,7 +267,10 @@ def serialize_game(game: MarkovGame) -> str:
     The text is json.dumps(doc, indent=2) of the game document. Only the
     header goes through json; the transition and reward maps, almost all of
     the text, are joined from float reprs and escaped keys at the same
-    indents, since json's indenting encoder runs in pure Python.
+    indents, since json's indenting encoder runs in pure Python. The
+    transition map is rendered in ranges of consecutive states, each range
+    an ``_in_processes`` task that returns one string, so the bytes do not
+    depend on the process count.
     """
     header = json.dumps(
         {
@@ -278,24 +290,32 @@ def serialize_game(game: MarkovGame) -> str:
     def transition_row(row):
         return f"[\n        {value_sep.join(map(float.__repr__, row))}\n      ]"
 
-    def state_map(table, encode) -> str:
-        # one state at a time, so only one state's Python floats are alive
-        per_state = (
-            _json_map(actions, list(map(encode, rows.tolist())), "    ")
-            for rows in table
+    def state_items(table, encode, span) -> str:
+        # the span's "state: {...}" items of a map at indent "  ", each after
+        # the map's opening or a separator, so that ranges concatenate; one
+        # state at a time, so only one state's Python floats are alive
+        return "".join(
+            ("," if s else "{") + f"\n    {states[s]}: "
+            + _json_map(actions, list(map(encode, table[s].tolist())), "    ")
+            for s in span
         )
-        return _json_map(states, per_state, "  ")
 
-    maps = (
-        state_map(game.transition, transition_row),
-        state_map(game.reward, float.__repr__),
+    n_states = game.n_states
+    per_range = -(-TRANSITION_RANGE_ENTRIES // max(1, game.transition[0].size))
+    n_ranges = max(1, n_states // per_range)
+    spans = [range(n_states * r // n_ranges, n_states * (r + 1) // n_ranges)
+             for r in range(n_ranges)]
+    ranges = _in_processes(
+        lambda span: state_items(game.transition, transition_row, span), spans
     )
-    return (
-        f"{header[:-2]},\n"
-        f'  "transition": {maps[0]},\n'
-        f'  "reward": {maps[1]}\n'
-        "}\n"
-    )
+    # one copy of the text, with no joined transition map before it
+    return "".join([
+        f'{header[:-2]},\n  "transition": ',
+        *ranges,
+        '\n  },\n  "reward": ',
+        state_items(game.reward, float.__repr__, range(n_states)),
+        "\n  }\n}\n",
+    ])
 
 
 def parse_game(text: str) -> MarkovGame:

@@ -18,11 +18,12 @@ from .baselines import ob_surrogate_discrete
 from .estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
 from .games import random_game
 from .policies import random_softmax_policy
+from .processes import _in_processes
 from .values import _check_lattice_size, advantage_decomposition
 from .values import marginal_q_lattice, solve_values
 from .variance import advantage_variance_bound, advantage_variance_identity
 from .variance import baseline_excess_variance, excess_variance_bounds, gap_bounds
-from .variance import _in_processes, expected_score_norm_sq, local_variance
+from .variance import expected_score_norm_sq, local_variance
 
 SCHEMA_VERSION = 1
 

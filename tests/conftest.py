@@ -36,6 +36,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def counting_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def same_logits(policy, other):
     """Whether two joint policies hold equal logit tables, agent by agent."""
     return policy.n_agents == other.n_agents and all(

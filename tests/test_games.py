@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +21,10 @@ from mapgvar import (
     serialize_game,
     toy_game,
 )
+from mapgvar import games, processes
+from mapgvar.cli import main
 from mapgvar.toy import TOY_Q
+from conftest import assert_no_child_left, counting_forks
 from oracles import serialize_game_oracle
 
 
@@ -353,6 +358,107 @@ def test_names_that_would_not_round_trip_are_rejected(names, message):
 def test_commas_in_action_names_are_fine_when_keys_stay_distinct():
     game = _named_game(action_spaces=(("a,b", "a"), ("c", "d")))
     assert parse_game(serialize_game(game)) == game
+
+
+# ---------------------------------------------------------------------------
+# the transition map's ranges on any number of processes
+
+
+def _escaped_names_game():
+    """Seven states and six joint actions whose names need JSON escaping."""
+    rng = np.random.default_rng(9)
+    states = ('q"uote', "back\\slash", "\u00fcml\u00e4ut", "new\nline", "\x00",
+              "\u2603", "\U0001d11e")
+    action_spaces = (('a"0', "\u2603", "\x1f"), ("x,y", "tab\t"))
+    return MarkovGame(
+        n_agents=2,
+        states=states,
+        action_spaces=action_spaces,
+        transition=rng.dirichlet(np.ones(7), size=(7, 6)),
+        reward=rng.uniform(-1.0, 1.0, size=(7, 6)),
+        beta=1.0,
+        gamma=0.9,
+        initial_dist=rng.dirichlet(np.ones(7)),
+    )
+
+
+# under a rule of 60 entries per range: 11 states of 44 entries make ranges of
+# 2, 2, 2, 2 and 3 states, one state of 216 entries one range, and 7 states of
+# 42 entries ranges of 2, 2 and 3
+RANGE_CASES = pytest.mark.parametrize(
+    "make, sizes",
+    [
+        (lambda: random_game(2, 11, 2, seed=3), [2, 2, 2, 2, 3]),
+        (lambda: random_game(3, 1, 6, seed=4), [1]),
+        (_escaped_names_game, [2, 2, 3]),
+    ],
+    ids=["uneven-ranges", "one-state", "escaped-names"],
+)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@RANGE_CASES
+def test_serialize_does_not_depend_on_the_process_count(monkeypatch, cpus, make, sizes):
+    game = make()
+    monkeypatch.setattr(games, "TRANSITION_RANGE_ENTRIES", 60)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 1)
+    one_process = serialize_game(game)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
+    in_processes, ranges = games._in_processes, []
+
+    def recorded(fn, tasks):
+        ranges.append([len(task) for task in tasks])
+        return in_processes(fn, tasks)
+
+    monkeypatch.setattr(games, "_in_processes", recorded)
+    forks = counting_forks(monkeypatch)
+    text = serialize_game(game)
+    assert ranges == [sizes]
+    assert len(forks) == min(len(sizes), cpus) - 1
+    assert_no_child_left()
+    assert text == one_process
+    assert text == serialize_game_oracle(game)
+
+
+@pytest.mark.parametrize("why", ["below-the-rule", "another-thread"])
+def test_serialize_never_forks_below_the_rule_or_while_other_threads_run(
+    monkeypatch, why
+):
+    game = random_game(2, 11, 2, seed=3)  # 484 transition entries
+    want = serialize_game_oracle(game)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    if why == "below-the-rule":
+        assert game.transition.size < 2 * games.TRANSITION_RANGE_ENTRIES
+        assert serialize_game(game) == want
+        return
+    monkeypatch.setattr(games, "TRANSITION_RANGE_ENTRIES", 60)
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        text = serialize_game(game)
+    finally:
+        parked.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert text == want
+
+
+def test_gen_above_the_rule_writes_the_same_file_at_one_and_two_cpus(
+    monkeypatch, tmp_path
+):
+    argv = ["gen", "--agents", "2", "--states", "40", "--actions", "4", "--seed", "6"]
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
+        forks = counting_forks(monkeypatch)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(forks) == cpus - 1  # 40 states of 640 entries: two ranges
+        assert_no_child_left()
+        written.append((out / "game_n2_s40_k4_seed6.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def _game_doc(seed=3):

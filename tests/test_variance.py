@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, counting_forks
 from oracles import (
     bound_of,
     coma_tables_of,
@@ -57,6 +57,7 @@ from mapgvar import (
     uniform_policy,
 )
 import mapgvar.estimators as estimators
+import mapgvar.processes as processes
 import mapgvar.variance as variance
 from mapgvar.estimators import agent_prob_table
 from mapgvar.variance import ALL_TAGS
@@ -564,7 +565,7 @@ def _check_processes(monkeypatch, cpus, shape, agent, n, horizon, chunk,
         mc_of([kind], game, policy, n, horizon, one_by_one, tables=tables)[0]
         for kind in kinds
     ]
-    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
     workers = min(len(kinds), cpus) if advanceable else 1
     if workers == 1:
         monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
@@ -649,7 +650,7 @@ def test_mc_variance_never_forks_while_other_threads_run(monkeypatch):
     kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
     threadless = np.random.default_rng(4)
     want = mc_of(kinds, game, policy, 40, 9, threadless)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
     parked = threading.Event()
     thread = threading.Thread(target=parked.wait)
@@ -676,7 +677,7 @@ def _mc_with_hooks(monkeypatch, in_caller, in_child):
         return kind_estimate(*args)
 
     monkeypatch.setattr(variance, "_kind_estimate", hooked)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 2)
     game = random_game(2, 3, 3, seed=1)
     kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
     mc_of(kinds, game, uniform_policy(game), 20, 5, np.random.default_rng(0))
@@ -745,7 +746,7 @@ def test_a_failed_fork_leaks_no_pipe_and_no_child(monkeypatch, cpus, real_forks)
     kinds = [EstimatorKind(tag, 0) for tag in EstimatorTag]
     tables = solve_values(game, policy)
     monkeypatch.setattr(os, "fork", failing)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
     open_fds = len(os.listdir("/proc/self/fd"))
     for _ in range(5):
         forks.clear()
@@ -755,21 +756,20 @@ def test_a_failed_fork_leaks_no_pipe_and_no_child(monkeypatch, cpus, real_forks)
     assert_no_child_left()
 
 
+def test_the_process_map_has_one_home():
+    # the map reads processes._cpu_count; variance keeps no copy of it that a
+    # patch could set in vain
+    assert not hasattr(variance, "_cpu_count")
+    assert variance._in_processes is processes._in_processes
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_tasks", [0, 1, 4, 7])
 def test_in_processes_maps_the_tasks_in_order(monkeypatch, cpus, n_tasks):
-    fork, forks = os.fork, []
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
     caller = os.getpid()
-    got = variance._in_processes(lambda t: (t * t, os.getpid() == caller), range(n_tasks))
+    got = processes._in_processes(lambda t: (t * t, os.getpid() == caller), range(n_tasks))
     workers = max(1, min(n_tasks, cpus))
     assert got == [(t * t, t % workers == 0) for t in range(n_tasks)]
     assert len(forks) == max(0, min(n_tasks, cpus) - 1)

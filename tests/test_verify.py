@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, counting_forks
 from oracles import check_game_oracle, tally_oracle
 
 from mapgvar import MarkovGame, random_game, random_softmax_policy, solve_values
-from mapgvar import variance, verify
+from mapgvar import processes, verify
 from mapgvar.verify import SUITES, check_game, run_suites, tally
 
 
@@ -114,20 +114,6 @@ def _serial_suites(n_games, n_agents, seed, sabotage):
     return tally_oracle(found)
 
 
-def _counting_forks(monkeypatch) -> list:
-    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 @pytest.mark.parametrize("sabotage", [False, True])
 @pytest.mark.parametrize("n_agents", [1, 2, 3])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
@@ -136,8 +122,8 @@ def test_run_suites_does_not_depend_on_the_process_count(
 ):
     n_games, seed = 7, 10 * n_agents + sabotage
     want = _serial_suites(n_games, n_agents, seed, sabotage)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
-    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
+    forks = counting_forks(monkeypatch)
     got = run_suites(n_games, n_agents, seed, sabotage)
     assert len(forks) == min(n_games, cpus) - 1
     assert_no_child_left()
@@ -145,7 +131,7 @@ def test_run_suites_does_not_depend_on_the_process_count(
 
 
 def test_run_suites_never_forks_while_other_threads_run(monkeypatch):
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 4)
     threadless = run_suites(6, 2, 3)
     monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
     parked = threading.Event()
@@ -162,7 +148,7 @@ def test_run_suites_never_forks_while_other_threads_run(monkeypatch):
 
 def test_one_game_is_checked_in_the_caller(monkeypatch):
     want = run_suites(1, 3, 4)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
     assert json.dumps(run_suites(1, 3, 4)) == json.dumps(want)
 
@@ -198,7 +184,7 @@ def _failing_games(monkeypatch, failing) -> list:
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_the_lowest_failing_game_raises(monkeypatch, cpus, failing, first):
     _failing_games(monkeypatch, failing)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: cpus)
     with pytest.raises(ValueError, match=f"^game {first}$"):
         run_suites(8, 2, 0)
     assert_no_child_left()
@@ -215,8 +201,8 @@ def test_a_refused_draw_raises_before_any_game_is_checked(monkeypatch, failing):
         check(shape)
 
     monkeypatch.setattr(verify, "_check_lattice_size", refuse_the_fourth)
-    monkeypatch.setattr(variance, "_cpu_count", lambda: 2)
-    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 2)
+    forks = counting_forks(monkeypatch)
     with pytest.raises(ValueError, match="^refused$"):
         run_suites(8, 2, 0)
     assert len(policies) == 3

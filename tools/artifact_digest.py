@@ -36,9 +36,11 @@ game whose small batch still samples windows of steps. Last come two
 kinds mc_variance spreads over processes. The labels of these three
 ``report --mc`` runs say ``mc-groups``: they name the kind groups that an
 earlier mc_variance made, and they stay, so that the digests of older and
-newer trees compare line for line. Last of all, a 13-agent ``verify`` whose
+newer trees compare line for line. Then a 13-agent ``verify`` whose
 second draw exceeds the coalition-lattice cap must fail with its error
-message, after a first draw under the cap.
+message, after a first draw under the cap. Last of all, a ``gen`` of a
+60-state game large enough that serialize_game renders its transition map
+in several processes, and a plain ``report`` of the file it wrote.
 """
 from __future__ import annotations
 
@@ -353,6 +355,20 @@ def digest_lines(work: str) -> list[str]:
     lines += _run(main, "error-verify-n13-second-draw-refused",
                   ["verify", "--agents", "13", "--games", "5", "--seed", "2"], work,
                   stderr=True)
+    lines += _ranged_gen_lines(main, work)
+    return lines
+
+
+def _ranged_gen_lines(main, work: str) -> list[str]:
+    """A gen whose transition map, 57 600 entries, serialize_game renders in
+    ranges of states spread over as many processes as the CPU affinity mask
+    allows, so its bytes must not depend on it; then a plain report of it."""
+    label = "gen-n2-s60-k4-seed13"
+    lines = _run(main, label, ["gen", "--agents", "2", "--states", "60", "--actions",
+                               "4", "--seed", "13"], work)
+    out = os.path.join(work, "runs", label)
+    lines += _run(main, "report-n2-s60-k4-seed13",
+                  ["report", "--game", os.path.join(out, os.listdir(out)[0])], work)
     return lines
 
 
