@@ -11,8 +11,11 @@ the MAPGVAR_OUT environment variable (the variable configures nothing else).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import functools
+import glob
 import json
 import os
 import sys
@@ -305,13 +308,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _set_blas_threads_local():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy's wheels
+    bundle in ``numpy.libs``, or None where numpy has no such library or it
+    lacks the symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            fn = ctypes.CDLL(lib).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        return fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread in this thread, and the count it had restored
+    afterwards. A threaded dense solve rounds differently, so without this
+    the bytes would depend on the thread count; where numpy bundles no
+    OpenBLAS with the symbol, nothing changes."""
+    set_local = _set_blas_threads_local()
+    previous = set_local(1) if set_local else None
+    try:
+        yield
+    finally:
+        if set_local:
+            set_local(previous)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

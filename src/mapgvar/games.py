@@ -47,8 +47,9 @@ class MarkovGame:
     transition has shape (n_states, n_joint_actions, n_states); reward has
     shape (n_states, n_joint_actions). Rows of ``transition`` are probability
     vectors over successor states. ``beta`` bounds |reward| and ``gamma`` in
-    [0, 1) is the discount. State names are distinct strings, and so are the
-    comma-joined joint-action keys, which name the rows of a game file.
+    [0, 1) is the discount. Every agent has at least one action. State names
+    are distinct strings, and so are the comma-joined joint-action keys, which
+    name the rows of a game file.
     Construction checks all of this, so every way of making a game (a file,
     a generator, ``dataclasses.replace``) raises ValueError on a broken
     contract. Immutable after construction; safe to share across workers.
@@ -176,6 +177,8 @@ def _check_names(states, action_spaces) -> None:
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate state names in {list(states)!r}")
     for i, actions in enumerate(action_spaces):
+        if not actions:  # no joint action, so a game file would have no rows
+            raise ValueError(f"agent {i} has no actions")
         if len(set(actions)) != len(actions):
             raise ValueError(f"duplicate action names for agent {i}: {list(actions)!r}")
     # distinct names without commas always join to distinct keys
@@ -272,6 +275,14 @@ def serialize_game(game: MarkovGame) -> str:
     an ``_in_processes`` task that returns one string, so the bytes do not
     depend on the process count.
     """
+    return "".join(_text_pieces(game))
+
+
+def _text_pieces(game: MarkovGame) -> list[str]:
+    """serialize_game's text in consecutive pieces: the header, the
+    transition map's ranges, then the reward map. Callers join them once or
+    write them one by one; a joined transition map before that would be one
+    more copy of almost all of the text."""
     header = json.dumps(
         {
             "n_agents": game.n_agents,
@@ -308,19 +319,44 @@ def serialize_game(game: MarkovGame) -> str:
     ranges = _in_processes(
         lambda span: state_items(game.transition, transition_row, span), spans
     )
-    # one copy of the text, with no joined transition map before it
-    return "".join([
+    return [
         f'{header[:-2]},\n  "transition": ',
         *ranges,
         '\n  },\n  "reward": ',
         state_items(game.reward, float.__repr__, range(n_states)),
         "\n  }\n}\n",
-    ])
+    ]
+
+
+def _float_rows(obj: dict) -> dict:
+    """``json.loads``' object hook. An object whose values are all arrays
+    that make one float array, as a state's transition rows do, maps its keys
+    to that array's rows, so the decoder frees each state's Python floats as
+    it finishes the state; any other object stays as decoded."""
+    if not obj or not all(type(v) is list for v in obj.values()):
+        return obj
+    try:
+        rows = np.array(list(obj.values()), dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, too large
+        return obj
+    return dict(zip(obj, rows))
 
 
 def parse_game(text: str) -> MarkovGame:
-    """Invert serialize_game. A malformed document raises ValueError."""
-    doc = json.loads(text)
+    """Invert serialize_game. A malformed document raises ValueError.
+
+    The document is decoded through ``_float_rows``, so its numbers never all
+    exist as Python floats at once. A document that cannot be read from the
+    converted tree is malformed; it is decoded again as plain JSON, so its
+    error is the one the plain tree gives."""
+    try:
+        return _read_game(json.loads(text, object_hook=_float_rows))
+    except (ValueError, IndexError):  # IndexError: a table whose states map to rows
+        return _read_game(json.loads(text))
+
+
+def _read_game(doc) -> MarkovGame:
+    """The game of a decoded document; a malformed one raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a game document must be a JSON object")
     try:
@@ -373,8 +409,10 @@ def _state_rows(doc, table: str, state: str, keys, entry_shape) -> np.ndarray:
 
 
 def save_game(game: MarkovGame, path) -> None:
+    """serialize_game's text written piece by piece, never joined: the file
+    holds the same bytes, and at most one copy of the text is in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_game(game))
+        fh.writelines(_text_pieces(game))
 
 
 def load_game(path) -> MarkovGame:

@@ -410,6 +410,59 @@ def serialize_game_oracle(game):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def parse_game_oracle(text):
+    """A game document decoded into one tree of Python lists and floats, then
+    read state by state: the loader as it was before parse_game converted
+    each state's rows while decoding. Same game, or the same ValueError."""
+    import json
+
+    from mapgvar import MarkovGame
+    from mapgvar.games import _integer, _joint_keys, _real
+
+    def state_rows(doc, table, state, keys, entry_shape):
+        shape = (len(keys), *entry_shape)
+        entries = doc[table][state]
+        try:
+            rows = np.array([entries[key] for key in keys], dtype=float)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape != shape:
+            entry = f"a list of {entry_shape[0]} numbers" if entry_shape else "a number"
+            raise ValueError(f"{table}[{state!r}] must map each joint action to {entry}")
+        return rows
+
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a game document must be a JSON object")
+    try:
+        states = tuple(doc["states"])
+        action_spaces = tuple(tuple(a) for a in doc["actions"])
+        n_agents = _integer(doc["n_agents"], "game entry 'n_agents'")
+        if len(action_spaces) != n_agents:
+            raise ValueError("actions must list one action set per agent")
+        keys = _joint_keys(action_spaces)
+        n_states = len(states)
+        transition = np.empty((n_states, len(keys), n_states))
+        reward = np.empty((n_states, len(keys)))
+        for s, name in enumerate(states):
+            transition[s] = state_rows(doc, "transition", name, keys, (n_states,))
+            reward[s] = state_rows(doc, "reward", name, keys, ())
+        beta = _real(doc["beta"], "game entry 'beta'")
+        gamma = _real(doc["gamma"], "game entry 'gamma'")
+        initial = np.array(
+            [_real(p, "game entry 'initial_dist'") for p in doc["initial_dist"]]
+        )
+    except KeyError as exc:
+        raise ValueError(f"game document missing entry {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed game document: {exc}") from exc
+    return MarkovGame(
+        n_agents=n_agents, states=states, action_spaces=action_spaces,
+        transition=transition, reward=reward, beta=beta, gamma=gamma,
+        initial_dist=initial,
+    )
+
+
 def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
     """One agent's centralized or COMA gap report computed on its own: its own
     bound constants, step moments and state distributions to its horizon.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,32 @@ def test_report_byte_stable(tmp_path, capsys):
         capsys.readouterr()
         outs.append(snapshot(out))
     assert outs[0] == outs[1]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a threaded 100-state solve rounds differently, so without the command's
+    # one-thread scope the CSV differs under OPENBLAS_NUM_THREADS=2 and =1
+    import mapgvar
+    from mapgvar.processes import _cpu_count
+
+    if _cpu_count() < 2:
+        warnings.warn("one CPU: OpenBLAS caps itself at one thread, so this "
+                      "compared one BLAS thread with itself")
+    game_path = tmp_path / "game.json"
+    save_game(random_game(2, 100, 3, seed=11), game_path)
+    outputs = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(mapgvar.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-m", "mapgvar", "report", "--game", str(game_path),
+             "--agent", "0", "--seed", "5", "--out", str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append((run.stdout, snapshot(out)))
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

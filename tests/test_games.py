@@ -4,6 +4,7 @@ import json
 import os
 import re
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +26,7 @@ from mapgvar import games, processes
 from mapgvar.cli import main
 from mapgvar.toy import TOY_Q
 from conftest import assert_no_child_left, counting_forks
-from oracles import serialize_game_oracle
+from oracles import parse_game_oracle, serialize_game_oracle
 
 
 def tiny_game(**overrides):
@@ -254,6 +255,22 @@ def test_save_load(tmp_path):
     assert load_game(path) == game
 
 
+def test_save_game_writes_the_text_without_joining_it(tmp_path, monkeypatch):
+    # one process, so no child's pickle is in the count: the pieces are one
+    # copy of the text; joining them, or encoding the joined text, is a second
+    monkeypatch.setattr(processes, "_cpu_count", lambda: 1)
+    game = random_game(2, 80, 4, seed=7)
+    text, path = serialize_game(game), tmp_path / "game.json"
+    tracemalloc.start()
+    try:
+        save_game(game, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak <= 1.25 * len(text)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_game("{}")
@@ -348,6 +365,7 @@ def _named_game(states=("s0", "s1"), action_spaces=(("a", "b"), ("c", "d"))):
         (dict(action_spaces=(("a,b", "a"), ("c", "b,c"))), "share the key 'a,b,c'"),
         (dict(states=("s0", 1)), "must be strings"),
         (dict(action_spaces=(("a", "b"), (0, 1))), "must be strings"),
+        (dict(action_spaces=(("a", "b"), ())), "agent 1 has no actions"),
     ],
 )
 def test_names_that_would_not_round_trip_are_rejected(names, message):
@@ -465,16 +483,20 @@ def _game_doc(seed=3):
     return json.loads(serialize_game(random_game(2, 2, 2, seed=seed)))
 
 
-def test_old_layouts_still_parse_to_equal_games():
-    # integer entries, keys in another order and extra keys all parse as before
-    game = random_game(2, 2, 2, seed=3)
+def _old_layouts_doc():
+    # integer entries, keys in another order and extra keys
     doc = _game_doc()
     doc["transition"]["s0"]["a0,a0"] = [1, 0]
     doc["reward"]["s1"] = dict(reversed(list(doc["reward"]["s1"].items())))
     doc["reward"]["s1"]["unused"] = 9.0
+    return doc
+
+
+def test_old_layouts_still_parse_to_equal_games():
+    game = random_game(2, 2, 2, seed=3)
     expect = np.array(game.transition)
     expect[0, 0] = [1.0, 0.0]
-    parsed = parse_game(json.dumps(doc))
+    parsed = parse_game(json.dumps(_old_layouts_doc()))
     assert np.array_equal(parsed.transition, expect)
     assert np.array_equal(parsed.reward, game.reward)
     assert parse_game(json.dumps(_game_doc(), indent=None)) == game
@@ -493,22 +515,22 @@ def _set(path, value):
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda doc: [], "must be a JSON object"),
-        (lambda doc: None, "must be a JSON object"),
-        (_set(("transition", "s1", "a0,a1"), 0.5),
-         r"transition\['s1'\] must map each joint action to a list of 2 numbers"),
-        (_set(("transition", "s0", "a1,a1"), [0.5]),
-         r"transition\['s0'\] must map each joint action to a list of 2 numbers"),
-        (_set(("reward", "s0", "a0,a0"), [0.5]),
-         r"reward\['s0'\] must map each joint action to a number"),
-        (_set(("reward", "s0", "a0,a0"), {}), "malformed game document"),
-        (_set(("transition",), []), "malformed game document"),
-        (_set(("states",), ["s0", "s0"]), "duplicate state names"),
-    ],
-)
+MALFORMED = [
+    (lambda doc: [], "must be a JSON object"),
+    (lambda doc: None, "must be a JSON object"),
+    (_set(("transition", "s1", "a0,a1"), 0.5),
+     r"transition\['s1'\] must map each joint action to a list of 2 numbers"),
+    (_set(("transition", "s0", "a1,a1"), [0.5]),
+     r"transition\['s0'\] must map each joint action to a list of 2 numbers"),
+    (_set(("reward", "s0", "a0,a0"), [0.5]),
+     r"reward\['s0'\] must map each joint action to a number"),
+    (_set(("reward", "s0", "a0,a0"), {}), "malformed game document"),
+    (_set(("transition",), []), "malformed game document"),
+    (_set(("states",), ["s0", "s0"]), "duplicate state names"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED)
 def test_malformed_documents_raise_value_error(edit, message):
     with pytest.raises(ValueError, match=message):
         parse_game(json.dumps(edit(_game_doc())))
@@ -520,3 +542,88 @@ def test_a_number_in_place_of_a_row_is_not_broadcast():
     doc["transition"]["s0"]["x"] = 0.5
     with pytest.raises(ValueError, match=r"to a list of 2 numbers"):
         parse_game(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# parse_game against the whole-tree loader
+
+
+def _with(edit):
+    """The text of ``_game_doc()`` after ``edit`` changed the document."""
+    doc = _game_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _integer_rows(doc):
+    for s, name in enumerate(("s0", "s1")):
+        for key in doc["transition"][name]:
+            doc["transition"][name][key] = [1 - s, s]
+        for key in doc["reward"][name]:
+            doc["reward"][name][key] = s
+
+
+def _reordered(doc):
+    for table in ("transition", "reward"):
+        doc[table] = {name: dict(reversed(list(entries.items())))
+                      for name, entries in reversed(list(doc[table].items()))}
+    return dict(reversed(list(doc.items())))
+
+
+def _duplicated(text, key, value):
+    """``text`` with ``key`` written twice at its first place: ``value``
+    first, then the value it had; a JSON decoder keeps the last."""
+    return text.replace(f"{key}: ", f"{key}: {value}, {key}: ", 1)
+
+
+PARSE_CASES = {
+    **{f"malformed-{i}": (lambda edit=edit: json.dumps(edit(_game_doc())))
+       for i, (edit, _) in enumerate(MALFORMED)},
+    "old-layouts": lambda: json.dumps(_old_layouts_doc()),
+    "indent-none": lambda: json.dumps(_game_doc(), indent=None),
+    "indent-2": lambda: serialize_game(random_game(2, 2, 2, seed=3)),
+    "integer-rows": lambda: _with(_integer_rows),
+    "reordered-keys": lambda: json.dumps(_reordered(_game_doc())),
+    "duplicate-row": lambda: _duplicated(json.dumps(_game_doc()), '"a0,a1"', "[1, 2, 3]"),
+    "duplicate-state": lambda: _duplicated(json.dumps(_game_doc()), '"s1"', '{"x": [1]}'),
+    "extra-ragged": lambda: _with(_set(("transition", "s1", "extra"), [[0.5], 0.5])),
+    "extra-non-numeric": lambda: _with(_set(("transition", "s1", "extra"), ["p", "q"])),
+    "extra-longer": lambda: _with(_set(("transition", "s1", "extra"), [0.5, 0.25, 0.25])),
+    "extra-number": lambda: _with(_set(("transition", "s1", "extra"), 0.5)),
+    "extra-past-float-range": lambda: _with(_set(("transition", "s1", "extra"), [10**400, 0])),
+    "numeric-strings": lambda: _with(_set(("transition", "s0", "a0,a0"), ["1", "0"])),
+    "booleans": lambda: _with(_set(("transition", "s0", "a0,a0"), [True, False])),
+    "empty-state-map": lambda: _with(_set(("transition", "s0"), {})),
+    "state-maps-to-a-row": lambda: _with(_set(("transition", "s0"), [0.5, 0.5])),
+    "table-of-rows": lambda: _with(_set(("reward",), {"s0": [0.5], "s1": [0.5]})),
+    "all-arrays": lambda: json.dumps({k: [1.0] for k in _game_doc()}),
+    "empty-action-set": lambda: _with(_set(("actions", 1), [])),
+    "not-json": lambda: "{\"states\": [",
+}
+
+
+@pytest.mark.parametrize("make_text", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_parse_game_reads_as_the_whole_tree_loader(make_text):
+    text = make_text()
+    outcomes = []
+    for parse in (parse_game, parse_game_oracle):
+        try:
+            outcomes.append(parse(text))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parse_game_never_holds_the_documents_numbers_as_floats():
+    # a float in a list costs about 32 bytes against 8 in the array: the whole
+    # tree of this 3 MB document peaks at about 6.5 x transition.nbytes
+    game = random_game(2, 80, 4, seed=7)
+    text, limit = serialize_game(game), 4 * game.transition.nbytes
+    tracemalloc.start()
+    try:
+        parsed = parse_game(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == game
+    assert peak <= limit
