@@ -326,10 +326,12 @@ def _set_blas_threads_local():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """OpenBLAS at one thread in this thread, and the count it had restored
-    afterwards. A threaded dense solve rounds differently, so without this
-    the bytes would depend on the thread count; where numpy bundles no
-    OpenBLAS with the symbol, nothing changes."""
+    """OpenBLAS at one thread, and the count it had restored afterwards. A
+    threaded dense solve rounds differently, so without this the bytes would
+    depend on the thread count; where numpy bundles no OpenBLAS with the
+    symbol, nothing changes. Despite its name the symbol sets OpenBLAS's one
+    process-wide count, so BLAS calls from other threads run on one thread
+    meanwhile too."""
     set_local = _set_blas_threads_local()
     previous = set_local(1) if set_local else None
     try:

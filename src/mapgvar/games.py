@@ -275,14 +275,6 @@ def serialize_game(game: MarkovGame) -> str:
     an ``_in_processes`` task that returns one string, so the bytes do not
     depend on the process count.
     """
-    return "".join(_text_pieces(game))
-
-
-def _text_pieces(game: MarkovGame) -> list[str]:
-    """serialize_game's text in consecutive pieces: the header, the
-    transition map's ranges, then the reward map. Callers join them once or
-    write them one by one; a joined transition map before that would be one
-    more copy of almost all of the text."""
     header = json.dumps(
         {
             "n_agents": game.n_agents,
@@ -319,13 +311,14 @@ def _text_pieces(game: MarkovGame) -> list[str]:
     ranges = _in_processes(
         lambda span: state_items(game.transition, transition_row, span), spans
     )
-    return [
+    # one copy of the text, with no joined transition map before it
+    return "".join([
         f'{header[:-2]},\n  "transition": ',
         *ranges,
         '\n  },\n  "reward": ',
         state_items(game.reward, float.__repr__, range(n_states)),
         "\n  }\n}\n",
-    ]
+    ])
 
 
 def _float_rows(obj: dict) -> dict:
@@ -346,17 +339,26 @@ def parse_game(text: str) -> MarkovGame:
     """Invert serialize_game. A malformed document raises ValueError.
 
     The document is decoded through ``_float_rows``, so its numbers never all
-    exist as Python floats at once. A document that cannot be read from the
-    converted tree is malformed; it is decoded again as plain JSON, so its
-    error is the one the plain tree gives."""
+    exist as Python floats at once. Where its entries cannot be read from
+    that tree, the document is malformed, and it is decoded once more as
+    plain JSON only for the error the plain tree gives: a table whose states
+    map to arrays, or a document of arrays only, fails otherwise on the
+    converted tree. The converted tree reads every document the plain one
+    reads, so a plain read that succeeds there is a bug, and raises
+    RuntimeError rather than return a game."""
     try:
-        return _read_game(json.loads(text, object_hook=_float_rows))
-    except (ValueError, IndexError):  # IndexError: a table whose states map to rows
-        return _read_game(json.loads(text))
+        entries = _game_entries(json.loads(text, object_hook=_float_rows))
+    except (ValueError, IndexError) as exc:  # IndexError: a table of arrays
+        _game_entries(json.loads(text))
+        raise RuntimeError(
+            "parse_game's decoding hook refused a document that plain JSON reads"
+        ) from exc
+    return MarkovGame(**entries)
 
 
-def _read_game(doc) -> MarkovGame:
-    """The game of a decoded document; a malformed one raises ValueError."""
+def _game_entries(doc) -> dict:
+    """MarkovGame's fields read from a decoded document; a malformed one
+    raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a game document must be a JSON object")
     try:
@@ -381,7 +383,7 @@ def _read_game(doc) -> MarkovGame:
         raise ValueError(f"game document missing entry {exc}") from exc
     except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"malformed game document: {exc}") from exc
-    return MarkovGame(
+    return dict(
         n_agents=n_agents,
         states=states,
         action_spaces=action_spaces,
@@ -409,10 +411,8 @@ def _state_rows(doc, table: str, state: str, keys, entry_shape) -> np.ndarray:
 
 
 def save_game(game: MarkovGame, path) -> None:
-    """serialize_game's text written piece by piece, never joined: the file
-    holds the same bytes, and at most one copy of the text is in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_text_pieces(game))
+        fh.write(serialize_game(game))
 
 
 def load_game(path) -> MarkovGame:

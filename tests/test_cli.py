@@ -1,15 +1,19 @@
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import subprocess
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mapgvar import (
+    cli,
     load_checkpoint,
     load_game,
     random_game,
@@ -268,6 +272,49 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs.append((run.stdout, snapshot(out)))
     assert outputs[0] == outputs[1]
+
+
+def _openblas_get_num_threads():
+    """The thread-count getter of the OpenBLAS numpy bundles, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(ctypes.CDLL(lib), name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _fails(args):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize("command, code", [(lambda args: 0, 0), (_fails, 2)])
+def test_a_command_holds_one_blas_thread_and_restores_the_count(monkeypatch, command, code):
+    set_local, get = cli._set_blas_threads_local(), _openblas_get_num_threads()
+    if set_local is None or get is None:
+        pytest.skip("numpy bundles no OpenBLAS with these symbols")
+    seen = []
+
+    def recorded(args):
+        seen.append(get())
+        return command(args)
+
+    parser = SimpleNamespace(parse_args=lambda argv: SimpleNamespace(func=recorded))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    outer = set_local(2)
+    try:
+        before = get()
+        if before < 2:
+            warnings.warn(f"OpenBLAS kept {before} thread(s) when asked for 2")
+        assert main([]) == code
+        after = get()
+    finally:
+        set_local(outer)
+    assert seen == [1]
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -255,22 +255,6 @@ def test_save_load(tmp_path):
     assert load_game(path) == game
 
 
-def test_save_game_writes_the_text_without_joining_it(tmp_path, monkeypatch):
-    # one process, so no child's pickle is in the count: the pieces are one
-    # copy of the text; joining them, or encoding the joined text, is a second
-    monkeypatch.setattr(processes, "_cpu_count", lambda: 1)
-    game = random_game(2, 80, 4, seed=7)
-    text, path = serialize_game(game), tmp_path / "game.json"
-    tracemalloc.start()
-    try:
-        save_game(game, path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert path.read_text(encoding="utf-8") == text
-    assert peak <= 1.25 * len(text)
-
-
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_game("{}")
@@ -612,6 +596,23 @@ def test_parse_game_reads_as_the_whole_tree_loader(make_text):
         except ValueError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_broken_game_contract_decodes_the_document_once(monkeypatch):
+    # MarkovGame checks the entries after they are read, outside the retry
+    reads = []
+    read = games._game_entries
+    monkeypatch.setattr(games, "_game_entries", lambda doc: reads.append(1) or read(doc))
+    with pytest.raises(ValueError, match="duplicate state names"):
+        parse_game(_with(_set(("states",), ["s0", "s0"])))
+    assert len(reads) == 1
+
+
+def test_a_document_only_the_plain_tree_reads_is_not_returned(monkeypatch):
+    # a hook that broke a valid document must not be hidden by the retry
+    monkeypatch.setattr(games, "_float_rows", lambda obj: {})
+    with pytest.raises(RuntimeError, match="decoding hook refused"):
+        parse_game(serialize_game(random_game(2, 2, 2, seed=3)))
 
 
 def test_parse_game_never_holds_the_documents_numbers_as_floats():
