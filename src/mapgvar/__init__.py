@@ -48,6 +48,7 @@ from .policies import (
     policy_to_dict,
     random_softmax_policy,
     save_policy,
+    score_geometry,
     softmax_probs,
     uniform_policy,
     x_measure_softmax,

@@ -338,22 +338,9 @@ def _float_rows(obj: dict) -> dict:
 def parse_game(text: str) -> MarkovGame:
     """Invert serialize_game. A malformed document raises ValueError.
 
-    The document is decoded through ``_float_rows``, so its numbers never all
-    exist as Python floats at once. Where its entries cannot be read from
-    that tree, the document is malformed, and it is decoded once more as
-    plain JSON only for the error the plain tree gives: a table whose states
-    map to arrays, or a document of arrays only, fails otherwise on the
-    converted tree. The converted tree reads every document the plain one
-    reads, so a plain read that succeeds there is a bug, and raises
-    RuntimeError rather than return a game."""
-    try:
-        entries = _game_entries(json.loads(text, object_hook=_float_rows))
-    except (ValueError, IndexError) as exc:  # IndexError: a table of arrays
-        _game_entries(json.loads(text))
-        raise RuntimeError(
-            "parse_game's decoding hook refused a document that plain JSON reads"
-        ) from exc
-    return MarkovGame(**entries)
+    The document is decoded once, through ``_float_rows``, so its numbers
+    never all exist as Python floats at once."""
+    return MarkovGame(**_game_entries(json.loads(text, object_hook=_float_rows)))
 
 
 def _game_entries(doc) -> dict:
@@ -381,7 +368,9 @@ def _game_entries(doc) -> dict:
         )
     except KeyError as exc:
         raise ValueError(f"game document missing entry {exc}") from exc
-    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
+    # OverflowError: an int past float range; IndexError: a table whose
+    # states map to arrays, which _float_rows turned into one float array
+    except (TypeError, OverflowError, IndexError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
     return dict(
         n_agents=n_agents,

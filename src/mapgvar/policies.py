@@ -3,10 +3,10 @@
 Tabular softmax policies hold one logit vector per state. The diagonal
 Gaussian score functions serve the continuous one-step task's (mean, std)
 actors. All gradients here are with respect to the policy's output layer: for
-softmax that is the logit vector itself, so grad log pi(a) = e_a - pi, with
-squared norm 1 + ||pi||^2 - 2 pi(a). The x-measure reweights actions by
-exactly that squared norm; under it the optimal baseline is a plain
-expectation of Q.
+softmax that is the logit vector itself, so grad log pi(a) = e_a - pi.
+``score_geometry`` is the one place its geometry is formed. The x-measure
+reweights actions by the score's squared norm; under it the optimal baseline
+is a plain expectation of Q.
 """
 from __future__ import annotations
 
@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEGENERACY_TOL = 1e-10
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 class DegeneratePolicy(ValueError):
-    """The x-measure is undefined: 1 - ||pi||^2 vanished (near-deterministic)."""
+    """The x-measure is undefined: 1 - ||pi||^2 is exactly 0, a one-hot row."""
 
 
 def softmax_probs(logits) -> np.ndarray:
@@ -34,29 +33,39 @@ def softmax_probs(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def score_geometry(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The softmax scores of a row pi (k,) or of each row of a (..., k)
+    stack, formed from c_a = sum_{b != a} pi_b without cancellation:
+    scores (..., k, k), row a being e_a - pi with c_a for 1 - pi_a; norm_sq
+    (..., k), ||e_a - pi||^2 = c_a^2 + sum_{b != a} pi_b^2; and gap (...,),
+    1 - ||pi||^2 = sum_a pi_a c_a. Sums of non-negative terms, so gap is 0
+    only on a one-hot row; masked sums rather than matrix products, so a
+    stack's rows equal single rows bit for bit."""
+    probs = np.asarray(probs, dtype=float)
+    eye = np.eye(probs.shape[-1], dtype=bool)
+    others = np.where(eye, 0.0, probs[..., None, :])  # row a: pi with pi_a zeroed
+    c = others.sum(axis=-1)
+    scores = np.where(eye, c[..., None], -others)
+    return scores, (scores * scores).sum(axis=-1), (probs * c).sum(axis=-1)
+
+
 def x_measure_softmax(probs) -> np.ndarray:
     """Score-norm-weighted action measure x(a) = pi(a) ||e_a - pi||^2 / (1 - ||pi||^2).
 
     ``probs`` is one distribution of shape (k,) or a stack (..., k) of them;
-    each row is weighted on its own. The normalizer 1 - ||pi||^2 is the
-    expected squared score norm under pi; it vanishes for deterministic
-    policies, where the measure is undefined, and any such row raises. A
-    single action has a zero score vector and any baseline is optimal for
-    it, so width-1 rows return x = pi.
+    each row is weighted on its own, from its ``score_geometry``. The
+    normalizer 1 - ||pi||^2 is the expected squared score norm under pi; it
+    is 0 only for a one-hot row, where the measure is undefined, and any
+    such row raises. A single action has a zero score vector and any
+    baseline is optimal for it, so width-1 rows return x = pi.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape[-1] == 1:
         return probs.copy()
-    # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
-    norm_sq = (probs[..., None, :] @ probs[..., :, None])[..., 0]
-    denom = 1.0 - norm_sq
-    if np.any(denom <= DEGENERACY_TOL):
-        raise DegeneratePolicy(
-            f"1 - ||pi||^2 = {float(denom.min())!r} <= {DEGENERACY_TOL!r}; "
-            "x-measure undefined"
-        )
-    weights = 1.0 + norm_sq - 2.0 * probs
-    return probs * weights / denom
+    _, norm_sq, gap = score_geometry(probs)
+    if np.any(gap == 0.0):
+        raise DegeneratePolicy("1 - ||pi||^2 = 0.0 on a one-hot row; x-measure undefined")
+    return probs * norm_sq / gap[..., None]
 
 
 def gaussian_std_powers(std) -> tuple[np.ndarray, np.ndarray]:

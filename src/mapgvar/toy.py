@@ -199,7 +199,7 @@ def run_toy() -> ToyReport:
     kinds = [EstimatorKind(tag, 0) for tag in _KIND_BY_NAME.values()]
     sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
     for name, m in zip(_KIND_BY_NAME, step_moments(game, policy, 0, sigs)):
-        variances[name] = float(m.m2[0] - m.mean_sq[0])
+        variances[name] = float(m.own[0] + m.others[0])
         variances_direct[name] = local_variance(pi, signals[name])
     ob_replay = local_variance(pi, q_row - round(b_star_rounded, 2))
 

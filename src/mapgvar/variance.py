@@ -45,7 +45,7 @@ from .estimators import (
     signal_table,
 )
 from .games import MarkovGame
-from .policies import JointPolicy
+from .policies import JointPolicy, score_geometry
 from .processes import _in_processes
 from .values import ValueTables, _contract, solve_values, state_distributions
 
@@ -66,16 +66,18 @@ _GAP_TAGS = ALL_TAGS[:3]  # the kinds the gap bounds compare
 
 @dataclass(frozen=True)
 class StepMoments:
-    """Per-state ingredients of the exact per-timestep variance.
+    """Per-state ingredients of the exact per-timestep variance, centered:
+    with x = signal * score, nu = E_{a_i}[x] and nubar = E_{a_others}[nu],
 
-    m2[s]      = E_a[ signal^2 ||score||^2 | s ]
-    mean_sq[s] = || E_a[ signal * score | s ] ||^2
-    own[s]     = E_{a_others}[ Var_{a_i} | s ]
-    others[s]  = Var_{a_others}[ E_{a_i} | s ]
+    own[s]     = E_{a_others} E_{a_i} ||x - nu||^2 = E_{a_others}[ Var_{a_i} | s ]
+    others[s]  = E_{a_others} ||nu - nubar||^2 = Var_{a_others}[ E_{a_i} | s ]
+    mean_sq[s] = ||nubar||^2 = || E_a[ signal * score | s ] ||^2
+    m2[s]      = own + others + mean_sq = E_a[ signal^2 ||score||^2 | s ]
 
     For a state distribution d the total variance at that step is
-    d . m2 - d^2 . mean_sq (contribution blocks of distinct states are
-    disjoint, so the squared norm of the mean splits per state).
+    d . (own + others) + d (1 - d) . mean_sq (contribution blocks of
+    distinct states are disjoint, so the squared norm of the mean splits
+    per state). Every term is a sum of non-negative products.
     """
 
     m2: np.ndarray
@@ -94,45 +96,39 @@ def step_moments(
     game: MarkovGame, policy: JointPolicy, agent: int, sigs
 ) -> list[StepMoments]:
     """The ``StepMoments`` of each of the agent's (S, A) signal tables
-    ``sigs``, in order; the agent's probability tables and score norms are
-    built once."""
+    ``sigs``, in order; the agent's probability tables and scores are built
+    once."""
     _check_agent(game, agent)
     _check_tables(game, sigs)
     p_others = others_prob_table(game, policy, agent)  # (S, M)
     pi_i = agent_prob_table(game, policy, agent)  # (S, k)
-    pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
-    score_norm_sq = 1.0 + pi_norm_sq[:, None] - 2.0 * pi_i  # (S, k)
+    scores = score_geometry(pi_i)[0][:, None]  # (S, 1, k, k), row a is e_a - pi
     out = []
     for sig in sigs:
-        sig_rows = agent_axis_view(game, sig, agent)
-        m2_rows = np.einsum("sk,smk,sk->sm", pi_i, sig_rows**2, score_norm_sq)
-        m2 = np.einsum("sm,sm->s", p_others, m2_rows)
-
-        # nu(s, m) = E_{a_i}[signal * score]; with w = pi_i * signal it equals
-        # w - (sum w) pi, whose squared norm expands without forming vectors.
-        w = pi_i[:, None, :] * sig_rows  # (S, M, k)
-        c = w.sum(axis=2)  # (S, M)
-        w_norm_sq = np.einsum("smk,smk->sm", w, w)
-        w_dot_pi = np.einsum("smk,sk->sm", w, pi_i)
-        nu_sq = w_norm_sq - 2.0 * c * w_dot_pi + c**2 * pi_norm_sq[:, None]
-
-        own = np.einsum("sm,sm->s", p_others, m2_rows - nu_sq)
-
-        big_w = np.einsum("sm,smk->sk", p_others, w)  # (S, k)
-        big_c = np.einsum("sm,sm->s", p_others, c)
-        mean_sq = (
-            np.einsum("sk,sk->s", big_w, big_w)
-            - 2.0 * big_c * np.einsum("sk,sk->s", big_w, pi_i)
-            + big_c**2 * pi_norm_sq
-        )
-        others = np.einsum("sm,sm->s", p_others, nu_sq) - mean_sq
-        out.append(StepMoments(m2=m2, mean_sq=mean_sq, own=own, others=others))
+        x = agent_axis_view(game, sig, agent)[..., None] * scores  # (S, M, k, k)
+        nu = np.einsum("sk,smkj->smj", pi_i, x)
+        dev = x - nu[:, :, None, :]
+        dev_sq = np.einsum("smkj,smkj->smk", dev, dev)
+        own = np.einsum("sm,sk,smk->s", p_others, pi_i, dev_sq)
+        nu_bar = np.einsum("sm,smj->sj", p_others, nu)
+        spread = nu - nu_bar[:, None, :]
+        others = np.einsum("sm,smj,smj->s", p_others, spread, spread)
+        mean_sq = np.einsum("sj,sj->s", nu_bar, nu_bar)
+        out.append(StepMoments(m2=own + others + mean_sq, mean_sq=mean_sq,
+                               own=own, others=others))
     return out
 
 
 def per_timestep_variances(moments: StepMoments, dists: np.ndarray) -> np.ndarray:
     """Exact total variance at each timestep for state distributions (T, S)."""
-    return dists @ moments.m2 - (dists**2) @ moments.mean_sq
+    return dists @ (moments.own + moments.others) + _state_terms(moments, dists)
+
+
+def _state_terms(moments: StepMoments, dists: np.ndarray) -> np.ndarray:
+    """sum_s d (1 - d) mean_sq at each timestep, the variance of the state's
+    mean contribution; 1 - d is the other states' mass, never negative where
+    a rounded d exceeds 1."""
+    return (dists * (dists.sum(axis=-1, keepdims=True) - dists)) @ moments.mean_sq
 
 
 def local_variance(pi_i, signal_rows):
@@ -254,8 +250,7 @@ def bound_constants(
     score = np.empty(game.n_agents)
     adv = np.empty(game.n_agents)
     for i, local_adv in enumerate(coma_tables):
-        pi_i = agent_prob_table(game, policy, i)
-        norm_sq = 1.0 + np.einsum("sk,sk->s", pi_i, pi_i)[:, None] - 2.0 * pi_i
+        norm_sq = score_geometry(agent_prob_table(game, policy, i))[1]
         score[i] = math.sqrt(float(norm_sq.max()))
         adv[i] = float(np.abs(local_adv).max())
     return BoundConstants(
@@ -418,9 +413,7 @@ def coma_gap_bound(
 
 def expected_score_norm_sq(pi_i) -> float:
     """E_{a~pi}[||score(a)||^2], which equals 1 - ||pi||^2 for softmax."""
-    pi_i = np.asarray(pi_i, dtype=float)
-    norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
-    return float(pi_i @ norm_sq)
+    return float(score_geometry(pi_i)[2])
 
 
 def baseline_excess_variance(b: float, b_star: float, score_norm_sq: float) -> float:
@@ -455,8 +448,8 @@ def excess_variance_bounds(q_row, pi_i) -> ExcessVarianceBounds:
     pi_i = np.asarray(pi_i, dtype=float)
     q_bar = coma_baseline(q_row, pi_i)
     b_star = ob_surrogate_discrete(q_row, pi_i)
-    norm_sq = 1.0 + pi_i @ pi_i - 2.0 * pi_i
-    score_sq = float(pi_i @ norm_sq)  # expected_score_norm_sq, from norm_sq
+    _, norm_sq, gap = score_geometry(pi_i)
+    score_sq = float(gap)  # expected_score_norm_sq
     delta_vanilla = baseline_excess_variance(0.0, b_star, score_sq)
     delta_coma = baseline_excess_variance(q_bar, b_star, score_sq)
     d_max = math.sqrt(float(norm_sq.max()))
@@ -709,10 +702,9 @@ def build_variance_report(
     aggregates = {}
     for tag, m in moments.items():
         var_all = per_timestep_variances(m, var_rows)
-        state_terms = d @ m.mean_sq - (d**2) @ m.mean_sq
         per_t[tag.value] = {
             "variance": var_all[: t_max + 1],
-            "state": state_terms,
+            "state": _state_terms(m, d),
             "others": d @ m.others,
             "own": d @ m.own,
         }

@@ -15,6 +15,7 @@ from mapgvar import (
     BaselineTag,
     EstimatorKind,
     EstimatorTag,
+    StepMoments,
     advantage_decomposition,
     advantage_variance_bound,
     advantage_variance_identity,
@@ -29,7 +30,12 @@ from mapgvar import (
     step_moments,
     train,
 )
-from mapgvar.estimators import param_dim
+from mapgvar.estimators import (
+    agent_axis_view,
+    agent_prob_table,
+    others_prob_table,
+    param_dim,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +319,44 @@ def grad_log_softmax(probs, a: int) -> np.ndarray:
     g = -np.asarray(probs, dtype=float)
     g[a] += 1.0
     return g
+
+
+def x_measure_oracle(probs):
+    """The x-measure by the expanded formula pi (1 + ||pi||^2 - 2 pi) /
+    (1 - ||pi||^2), which cancels on near-deterministic rows: a second route
+    to ``x_measure_softmax`` where the policy is not close to one-hot."""
+    probs = np.asarray(probs, dtype=float)
+    norm_sq = np.einsum("...k,...k->...", probs, probs)[..., None]
+    return probs * (1.0 + norm_sq - 2.0 * probs) / (1.0 - norm_sq)
+
+
+def step_moments_oracle(game, policy, agent, sig):
+    """``StepMoments`` of one (S, A) signal table by expanding the squared
+    norms and subtracting: m2 = E[sig^2 ||e_a - pi||^2] and ||E[sig (e_a -
+    pi)]||^2 from w = pi sig and c = sum w, own = m2 - E||nu||^2 and others =
+    E||nu||^2 - mean_sq. A second route to the centered ``step_moments``;
+    its own, others and mean_sq may round below zero."""
+    p_others = others_prob_table(game, policy, agent)  # (S, M)
+    pi_i = agent_prob_table(game, policy, agent)  # (S, k)
+    pi_norm_sq = np.einsum("sk,sk->s", pi_i, pi_i)
+    score_norm_sq = 1.0 + pi_norm_sq[:, None] - 2.0 * pi_i
+    sig_rows = agent_axis_view(game, sig, agent)
+    m2_rows = np.einsum("sk,smk,sk->sm", pi_i, sig_rows**2, score_norm_sq)
+    # nu(s, m) = w - (sum w) pi, its squared norm expanded
+    w = pi_i[:, None, :] * sig_rows
+    c = w.sum(axis=2)
+    nu_sq = (np.einsum("smk,smk->sm", w, w)
+             - 2.0 * c * np.einsum("smk,sk->sm", w, pi_i) + c**2 * pi_norm_sq[:, None])
+    big_w = np.einsum("sm,smk->sk", p_others, w)
+    big_c = np.einsum("sm,sm->s", p_others, c)
+    mean_sq = (np.einsum("sk,sk->s", big_w, big_w)
+               - 2.0 * big_c * np.einsum("sk,sk->s", big_w, pi_i) + big_c**2 * pi_norm_sq)
+    return StepMoments(
+        m2=np.einsum("sm,sm->s", p_others, m2_rows),
+        mean_sq=mean_sq,
+        own=np.einsum("sm,sm->s", p_others, m2_rows - nu_sq),
+        others=np.einsum("sm,sm->s", p_others, nu_sq) - mean_sq,
+    )
 
 
 def local_variance_oracle(pi_i, signal_row, grad_vectors):

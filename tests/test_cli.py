@@ -580,7 +580,7 @@ def test_overflowing_logits_print_only_the_error_line(tmp_path):
         capture_output=True, text=True, env=env, check=False,
     )
     assert run.returncode == 2
-    assert run.stderr == "error: 1 - ||pi||^2 = 0.0 <= 1e-10; x-measure undefined\n"
+    assert run.stderr == "error: 1 - ||pi||^2 = 0.0 on a one-hot row; x-measure undefined\n"
 
 
 def _game_text(case, game_file):

@@ -586,9 +586,20 @@ PARSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("make_text", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_parse_game_reads_as_the_whole_tree_loader(make_text):
-    text = make_text()
+# _float_rows turns these tables of arrays into float arrays, which the
+# entries cannot be read from, so parse_game's error names no table
+CONVERTED_TABLES = ("table-of-rows", "all-arrays")
+
+
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_parse_game_reads_as_the_whole_tree_loader(case):
+    text = PARSE_CASES[case]()
+    if case in CONVERTED_TABLES:
+        with pytest.raises(ValueError, match="malformed game document"):
+            parse_game(text)
+        with pytest.raises(ValueError):
+            parse_game_oracle(text)
+        return
     outcomes = []
     for parse in (parse_game, parse_game_oracle):
         try:
@@ -609,10 +620,21 @@ def test_a_broken_game_contract_decodes_the_document_once(monkeypatch):
 
 
 def test_a_document_only_the_plain_tree_reads_is_not_returned(monkeypatch):
-    # a hook that broke a valid document must not be hidden by the retry
+    # a hook that broke a valid document gives the broken tree's error
     monkeypatch.setattr(games, "_float_rows", lambda obj: {})
-    with pytest.raises(RuntimeError, match="decoding hook refused"):
+    with pytest.raises(ValueError, match="missing entry"):
         parse_game(serialize_game(random_game(2, 2, 2, seed=3)))
+
+
+@pytest.mark.parametrize("case", ["malformed-0", *CONVERTED_TABLES, "not-json"])
+def test_a_malformed_document_is_decoded_once(case, monkeypatch):
+    decodes, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: decodes.append(1) or loads(*a, **kw))
+    text = PARSE_CASES[case]()
+    decodes.clear()
+    with pytest.raises(ValueError):
+        parse_game(text)
+    assert len(decodes) == 1
 
 
 def test_parse_game_never_holds_the_documents_numbers_as_floats():

@@ -76,16 +76,18 @@ LONG_ROLLOUT = (
 )
 
 # agent 1 of a 2-agent, 2-state, 2-action game; 50 trajectories of 12 steps in
-# chunks of 16, the four kinds in EstimatorTag order on one generator
+# chunks of 16, the four kinds in EstimatorTag order on one generator; ob_x
+# reads the cancellation-free x-measure, which moved its SE's last bits
 MC = {
     "decentralized": (2.1860631317354198, 0.21086672184744282),
     "centralized_vanilla": (3.1754714578734937, 0.49477133547928837),
     "coma": (1.9508461450274903, 0.27561683513891994),
-    "ob_x": (1.9856710510081803, 0.3339565093371803),
+    "ob_x": (1.9856710510081803, 0.33395650933718246),
 }
 MC_STATE = 163543252750250100078913129045173179878
 
-# TD critic, PPO, OB surrogate baseline: batch 4, horizon 40, 3 iterations
+# TD critic, PPO, OB surrogate baseline: batch 4, horizon 40, 3 iterations;
+# the cancellation-free x-measure moved three logits in their last bit
 TRAIN = {
     "returns": (-1.471097900775881, -1.471097900775881, -1.3876655041748382),
     "grad_variance": (0.0, 1.7036105863771915, 0.28090069971759984),
@@ -93,12 +95,12 @@ TRAIN = {
     "logits": [
         [
             [0.001182508663231635, -0.0011825086632316353],
-            [-0.0016114163940693963, 0.0016114163940693963],
-            [0.007761075999839837, -0.007761075999839837],
+            [-0.0016114163940693957, 0.0016114163940693957],
+            [0.007761075999839837, -0.007761075999839838],
         ],
         [
             [0.006228893139140059, -0.006228893139140058],
-            [-0.03672598695724416, 0.03672598695724415],
+            [-0.03672598695724417, 0.03672598695724415],
             [0.01414887521645508, -0.01414887521645508],
         ],
     ],
@@ -376,8 +378,10 @@ def test_train_gaussian_is_pinned(baseline, monkeypatch):
 
 # sha256 of verify_report.json from `verify --games 30 --agents 3 --format json`
 # (seed 0), recorded before the marginal lattice, the shared gap path and the
-# cached softmax table replaced recomputing each of them per call
-VERIFY_30_3_SHA256 = "fa33af8898a3ce5d5126edbd5e2c2a69df95c7e4230ed5d9a42bc37644df3ea0"
+# cached softmax table replaced recomputing each of them per call, and again
+# when the cancellation-free score geometry and the centered moments moved
+# its statistics in their last bits
+VERIFY_30_3_SHA256 = "1ad5fd28816399818e1435592456ef28a8d1996f9fd46b6c2141a87b26709fbc"
 
 
 def test_verify_report_is_pinned(tmp_path):

@@ -1,11 +1,12 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import same_logits
-from oracles import gaussian_log_prob, grad_log_softmax
+from oracles import gaussian_log_prob, grad_log_softmax, x_measure_oracle
 
 from mapgvar import (
     DegeneratePolicy,
@@ -18,6 +19,7 @@ from mapgvar import (
     random_game,
     random_softmax_policy,
     save_policy,
+    score_geometry,
     softmax_probs,
     uniform_policy,
     x_measure_softmax,
@@ -103,7 +105,11 @@ def test_x_measure_is_a_distribution(logits):
 
 
 def test_x_measure_rejects_degenerate_rows():
-    p = softmax_probs(np.array([60.0, 0.0, 0.0]))
+    # only a one-hot row leaves 1 - ||pi||^2 = 0; a nearly certain one has
+    # an x-measure, on the actions it almost never takes
+    assert np.all(np.isfinite(x_measure_softmax(softmax_probs(np.array([60.0, 0.0, 0.0])))))
+    p = softmax_probs(np.array([1e308, -1e308, -1e308]))
+    assert np.array_equal(p, [1.0, 0.0, 0.0])
     with pytest.raises(DegeneratePolicy):
         x_measure_softmax(p)
     # one degenerate row anywhere in a stack is enough
@@ -116,9 +122,54 @@ def test_x_measure_of_a_single_action_is_the_policy():
     # zero score vector: no baseline changes the variance, x = pi = [1.0]
     assert np.array_equal(x_measure_softmax(np.array([1.0])), [1.0])
     assert np.array_equal(x_measure_softmax(np.ones((4, 1))), np.ones((4, 1)))
-    # two actions, one of them nearly certain, are still degenerate
+    # two actions, one of them nearly certain, weigh each by the other's
+    # probability; two actions, one of them certain, are degenerate
+    x = x_measure_softmax(softmax_probs(np.array([60.0, 0.0])))
+    np.testing.assert_allclose(x, [np.exp(-60.0), 1.0], rtol=1e-14)
     with pytest.raises(DegeneratePolicy):
-        x_measure_softmax(softmax_probs(np.array([60.0, 0.0])))
+        x_measure_softmax(softmax_probs(np.array([1e308, -1e308])))
+
+
+def _decimal_x_measure(logits):
+    """x(a) = pi_a ||e_a - pi||^2 / (1 - ||pi||^2) of the softmax of float
+    ``logits``, worked in 700-digit decimals, which hold 1 - ||pi||^2 down to
+    1e-600; the reference for the floats' rounding."""
+    with localcontext() as ctx:
+        ctx.prec = 700
+        e = [Decimal(float(v)).exp() for v in logits]
+        p = [v / sum(e) for v in e]
+        gap = 1 - sum(v * v for v in p)
+        norm_sq = [sum((int(a == b) - v) ** 2 for b, v in enumerate(p)) for a in range(len(p))]
+        return [float(v * n / gap) for v, n in zip(p, norm_sq)]
+
+
+def test_x_measure_of_a_nearly_certain_row_matches_exact_arithmetic():
+    # logits [0, ln eps/2, ln eps/2]: 1 - ||pi||^2 is about 2 eps, which the
+    # expanded formula forms by cancelling two numbers near 1
+    q = np.array([10.0, 0.0, 5.0])
+    for exponent in range(6, 301, 6):
+        eps = 10.0**-exponent
+        logits = np.array([0.0, np.log(eps / 2), np.log(eps / 2)])
+        want = _decimal_x_measure(logits)
+        p = softmax_probs(logits)
+        x = x_measure_softmax(p)
+        # x[0] is about eps; its score norm, about eps^2, underflows below 1e-154
+        np.testing.assert_allclose(x, want, rtol=1e-14, atol=1e-15)
+        assert abs(float(x @ q) - float(np.dot(want, q))) <= 1e-14 * 10.0
+    assert float(score_geometry(p)[2]) < 1e-299
+
+
+def test_score_geometry_is_the_softmax_score():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 7):
+        p = softmax_probs(rng.standard_normal(k))
+        scores, norm_sq, gap = score_geometry(p)
+        want = np.stack([grad_log_softmax(p, a) for a in range(k)])
+        np.testing.assert_allclose(scores, want, rtol=1e-15, atol=1e-16)
+        np.testing.assert_allclose(norm_sq, (want**2).sum(axis=1), rtol=1e-14)
+        assert abs(float(gap) - (1.0 - float(p @ p))) <= 1e-15
+        assert np.all(norm_sq >= 0) and gap >= 0
+
 
 @pytest.mark.parametrize("k", range(1, 40))
 def test_cached_probability_table_equals_softmax_probs_per_row(k):
@@ -164,11 +215,13 @@ def test_x_measure_of_a_stack_equals_its_rows_exactly(k):
     rng = np.random.default_rng(k)
     stack = SoftmaxPolicy(2.0 * rng.standard_normal((12, k))).all_probs()
     x = x_measure_softmax(stack)
+    geometry = score_geometry(stack)
     for s, p in enumerate(stack):
         assert np.array_equal(x[s], x_measure_softmax(p))
-        # the 1-D formula written out, with its dot-product rounding
-        norm_sq = float(p @ p)
-        assert np.array_equal(x[s], p * (1.0 + norm_sq - 2.0 * p) / (1.0 - norm_sq))
+        # the expanded formula cancels where a score norm is small
+        np.testing.assert_allclose(x[s], x_measure_oracle(p), rtol=0, atol=1e-12)
+        for part, alone in zip(geometry, score_geometry(p)):
+            assert np.array_equal(part[s], alone)
     deeper = x_measure_softmax(stack.reshape(3, 4, k))
     assert np.array_equal(deeper, x.reshape(3, 4, k))
 

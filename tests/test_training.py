@@ -320,8 +320,8 @@ def test_train_step_matches_the_per_trajectory_reference(baseline, signal):
 
 
 def test_ob_training_rejects_a_degenerate_row_in_an_unvisited_state():
-    # state 1 is never reached, yet its near-deterministic row leaves the
-    # x-measure undefined there, so the OB signal table cannot be built
+    # state 1 is never reached, yet its one-hot row leaves the x-measure
+    # undefined there, so the OB signal table cannot be built
     game = MarkovGame(
         n_agents=2,
         states=("s0", "s1"),
@@ -333,11 +333,22 @@ def test_ob_training_rejects_a_degenerate_row_in_an_unvisited_state():
         initial_dist=np.array([1.0, 0.0]),
     )
     initial = JointPolicy(
-        (SoftmaxPolicy([[0.0, 0.0], [40.0, 0.0]]), SoftmaxPolicy(np.zeros((2, 2))))
+        (SoftmaxPolicy([[0.0, 0.0], [1e308, -1e308]]), SoftmaxPolicy(np.zeros((2, 2))))
     )
     train(game, initial, quick_config(iterations=2, baseline=BaselineKind(BaselineTag.COMA)))
     with pytest.raises(DegeneratePolicy):
         train(game, initial, quick_config(iterations=2))
+
+
+def test_ob_training_runs_on_as_its_rows_become_nearly_certain():
+    # at actor_lr 100 the rows leave 1 - ||pi||^2 far below 1e-10 within two
+    # iterations; the x-measure stays defined until a row is exactly one-hot
+    game = dataclasses.replace(random_game(2, 2, 2, seed=4), gamma=0.5)
+    config = TrainConfig(baseline=BaselineKind(BaselineTag.OB_SURROGATE),
+                         actor_lr=100.0, iterations=20)
+    result = train(game, None, config)
+    assert len(result.history.returns) == 20
+    assert all(np.all(np.isfinite(agent.logits)) for agent in result.policy.agents)
 
 
 def test_td_critic_training_runs_and_learns():

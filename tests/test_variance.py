@@ -21,6 +21,7 @@ from oracles import (
     mc_of,
     moments_of,
     per_t_variance_oracle,
+    step_moments_oracle,
     trajectory_variance_oracle,
 )
 
@@ -59,7 +60,12 @@ from mapgvar import (
 import mapgvar.estimators as estimators
 import mapgvar.processes as processes
 import mapgvar.variance as variance
-from mapgvar.estimators import agent_prob_table
+from mapgvar.estimators import (
+    agent_axis_view,
+    agent_prob_table,
+    others_prob_table,
+    unview_agent_axis,
+)
 from mapgvar.variance import ALL_TAGS
 
 
@@ -107,6 +113,16 @@ def test_decomposition_terms_sum_to_total(corpus30):
                 assert state >= -1e-12 and others >= -1e-12 and own >= -1e-12
                 assert abs((state + others + own) - total[t]) < 1e-9
                 assert abs(terms["variance"][t] - total[t]) < 1e-12
+
+
+def test_every_printed_term_is_nonnegative(corpus30):
+    # each is a sum of non-negative products, in one-state games too, where
+    # a rounded state probability can exceed 1
+    for game, policy, _ in corpus30:
+        for agent in range(game.n_agents):
+            report = build_variance_report(game, policy, agent, t_max=6)
+            for terms in report.per_t.values():
+                assert all(np.all(np.asarray(v) >= 0) for v in terms.values())
 
 
 def test_only_the_own_term_depends_on_the_baseline(corpus30):
@@ -387,6 +403,52 @@ def test_batched_moments_equal_each_kind_computed_alone(n, n_states, k, seed, on
             [alone] = step_moments(game, policy, agent, [sig])
             for name in ("m2", "mean_sq", "own", "others"):
                 assert np.array_equal(getattr(got, name), getattr(alone, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    n_states=st.integers(1, 3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 8.0),
+)
+def test_centered_moments_are_nonnegative_and_match_the_expanded_kernel(
+    n, n_states, k, seed, scale
+):
+    game = random_game(n, n_states, k, seed=seed)
+    policy = random_softmax_policy(game, np.random.default_rng(seed), scale)
+    tables = solve_values(game, policy)
+    dists = state_distributions(game, policy, 1)
+    for agent in range(n):
+        kinds = [EstimatorKind(tag, agent) for tag in ALL_TAGS]
+        sigs = [signal_table(kind, game, policy, tables.q) for kind in kinds]
+        pi_i = agent_prob_table(game, policy, agent)
+        p_others = others_prob_table(game, policy, agent)
+        for kind, sig, got in zip(kinds, sigs, step_moments(game, policy, agent, sigs)):
+            assert all(np.all(t >= 0) for t in (got.own, got.others, got.mean_sq))
+            # the expanded kernel rounds at the size of its terms, E[sig^2]
+            rows = agent_axis_view(game, sig, agent)
+            size = float(np.einsum("sm,sk,smk->s", p_others, pi_i, rows**2).max())
+            want = step_moments_oracle(game, policy, agent, sig)
+            for name in ("m2", "mean_sq", "own", "others"):
+                assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-13 * size
+            if kind.tag is EstimatorTag.DECENTRALIZED:
+                # the signal ignores the others' actions, so others is 0
+                assert np.all(got.others <= 1e-25 * got.m2)
+            [fast] = per_timestep_variances(got, dists[1:])
+            slow = per_t_variance_oracle(kind, game, policy, tables, dists[1])
+            assert abs(fast - slow) <= 1e-12 * size
+        if k == 2:
+            # OB's signal at two actions, pi_a (q_a - q_b), makes both of the
+            # agent's signal-times-score vectors pi_1 pi_2 (q_1 - q_2) (1, -1),
+            # so own is 0; written so, the signal rounds once per entry
+            q = agent_axis_view(game, tables.q, agent)
+            ob = unview_agent_axis(game, pi_i[:, None, :] * (q - q[..., ::-1]), agent)
+            ob_x = sigs[ALL_TAGS.index(EstimatorTag.OB_X)]
+            np.testing.assert_allclose(ob, ob_x, rtol=1e-6, atol=1e-12)
+            [got] = step_moments(game, policy, agent, [ob])
+            assert np.all(got.own <= 1e-25 * got.m2)
 
 
 # ---------------------------------------------------------------------------
