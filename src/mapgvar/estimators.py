@@ -24,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .games import MarkovGame
-from .policies import JointPolicy, _product_table, x_measure_softmax
-from .values import ValueTables, solve_values, state_distributions
+from .policies import JointPolicy, _product_table, check_policy_fits, x_measure_softmax
+from .values import ValueTables, policy_transition
 
 IDENTITY_TOL = 1e-9  # identity/bound slack; relative tail a horizon leaves out
 
@@ -338,23 +338,19 @@ def mean_step_gradient_by_state(
 def exact_policy_gradient(
     game: MarkovGame,
     policy: JointPolicy,
+    tables: ValueTables,
     agent: int,
 ) -> np.ndarray:
-    """Exact discounted gradient of the expected return for one agent.
+    """Exact discounted gradient of the expected return for one agent, from
+    the caller's ``tables``.
 
-    Sum over t < H of gamma^t E_{s~d^t, a~pi}[ Q(s,a) * score ], with d^t
-    propagated exactly through the kernel. The horizon H, ``default_horizon``,
-    puts the documented truncation error below 1e-9.
+    sum_s eta(s) E_{a~pi}[ Q(s,a) * score | s ], with the discounted
+    occupancy eta = sum_t gamma^t d^t = d0 (I - gamma P_pi)^{-1} from one
+    linear solve, so no horizon truncates it.
     """
     _check_agent(game, agent)
-    horizon = default_horizon(game.gamma, game.beta)
-    tables = solve_values(game, policy)
-    mean_by_state = mean_step_gradient_by_state(game, policy, tables, agent)
-    dists = state_distributions(game, policy, horizon - 1)
-    k = game.action_counts[agent]
-    grad = np.zeros((game.n_states, k))
-    scale = 1.0
-    for t in range(horizon):
-        grad += scale * dists[t][:, None] * mean_by_state
-        scale *= game.gamma
-    return grad.reshape(-1)
+    check_policy_fits(game, policy)
+    by_state = mean_step_gradient_by_state(game, policy, tables, agent)
+    m = np.eye(game.n_states) - game.gamma * policy_transition(game, policy)
+    eta = np.linalg.solve(m.T, game.initial_dist)
+    return (eta[:, None] * by_state).reshape(-1)

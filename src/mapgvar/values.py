@@ -203,7 +203,9 @@ def state_distributions(
     game: MarkovGame, policy: JointPolicy, t_max: int
 ) -> np.ndarray:
     """d^t for t = 0..t_max as a (t_max+1, n_states) array; a table above
-    DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first."""
+    DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first.
+    Each row is written in place into its pre-made view by ``np.dot``, the
+    bits of ``out[t] @ p_pi``."""
     if (t_max + 1) * game.n_states > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"state distributions of {t_max + 1} rows x {game.n_states} states "
@@ -212,6 +214,7 @@ def state_distributions(
     p_pi = policy_transition(game, policy)
     out = np.empty((t_max + 1, game.n_states))
     out[0] = game.initial_dist
+    rows = list(out)
     for t in range(t_max):
-        out[t + 1] = out[t] @ p_pi
+        np.dot(rows[t], p_pi, out=rows[t + 1])
     return out

@@ -133,17 +133,17 @@ def _state_terms(moments: StepMoments, dists: np.ndarray) -> np.ndarray:
 
 def local_variance(pi_i, signal_rows):
     """Total variance over one agent's action of signal(a) * score(a), the
-    softmax score e_a - pi: a float for a (k,) signal row, an array for each
-    row of a (B, k) stack."""
+    softmax score from ``score_geometry``: a float for a (k,) signal row, an
+    array for each row of a (B, k) stack. Centered, sum_a pi_a ||v_a - vbar||^2
+    with v_a = signal(a) * score(a), so it is never negative; elementwise
+    products and axis sums, so a stack's rows equal single rows bit for bit."""
     pi_i = np.asarray(pi_i, dtype=float)
     rows = np.asarray(signal_rows, dtype=float)
     if pi_i.ndim != 1 or rows.ndim > 2 or rows.shape[-1:] != pi_i.shape:
         raise ValueError("pi_i and signal_rows must agree on length")
-    v = np.atleast_2d(rows)[:, :, None] * (np.eye(len(pi_i)) - pi_i)  # (B, k, k)
-    first = pi_i @ v
-    second = pi_i @ v**2
-    # a (1, k) @ (k, 1) product per row rounds like the 1-D dot product
-    out = second.sum(axis=-1) - (first[:, None, :] @ first[:, :, None])[:, 0, 0]
+    v = np.atleast_2d(rows)[:, :, None] * score_geometry(pi_i)[0]  # (B, k, k)
+    dev = v - (pi_i[:, None] * v).sum(axis=-2)[:, None, :]
+    out = (pi_i * (dev * dev).sum(axis=-1)).sum(axis=-1)
     return float(out[0]) if rows.ndim == 1 else out
 
 

@@ -305,6 +305,27 @@ def fd_policy_gradient(game, policy, agent, h=1e-5):
     return grad
 
 
+def walked_policy_gradient(game, policy, agent):
+    """The exact gradient walked forward: sum over t < H of gamma^t
+    E_{s~d^t}[ per-state mean gradient ], d^t propagated through the kernel
+    and H = ``default_horizon``, which puts the truncation below 1e-9 of the
+    total. A second route to ``exact_policy_gradient``'s occupancy solve."""
+    from mapgvar import default_horizon, state_distributions
+    from mapgvar.estimators import mean_step_gradient_by_state
+
+    horizon = default_horizon(game.gamma, game.beta)
+    by_state = mean_step_gradient_by_state(
+        game, policy, solve_values(game, policy), agent
+    )
+    dists = state_distributions(game, policy, horizon - 1)
+    grad = np.zeros(by_state.shape)
+    scale = 1.0
+    for t in range(horizon):
+        grad += scale * dists[t][:, None] * by_state
+        scale *= game.gamma
+    return grad.reshape(-1)
+
+
 def gaussian_log_prob(mean, std, action):
     """log N(action; mean, diag std^2), the function whose finite differences
     check ``gaussian_log_prob_grad``."""
@@ -776,12 +797,12 @@ def decomposition_oracle(game, policy, tables, s, order, actions, prefix_len):
     return lhs, rhs
 
 
-def _local_variance(pi_i, signal_row, grads):
-    """``local_variance`` of one signal row through 1-D products."""
-    v = signal_row[:, None] * grads
-    first = pi_i @ v
-    second = pi_i @ v**2
-    return float(second.sum() - first @ first)
+def _local_variance(pi_i, signal_row, scores):
+    """``local_variance`` of one signal row, on its own: centered, from the
+    (k, k) score vectors ``scores``."""
+    v = signal_row[:, None] * scores
+    dev = v - (pi_i[:, None] * v).sum(axis=0)
+    return float((pi_i * (dev * dev).sum(axis=1)).sum())
 
 
 def check_game_oracle(game, policy, tables, rng, sabotage=False):
@@ -793,6 +814,7 @@ def check_game_oracle(game, policy, tables, rng, sabotage=False):
         excess_variance_bounds,
         expected_score_norm_sq,
         ob_surrogate_discrete,
+        score_geometry,
     )
     from mapgvar.estimators import IDENTITY_TOL, agent_axis_view, agent_prob_table
     from mapgvar.verify import SUITES
@@ -845,12 +867,12 @@ def check_game_oracle(game, policy, tables, rng, sabotage=False):
         m = int(rng.integers(0, rows.shape[1]))
         q_row = rows[s, m]
         pi_row = pi_i[s]
-        grads = np.eye(len(pi_row)) - pi_row
+        scores = score_geometry(pi_row)[0]
         b_star = ob_surrogate_discrete(q_row, pi_row)
-        base_var = _local_variance(pi_row, q_row - b_star, grads)
+        base_var = _local_variance(pi_row, q_row - b_star, scores)
         score_sq = expected_score_norm_sq(pi_row)
         for b in np.linspace(b_star - 5.0, b_star + 5.0, 21):
-            direct = _local_variance(pi_row, q_row - b, grads) - base_var
+            direct = _local_variance(pi_row, q_row - b, scores) - base_var
             err = abs(direct - baseline_excess_variance(b, b_star, score_sq))
             found["optimal_baseline_identity"].append((err > tol, err))
             found["optimal_baseline_scan"].append((direct < -tol, direct))

@@ -319,8 +319,8 @@ def test_criterion_09_unbiasedness(corpus100):
 
 def test_criterion_09_gradient_vs_finite_differences(corpus500):
     worst = 0.0
-    for game, policy, _ in corpus500[:50]:
-        grad = exact_policy_gradient(game, policy, 0)
+    for game, policy, tables in corpus500[:50]:
+        grad = exact_policy_gradient(game, policy, tables, 0)
         fd = fd_policy_gradient(game, policy, 0)
         scale = max(1.0, float(np.abs(fd).max()))
         worst = max(worst, float(np.abs(grad - fd).max()) / scale)

@@ -1,15 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 from conftest import rollout_steps
 from oracles import (
-    discounted_state_occupancy,
     expected_contribution_oracle,
     expected_per_step_gradient,
     fd_policy_gradient,
     moments_of,
     per_step_gradient,
     trajectory_gradient,
+    walked_policy_gradient,
 )
 
 from mapgvar import (
@@ -18,8 +19,12 @@ from mapgvar import (
     coma_baseline,
     exact_policy_gradient,
     ob_surrogate_discrete,
+    random_game,
+    random_softmax_policy,
     rollout,
     signal_table,
+    solve_values,
+    uniform_policy,
 )
 from mapgvar.estimators import (
     agent_axis_view,
@@ -255,22 +260,46 @@ def test_mean_step_gradient_matches_enumeration(corpus30):
                 )
 
 
-def test_exact_gradient_matches_occupancy_route(corpus30):
-    for game, policy, tables in corpus30[:10]:
+def test_exact_gradient_matches_walked_route(corpus30):
+    # the occupancy solve against the walk truncated at default_horizon,
+    # whose tail is below 1e-9 of the total; the corpus has at most 3 states
+    triples = list(corpus30[:10])
+    for seed in range(5):
+        game = random_game(3, 6, 3, seed=seed)
+        policy = random_softmax_policy(game, np.random.default_rng(seed))
+        triples.append((game, policy, solve_values(game, policy)))
+    worst = 0.0
+    for game, policy, tables in triples:
         for i in range(game.n_agents):
-            grad = exact_policy_gradient(game, policy, i)
-            eta = discounted_state_occupancy(game, policy)
-            by_state = mean_step_gradient_by_state(game, policy, tables, i)
-            expect = (eta[:, None] * by_state).reshape(-1)
-            np.testing.assert_allclose(grad, expect, atol=1e-7)
+            grad = exact_policy_gradient(game, policy, tables, i)
+            walked = walked_policy_gradient(game, policy, i)
+            scale = float(np.abs(walked).max())
+            worst = max(worst, float(np.abs(grad - walked).max()) / scale)
+    assert worst < 1e-9, worst
 
 
 def test_exact_gradient_matches_finite_differences(corpus30):
     worst = 0.0
-    for game, policy, _ in corpus30[:5]:
+    for game, policy, tables in corpus30[:5]:
         for i in range(game.n_agents):
-            grad = exact_policy_gradient(game, policy, i)
+            grad = exact_policy_gradient(game, policy, tables, i)
             fd = fd_policy_gradient(game, policy, i)
             scale = max(1.0, float(np.abs(fd).max()))
             worst = max(worst, float(np.abs(grad - fd).max()) / scale)
     assert worst < 1e-5, worst
+
+
+def test_exact_gradient_near_gamma_one():
+    # no horizon bounds the occupancy solve: at gamma = 1 - 1e-6 the walk
+    # would need 34 538 760 rows. J is about 1e6 here and its solve rounds
+    # at about 1e-10 of it, so the differences take a step of 1e-3, where
+    # they are within 1e-7 of the gradient, not 1e-5, where that rounding
+    # leaves them 8e-6 off
+    game = dataclasses.replace(random_game(2, 2, 2, seed=1), gamma=1.0 - 1e-6)
+    policy = uniform_policy(game)
+    tables = solve_values(game, policy)
+    for i in range(game.n_agents):
+        grad = exact_policy_gradient(game, policy, tables, i)
+        fd = fd_policy_gradient(game, policy, i, h=1e-3)
+        assert np.all(np.isfinite(grad))
+        assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()

@@ -380,8 +380,9 @@ def test_train_gaussian_is_pinned(baseline, monkeypatch):
 # (seed 0), recorded before the marginal lattice, the shared gap path and the
 # cached softmax table replaced recomputing each of them per call, and again
 # when the cancellation-free score geometry and the centered moments moved
-# its statistics in their last bits
-VERIFY_30_3_SHA256 = "1ad5fd28816399818e1435592456ef28a8d1996f9fd46b6c2141a87b26709fbc"
+# its statistics in their last bits, and when the centered local_variance
+# moved its two optimal-baseline statistics in theirs
+VERIFY_30_3_SHA256 = "32885d343e9efcfc19c9fad6f3dd2b5de93fc62f137f683131420b364ab08207"
 
 
 def test_verify_report_is_pinned(tmp_path):

@@ -258,7 +258,7 @@ def test_batch_mean_gradient_is_unbiased():
         realized = (
             result.policy.agents[i].logits - initial.agents[i].logits
         ).reshape(-1)
-        exact = exact_policy_gradient(game, initial, i)
+        exact = exact_policy_gradient(game, initial, solve_values(game, initial), i)
         # per-trajectory contribution variance bounds the batch-mean SE
         spread = np.sqrt(
             result.history.grad_variance[0] / cfg.batch_size

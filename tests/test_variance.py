@@ -158,10 +158,26 @@ def test_local_variance_matches_two_pass(corpus30):
         assert abs(fast - slow) < 1e-10
         stacked = local_variance(pi, np.stack([sig, 2.0 * sig]))
         assert stacked[0] == fast and abs(stacked[1] - 4.0 * slow) < 1e-9
+        assert stacked[1] == local_variance(pi, 2.0 * sig)
     for pi, rows in (([0.5, 0.5], [1.0, 2.0, 3.0]), ([[0.5, 0.5]], [1.0, 2.0]),
                      (0.5, 1.0), ([0.5, 0.5], np.ones((1, 1, 2)))):
         with pytest.raises(ValueError, match="must agree on length"):
             local_variance(pi, rows)
+
+
+def test_local_variance_is_never_negative_at_the_optimal_baseline():
+    # on k = 2 the OB signal's variance is exactly 0; the expanded form
+    # second - ||first||^2 read 292 of these rows below zero
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        pi = softmax_probs(3.0 * rng.standard_normal(2))
+        q = rng.uniform(-100.0, 100.0, 2)
+        sig = q - ob_surrogate_discrete(q, pi)
+        grads = [grad_log_softmax(pi, a) for a in range(2)]
+        m2 = sum(p * s**2 * float(g @ g) for p, s, g in zip(pi, sig, grads))
+        var = local_variance(pi, sig)
+        assert var >= 0.0
+        assert abs(var - local_variance_oracle(pi, sig, grads)) <= 1e-14 * m2
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ newer trees compare line for line. Then a 13-agent ``verify`` whose
 second draw exceeds the coalition-lattice cap must fail with its error
 message, after a first draw under the cap. Last of all, a ``gen`` of a
 60-state game large enough that serialize_game renders its transition map
-in several processes, and a plain ``report`` of the file it wrote.
+in several processes, and a plain ``report`` of the file it wrote. After
+it, one line per agent of four grid games: ``exact_policy_gradient`` under
+the random policy the reports use, hashed as JSON.
 """
 from __future__ import annotations
 
@@ -356,6 +358,31 @@ def digest_lines(work: str) -> list[str]:
                   ["verify", "--agents", "13", "--games", "5", "--seed", "2"], work,
                   stderr=True)
     lines += _ranged_gen_lines(main, work)
+    lines += _gradient_lines()
+    return lines
+
+
+def _gradient_lines() -> list[str]:
+    """``exact_policy_gradient`` of every agent of four grid games, 2- and
+    3-agent, at the random policy of the reports above."""
+    import numpy as np
+
+    from mapgvar import (exact_policy_gradient, random_game, random_softmax_policy,
+                         solve_values)
+
+    lines = []
+    for n, s, k, seed in (GAMES[0], GAMES[1], GAMES[2], GAMES[5]):
+        game = random_game(n, s, k, seed=seed)
+        policy = random_softmax_policy(game, np.random.default_rng(seed), 2.0)
+        tables = solve_values(game, policy)
+        for agent in range(n):
+            try:
+                result = json.dumps(
+                    exact_policy_gradient(game, policy, tables, agent).tolist())
+            except Exception as exc:
+                result = f"raised {type(exc).__name__}: {exc}"
+            digest = hashlib.sha256(result.encode()).hexdigest()
+            lines.append(f"{digest}  exact-gradient-n{n}-s{s}-k{k}-seed{seed}/a{agent}")
     return lines
 
 
