@@ -204,8 +204,8 @@ def state_distributions(
 ) -> np.ndarray:
     """d^t for t = 0..t_max as a (t_max+1, n_states) array; a table above
     DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first.
-    Each row is written in place into its pre-made view by ``np.dot``, the
-    bits of ``out[t] @ p_pi``."""
+    Each row is written in place by ``np.dot``, the bits of
+    ``out[t] @ p_pi``."""
     if (t_max + 1) * game.n_states > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"state distributions of {t_max + 1} rows x {game.n_states} states "
@@ -214,7 +214,6 @@ def state_distributions(
     p_pi = policy_transition(game, policy)
     out = np.empty((t_max + 1, game.n_states))
     out[0] = game.initial_dist
-    rows = list(out)
     for t in range(t_max):
-        np.dot(rows[t], p_pi, out=rows[t + 1])
+        np.dot(out[t], p_pi, out=out[t + 1])
     return out

@@ -868,6 +868,10 @@ def check_game_oracle(game, policy, tables, rng, sabotage=False):
         q_row = rows[s, m]
         pi_row = pi_i[s]
         scores = score_geometry(pi_row)[0]
+        # score_geometry is shared with verify, so anchor it to e_a - pi here
+        np.testing.assert_allclose(
+            scores, np.eye(len(pi_row)) - pi_row, rtol=0, atol=4 * np.finfo(float).eps
+        )
         b_star = ob_surrogate_discrete(q_row, pi_row)
         base_var = _local_variance(pi_row, q_row - b_star, scores)
         score_sq = expected_score_norm_sq(pi_row)

@@ -273,7 +273,8 @@ def test_exact_gradient_matches_walked_route(corpus30):
         for i in range(game.n_agents):
             grad = exact_policy_gradient(game, policy, tables, i)
             walked = walked_policy_gradient(game, policy, i)
-            scale = float(np.abs(walked).max())
+            scale = max(float(np.abs(walked).max()), 1e-300)
+            np.testing.assert_allclose(grad, walked, rtol=0, atol=1e-9 * scale)
             worst = max(worst, float(np.abs(grad - walked).max()) / scale)
     assert worst < 1e-9, worst
 

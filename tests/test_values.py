@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,23 @@ def test_state_distributions_equal_the_row_by_row_loop(
     for t in range(t_max):
         want[t + 1] = want[t] @ p_pi
     assert np.array_equal(state_distributions(game, policy, t_max), want)
+
+
+def test_state_distributions_hold_only_the_table_on_long_horizons():
+    # a one-state game near gamma = 1 asks for millions of rows within the
+    # enumeration cap; a live Python view per row would cost ~15x the table
+    game = random_game(2, 1, 2, seed=0)
+    policy = uniform_policy(game)
+    t_max = 200_000
+    state_distributions(game, policy, 10)
+    tracemalloc.start()
+    try:
+        dists = state_distributions(game, policy, t_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dists.shape == (t_max + 1, 1)
+    assert peak < 1.5 * dists.nbytes, (peak, dists.nbytes)
 
 
 def test_discounted_occupancy_matches_series(corpus30):
