@@ -203,9 +203,7 @@ def state_distributions(
     game: MarkovGame, policy: JointPolicy, t_max: int
 ) -> np.ndarray:
     """d^t for t = 0..t_max as a (t_max+1, n_states) array; a table above
-    DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first.
-    Each row is written in place by ``np.dot``, the bits of
-    ``out[t] @ p_pi``."""
+    DEFAULT_ENUMERATION_CAP entries raises EnumerationCapExceeded first."""
     if (t_max + 1) * game.n_states > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"state distributions of {t_max + 1} rows x {game.n_states} states "
@@ -215,5 +213,5 @@ def state_distributions(
     out = np.empty((t_max + 1, game.n_states))
     out[0] = game.initial_dist
     for t in range(t_max):
-        np.dot(out[t], p_pi, out=out[t + 1])
+        out[t + 1] = out[t] @ p_pi
     return out
