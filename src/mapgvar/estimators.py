@@ -172,12 +172,11 @@ WINDOW_MAX_ELEMENTS = 1024
 WINDOW_CAP = 128
 # Steps times trajectories per block of the per-step path: w = this // m
 # steps, at least 1 and at most WINDOW_CAP, so a consumer's per-block work
-# (mc_variance's signal and probability gathers and its scatter) runs once per
-# w steps. One kind's mc_variance pass over the bench's eight report-mc shapes
-# (m = 1000, horizon 200, one core, 21 interleaved repeats) took 0.96, 0.90,
-# 0.90, 0.99 and 1.41 times its one-step-block time at 2048, 4096, 8192, 16384
-# and 65536; at 65536 the scatter's (w, m, k + 1) buffers outgrow a 2 MiB L2.
-# Each (w, m) plane of a block holds at most max(this, m) entries.
+# (mc_variance's signal gather and its sums) runs once per w steps. One kind's
+# mc_variance pass over the bench's eight report-mc shapes (m = 1000, horizon
+# 200, one core of a 2-CPU VM, two runs of 9 interleaved repeats) took
+# 1.00-1.02, 0.99-1.00 and 1.05-1.09 times its time at 8192 at 4096, 16384 and
+# 32768. Each (w, m) plane of a block holds at most max(this, m) entries.
 STEP_BLOCK_ELEMENTS = 8192
 
 
@@ -297,29 +296,33 @@ def rollout(
         s = path[-1]
 
 
-def scatter_scores(flat, cells, own, pi_rows, val) -> None:
-    """Accumulate signal-times-score blocks into ``flat`` in place.
+def add_block_signals(own_sums, block_sums, blocks, own, val) -> None:
+    """Add each sample's signal ``val``, in sample order, at its (block, own
+    action) cell of the flat ``own_sums`` and at its block of ``block_sums``.
 
-    For each entry of ``cells`` (the flat offset of a state's k-action
-    block), in C order, applies flat[cells + a] -= pi_rows[..., a] * val
-    for every action a, then flat[cells + own] += val. ``cells`` is one
-    step's (m,) offsets or a t-major (w, m) stack of steps: a ``rollout``
-    block in ``mc_variance``, the whole horizon in ``train``. Either way it
-    makes the same sequence of roundings as those two updates made one step
-    at a time. The interleaved (..., k + 1) index and value buffers are
-    filled one action column at a time, each column one long plane, then
-    added in one in-order ``np.add.at``.
+    A block is one state's k-action span of a flat gradient: a (trajectory,
+    state) pair in ``train``'s step and in ``mc_variance``, a state in a PPO
+    epoch. ``own_sums`` holds n_blocks * k entries and ``block_sums``
+    n_blocks. ``blocks``, ``own`` and ``val`` are one step's (m,) samples or
+    a t-major (w, m) stack of steps, summed in C order, so a stack cut into
+    consecutive pieces sums to the same bits as one call. pi(s) is fixed
+    within a batch, so a block's sum of val * (e_own - pi(s)) is its own sums
+    minus pi(s) times its block sum, which ``subtract_block_policy`` forms.
     """
-    k = pi_rows.shape[-1]
-    idx = np.empty((*cells.shape, k + 1), dtype=np.intp)
-    vals = np.empty(idx.shape)
-    neg = np.negative(val)
-    for a in range(k):
-        np.add(cells, a, out=idx[..., a])
-        np.multiply(pi_rows[..., a], neg, out=vals[..., a])
-    np.add(cells, own, out=idx[..., k])
-    vals[..., k] = val
-    np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
+    k = own_sums.size // block_sums.size
+    # 1-D indices keep np.add.at on its fast path: a (8, 1000) block's two
+    # calls took 195 us with (w, m) index arrays against 44 us flattened
+    vals = val.reshape(-1)
+    np.add.at(own_sums, (blocks * k + own).reshape(-1), vals)
+    np.add.at(block_sums, blocks.reshape(-1), vals)
+
+
+def subtract_block_policy(own_sums, block_sums, pi_table) -> None:
+    """Finish ``add_block_signals``' sums into gradients in place:
+    own_sums[..., s, a] -= block_sums[..., s] * pi_table[s, a], one action
+    column at a time, so no temporary is as large as ``own_sums``."""
+    for a in range(pi_table.shape[1]):
+        own_sums[..., a] -= block_sums * pi_table[:, a]
 
 
 def mean_step_gradient_by_state(

@@ -265,7 +265,13 @@ def _json_map(keys, values, indent: str) -> str:
 
 
 def serialize_game(game: MarkovGame) -> str:
-    """Lossless UTF-8 JSON text for a game; parse_game inverts it exactly.
+    """Lossless UTF-8 JSON text for a game; parse_game inverts it exactly:
+    ``_game_text_pieces`` joined."""
+    return "".join(_game_text_pieces(game))
+
+
+def _game_text_pieces(game: MarkovGame) -> list[str]:
+    """The pieces of ``serialize_game``'s text, in order.
 
     The text is json.dumps(doc, indent=2) of the game document. Only the
     header goes through json; the transition and reward maps, almost all of
@@ -311,14 +317,13 @@ def serialize_game(game: MarkovGame) -> str:
     ranges = _in_processes(
         lambda span: state_items(game.transition, transition_row, span), spans
     )
-    # one copy of the text, with no joined transition map before it
-    return "".join([
+    return [
         f'{header[:-2]},\n  "transition": ',
         *ranges,
         '\n  },\n  "reward": ',
         state_items(game.reward, float.__repr__, range(n_states)),
         "\n  }\n}\n",
-    ])
+    ]
 
 
 def _float_rows(obj: dict) -> dict:
@@ -400,8 +405,10 @@ def _state_rows(doc, table: str, state: str, keys, entry_shape) -> np.ndarray:
 
 
 def save_game(game: MarkovGame, path) -> None:
+    """Write ``serialize_game``'s text piece by piece, never joined, so the
+    text is held about once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_game(game))
+        fh.writelines(_game_text_pieces(game))
 
 
 def load_game(path) -> MarkovGame:

@@ -23,11 +23,12 @@ from .baselines import BaselineKind, BaselineTag, ob_surrogate_gaussian
 from .estimators import (
     EstimatorKind,
     EstimatorTag,
+    add_block_signals,
     default_horizon,
     param_dim,
     rollout,
-    scatter_scores,
     signal_table,
+    subtract_block_policy,
 )
 from .games import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, MarkovGame
 from .games import _integer, _real  # one reader for every input document
@@ -373,22 +374,20 @@ def train(
             states[at], actions[:, at], joint_idx[at], next_states[at] = block
             t = at.stop
 
-        # per-trajectory gradients, plus per-sample signals for clipped epochs
-        grads, signals = [], []
+        # per-trajectory gradients, block = trajectory * S + state, plus the
+        # per-sample discounted signals, the clipped epochs' advantages
+        grads, vals = [], []
         joint_cells = states * game.n_joint_actions + joint_idx  # one index, every agent
+        blocks = np.arange(batch) * game.n_states + states
         for i in range(n):
             kind = EstimatorKind(signal_tag, i)
             sig = np.take(signal_table(kind, game, policy, q_table), joint_cells)
-            signals.append(sig)
-            dim = param_dim(game, i)
-            grads.append(np.zeros(batch * dim))
-            scatter_scores(
-                grads[i],
-                np.arange(batch) * dim + states * counts[i],
-                actions[i],
-                np.take(pi_tables[i], states, axis=0),
-                discounts[:, None] * sig,
-            )
+            vals.append(discounts[:, None] * sig)
+            grads.append(np.zeros(batch * param_dim(game, i)))
+            totals = np.zeros((batch, game.n_states))
+            add_block_signals(grads[i], totals.reshape(-1), blocks, actions[i], vals[i])
+            subtract_block_policy(grads[i].reshape(batch, -1, counts[i]), totals,
+                                  pi_tables[i])
 
         steps, grad_var, grad_norm = _batch_statistics(
             [g.reshape(batch, -1) for g in grads]
@@ -402,15 +401,6 @@ def train(
                     logits[i].shape
                 )
         else:
-            gamma_pow = game.gamma ** np.arange(horizon)
-            # flat cells in trajectory order, the order the epochs sum samples in
-            s_flat = states.T.reshape(-1)
-            own, row_cells, adv = [], [], []
-            for i in range(n):
-                cells = s_flat * counts[i]
-                own.append(cells + actions[i].T.reshape(-1))
-                row_cells.append((cells[:, None] + np.arange(counts[i])).reshape(-1))
-                adv.append((signals[i] * gamma_pow[:, None]).T.reshape(-1))
             # one ratio per (state, action) cell, read per sample; a cell of
             # probability 0 has log -inf, and no sample reads its ratio
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -420,20 +410,17 @@ def train(
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratios = [np.exp(np.log(p) - lp) for p, lp in zip(new_tables, old_logp)]
                 for i in range(n):
-                    ratio = np.take(ratios[i], own[i])
+                    ratio, adv = ratios[i][states, actions[i]], vals[i]
                     clipped_out = (
-                        (adv[i] > 0) & (ratio > 1.0 + config.ppo.eps_clip)
-                    ) | ((adv[i] < 0) & (ratio < 1.0 - config.ppo.eps_clip))
-                    coef = np.where(clipped_out, 0.0, ratio * adv[i])
+                        (adv > 0) & (ratio > 1.0 + config.ppo.eps_clip)
+                    ) | ((adv < 0) & (ratio < 1.0 - config.ppo.eps_clip))
+                    coef = np.where(clipped_out, 0.0, ratio * adv)
                     coef /= batch * horizon
-                    rows = np.take(new_tables[i], s_flat, axis=0)
-                    # every own-action term, then every row term, each in sample order
-                    step = np.zeros(logits[i].size)
-                    np.add.at(step, own[i], coef)
-                    np.add.at(step, row_cells[i], (rows * -coef[:, None]).reshape(-1))
-                    logits[i] = logits[i] + config.actor_lr * step.reshape(
-                        logits[i].shape
-                    )
+                    # block = state: the epoch's step is one sum over the batch
+                    step, totals = np.zeros(logits[i].shape), np.zeros(game.n_states)
+                    add_block_signals(step.reshape(-1), totals, states, actions[i], coef)
+                    subtract_block_policy(step, totals, new_tables[i])
+                    logits[i] = logits[i] + config.actor_lr * step
 
         if config.entropy_coef > 0.0:
             for i in range(n):

@@ -34,6 +34,7 @@ from .estimators import (
     EstimatorTag,
     IDENTITY_TOL,
     _check_agent,
+    add_block_signals,
     agent_axis_view,
     agent_prob_table,
     default_horizon,
@@ -41,8 +42,8 @@ from .estimators import (
     param_dim,
     rollout,
     rollout_draws,
-    scatter_scores,
     signal_table,
+    subtract_block_policy,
 )
 from .games import MarkovGame
 from .policies import JointPolicy, score_geometry
@@ -281,8 +282,6 @@ def _gap_horizon(gamma: float, tail_scale: float) -> int:
 
 def _tail_bound(gamma: float, tail_scale: float, horizon: int) -> float:
     """sum over t >= horizon of gamma^{2t} tail_scale."""
-    if gamma == 0.0:
-        return 0.0
     return gamma ** (2 * horizon) * tail_scale / (1.0 - gamma**2)
 
 
@@ -298,11 +297,11 @@ def _gap_specs(
 ) -> tuple[_GapSpec, _GapSpec]:
     """The agent's centralized and COMA gaps; see ``centralized_gap_bound``
     and ``coma_gap_bound``."""
-    inv = 1.0 if game.gamma == 0.0 else 1.0 / (1.0 - game.gamma**2)
+    inv = 1.0 / (1.0 - game.gamma**2)
     others_sq = float(np.sum(np.delete(consts.adv_abs_max, agent) ** 2))
     b_i = float(consts.score_norm_max[agent])
     eps_i = float(consts.adv_abs_max[agent])
-    q_scale = game.beta if game.gamma == 0.0 else game.beta / (1.0 - game.gamma)
+    q_scale = game.beta / (1.0 - game.gamma)
     rhs1 = b_i**2 * inv * others_sq
     rhs2 = (game.n_agents - 1) * (consts.adv_abs_max_overall * b_i) ** 2 * inv
     centralized = (EstimatorTag.CENTRALIZED_VANILLA, (rhs1, rhs2), b_i**2 * others_sq)
@@ -534,7 +533,7 @@ def _kind_estimate(
 ) -> tuple[float, float]:
     """mc_variance's (estimate, se) for one kind's (S, A) signal table
     ``sig``, drawing from ``rng``: one rollout pass per chunk."""
-    k, n_joint = game.action_counts[agent], game.n_joint_actions
+    n_states, n_joint = game.n_states, game.n_joint_actions
     flat_sig = np.ravel(sig)
     dim = param_dim(game, agent)
     # gamma^t rounded as a running product, step by step, as a column
@@ -545,14 +544,16 @@ def _kind_estimate(
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         remaining -= m
-        row_cells = np.arange(m)[None] * dim  # (1, m), broadcast over a block's steps
-        flat = np.zeros(m * dim)
+        # block = trajectory * S + state; (1, m), broadcast over a block's steps
+        row_blocks = np.arange(m)[None] * n_states
+        flat, totals = np.zeros(m * dim), np.zeros((m, n_states))
         t = 0
         for s, actions, a_idx, _ in rollout(game, pi_tables, m, horizon, rng):
             val = discounts[t : t + len(s)] * np.take(flat_sig, s * n_joint + a_idx)
-            pi_rows = np.take(pi_tables[agent], s, axis=0)
-            scatter_scores(flat, row_cells + s * k, actions[agent], pi_rows, val)
+            add_block_signals(flat, totals.reshape(-1), row_blocks + s, actions[agent],
+                              val)
             t += len(s)
+        subtract_block_policy(flat.reshape(m, n_states, -1), totals, pi_tables[agent])
         rows = flat.reshape(m, dim)
         norm_sq = np.einsum("md,md->m", rows, rows)
         s1 += rows.sum(axis=0)

@@ -404,14 +404,33 @@ def score_step_oracle(grads, states, own, pi_table, val):
     grads[rows, states, own] += val
 
 
-def scatter_scores_oracle(flat, cells, own, pi_rows, val):
-    """``scatter_scores`` with its (..., k + 1) index and value buffers each
-    filled over the whole stack at once, then one in-order ``np.add.at``."""
-    k = pi_rows.shape[-1]
-    idx = cells[..., None] + np.arange(k + 1)
-    idx[..., k] = cells + own
-    vals = np.concatenate([pi_rows * -val[..., None], val[..., None]], axis=-1)
-    np.add.at(flat, idx.reshape(-1), vals.reshape(-1))
+def block_signals_oracle(own_sums, block_sums, blocks, own, val):
+    """``add_block_signals`` as a per-sample loop, in C order: val at the
+    (block, own action) cell of the flat ``own_sums`` and at its block."""
+    k = own_sums.size // block_sums.size
+    for b, a, v in zip(blocks.reshape(-1), own.reshape(-1), val.reshape(-1)):
+        own_sums[b * k + a] += v
+        block_sums[b] += v
+
+
+def ppo_step_oracle(logits, old_probs, samples, eps_clip, n_samples):
+    """One PPO epoch's step on one agent's (S, k) ``logits``, summed sample
+    by sample over ``samples``, (state, own action, discounted signal)
+    triples: coef = 0 where the ratio pi_new / pi_old clips on the
+    advantage's side, else ratio * adv / ``n_samples``, times e_a - pi_new(s).
+    Returns the step and the count of clipped samples."""
+    new = np.exp(logits - logits.max(axis=1, keepdims=True))
+    new /= new.sum(axis=1, keepdims=True)
+    step, clipped = np.zeros(logits.shape), 0
+    for s, a, adv in samples:
+        ratio = new[s, a] / old_probs[s, a]
+        if (adv > 0 and ratio > 1.0 + eps_clip) or (adv < 0 and ratio < 1.0 - eps_clip):
+            clipped += 1
+            continue
+        score = -new[s]
+        score[a] += 1.0
+        step[s] += ratio * adv / n_samples * score
+    return step, clipped
 
 
 def rollout_oracle(game, pi_tables, m, horizon, rng):
@@ -577,7 +596,7 @@ def gap_bound_oracle(game, policy, agent, tables, tag, tol=1e-9):
 
 # ---------------------------------------------------------------------------
 # entry-by-entry routes to the quantities the vectorized kernels compute:
-# per-step and trajectory gradients (rollout + scatter_scores, signal_table,
+# per-step and trajectory gradients (rollout + add_block_signals, signal_table,
 # step_moments), coalition marginals (marginal_q_lattice), the discounted
 # occupancy (exact_policy_gradient) and the generic optimal baseline
 # (ob_surrogate_discrete, signal_table(OB_X))

@@ -27,13 +27,14 @@ from mapgvar import (
     uniform_policy,
 )
 from mapgvar.estimators import (
+    add_block_signals,
     agent_axis_view,
     agent_prob_table,
     default_horizon,
     mean_step_gradient_by_state,
     others_prob_table,
     param_dim,
-    scatter_scores,
+    subtract_block_policy,
     unview_agent_axis,
 )
 
@@ -152,8 +153,8 @@ def test_coma_signal_rows_have_zero_policy_mean(corpus30):
 
 
 def test_per_step_gradient_by_hand(corpus30):
-    # one step of scatter_scores with the signal_table entry, the reference
-    # per-step contribution and signal * (e_a - pi) written out all agree
+    # one sample's block sums with the signal_table entry, finished, the
+    # reference per-step contribution and signal * (e_a - pi) written out agree
     game, policy, tables = corpus30[4]
     i = 0
     kind = EstimatorKind(EstimatorTag.CENTRALIZED_VANILLA, i)
@@ -161,11 +162,9 @@ def test_per_step_gradient_by_hand(corpus30):
     joint = tuple(0 for _ in range(game.n_agents))
     k = game.action_counts[i]
     sig = signal_table(kind, game, policy, tables.q)[s, game.joint_action_index(joint)]
-    vec = np.zeros(param_dim(game, i))
-    scatter_scores(
-        vec, np.array([s * k]), np.array([joint[i]]),
-        policy.probs(i, s)[None, :], np.array([sig]),
-    )
+    vec, totals = np.zeros(param_dim(game, i)), np.zeros(game.n_states)
+    add_block_signals(vec, totals, np.array([s]), np.array([joint[i]]), np.array([sig]))
+    subtract_block_policy(vec.reshape(-1, k), totals, agent_prob_table(game, policy, i))
     np.testing.assert_array_equal(
         vec, per_step_gradient(kind, game, policy, tables, s, joint)
     )
@@ -180,9 +179,10 @@ def test_per_step_gradient_by_hand(corpus30):
 
 
 def test_trajectory_gradient_is_discounted_sum(corpus30):
-    # rollout + scatter_scores, the accumulation mc_variance and train run,
-    # equal the discounted sum of per-step contributions along each sampled
-    # trajectory, and stopping at a horizon drops the tail
+    # rollout + add_block_signals + subtract_block_policy, the accumulation
+    # mc_variance and train run, equal the discounted sum of per-step
+    # contributions along each sampled trajectory, and stopping at a horizon
+    # drops the tail
     game, policy, tables = corpus30[7]
     i = 0
     kind = EstimatorKind(EstimatorTag.OB_X, i)
@@ -190,16 +190,15 @@ def test_trajectory_gradient_is_discounted_sum(corpus30):
     dim = param_dim(game, i)
     pi_tables = [agent_prob_table(game, policy, j) for j in range(game.n_agents)]
     sig = signal_table(kind, game, policy, tables.q)
-    flat = np.zeros(m * dim)
+    flat, totals = np.zeros(m * dim), np.zeros((m, game.n_states))
     blocks = rollout(game, pi_tables, m, horizon, np.random.default_rng(8))
     steps = rollout_steps(blocks)
     scale = 1.0
     for s, actions, a_idx, _ in steps:
-        scatter_scores(
-            flat, np.arange(m) * dim + s * k, actions[i],
-            pi_tables[i][s], scale * sig[s, a_idx],
-        )
+        add_block_signals(flat, totals.reshape(-1), np.arange(m) * game.n_states + s,
+                          actions[i], scale * sig[s, a_idx])
         scale *= game.gamma
+    subtract_block_policy(flat.reshape(m, -1, k), totals, pi_tables[i])
     for b, total in enumerate(flat.reshape(m, dim)):
         traj = [(s[b], tuple(actions[:, b])) for s, actions, _, _ in steps]
         np.testing.assert_allclose(

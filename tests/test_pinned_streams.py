@@ -2,8 +2,9 @@
 train_gaussian, plus the bytes of one verify report.
 
 The constants were recorded from the per-step compare-count sampler, the
-per-step fancy-index gradient updates, the per-row Gaussian OB surrogate and
-the per-transition TD loop that the current kernels replaced.
+per-row Gaussian OB surrogate and the per-transition TD loop that the
+current kernels replaced; the discrete gradients' were recorded again when
+the block sums replaced the per-step fancy-index gradient updates.
 Every comparison is ==, so a change to the draw order, the sampler's tie
 rule or the order in which gradient terms are summed fails here. Update the
 constants only with a change that is meant to move numbers, and record why.
@@ -77,31 +78,34 @@ LONG_ROLLOUT = (
 
 # agent 1 of a 2-agent, 2-state, 2-action game; 50 trajectories of 12 steps in
 # chunks of 16, the four kinds in EstimatorTag order on one generator; ob_x
-# reads the cancellation-free x-measure, which moved its SE's last bits
+# reads the cancellation-free x-measure, which moved its SE's last bits, and
+# summing each block's signals before subtracting pi once moved every kind's
 MC = {
-    "decentralized": (2.1860631317354198, 0.21086672184744282),
-    "centralized_vanilla": (3.1754714578734937, 0.49477133547928837),
-    "coma": (1.9508461450274903, 0.27561683513891994),
-    "ob_x": (1.9856710510081803, 0.33395650933718246),
+    "decentralized": (2.1860631317354184, 0.21086672184744215),
+    "centralized_vanilla": (3.175471457873495, 0.4947713354792875),
+    "coma": (1.9508461450274903, 0.2756168351389173),
+    "ob_x": (1.9856710510081814, 0.3339565093371856),
 }
 MC_STATE = 163543252750250100078913129045173179878
 
 # TD critic, PPO, OB surrogate baseline: batch 4, horizon 40, 3 iterations;
-# the cancellation-free x-measure moved three logits in their last bit
+# the cancellation-free x-measure moved three logits in their last bit, and
+# the block sums, with PPO's running-product discounts, moved the gradient
+# statistics and the logits in theirs
 TRAIN = {
     "returns": (-1.471097900775881, -1.471097900775881, -1.3876655041748382),
-    "grad_variance": (0.0, 1.7036105863771915, 0.28090069971759984),
-    "grad_norm": (0.0, 3.0167588038481576, 2.7373396723310846),
+    "grad_variance": (0.0, 1.7036105863771909, 0.28090069971759957),
+    "grad_norm": (0.0, 3.016758803848157, 2.7373396723310846),
     "logits": [
         [
-            [0.001182508663231635, -0.0011825086632316353],
-            [-0.0016114163940693957, 0.0016114163940693957],
-            [0.007761075999839837, -0.007761075999839838],
+            [0.0011825086632316361, -0.0011825086632316357],
+            [-0.0016114163940693959, 0.0016114163940693957],
+            [0.007761075999839837, -0.007761075999839837],
         ],
         [
-            [0.006228893139140059, -0.006228893139140058],
-            [-0.03672598695724417, 0.03672598695724415],
-            [0.01414887521645508, -0.01414887521645508],
+            [0.006228893139140057, -0.006228893139140058],
+            [-0.036725986957244154, 0.03672598695724416],
+            [0.014148875216455081, -0.01414887521645508],
         ],
     ],
     "state": 334702587045061038831436622225422782011,
@@ -216,23 +220,25 @@ GAUSSIAN = {
 }
 
 # TD critic at lr 0.1 with the COMA baseline on a 16-cell game (4 states, 2 x 2
-# joint actions): batch 8, horizon 400, so a pass visits each cell many times
+# joint actions): batch 8, horizon 400, so a pass visits each cell many
+# times; the block sums moved the gradient statistics, the third return and
+# the logits in their last bits
 TD_TRAIN = {
-    "returns": (1.5282184735228557, 1.5282184735228557, 2.2363893136247635),
-    "grad_variance": (0.0, 1.1122902905670269, 0.7935655322390993),
-    "grad_norm": (0.0, 3.002524769597178, 2.210276079346627),
+    "returns": (1.5282184735228557, 1.5282184735228557, 2.236389313624766),
+    "grad_variance": (0.0, 1.1122902905670269, 0.7935655322390984),
+    "grad_norm": (0.0, 3.0025247695971786, 2.210276079346627),
     "logits": [
         [
-            [-0.13950171459353541, 0.13950171459353544],
-            [0.13749315068695664, -0.13749315068695667],
-            [-0.04106037808521595, 0.041060378085215954],
-            [-0.030663104746875038, 0.030663104746875045],
+            [-0.1395017145935354, 0.1395017145935354],
+            [0.1374931506869567, -0.13749315068695667],
+            [-0.04106037808521595, 0.04106037808521595],
+            [-0.030663104746875045, 0.030663104746875045],
         ],
         [
-            [-0.2938587143199318, 0.2938587143199318],
-            [-0.04334702831733742, 0.043347028317337416],
-            [-0.01918300725335568, 0.01918300725335567],
-            [0.06832889336257728, -0.06832889336257725],
+            [-0.2938587143199319, 0.2938587143199318],
+            [-0.04334702831733743, 0.04334702831733743],
+            [-0.019183007253355693, 0.019183007253355675],
+            [0.06832889336257726, -0.06832889336257728],
         ],
     ],
     "state": 240865411370187109693785584832010105184,

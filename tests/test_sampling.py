@@ -1,7 +1,8 @@
-"""The rollout sampler and the score-scatter kernel against their oracles.
+"""The rollout sampler and the block-sum kernel against their oracles.
 
-Both kernels promise bit equality with the plain numpy idioms in
-``oracles.py``, so every comparison here is ``array_equal``.
+Both kernels promise bit equality with the plain idioms in ``oracles.py``,
+so every comparison here is ``array_equal``, except the finished gradient's
+against the per-step route, which rounds differently.
 """
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from conftest import rollout_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    block_signals_oracle,
     inverse_cdf_oracle,
     rollout_oracle,
-    scatter_scores_oracle,
     score_step_oracle,
 )
 
@@ -20,11 +21,12 @@ from mapgvar.estimators import (
     STEP_BLOCK_ELEMENTS,
     WINDOW_CAP,
     WINDOW_MAX_ELEMENTS,
+    add_block_signals,
     cdf_table,
     inverse_cdf,
     rollout_draws,
     rollout_window,
-    scatter_scores,
+    subtract_block_policy,
 )
 
 
@@ -245,6 +247,11 @@ def _trajectories(rng, n_states, k, steps, batch):
     return states, own, pi, val
 
 
+def _block_sums(rng, batch, n_states, k):
+    """Nonzero starting buffers, so every rounding of the sums counts."""
+    return rng.standard_normal(batch * n_states * k), rng.standard_normal(batch * n_states)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_states=st.integers(1, 4),
@@ -253,41 +260,58 @@ def _trajectories(rng, n_states, k, steps, batch):
     batch=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_scatter_scores_equals_the_per_step_fancy_index_update(
-    n_states, k, steps, batch, seed
-):
-    states, own, pi, val = _trajectories(
-        np.random.default_rng(seed), n_states, k, steps, batch
-    )
-    expected = np.zeros((batch, n_states, k))
-    for t in range(steps):
-        score_step_oracle(expected, states[t], own[t], pi, val[t])
-    dim = n_states * k
-    row_cells = np.arange(batch) * dim
+def test_add_block_signals_equals_the_per_sample_loop(n_states, k, steps, batch, seed):
+    rng = np.random.default_rng(seed)
+    states, own, pi, val = _trajectories(rng, n_states, k, steps, batch)
+    blocks = np.arange(batch) * n_states + states  # train's and mc_variance's blocks
+    start = _block_sums(rng, batch, n_states, k)
+    expected = tuple(x.copy() for x in start)
+    block_signals_oracle(*expected, blocks, own, val)
 
-    per_step = np.zeros(batch * dim)  # one (m,) call per step
+    per_step = tuple(x.copy() for x in start)  # one (m,) call per step
     for t in range(steps):
-        cells = row_cells + states[t] * k
-        scatter_scores(per_step, cells, own[t], pi[states[t]], val[t])
-    stacked = np.zeros(batch * dim)  # one (steps, batch) call
-    scatter_scores(stacked, row_cells + states * k, own, pi[states], val)
+        add_block_signals(*per_step, blocks[t], own[t], val[t])
+    stacked = tuple(x.copy() for x in start)  # one (steps, batch) call
+    add_block_signals(*stacked, blocks, own, val)
 
-    assert np.array_equal(per_step.reshape(expected.shape), expected)
-    assert np.array_equal(stacked.reshape(expected.shape), expected)
+    for got in (per_step, stacked):
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_signals_split_at_random_boundaries_equal_one_call(seed):
+    # mc_variance sums each rollout block as it comes; cut the horizon at
+    # random step boundaries, and the sums hold the bits of one call
+    rng = np.random.default_rng(seed)
+    n_states, k, steps, batch = 3, 4, 60, 25
+    states, own, pi, val = _trajectories(rng, n_states, k, steps, batch)
+    blocks = np.arange(batch) * n_states + states
+    start = _block_sums(rng, batch, n_states, k)
+    whole = tuple(x.copy() for x in start)
+    add_block_signals(*whole, blocks, own, val)
+    cuts = np.sort(rng.choice(np.arange(1, steps), size=rng.integers(1, 10), replace=False))
+    pieces = tuple(x.copy() for x in start)
+    for at in np.split(np.arange(steps), cuts):
+        add_block_signals(*pieces, blocks[at], own[at], val[at])
+    assert all(np.array_equal(g, e) for g, e in zip(pieces, whole))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-@pytest.mark.parametrize("steps", [1, 7])
-def test_scatter_scores_equals_the_one_buffer_formula(k, steps):
-    # cells of shape (1, m), a one-step block, and (w, m), a block of w
-    # steps or a train batch; flat starts nonzero, so every rounding counts
+@pytest.mark.parametrize("steps", [1, 7, 40])
+def test_block_gradient_matches_the_per_step_route(k, steps):
+    # the finished sums, own_sums - block_sums * pi, against the old per-step
+    # update val * (e_a - pi), within 1e-12 of each block's sum of |val|
     rng = np.random.default_rng(10 * k + steps)
     n_states, batch = 3, 50
     states, own, pi, val = _trajectories(rng, n_states, k, steps, batch)
-    dim = n_states * k
-    cells = np.arange(batch)[None] * dim + states * k
-    start = rng.standard_normal(batch * dim)
-    got, expected = start.copy(), start.copy()
-    scatter_scores(got, cells, own, pi[states], val)
-    scatter_scores_oracle(expected, cells, own, pi[states], val)
-    assert np.array_equal(got, expected)
+    expected = np.zeros((batch, n_states, k))
+    for t in range(steps):
+        score_step_oracle(expected, states[t], own[t], pi, val[t])
+    blocks = np.arange(batch) * n_states + states
+    got, totals = np.zeros(batch * n_states * k), np.zeros((batch, n_states))
+    add_block_signals(got, totals.reshape(-1), blocks, own, val)
+    subtract_block_policy(got.reshape(expected.shape), totals, pi)
+    scale = np.zeros(batch * n_states)
+    np.add.at(scale, blocks.reshape(-1), np.abs(val).reshape(-1))
+    err = np.abs(got.reshape(expected.shape) - expected).max(axis=-1)
+    assert np.all(err <= 1e-12 * scale.reshape(batch, n_states))

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import one_step_game, rollout_steps, same_logits
-from oracles import compare_baselines, td_batch_oracle, trajectory_gradient
+from oracles import (
+    compare_baselines,
+    ppo_step_oracle,
+    td_batch_oracle,
+    trajectory_gradient,
+)
 
 from mapgvar import (
     BaselineKind,
@@ -31,6 +36,7 @@ from mapgvar import (
     random_softmax_policy,
     rollout,
     save_checkpoint,
+    signal_table,
     solve_values,
     td_learn_q,
     train,
@@ -317,6 +323,38 @@ def test_train_step_matches_the_per_trajectory_reference(baseline, signal):
         )
         np.testing.assert_allclose(agent.logits, expected, **rel)
         offset += width
+
+
+def test_ppo_step_matches_the_clipped_surrogate_reference():
+    # replay one iteration's batch and rebuild every epoch's step sample by
+    # sample; the clip binds at eps 0.05 and actor_lr 3 after a first epoch
+    game = random_game(2, 3, 3, seed=1)
+    initial = random_softmax_policy(game, np.random.default_rng(2))
+    ppo = PPOConfig(eps_clip=0.05, epochs=3)
+    cfg = quick_config(iterations=1, batch_size=6, horizon=9, seed=4, actor_lr=3.0,
+                       ppo=ppo, baseline=BaselineKind(BaselineTag.COMA))
+    result = train(game, initial, cfg)
+
+    q = solve_values(game, initial).q
+    pi_tables = [agent.all_probs() for agent in initial.agents]
+    steps = rollout_steps(rollout(game, pi_tables, cfg.batch_size, cfg.horizon,
+                                  np.random.default_rng(cfg.seed)))
+    clipped = 0
+    for i, (agent, start) in enumerate(zip(result.policy.agents, initial.agents)):
+        sig = signal_table(EstimatorKind(EstimatorTag.COMA, i), game, initial, q)
+        samples = [
+            (s[b], actions[i][b], game.gamma**t * sig[s[b], a_idx[b]])
+            for t, (s, actions, a_idx, _) in enumerate(steps)
+            for b in range(cfg.batch_size)
+        ]
+        logits = start.logits.copy()
+        for _ in range(ppo.epochs):
+            step, n_clipped = ppo_step_oracle(logits, pi_tables[i], samples,
+                                              ppo.eps_clip, len(samples))
+            logits = logits + cfg.actor_lr * step
+            clipped += n_clipped
+        np.testing.assert_allclose(agent.logits, logits, rtol=0.0, atol=1e-12)
+    assert clipped > 0
 
 
 def test_ob_training_rejects_a_degenerate_row_in_an_unvisited_state():

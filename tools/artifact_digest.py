@@ -42,7 +42,8 @@ message, after a first draw under the cap. Last of all, a ``gen`` of a
 60-state game large enough that serialize_game renders its transition map
 in several processes, and a plain ``report`` of the file it wrote. After
 it, one line per agent of four grid games: ``exact_policy_gradient`` under
-the random policy the reports use, hashed as JSON.
+the random policy the reports use, hashed as JSON. Last, two PPO trains on
+the 3-state game: one whose clip binds, one on the per-step sampler path.
 """
 from __future__ import annotations
 
@@ -359,6 +360,29 @@ def digest_lines(work: str) -> list[str]:
                   stderr=True)
     lines += _ranged_gen_lines(main, work)
     lines += _gradient_lines()
+    lines += _ppo_train_lines(main, work, game_files[(2, 3, 3, 1)])
+    return lines
+
+
+def _ppo_train_lines(main, work: str, game_file: str) -> list[str]:
+    """PPO trains on a 2-agent, 3-state game: at eps_clip 0.05 and actor_lr 3,
+    where up to 26 of an agent's 54 samples clip in an epoch after the first,
+    and at batch_size 114, the smallest batch that rollout samples one step
+    at a time."""
+    configs = (
+        ("clip-binds", {"baseline": "coma", "ppo": {"eps_clip": 0.05, "epochs": 3},
+                        "actor_lr": 3.0, "batch_size": 6, "horizon": 9,
+                        "iterations": 2, "seed": 4}),
+        ("per-step", {"baseline": "ob_surrogate", "ppo": {"eps_clip": 0.2, "epochs": 3},
+                      "batch_size": 114, "horizon": 30, "iterations": 2, "seed": 6}),
+    )
+    lines = []
+    for label, config in configs:
+        config_file = os.path.join(work, f"train-config-ppo-{label}.json")
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        lines += _run(main, f"train-n2-s3-k3-seed1-ppo-{label}",
+                      ["train", "--game", game_file, "--config", config_file], work)
     return lines
 
 
