@@ -25,7 +25,7 @@ import numpy as np
 
 from .games import MarkovGame
 from .policies import JointPolicy, _product_table, check_policy_fits, x_measure_softmax
-from .values import ValueTables, policy_transition
+from .values import ValueTables, _solve_discounted, policy_transition
 
 IDENTITY_TOL = 1e-9  # identity/bound slack; relative tail a horizon leaves out
 
@@ -349,11 +349,11 @@ def exact_policy_gradient(
 
     sum_s eta(s) E_{a~pi}[ Q(s,a) * score | s ], with the discounted
     occupancy eta = sum_t gamma^t d^t = d0 (I - gamma P_pi)^{-1} from one
-    linear solve, so no horizon truncates it.
+    linear solve judged as ``solve_values``' is, so no horizon truncates it.
     """
     _check_agent(game, agent)
     check_policy_fits(game, policy)
     by_state = mean_step_gradient_by_state(game, policy, tables, agent)
-    m = np.eye(game.n_states) - game.gamma * policy_transition(game, policy)
-    eta = np.linalg.solve(m.T, game.initial_dist)
+    eta = _solve_discounted(game.gamma, policy_transition(game, policy).T,
+                            game.initial_dist)
     return (eta[:, None] * by_state).reshape(-1)

@@ -1,9 +1,10 @@
 """Exact value functions for finite Markov games under a joint policy.
 
-V solves the |S|-dimensional linear system (I - gamma P_pi) V = r_pi directly;
-Q follows from one Bellman backup. Marginal Q-values over a coalition of
-agents are exact expectations over the excluded agents' product policy, and
-coalition advantages are differences of two marginals:
+V solves the |S|-dimensional linear system (I - gamma P_pi) V = r_pi directly,
+and the solve is judged once, by its normwise backward error; Q follows from
+one Bellman backup. Marginal Q-values over a coalition of agents are exact
+expectations over the excluded agents' product policy, and coalition
+advantages are differences of two marginals:
 
     A^{of}(s, a_given, a_of) = Q^{given+of}(s, ...) - Q^{given}(s, ...)
 
@@ -20,9 +21,7 @@ import numpy as np
 from .games import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, MarkovGame
 from .policies import JointPolicy, check_policy_fits, joint_action_prob_table
 
-BELLMAN_TOL = 1e-9
-VI_TOL = 1e-12
-VI_MAX_SWEEPS = 2_000_000
+BELLMAN_TOL = 1e-9  # relative to max(1, max|v|)
 
 
 class SingularSystem(RuntimeError):
@@ -51,14 +50,34 @@ def policy_transition(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     return np.einsum("sa,sat->st", probs, game.transition)
 
 
-def solve_values(game: MarkovGame, policy: JointPolicy) -> ValueTables:
-    """Exact Q and V. Direct dense solve; value-iteration fallback at 1e-12.
+def _solve_discounted(gamma: float, kernel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with (I - gamma kernel) x = rhs from one dense solve, judged by its
+    normwise backward error max|Mx - rhs| / (||M|| max|x| + max|rhs|), inf-norms
+    (0 at a zero residual, inf at a non-finite x): a failed solve or an error
+    above 4 * S * eps raises SingularSystem. An absolute test would fail near
+    gamma = 1, where x grows like 1/(1 - gamma)."""
+    m = np.eye(rhs.size) - gamma * kernel
+    try:
+        x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"value system is singular: {exc}") from exc
+    backward = math.inf
+    if np.all(np.isfinite(x)):
+        residual = float(np.max(np.abs(m @ x - rhs)))
+        norms = np.max(np.abs(m).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        backward = residual / float(norms) if residual else 0.0
+    limit = 4 * rhs.size * math.ulp(1.0)
+    if not backward <= limit:
+        raise SingularSystem(f"value system of {rhs.size} states: normwise backward "
+                             f"error {backward!r} above 4 * S * eps = {limit!r}")
+    return x
 
-    Raises SingularSystem if the linear system is outright singular (possible
-    only for malformed kernels; with stochastic rows and gamma < 1 the system
-    matrix is always invertible), and ValueError if the policy does not fit
-    the game (``check_policy_fits``).
-    """
+
+def solve_values(game: MarkovGame, policy: JointPolicy) -> ValueTables:
+    """Exact Q and V from one dense solve of (I - gamma P_pi) V = r_pi. Raises
+    SingularSystem if the solve fails ``_solve_discounted``'s check or V misses
+    the policy average of Q by more than BELLMAN_TOL * max(1, max|V|), and
+    ValueError if the policy does not fit the game (``check_policy_fits``)."""
     check_policy_fits(game, policy)
     if game.n_states * game.n_joint_actions > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
@@ -68,32 +87,12 @@ def solve_values(game: MarkovGame, policy: JointPolicy) -> ValueTables:
     probs = joint_action_prob_table(game, policy)
     p_pi = np.einsum("sa,sat->st", probs, game.transition)
     r_pi = np.einsum("sa,sa->s", probs, game.reward)
-    m = np.eye(game.n_states) - game.gamma * p_pi
-    try:
-        v = np.linalg.solve(m, r_pi)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"value system is singular: {exc}") from exc
-    scale = max(1.0, float(np.max(np.abs(r_pi))))
-    ill_conditioned = (
-        not np.all(np.isfinite(v))
-        or float(np.max(np.abs(m @ v - r_pi))) > 1e-10 * scale
-    )
-    if ill_conditioned:
-        v = np.zeros(game.n_states) if not np.all(np.isfinite(v)) else v
-        for _ in range(VI_MAX_SWEEPS):
-            v_next = r_pi + game.gamma * p_pi @ v
-            done = float(np.max(np.abs(v_next - v))) < VI_TOL
-            v = v_next
-            if done:
-                break
-        else:
-            raise SingularSystem("value iteration failed to reach tolerance")
+    v = _solve_discounted(game.gamma, p_pi, r_pi)
     q = game.reward + game.gamma * game.transition @ v
     bellman = float(np.max(np.abs(v - np.einsum("sa,sa->s", probs, q))))
-    if bellman > BELLMAN_TOL:
-        raise SingularSystem(
-            f"Bellman residual {bellman!r} exceeds {BELLMAN_TOL!r}"
-        )
+    limit = BELLMAN_TOL * max(1.0, float(np.max(np.abs(v))))
+    if bellman > limit:
+        raise SingularSystem(f"Bellman residual {bellman!r} exceeds {limit!r}")
     return ValueTables(q=q, v=v)
 
 

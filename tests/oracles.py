@@ -1,12 +1,13 @@
 """Independent brute-force routes used to cross-check the vectorized code.
 
 Everything here trades speed for obviousness: explicit itertools loops,
-value iteration instead of a linear solve, full path enumeration instead of
-moment algebra. Keep these dumb.
+value iteration or exact rational elimination instead of a linear solve, full
+path enumeration instead of moment algebra. Keep these dumb.
 """
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -181,6 +182,24 @@ def vi_q_oracle(game, policy, tol=1e-13, max_sweeps=200_000):
             return nxt
         q = nxt
     raise AssertionError("value iteration did not converge")
+
+
+def exact_discounted_solve(gamma, kernel, rhs):
+    """x with (I - gamma kernel) x = rhs in exact rational arithmetic, every
+    double input taken at its exact value: Gauss-Jordan elimination with
+    Fractions, meant for S <= 3. A list of Fractions."""
+    n = len(rhs)
+    g = Fraction(float(gamma))
+    rows = [[Fraction(int(i == j)) - g * Fraction(float(kernel[i][j])) for j in range(n)]
+            + [Fraction(float(rhs[i]))] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
 def marginal_q_oracle(game, policy, tables, subset, actions, s):

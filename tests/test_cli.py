@@ -528,7 +528,10 @@ def _invalid_input_argv(tmp_path, case):
         ("train gamma one", "gamma out of [0,1): 1.0"),
         ("malformed json", "bad.json: Expecting value"),
         ("agent out of range", "agent index 5 out of range [0, 2)"),
-        ("gamma near one", "Bellman residual"),
+        # the value solve stands; report's one table runs to the COMA gap's
+        # horizon, about 4.1e10 steps
+        ("gamma near one",
+         "state distributions of 40753385668 rows x 3 states exceed 10000000"),
         # the default horizon is about 4.1e10 steps, refused before allocating
         ("train gamma near one", "horizon 41446532854 x batch_size 32"),
         # report's one table runs to its longest horizon, the COMA gap's, about

@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
+import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import (
     decomposition_of,
     discounted_state_occupancy,
+    exact_discounted_solve,
     marginal_q,
     marginal_q_oracle,
     marginal_q_tensor,
@@ -22,14 +25,17 @@ from mapgvar import (
     SingularSystem,
     SoftmaxPolicy,
     agent_subset,
+    exact_policy_gradient,
     joint_action_prob_table,
     marginal_q_lattice,
     policy_transition,
     random_game,
+    random_softmax_policy,
     solve_values,
     state_distributions,
     uniform_policy,
 )
+from mapgvar.estimators import mean_step_gradient_by_state
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +90,113 @@ def test_singular_system_raised(monkeypatch):
         solve_values(game, uniform_policy(game))
 
 
+def test_singular_occupancy_system_raised(monkeypatch):
+    # the occupancy solve goes through the same check as the value solve
+    game = random_game(2, 3, 2, seed=1)
+    policy = uniform_policy(game)
+    tables = solve_values(game, policy)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="value system is singular"):
+        exact_policy_gradient(game, policy, tables, 0)
+
+
+def _nan_at_zero(x):
+    x[0] = np.nan
+    return x
+
+
 @pytest.mark.parametrize(
-    "n_states, gamma, singular",
-    [(120, 1 - 1e-7, False), (3, 1 - 1e-9, True), (40, 1 - 1e-9, True),
-     (120, 1 - 1e-9, True)],
+    "corrupt, error",
+    [(_nan_at_zero, "inf"), (lambda x: x * (1.0 + 1e-8), r"\d\.\d+e-\d+")],
+    ids=["one nan", "relative 1e-8"],
 )
-def test_solve_near_gamma_one_ends_within_a_second(n_states, gamma, singular):
-    # the value-iteration fallback starts from the direct solution and reaches
-    # a floating-point fixed point in a few sweeps, not VI_MAX_SWEEPS
+@pytest.mark.parametrize("solver", ["values", "occupancy"])
+def test_a_corrupted_solve_is_refused_by_its_backward_error(
+    monkeypatch, corrupt, error, solver
+):
+    game = random_game(2, 3, 2, seed=1)
+    policy = uniform_policy(game)
+    tables = solve_values(game, policy)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: corrupt(solve(a, b)))
+    limit = re.escape(f"above 4 * S * eps = {4 * 3 * float(np.finfo(float).eps)!r}")
+    message = f"value system of 3 states: normwise backward error {error} {limit}"
+    with pytest.raises(SingularSystem, match=message):
+        if solver == "values":
+            solve_values(game, policy)
+        else:
+            exact_policy_gradient(game, policy, tables, 0)
+
+
+def test_an_all_zero_reward_solves_to_zero():
+    # v = r_pi = 0 leaves a zero residual, whose backward error is 0, not 0/0
+    game = random_game(2, 3, 2, seed=1)
+    game = dataclasses.replace(game, reward=np.zeros_like(game.reward))
+    tables = solve_values(game, uniform_policy(game))
+    assert not tables.v.any() and not tables.q.any()
+
+
+def _backward_error(game, policy, v):
+    """max|Mv - r_pi| / (||M|| max|v| + max|r_pi|), infinity norms."""
+    probs = joint_action_prob_table(game, policy)
+    r_pi = np.einsum("sa,sa->s", probs, game.reward)
+    m = np.eye(game.n_states) - game.gamma * policy_transition(game, policy)
+    residual = np.abs(m @ v - r_pi).max()
+    return residual / (np.abs(m).sum(axis=1).max() * np.abs(v).max()
+                       + np.abs(r_pi).max())
+
+
+@pytest.mark.parametrize(
+    "n_states, gamma",
+    [(120, 1 - 1e-7), (3, 1 - 1e-9), (40, 1 - 1e-9), (120, 1 - 1e-9),
+     (40, 1 - 1e-12)],
+)
+def test_solve_near_gamma_one_ends_within_a_second(n_states, gamma):
+    # |v| grows like beta / (1 - gamma), so an absolute residual test fails on
+    # good solves here; each is judged by its backward error and stands
     game = dataclasses.replace(random_game(2, n_states, 2, seed=3), gamma=gamma)
     policy = uniform_policy(game)
     start = time.perf_counter()
-    if singular:
-        with pytest.raises(SingularSystem, match="Bellman residual"):
-            solve_values(game, policy)
-    else:
-        solve_values(game, policy)
+    tables = solve_values(game, policy)
     assert time.perf_counter() - start < 1.0
-    if not singular:  # the direct solve's residual sends it to the fallback
-        probs = joint_action_prob_table(game, policy)
-        r_pi = np.einsum("sa,sa->s", probs, game.reward)
-        m = np.eye(n_states) - gamma * policy_transition(game, policy)
-        assert np.abs(m @ np.linalg.solve(m, r_pi) - r_pi).max() > 1e-10
+    eps = np.finfo(float).eps
+    assert _backward_error(game, policy, tables.v) <= 4 * n_states * eps
+    probs = joint_action_prob_table(game, policy)
+    bellman = np.abs(tables.v - (probs * tables.q).sum(axis=1)).max()
+    assert bellman <= 1e-9 * np.abs(tables.v).max()
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.99, 1 - 1e-4, 1 - 1e-7, 1 - 1e-9, 1 - 1e-12])
+def test_solve_and_occupancy_match_exact_elimination(gamma):
+    # against the exact solution of the same double system. For stochastic
+    # rows ||M^-1|| = 1 / (1 - gamma), so a backward-stable solve lands within
+    # about eps * kappa of it, kappa = ||M|| / (1 - gamma): not a few eps, but
+    # up to 2e12 eps at 1 - 1e-12, where value iteration cannot converge
+    eps = np.finfo(float).eps
+    for n_states, seed in itertools.product((1, 2, 3), range(4)):
+        game = dataclasses.replace(random_game(2, n_states, 2, seed=seed), gamma=gamma)
+        for policy in (uniform_policy(game),
+                       random_softmax_policy(game, np.random.default_rng(seed))):
+            p_pi = policy_transition(game, policy)
+            r_pi = (joint_action_prob_table(game, policy) * game.reward).sum(axis=1)
+            kappa = np.abs(np.eye(n_states) - gamma * p_pi).sum(axis=1).max() / (1 - gamma)
+            tables = solve_values(game, policy)
+            exact_v = exact_discounted_solve(gamma, p_pi, r_pi)
+            tol = 4 * eps * kappa * float(max(map(abs, exact_v)))
+            assert max(abs(Fraction(x) - y) for x, y in zip(tables.v, exact_v)) <= tol
+            eta = exact_discounted_solve(gamma, p_pi.T, game.initial_dist)
+            tol = 4 * eps * kappa * max(map(abs, eta))
+            for agent in range(game.n_agents):
+                by_state = mean_step_gradient_by_state(game, policy, tables, agent)
+                grad = exact_policy_gradient(game, policy, tables, agent)
+                for g, (s, _), term in zip(grad, np.ndindex(by_state.shape),
+                                           by_state.reshape(-1)):
+                    exact = eta[s] * Fraction(term)
+                    assert abs(Fraction(g) - exact) <= tol * abs(Fraction(term))
 
 
 def test_solve_rejects_a_one_row_table_on_a_multi_state_game():

@@ -43,7 +43,9 @@ message, after a first draw under the cap. Last of all, a ``gen`` of a
 in several processes, and a plain ``report`` of the file it wrote. After
 it, one line per agent of four grid games: ``exact_policy_gradient`` under
 the random policy the reports use, hashed as JSON. Last, two PPO trains on
-the 3-state game: one whose clip binds, one on the per-step sampler path.
+the 3-state game: one whose clip binds, one on the per-step sampler path,
+and a ``report`` of a 40-state game at gamma = 1 - 1e-12, which the value
+solve passes and the state-distributions cap refuses.
 """
 from __future__ import annotations
 
@@ -361,6 +363,7 @@ def digest_lines(work: str) -> list[str]:
     lines += _ranged_gen_lines(main, work)
     lines += _gradient_lines()
     lines += _ppo_train_lines(main, work, game_files[(2, 3, 3, 1)])
+    lines += _near_one_solve_lines(main, work)
     return lines
 
 
@@ -384,6 +387,19 @@ def _ppo_train_lines(main, work: str, game_file: str) -> list[str]:
         lines += _run(main, f"train-n2-s3-k3-seed1-ppo-{label}",
                       ["train", "--game", game_file, "--config", config_file], work)
     return lines
+
+
+def _near_one_solve_lines(main, work: str) -> list[str]:
+    """A report on 40 states at gamma = 1 - 1e-12: the value solve stands on
+    its backward error, and the report stops at the state-distributions cap."""
+    from dataclasses import replace
+
+    from mapgvar import random_game, save_game
+
+    path = os.path.join(work, "game-40-near-one.json")
+    save_game(replace(random_game(2, 40, 2, seed=3), gamma=1 - 1e-12), path)
+    return _run(main, "error-s40-gamma-near-one", ["report", "--game", path], work,
+                stderr=True)
 
 
 def _gradient_lines() -> list[str]:
