@@ -494,6 +494,11 @@ def load_checkpoint(path) -> tuple[TrainConfig, JointPolicy, dict]:
 class ContinuousOneStepTask:
     """A single-state game with real-valued actions: payoff maps a batch of
     joint action vectors (m, total_dim) to rewards (m,). beta bounds |payoff|.
+
+    The payoff's argument is read-only; ``train_gaussian`` passes the batch
+    row-major and the sampled baseline's counterfactual rows column-major,
+    so a numpy payoff that sums 8 or more components of a row rounds by
+    that layout (pairwise on row-major input, left to right otherwise).
     """
 
     payoff: object  # callable (m, total_dim) -> (m,)
@@ -509,6 +514,17 @@ class ContinuousOneStepTask:
         return int(sum(self.dims))
 
 
+def _payoff_values(task: ContinuousOneStepTask, joint) -> np.ndarray:
+    """The payoff of each row of the read-only (m, total_dim) matrix joint."""
+    q_vals = np.asarray(task.payoff(joint), dtype=float)
+    if q_vals.shape != joint.shape[:1]:
+        raise ValueError(
+            f"payoff returned shape {q_vals.shape} for {joint.shape[0]} joint "
+            f"actions; it must return one value per row, shape ({joint.shape[0]},)"
+        )
+    return q_vals
+
+
 def train_gaussian(
     task: ContinuousOneStepTask,
     initial_params,
@@ -519,7 +535,10 @@ def train_gaussian(
     initial_params is a list of (mean, std) arrays per agent. The baseline is
     the sampled surrogate (config.ob_n_samples fresh actions per update,
     counterfactual q queried from the payoff), COMA-style mean, or none.
+    The COMA-style mean is the batch mean of q, each row's own q included,
+    so the expected step is (1 - 1/batch_size) times the gradient.
     Returns are batch-mean estimates: there is no solver to make them exact.
+    A payoff that does not return one value per row raises ValueError.
     """
     params = [
         (np.array(m, dtype=float), np.array(s, dtype=float))
@@ -535,6 +554,9 @@ def train_gaussian(
     rng = np.random.default_rng(config.seed)
     offsets = np.concatenate(([0], np.cumsum(task.dims))).astype(int)
     batch, n_ob = config.batch_size, config.ob_n_samples
+    sampled_ob = config.baseline.tag not in (BaselineTag.NONE, BaselineTag.COMA)
+    # each agent's counterfactual noise, drawn afresh into the same memory
+    z_bufs = [np.empty((batch, n_ob, d)) for d in task.dims] if sampled_ob else []
     j_bound = 10.0 * task.beta
     returns, grad_vars, grad_norms, entropies = [], [], [], []
     for _ in range(config.iterations):
@@ -543,7 +565,8 @@ def train_gaussian(
             samples[:, offsets[i] : offsets[i + 1]] = mean + std * rng.standard_normal(
                 (batch, task.dims[i])
             )
-        q_vals = np.asarray(task.payoff(samples), dtype=float)
+        samples.flags.writeable = False
+        q_vals = _payoff_values(task, samples)
         j_val = float(q_vals.mean())
         if not math.isfinite(j_val) or abs(j_val) > j_bound:
             raise DivergenceError(
@@ -569,14 +592,20 @@ def train_gaussian(
                 baselines = np.full(batch, j_val)
             else:
                 # n_samples fresh own actions per batch row, the others held
-                # fixed, each component written straight into its column
-                z = rng.standard_normal((batch, n_ob, task.dims[i]))
-                joint = np.repeat(samples, n_ob, axis=0)
-                actions = joint.reshape(batch, n_ob, -1)[..., cols]
-                for j in range(task.dims[i]):
-                    np.multiply(std[j], z[..., j], out=actions[..., j])
-                    actions[..., j] += mean[j]
-                q_cf = np.asarray(task.payoff(joint), dtype=float).reshape(batch, n_ob)
+                # fixed: one contiguous (batch, n_samples) plane per column
+                z = z_bufs[i]
+                rng.standard_normal(out=z)
+                plane = np.empty((task.total_dim, batch, n_ob))
+                for held in (slice(0, offsets[i]), slice(offsets[i + 1], None)):
+                    plane[held] = samples.T[held, :, None]
+                for j, c in enumerate(range(offsets[i], offsets[i + 1])):
+                    np.multiply(std[j], z[..., j], out=plane[c])
+                    plane[c] += mean[j]
+                plane.flags.writeable = False
+                # row r * n_samples + k is batch row r's k-th counterfactual
+                joint = plane.reshape(task.total_dim, -1).T
+                q_cf = _payoff_values(task, joint).reshape(batch, n_ob)
+                actions = np.moveaxis(plane[cols], 0, -1)
                 baselines = ob_surrogate_gaussian(actions, mean, std, q_cf)
             per_traj.append((q_vals - baselines)[:, None] * score)
         steps, grad_var, grad_norm = _batch_statistics(per_traj)

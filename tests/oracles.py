@@ -157,6 +157,35 @@ def ob_surrogate_gaussian_oracle(actions, mean, std, q_vals):
     return np.where(lo == q_vals.max(axis=-1), lo, weighted)
 
 
+def gaussian_counterfactual_joints(params, batch, n_samples, iterations, seed):
+    """Every payoff argument of a ``train_gaussian`` run with the sampled
+    optimal baseline whose parameters stay at ``params`` (a payoff that is
+    constant moves none), replayed from the generator of ``seed``. Per
+    iteration: the (batch, total_dim) batch, then each agent's
+    (batch * n_samples, total_dim) counterfactual matrix, built row by row
+    as ``np.repeat`` of the batch with the agent's columns overwritten."""
+    rng = np.random.default_rng(seed)
+    dims = [len(mean) for mean, _ in params]
+    offsets = np.concatenate(([0], np.cumsum(dims))).astype(int)
+    calls = []
+    for _ in range(iterations):
+        samples = np.empty((batch, offsets[-1]))
+        for i, (mean, std) in enumerate(params):
+            samples[:, offsets[i] : offsets[i + 1]] = mean + std * rng.standard_normal(
+                (batch, dims[i])
+            )
+        calls.append(samples)
+        for i, (mean, std) in enumerate(params):
+            z = rng.standard_normal((batch, n_samples, dims[i]))
+            joint = np.repeat(samples, n_samples, axis=0)
+            actions = joint.reshape(batch, n_samples, -1)[..., offsets[i] : offsets[i + 1]]
+            for j in range(dims[i]):
+                np.multiply(std[j], z[..., j], out=actions[..., j])
+                actions[..., j] += mean[j]
+            calls.append(joint)
+    return calls
+
+
 def joint_probs_oracle(game, policy):
     """(S, A) joint action probabilities by explicit product over agents."""
     out = np.empty((game.n_states, game.n_joint_actions))

@@ -18,7 +18,7 @@ def test_artifact_digest_runs_on_this_checkout():
     )
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) >= 772
+    assert len(lines) >= 773
     assert [line for line in lines if not LINE.fullmatch(line)] == []
     labels = [line.split("  ", 1)[1] for line in lines]
     assert len(set(labels)) == len(labels)

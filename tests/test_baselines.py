@@ -145,10 +145,13 @@ def test_gaussian_ob_equals_the_last_axis_formula(d):
         q_vals = np.minimum(actions[..., 0] ** 3 - actions[..., -1], 1.5)
         expected = ob_surrogate_gaussian_oracle(actions, mean, std, q_vals)
         assert np.array_equal(ob_surrogate_gaussian(actions, mean, std, q_vals), expected)
-    # columns of a wider matrix, the strided view train_gaussian passes
-    joint = np.zeros((5 * 64, d + 3))
-    view = joint.reshape(5, 64, -1)[..., 1 : d + 1]
-    view[...] = actions
+    # rows of a (d + 3, 5, 64) column-major plane moved to the last axis,
+    # the view train_gaussian passes
+    plane = np.zeros((d + 3, 5, 64))
+    plane[1 : d + 1] = np.moveaxis(actions, -1, 0)
+    view = np.moveaxis(plane[1 : d + 1], 0, -1)
+    assert view.strides == (64 * 8, 8, 5 * 64 * 8)
+    assert np.array_equal(view, actions)
     assert np.array_equal(ob_surrogate_gaussian(view, mean, std, q_vals), expected)
 
 

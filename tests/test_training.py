@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import one_step_game, rollout_steps, same_logits
 from oracles import (
     compare_baselines,
+    gaussian_counterfactual_joints,
     ppo_step_oracle,
     td_batch_oracle,
     trajectory_gradient,
@@ -586,3 +588,96 @@ def test_train_gaussian_validates_params():
                       (np.zeros(2), 1.0), (np.zeros((1, 2)), np.ones(2))):
         with pytest.raises(ValueError, match="must each hold 2 components"):
             train_gaussian(task, [(mean, std)], TrainConfig(batch_size=8, iterations=2))
+
+
+def _total_cost(x):
+    return -float(np.sum(x**2))
+
+
+def _column_cost(x):
+    return -np.sum(x**2, axis=1, keepdims=True)
+
+
+def _short_cost(x):
+    return -np.sum(x[1:] ** 2, axis=1)
+
+
+@pytest.mark.parametrize("baseline", ["none", "coma", "ob_surrogate"])
+@pytest.mark.parametrize("payoff, shape", [
+    (_total_cost, "()"), (_column_cost, "(8, 1)"), (_short_cost, "(7,)"),
+])
+def test_train_gaussian_refuses_a_payoff_without_one_value_per_row(baseline, payoff, shape):
+    # a scalar would train every row on the batch's total; (m, 1) and
+    # (m - 1,) would fail inside numpy or broadcast; each is named here
+    task = ContinuousOneStepTask(payoff=payoff, dims=(2, 1), beta=50.0)
+    config = TrainConfig(baseline=BaselineKind(BaselineTag(baseline)),
+                         batch_size=8, iterations=2, ob_n_samples=4, seed=0)
+    init = [(np.zeros(2), np.ones(2)), (np.zeros(1), np.ones(1))]
+    message = re.escape(f"payoff returned shape {shape} for 8 joint actions")
+    with pytest.raises(ValueError, match=message):
+        train_gaussian(task, init, config)
+
+
+@pytest.mark.parametrize("payoff, shape", [
+    (_total_cost, "()"), (_column_cost, "(32, 1)"), (_short_cost, "(31,)"),
+])
+def test_train_gaussian_refuses_a_counterfactual_payoff_without_one_value_per_row(
+    payoff, shape
+):
+    # right on the batch of 8 rows, wrong on the 8 x 4 counterfactual rows
+    def batch_only(x):
+        return -np.sum(x**2, axis=1) if len(x) == 8 else payoff(x)
+
+    task = ContinuousOneStepTask(payoff=batch_only, dims=(2, 1), beta=50.0)
+    config = TrainConfig(baseline=BaselineKind(BaselineTag.OB_SURROGATE),
+                         batch_size=8, iterations=2, ob_n_samples=4, seed=0)
+    init = [(np.zeros(2), np.ones(2)), (np.zeros(1), np.ones(1))]
+    message = re.escape(f"payoff returned shape {shape} for 32 joint actions")
+    with pytest.raises(ValueError, match=message):
+        train_gaussian(task, init, config)
+
+
+@pytest.mark.parametrize("baseline, rows", [
+    ("none", 8), ("coma", 8), ("ob_surrogate", 8), ("ob_surrogate", 32),
+])
+def test_train_gaussian_payoff_cannot_write_into_its_argument(baseline, rows):
+    # the batch's scores and the baseline's sampled actions are read from
+    # the memory the payoff is handed, after it returns; 8 rows is the
+    # batch, 32 the counterfactual matrix
+    def in_place(x):
+        if len(x) == rows:
+            np.square(x, out=x)
+        return -np.sum(x**2, axis=1)
+
+    task = ContinuousOneStepTask(payoff=in_place, dims=(2, 1), beta=50.0)
+    config = TrainConfig(baseline=BaselineKind(BaselineTag(baseline)),
+                         batch_size=8, iterations=2, ob_n_samples=4, seed=0)
+    init = [(np.zeros(2), np.ones(2)), (np.zeros(1), np.ones(1))]
+    with pytest.raises(ValueError, match="read-only"):
+        train_gaussian(task, init, config)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 5), (9,)])
+def test_train_gaussian_counterfactual_matrix_is_the_repeated_batch(dims):
+    # a constant payoff leaves every step zero, so the parameters stay put
+    # and the replay can draw the same stream with the initial ones
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return np.zeros(len(x))
+
+    task = ContinuousOneStepTask(payoff=recording, dims=dims, beta=1.0)
+    config = TrainConfig(baseline=BaselineKind(BaselineTag.OB_SURROGATE),
+                         batch_size=6, iterations=3, ob_n_samples=5, seed=9)
+    init = [(np.linspace(-0.5, 0.5, d), np.linspace(0.4, 1.3, d)) for d in dims]
+    _, params = train_gaussian(task, init, config)
+    for (mean, std), (m0, s0) in zip(params, init):
+        assert np.array_equal(mean, m0) and np.array_equal(std, s0)
+    expected = gaussian_counterfactual_joints(init, 6, 5, 3, 9)
+    assert len(seen) == len(expected) == 3 * (1 + len(dims))
+    for k, (got, want) in enumerate(zip(seen, expected)):
+        assert not got.flags.writeable
+        if k % (1 + len(dims)):  # a counterfactual call
+            assert got.shape == (30, sum(dims)) and got.flags.f_contiguous
+        assert np.array_equal(got, want)

@@ -45,7 +45,10 @@ it, one line per agent of four grid games: ``exact_policy_gradient`` under
 the random policy the reports use, hashed as JSON. Last, two PPO trains on
 the 3-state game: one whose clip binds, one on the per-step sampler path,
 and a ``report`` of a 40-state game at gamma = 1 - 1e-12, which the value
-solve passes and the state-distributions cap refuses.
+solve passes and the state-distributions cap refuses. Last, one
+``train_gaussian`` run with the sampled optimal baseline at the bench's
+Gaussian op's shape: agents of 2 and 2 components, batch 32, 500 samples,
+8 iterations.
 """
 from __future__ import annotations
 
@@ -139,10 +142,12 @@ PARTIAL_CONFIGS = (
 )
 
 
-def _gaussian_lines(dims=(2, 1), cap=3.0) -> list[str]:
+def _gaussian_lines(dims=(2, 1), cap=3.0, baselines=("none", "coma", "ob_surrogate"),
+                    batch_size=8, iterations=3, ob_n_samples=40) -> list[str]:
     """One line per baseline: train_gaussian on a quadratic payoff clipped
     at -``cap``, for agents of action dims ``dims``; labels name the dims
-    unless they are (2, 1)."""
+    unless they are (2, 1), and the run's sizes unless they are the
+    defaults."""
     import numpy as np
 
     from mapgvar import BaselineKind, BaselineTag, TrainConfig
@@ -157,11 +162,13 @@ def _gaussian_lines(dims=(2, 1), cap=3.0) -> list[str]:
     task = ContinuousOneStepTask(payoff=payoff, dims=dims, beta=cap)
     init = [(np.zeros(d), np.full(d, 0.8)) for d in dims]
     tag = "" if dims == (2, 1) else "-d" + "x".join(map(str, dims))
+    if (batch_size, iterations, ob_n_samples) != (8, 3, 40):
+        tag += f"-b{batch_size}-i{iterations}-n{ob_n_samples}"
     lines = []
-    for baseline in ("none", "coma", "ob_surrogate"):
+    for baseline in baselines:
         config = TrainConfig(baseline=BaselineKind(BaselineTag(baseline)),
-                             actor_lr=0.05, batch_size=8, iterations=3,
-                             ob_n_samples=40, seed=5)
+                             actor_lr=0.05, batch_size=batch_size, iterations=iterations,
+                             ob_n_samples=ob_n_samples, seed=5)
         try:
             history, params = train_gaussian(task, init, config)
             result = json.dumps({
@@ -364,6 +371,9 @@ def digest_lines(work: str) -> list[str]:
     lines += _gradient_lines()
     lines += _ppo_train_lines(main, work, game_files[(2, 3, 3, 1)])
     lines += _near_one_solve_lines(main, work)
+    # the bench's Gaussian op's shape: 16 000 counterfactual rows per payoff call
+    lines += _gaussian_lines((2, 2), cap=10.0, baselines=("ob_surrogate",),
+                             batch_size=32, iterations=8, ob_n_samples=500)
     return lines
 
 
